@@ -1,7 +1,9 @@
 """Command line entry points: generate, ingest, reduce, agree, plot, pipeline.
 
-Each subcommand mirrors a pipeline stage and works on CSV/JSON files, so
-single steps can run standalone without writing a config.
+The single-step subcommands run the pipeline's stage code
+(``StageRunner``): each loads its file inputs into the runner's artifact
+store, runs one stage, and writes that stage's files under the names
+given on the command line, so no config is needed.
 """
 
 from __future__ import annotations
@@ -9,38 +11,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .agreement import agreement_profile, partial_agreement, psi
-from .dimred import ReductionRequest, run_reduction
-from .geometry import ranks_from_config
-from .ingest import (
-    impute_column_mean,
-    ingest_csv,
-    read_per_item,
-    read_profile,
-    write_configuration,
-    write_per_item,
-    write_profile,
-)
-from .manifolds import SHAPES, ManifoldSpec, generate
+from .ingest import ingest_csv, read_per_item, read_profile
+from .manifolds import SHAPES
 from .pipeline import (
     PLOT_TYPES,
+    AgreeStage,
+    GenerateStage,
+    IngestStage,
     PipelineError,
-    _check_method_params,
-    _parse_render_spec,
+    StageRunner,
+    _parse_stage,
     _reject_unknown,
+    _Scope,
     load_config,
     run_pipeline,
 )
-from .viz import (
-    order_by_first_coordinate,
-    render_heatmap,
-    render_lift,
-    render_loess_overlay,
-    render_scatter,
-)
+
+_PLOT_INPUTS = {"lift": {"profiles"}, "scatter": {"embeddings", "values"},
+                "loess": {"embedding", "values"},
+                "heatmap": {"values", "binary", "order_by"}}
 
 
 def _json_dict(text: str, what: str) -> dict:
@@ -55,17 +46,18 @@ def _json_dict(text: str, what: str) -> dict:
 
 def _cmd_generate(args) -> None:
     params = _json_dict(args.params, "--params") if args.params else {}
-    spec = ManifoldSpec(args.shape, args.n, args.seed, params)
-    write_configuration(generate(spec), args.out)
+    runner = StageRunner(targets={"out.csv": args.out})
+    runner.generate(GenerateStage("out", args.shape, args.n, params),
+                    args.seed)
     print(f"wrote {args.out}")
 
 
 def _cmd_ingest(args) -> None:
-    data = ingest_csv(args.in_path, has_header=not args.no_header,
-                      missing_token=args.missing_token)
-    if args.impute:
-        data = impute_column_mean(data)
-    write_configuration(data, args.out)
+    runner = StageRunner(imputation="column_mean" if args.impute else "none",
+                         targets={"out.csv": args.out})
+    runner.ingest(IngestStage("out", args.in_path,
+                              has_header=not args.no_header,
+                              missing_token=args.missing_token))
     print(f"wrote {args.out}")
 
 
@@ -75,95 +67,83 @@ def _cmd_reduce(args) -> None:
         params["transform"] = args.transform
     if args.n_neighbors is not None:
         params["n_neighbors"] = args.n_neighbors
-    _check_method_params(args.method, params, "reduce")
-    data = ingest_csv(args.in_path)
-    request = ReductionRequest(args.method, args.dim, params, seed=args.seed)
-    result = run_reduction(request, data)
-    write_configuration(result.embedding, args.out)
+    stage = _parse_stage(
+        {"kind": "reduce", "name": "out", "source": "in",
+         "method": args.method, "target_dim": args.dim, "params": params},
+        "reduce", _Scope(configurations={"in"}))
+    runner = StageRunner(targets={"out.csv": args.out})
+    runner.configurations["in"] = ingest_csv(args.in_path)
+    runner.reduce(stage, args.seed)
     print(f"wrote {args.out}")
 
 
 def _cmd_agree(args) -> None:
-    config_a = ingest_csv(args.a)
-    config_b = ingest_csv(args.b)
-    ranks_a = ranks_from_config(config_a)
-    ranks_b = ranks_from_config(config_b)
-    profile = agreement_profile(ranks_a, ranks_b, with_per_item=args.per_item)
-    write_profile(profile, args.out)
+    items_path = Path(args.out).with_name(Path(args.out).stem + "_items.csv")
+    runner = StageRunner(targets={"out.csv": args.out,
+                                  "out_items.csv": items_path,
+                                  "out_partial.csv": None})
+    for name in ("a", "b", "z"):
+        if getattr(args, name) is not None:
+            runner.configurations[name] = ingest_csv(getattr(args, name))
+    z = "z" if args.z is not None else None
+    runner.agree(AgreeStage("out", "a", ("b",), z=z, per_item=args.per_item))
     print(f"wrote {args.out}")
-    print(f"psi = {psi(profile)!r}")
+    print(f"psi = {runner.score_rows[0].psi!r}")
     if args.per_item:
-        items_path = Path(args.out).with_name(Path(args.out).stem + "_items.csv")
-        ks = tuple(range(1, profile.n))
-        write_per_item(ks, profile.per_item, items_path,
-                       labels=config_a.labels)
         print(f"wrote {items_path}")
     if args.z is not None:
-        ranks_z = ranks_from_config(ingest_csv(args.z))
-        psi_az = psi(agreement_profile(ranks_a, ranks_z))
-        psi_bz = psi(agreement_profile(ranks_b, ranks_z))
-        partial = partial_agreement(psi(profile), psi_az, psi_bz)
-        print(f"partial agreement given z = {partial!r}")
+        print(f"partial agreement given z = {runner.partials['out'][-1]!r}")
 
 
-def _load_values(raw, base: Path):
-    _reject_unknown(raw, {"per_item", "k"}, "plot spec: values")
-    if "per_item" not in raw:
-        raise ValueError("plot spec: values needs a per_item file")
-    ks, matrix, _ = read_per_item(base / raw["per_item"])
-    if "k" in raw:
-        k = int(raw["k"])
-        if k not in ks:
-            raise ValueError(f"plot spec: k = {k} not among columns {ks}")
-        return ks, matrix[:, ks.index(k)]
-    return ks, matrix.mean(axis=1)
+def _files(value) -> set:
+    """The file names in a plot spec entry: one name or a list of them."""
+    return {v for v in (value if isinstance(value, list) else [value])
+            if isinstance(v, str)}
 
 
 def _cmd_plot(args) -> None:
+    """Run the spec as a plot stage whose artifacts are the files it names."""
     spec_path = Path(args.spec)
     obj = _json_dict(spec_path.read_text(), str(spec_path))
     base = spec_path.parent
-    render_spec = _parse_render_spec(obj.pop("spec", {}), "plot spec")
-
+    _reject_unknown(obj, _PLOT_INPUTS[args.type] | {"spec"}, "plot spec")
+    raw = dict(obj, kind="plot", name="out", type=args.type)
+    profiles = {}
     if args.type == "lift":
-        _reject_unknown(obj, {"profiles"}, "plot spec")
-        raw = obj.get("profiles")
-        if isinstance(raw, dict):
-            named = {name: read_profile(base / p) for name, p in raw.items()}
-        elif isinstance(raw, list) and raw:
-            named = {Path(p).stem: read_profile(base / p) for p in raw}
-        else:
+        profiles = obj.get("profiles")
+        if isinstance(profiles, list) and profiles:
+            profiles = {Path(str(p)).stem: p for p in profiles}
+        if not isinstance(profiles, dict):
             raise ValueError("plot spec: profiles must be a list or mapping")
-        text = render_lift(named, render_spec)
-    elif args.type == "scatter":
-        _reject_unknown(obj, {"embeddings", "values"}, "plot spec")
-        paths = obj.get("embeddings", [])
-        if not 1 <= len(paths) <= 2:
-            raise ValueError("plot spec: expected 1..2 embeddings")
-        embeds = [ingest_csv(base / p) for p in paths]
-        _, values = _load_values(obj.get("values", {}), base)
-        text = render_scatter(embeds if len(embeds) > 1 else embeds[0],
-                              values, render_spec)
-    elif args.type == "loess":
-        _reject_unknown(obj, {"embedding", "values"}, "plot spec")
-        if "embedding" not in obj:
-            raise ValueError("plot spec: missing embedding")
-        embed = ingest_csv(base / obj["embedding"])
-        _, values = _load_values(obj.get("values", {}), base)
-        text = render_loess_overlay(embed, values, render_spec)
-    else:  # heatmap
-        _reject_unknown(obj, {"values", "binary", "order_by"}, "plot spec")
-        ks, matrix, _ = read_per_item(
-            base / obj.get("values", {}).get("per_item", ""))
-        spec = render_spec
-        if spec.range_k is None:
-            spec = replace(spec, range_k=ks)
-        order = None
-        if "order_by" in obj:
-            order = order_by_first_coordinate(ingest_csv(base / obj["order_by"]))
-        text = render_heatmap(matrix, item_order=order, spec=spec,
-                              binary=bool(obj.get("binary", False)))
-    Path(args.out).write_text(text)
+        raw["profiles"] = list(profiles)
+    else:
+        values = _reject_unknown(obj.get("values", {}), {"per_item", "k"},
+                                 "plot spec: values")
+        if "per_item" not in values:
+            raise ValueError("plot spec: values needs a per_item file")
+        values["agree"] = values.pop("per_item")
+        raw["values"] = values
+        if args.type == "loess":
+            if "embedding" not in obj:
+                raise ValueError("plot spec: missing embedding")
+            raw["embeddings"] = [raw.pop("embedding")]
+    known = _Scope(
+        configurations=(_files(raw.get("embeddings"))
+                        | _files(obj.get("order_by"))),
+        profiles={name for name, p in profiles.items() if isinstance(p, str)},
+        per_item=_files(raw.get("values", {}).get("agree")))
+    stage = _parse_stage(raw, "plot spec", known)
+
+    runner = StageRunner(targets={"out.svg": args.out})
+    for ref in (*stage.embeddings, stage.order_by):
+        if ref is not None:
+            runner.configurations[ref] = ingest_csv(base / ref)
+    for name in stage.profiles:
+        runner.profiles[name] = read_profile(base / profiles[name])
+    if stage.values is not None:
+        ref = stage.values["agree"]
+        runner.per_item[ref] = read_per_item(base / ref)[:2]
+    runner.plot(stage)
     print(f"wrote {args.out}")
 
 

@@ -476,16 +476,6 @@ def isomap(config: Configuration, target_dim: int, n_neighbors: int) -> Reductio
     return ReductionResult(emb, diagnostics)
 
 
-def graph_laplacian(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized Laplacian ``L = D - W`` and the degree vector."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("weight matrix must be square")
-    degrees = w.sum(axis=1)
-    lap = np.diag(degrees) - w
-    return lap, degrees
-
-
 def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int,
                         t: float = math.inf) -> ReductionResult:
     """Bottom generalized eigenvectors of the neighborhood-graph Laplacian.

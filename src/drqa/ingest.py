@@ -161,6 +161,8 @@ def read_profile(path) -> AgreementProfile:
     if not rows or rows[0][:2] != ["k", "agreement"]:
         raise ValueError(f"{path.name}: not an agreement profile file")
     body = rows[1:]
+    if any(len(r) < 3 for r in body):
+        raise ValueError(f"{path.name}: profile rows need three fields")
     ks = [int(r[0]) for r in body]
     if ks != list(range(1, len(ks) + 1)):
         raise ValueError(f"{path.name}: profile rows must cover k = 1..n-1")
@@ -195,6 +197,8 @@ def read_per_item(path):
         ks = tuple(int(c.removeprefix("k=")) for c in rows[0][1:])
     except ValueError:
         raise ValueError(f"{path.name}: malformed k columns") from None
+    if any(len(r) != len(rows[0]) for r in rows[1:]):
+        raise ValueError(f"{path.name}: rows must match the header's width")
     labels = tuple(r[0] for r in rows[1:])
     values = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
     return ks, values, labels

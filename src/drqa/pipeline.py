@@ -14,8 +14,9 @@ import inspect
 import json
 import os
 import re
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +55,8 @@ PLOT_TYPES = ("scatter", "heatmap", "loess", "lift")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
-_SPEC_KEYS = {"config_side", "comparison", "eval_mode", "adjusted",
-              "range_k", "aggregation", "param", "style"}
-_STYLE_KEYS = {f.name for f in PlotStyle.__dataclass_fields__.values()}
+_SPEC_KEYS = {f.name for f in fields(RenderSpec)}
+_STYLE_KEYS = {f.name for f in fields(PlotStyle)}
 
 
 class PipelineError(RuntimeError):
@@ -68,10 +68,26 @@ class PipelineError(RuntimeError):
         self.kind = kind
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj, allowed: set | None, where: str) -> dict:
+    """``obj`` as a dict; non-objects and keys outside ``allowed`` fail."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object")
+    unknown = sorted(set(obj) - allowed) if allowed is not None else []
     if unknown:
         raise ValueError(f"{where}: unknown keys {unknown}")
+    return dict(obj)
+
+
+def _list(obj, key: str, where: str) -> tuple:
+    if not isinstance(obj, list):
+        raise ValueError(f"{where}: {key} must be a list")
+    return tuple(obj)
+
+
+def _ref(value, known: set, what: str, where: str) -> str:
+    if not isinstance(value, str) or value not in known:
+        raise ValueError(f"{where}: unknown {what} {value!r}")
+    return value
 
 
 def _require(obj: dict, key: str, where: str):
@@ -220,11 +236,15 @@ def _params_json(params: dict) -> str:
 # Parsing
 
 
-def _check_method_params(method: str, params: dict, where: str) -> None:
-    fn = getattr(dimred, method)
-    accepted = set(inspect.signature(fn).parameters)
-    accepted -= {"config", "distances", "target_dim"}
-    _reject_unknown(params, accepted, f"{where}: params for {method}")
+@dataclass
+class _Scope:
+    """What the stages parsed so far define, by how later stages may use it."""
+
+    base_dir: Path = Path(".")
+    taken: set = field(default_factory=set)
+    configurations: set = field(default_factory=set)
+    profiles: set = field(default_factory=set)
+    per_item: set = field(default_factory=set)
 
 
 def _parse_name(raw: dict, where: str, taken: set) -> str:
@@ -248,14 +268,148 @@ def _parse_range_k(raw, where: str):
     return (lo, hi)
 
 
-def _parse_render_spec(raw: dict, where: str) -> RenderSpec:
-    _reject_unknown(raw, _SPEC_KEYS, where)
-    kw = dict(raw)
-    style_raw = kw.pop("style", {})
-    _reject_unknown(style_raw, _STYLE_KEYS, f"{where}: style")
-    if "range_k" in kw and kw["range_k"] is not None:
-        kw["range_k"] = tuple(kw["range_k"])
-    return RenderSpec(style=PlotStyle(**style_raw), **kw)
+def _parse_render_spec(raw, where: str) -> RenderSpec:
+    kw = _reject_unknown(raw, _SPEC_KEYS, where)
+    style = _reject_unknown(kw.pop("style", {}), _STYLE_KEYS, f"{where}: style")
+    return RenderSpec(style=PlotStyle(**style), **kw)
+
+
+def _parse_stage(raw: dict, where: str, scope: _Scope):
+    """Validate one stage object and add what it defines to ``scope``."""
+    kind = raw["kind"]
+    name = _parse_name(raw, where, scope.taken)
+    scope.taken.add(name)
+
+    if kind == "generate":
+        _reject_unknown(raw, {"kind", "name", "shape", "n", "params"}, where)
+        shape = _require(raw, "shape", where)
+        n = _require(raw, "n", where)
+        if not isinstance(n, int):
+            raise ValueError(f"{where}: n must be an integer")
+        params = _reject_unknown(raw.get("params", {}), None,
+                                 f"{where}: params")
+        ManifoldSpec(shape, n, 0, params)  # fail fast on bad arguments
+        scope.configurations.add(name)
+        return GenerateStage(name, shape, n, params)
+
+    if kind == "ingest":
+        _reject_unknown(raw, {"kind", "name", "path", "has_header",
+                              "missing_token"}, where)
+        path = _require(raw, "path", where)
+        if not isinstance(path, str):
+            raise ValueError(f"{where}: path must be a string")
+        scope.configurations.add(name)
+        return IngestStage(
+            name, str(scope.base_dir / path),
+            has_header=bool(raw.get("has_header", True)),
+            missing_token=str(raw.get("missing_token", "NA")),
+        )
+
+    if kind == "reduce":
+        _reject_unknown(raw, {"kind", "name", "source", "method", "methods",
+                              "target_dim", "params", "param_grid"}, where)
+        source = _ref(_require(raw, "source", where), scope.configurations,
+                      "source", where)
+        if ("method" in raw) == ("methods" in raw):
+            raise ValueError(f"{where}: give exactly one of method/methods")
+        methods = (_list(raw["methods"], "methods", where)
+                   if "methods" in raw else (raw["method"],))
+        if not methods:
+            raise ValueError(f"{where}: methods must not be empty")
+        for m in methods:
+            if m not in dimred.METHODS:
+                raise ValueError(f"{where}: unknown method {m!r}")
+        if len(set(methods)) != len(methods):
+            raise ValueError(f"{where}: duplicate methods")
+        if "params" in raw and "param_grid" in raw:
+            raise ValueError(f"{where}: give only one of params/param_grid")
+        if "param_grid" in raw:
+            grid = _list(raw["param_grid"], "param_grid", where)
+            if not grid:
+                raise ValueError(f"{where}: param_grid must not be empty")
+        else:
+            grid = (raw.get("params", {}),)
+        grid = tuple(_reject_unknown(p, None, f"{where}: params")
+                     for p in grid)
+        target_dim = _require(raw, "target_dim", where)
+        if not isinstance(target_dim, int) or target_dim < 1:
+            raise ValueError(f"{where}: target_dim must be a positive integer")
+        for m in methods:
+            # the reducer's keyword parameters after its input and target_dim
+            signature = inspect.signature(getattr(dimred, m))
+            accepted = {p.name for p in list(signature.parameters.values())[2:]
+                        if p.kind is not p.VAR_KEYWORD}
+            for params in grid:
+                _reject_unknown(params, accepted, f"{where}: params for {m}")
+        stage = ReduceStage(name, source, methods, target_dim, grid)
+        for emit_name, _, _ in stage.jobs():
+            if emit_name != name and emit_name in scope.taken:
+                raise ValueError(f"{where}: artifact {emit_name!r} collides")
+            scope.taken.add(emit_name)
+            scope.configurations.add(emit_name)
+        return stage
+
+    if kind == "agree":
+        _reject_unknown(raw, {"kind", "name", "a", "b", "z",
+                              "per_item", "range_k"}, where)
+        a = _require(raw, "a", where)
+        b_raw = _require(raw, "b", where)
+        b = tuple(b_raw) if isinstance(b_raw, list) else (b_raw,)
+        if not b:
+            raise ValueError(f"{where}: b must name at least one artifact")
+        z = raw.get("z")
+        for ref in (a, *b, *([z] if z is not None else [])):
+            _ref(ref, scope.configurations, "artifact", where)
+        stage = AgreeStage(
+            name, a, b, z=z,
+            per_item=bool(raw.get("per_item", False)),
+            range_k=_parse_range_k(raw.get("range_k"), where),
+        )
+        scope.profiles.update(stage.profile_keys())
+        if stage.per_item:
+            scope.per_item.update(stage.profile_keys())
+        return stage
+
+    # plot
+    common = {"kind", "name", "type", "spec"}
+    plot_type = _require(raw, "type", where)
+    if plot_type not in PLOT_TYPES:
+        raise ValueError(f"{where}: unknown plot type {plot_type!r}")
+    spec = _parse_render_spec(raw.get("spec", {}), where)
+    if plot_type == "lift":
+        _reject_unknown(raw, common | {"profiles"}, where)
+        refs = _list(_require(raw, "profiles", where), "profiles", where)
+        if not refs:
+            raise ValueError(f"{where}: profiles must not be empty")
+        for ref in refs:
+            _ref(ref, scope.profiles, "profile", where)
+        return PlotStage(name, plot_type, spec, profiles=refs)
+
+    allowed = common | {"embeddings", "values"}
+    if plot_type == "heatmap":
+        allowed |= {"binary", "order_by"}
+    _reject_unknown(raw, allowed, where)
+    values = _reject_unknown(_require(raw, "values", where), {"agree", "k"},
+                             f"{where}: values")
+    _ref(_require(values, "agree", f"{where}: values"), scope.per_item,
+         "agree artifact with per-item output", where)
+    if not isinstance(values.get("k", 0), int):
+        raise ValueError(f"{where}: values: k must be an integer")
+    embeddings = ()
+    if plot_type != "heatmap":
+        embeddings = _list(_require(raw, "embeddings", where),
+                           "embeddings", where)
+        limit = 1 if plot_type == "loess" else 2
+        if not 1 <= len(embeddings) <= limit:
+            raise ValueError(f"{where}: expected 1..{limit} embeddings")
+        for ref in embeddings:
+            _ref(ref, scope.configurations, "embedding", where)
+    order_by = raw.get("order_by")
+    if order_by is not None:
+        _ref(order_by, scope.configurations, "embedding", where)
+    return PlotStage(name, plot_type, spec, embeddings=embeddings,
+                     values=values, binary=bool(raw.get("binary", False)),
+                     order_by=order_by)
 
 
 def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
@@ -274,6 +428,9 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
     seed = obj.get("seed", 0)
     if not isinstance(seed, int):
         raise ValueError("config: seed must be an integer")
+    out_dir = obj.get("out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ValueError("config: out_dir must be a path")
     imputation = obj.get("imputation", "none")
     if imputation not in IMPUTATIONS:
         raise ValueError(f"config: imputation must be one of {IMPUTATIONS}")
@@ -288,10 +445,7 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
     if not isinstance(raw_stages, list):
         raise ValueError("config: stages must be a list")
 
-    taken: set = set()
-    configurations: set = set()
-    profile_keys: set = set()
-    per_item_keys: set = set()
+    scope = _Scope(base_dir)
     stages = []
     for idx, raw in enumerate(raw_stages):
         if not isinstance(raw, dict):
@@ -299,148 +453,11 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
         kind = _require(raw, "kind", f"stage {idx}")
         if kind not in STAGE_KINDS:
             raise ValueError(f"stage {idx}: unknown kind {kind!r}")
-        where = f"stage {idx} ({kind})"
-        name = _parse_name(raw, where, taken)
-        taken.add(name)
+        stages.append(_parse_stage(raw, f"stage {idx} ({kind})", scope))
 
-        if kind == "generate":
-            _reject_unknown(raw, {"kind", "name", "shape", "n", "params"}, where)
-            shape = _require(raw, "shape", where)
-            n = _require(raw, "n", where)
-            params = dict(raw.get("params", {}))
-            ManifoldSpec(shape, n, 0, params)  # fail fast on bad arguments
-            stages.append(GenerateStage(name, shape, int(n), params))
-            configurations.add(name)
-
-        elif kind == "ingest":
-            _reject_unknown(raw, {"kind", "name", "path", "has_header",
-                                  "missing_token"}, where)
-            path = _require(raw, "path", where)
-            stages.append(IngestStage(
-                name, str(base_dir / path),
-                has_header=bool(raw.get("has_header", True)),
-                missing_token=str(raw.get("missing_token", "NA")),
-            ))
-            configurations.add(name)
-
-        elif kind == "reduce":
-            _reject_unknown(raw, {"kind", "name", "source", "method",
-                                  "methods", "target_dim", "params",
-                                  "param_grid"}, where)
-            source = _require(raw, "source", where)
-            if source not in configurations:
-                raise ValueError(f"{where}: unknown source {source!r}")
-            if ("method" in raw) == ("methods" in raw):
-                raise ValueError(f"{where}: give exactly one of method/methods")
-            methods = tuple(raw.get("methods", [raw.get("method")]))
-            for m in methods:
-                if m not in dimred.METHODS:
-                    raise ValueError(f"{where}: unknown method {m!r}")
-            if len(set(methods)) != len(methods):
-                raise ValueError(f"{where}: duplicate methods")
-            if "params" in raw and "param_grid" in raw:
-                raise ValueError(f"{where}: give only one of params/param_grid")
-            if "param_grid" in raw:
-                grid = tuple(dict(p) for p in raw["param_grid"])
-                if not grid:
-                    raise ValueError(f"{where}: param_grid must not be empty")
-            else:
-                grid = (dict(raw.get("params", {})),)
-            target_dim = _require(raw, "target_dim", where)
-            if not isinstance(target_dim, int) or target_dim < 1:
-                raise ValueError(f"{where}: target_dim must be a positive integer")
-            for m in methods:
-                for params in grid:
-                    _check_method_params(m, params, where)
-            stage = ReduceStage(name, source, methods, target_dim, grid)
-            for emit_name, _, _ in stage.jobs():
-                if emit_name != name and emit_name in taken:
-                    raise ValueError(f"{where}: artifact {emit_name!r} collides")
-                taken.add(emit_name)
-                configurations.add(emit_name)
-            stages.append(stage)
-
-        elif kind == "agree":
-            _reject_unknown(raw, {"kind", "name", "a", "b", "z",
-                                  "per_item", "range_k"}, where)
-            a = _require(raw, "a", where)
-            b_raw = _require(raw, "b", where)
-            b = tuple(b_raw) if isinstance(b_raw, list) else (b_raw,)
-            if not b:
-                raise ValueError(f"{where}: b must name at least one artifact")
-            z = raw.get("z")
-            for ref in (a, *b, *( [z] if z is not None else [] )):
-                if ref not in configurations:
-                    raise ValueError(f"{where}: unknown artifact {ref!r}")
-            stage = AgreeStage(
-                name, a, b, z=z,
-                per_item=bool(raw.get("per_item", False)),
-                range_k=_parse_range_k(raw.get("range_k"), where),
-            )
-            for key in stage.profile_keys():
-                profile_keys.add(key)
-                if stage.per_item:
-                    per_item_keys.add(key)
-            stages.append(stage)
-
-        else:  # plot
-            common = {"kind", "name", "type", "spec"}
-            plot_type = _require(raw, "type", where)
-            if plot_type not in PLOT_TYPES:
-                raise ValueError(f"{where}: unknown plot type {plot_type!r}")
-            spec = _parse_render_spec(raw.get("spec", {}), where)
-            if plot_type == "lift":
-                _reject_unknown(raw, common | {"profiles"}, where)
-                refs = tuple(_require(raw, "profiles", where))
-                if not refs:
-                    raise ValueError(f"{where}: profiles must not be empty")
-                for ref in refs:
-                    if ref not in profile_keys:
-                        raise ValueError(f"{where}: unknown profile {ref!r}")
-                stages.append(PlotStage(name, plot_type, spec, profiles=refs))
-            else:
-                allowed = common | {"embeddings", "values"}
-                if plot_type == "heatmap":
-                    allowed |= {"binary", "order_by"}
-                _reject_unknown(raw, allowed, where)
-                values = None
-                if plot_type == "heatmap" or "values" in raw:
-                    values = dict(_require(raw, "values", where))
-                    _reject_unknown(values, {"agree", "k"}, f"{where}: values")
-                    ref = _require(values, "agree", f"{where}: values")
-                    if ref not in per_item_keys:
-                        raise ValueError(
-                            f"{where}: {ref!r} is not an agree artifact "
-                            "with per-item output"
-                        )
-                embeddings = ()
-                if plot_type != "heatmap":
-                    embeddings = tuple(_require(raw, "embeddings", where))
-                    limit = 1 if plot_type == "loess" else 2
-                    if not 1 <= len(embeddings) <= limit:
-                        raise ValueError(
-                            f"{where}: expected 1..{limit} embeddings"
-                        )
-                    for ref in embeddings:
-                        if ref not in configurations:
-                            raise ValueError(
-                                f"{where}: unknown embedding {ref!r}"
-                            )
-                    if values is None:
-                        raise ValueError(f"{where}: missing required key 'values'")
-                order_by = raw.get("order_by")
-                if order_by is not None and order_by not in configurations:
-                    raise ValueError(f"{where}: unknown embedding {order_by!r}")
-                stages.append(PlotStage(
-                    name, plot_type, spec,
-                    embeddings=embeddings, values=values,
-                    binary=bool(raw.get("binary", False)),
-                    order_by=order_by,
-                ))
-
-    out_dir = base_dir / obj.get("out_dir", "out")
-    return PipelineConfig(seed=seed, out_dir=out_dir, stages=tuple(stages),
-                          imputation=imputation, cache=cache, scores=scores)
+    return PipelineConfig(seed=seed, out_dir=base_dir / out_dir,
+                          stages=tuple(stages), imputation=imputation,
+                          cache=cache, scores=scores)
 
 
 def load_config(path) -> PipelineConfig:
@@ -466,7 +483,11 @@ def _worker_count() -> int | None:
 
 
 class _RankCache:
-    """Rank structures per artifact, optionally persisted on disk."""
+    """Rank structures per artifact, optionally persisted on disk.
+
+    Disk entries are keyed by shape, items and mask, and are renamed into
+    place only once fully written.
+    """
 
     def __init__(self, directory: Path | None):
         self.directory = directory
@@ -480,8 +501,11 @@ class _RankCache:
         structure = None
         disk = None
         if self.directory is not None:
-            digest = hashlib.sha256(config.items.tobytes()).hexdigest()[:24]
-            disk = self.directory / f"ranks_{digest}.npz"
+            digest = hashlib.sha256(repr(config.items.shape).encode())
+            digest.update(config.items.tobytes())
+            if config.mask is not None:
+                digest.update(config.mask.tobytes())
+            disk = self.directory / f"ranks_{digest.hexdigest()[:24]}.npz"
             if disk.exists():
                 loaded = np.load(disk)
                 structure = RankStructure(
@@ -491,10 +515,158 @@ class _RankCache:
         if structure is None:
             structure = ranks_from_config(config)
             if disk is not None and not disk.exists():
-                np.savez(disk, ranks=structure.ranks,
-                         neighbors=structure.neighbors)
+                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+                try:
+                    with os.fdopen(fd, "wb") as fh:
+                        np.savez(fh, ranks=structure.ranks,
+                                 neighbors=structure.neighbors)
+                    os.replace(tmp, disk)
+                except BaseException:
+                    os.unlink(tmp)
+                    raise
         self.memory[name] = structure
         return structure
+
+
+def _write_partial(values, path) -> None:
+    with Path(path).open("w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["psi_ab", "psi_az", "psi_bz", "partial_agreement"])
+        out.writerow([repr(v) for v in values])
+
+
+class StageRunner:
+    """Runs stages, one method per stage kind, against an artifact store.
+
+    A method takes a stage record and its seed (read by generate and
+    reduce only), reads its inputs from the store and adds its results.
+    Its file ``f`` goes to ``targets[f]`` if given (None skips it), else
+    to ``out_dir / f``; each path joins ``written`` before it is written.
+    """
+
+    def __init__(self, out_dir=".", imputation: str = "none",
+                 cache_dir: Path | None = None, workers: int | None = None,
+                 targets: dict | None = None):
+        self.out_dir = Path(out_dir)
+        self.imputation = imputation
+        self.workers = workers
+        self.targets = targets or {}
+        self.rank_cache = _RankCache(cache_dir)
+        self.configurations: dict = {}
+        self.reduce_meta: dict = {}
+        self.profiles: dict = {}
+        self.per_item: dict = {}
+        self.partials: dict = {}
+        self.score_rows: list = []
+        self.written: list = []
+
+    def _emit(self, file_name: str, write, *args, **kwargs) -> None:
+        path = self.targets.get(file_name, self.out_dir / file_name)
+        if path is not None:
+            self.written.append(path)
+            write(*args, path, **kwargs)
+
+    def _store(self, name: str, data: Configuration) -> None:
+        self.configurations[name] = data
+        self._emit(f"{name}.csv", write_configuration, data)
+
+    def _ranks(self, name: str) -> RankStructure:
+        return self.rank_cache.ranks_for(name, self.configurations[name])
+
+    def generate(self, stage: GenerateStage, seed: int) -> None:
+        spec = ManifoldSpec(stage.shape, stage.n, seed, stage.params)
+        self._store(stage.name, generate(spec))
+
+    def ingest(self, stage: IngestStage, seed=None) -> None:
+        data = ingest_csv(stage.path, has_header=stage.has_header,
+                          missing_token=stage.missing_token)
+        if self.imputation == "column_mean":
+            data = impute_column_mean(data)
+        self._store(stage.name, data)
+
+    def reduce(self, stage: ReduceStage, seed: int) -> None:
+        source = self.configurations[stage.source]
+        jobs = stage.jobs()
+        requests = [dimred.ReductionRequest(method, stage.target_dim, params,
+                                            seed=seed)
+                    for _, method, params in jobs]
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            results = list(pool.map(dimred.run_reduction, requests,
+                                    [source] * len(jobs)))
+        for (emit_name, method, params), result in zip(jobs, results):
+            self.reduce_meta[emit_name] = (method, params)
+            self._store(emit_name, result.embedding)
+
+    def agree(self, stage: AgreeStage, seed=None) -> None:
+        ranks_a = self._ranks(stage.a)
+        for b_name, key in zip(stage.b, stage.profile_keys()):
+            ranks_b = self._ranks(b_name)
+            prof = agreement_profile(ranks_a, ranks_b,
+                                     with_per_item=stage.per_item)
+            file_base = key.replace(":", "_")  # names never contain ":"
+            self.profiles[key] = prof
+            self._emit(f"{file_base}.csv", write_profile, prof)
+
+            n = prof.n
+            lo, hi = stage.range_k or (1, n - 1)
+            if hi > n - 1:
+                raise ValueError(
+                    f"range_k upper bound {hi} exceeds n-1 = {n - 1}")
+            if stage.per_item:
+                ks = tuple(range(lo, hi + 1))
+                matrix = prof.per_item[:, lo - 1:hi]
+                self.per_item[key] = (ks, matrix)
+                self._emit(f"{file_base}_items.csv", write_per_item, ks,
+                           matrix, labels=self.configurations[stage.a].labels)
+            psi_ab = psi(prof)
+            if stage.z is not None:
+                ranks_z = self._ranks(stage.z)
+                psi_az = psi(agreement_profile(ranks_a, ranks_z))
+                psi_bz = psi(agreement_profile(ranks_b, ranks_z))
+                partial = (psi_ab, psi_az, psi_bz,
+                           partial_agreement(psi_ab, psi_az, psi_bz))
+                self.partials[key] = partial
+                self._emit(f"{file_base}_partial.csv", _write_partial, partial)
+
+            technique, params = self.reduce_meta.get(b_name, (b_name, {}))
+            row_params = {"dataset": stage.a, "embedding": b_name, **params}
+            psi_f = (weighted_psi(prof, WeightFunction.linear_taper(n))
+                     if n >= 4 else None)
+            self.score_rows.append(ScoreRow(
+                technique, row_params, f"{lo}-{hi}",
+                float(prof.ar[lo - 1:hi].mean()), psi_ab, psi_f,
+            ))
+
+    def plot(self, stage: PlotStage, seed=None) -> None:
+        spec = stage.spec
+        if stage.plot_type == "lift":
+            named = {ref: self.profiles[ref] for ref in stage.profiles}
+            text = render_lift(named, spec)
+        elif stage.plot_type == "heatmap":
+            ks, matrix = self.per_item[stage.values["agree"]]
+            if spec.range_k is None:
+                spec = replace(spec, range_k=ks)
+            order = None
+            if stage.order_by is not None:
+                order = order_by_first_coordinate(
+                    self.configurations[stage.order_by])
+            text = render_heatmap(matrix, item_order=order, spec=spec,
+                                  binary=stage.binary)
+        else:
+            ks, matrix = self.per_item[stage.values["agree"]]
+            k = stage.values.get("k")
+            if k is not None and k not in ks:
+                raise ValueError(f"k = {k} not among stored columns {ks}")
+            values = (matrix.mean(axis=1) if k is None
+                      else matrix[:, ks.index(k)])
+            embeds = [self.configurations[ref] for ref in stage.embeddings]
+            if stage.plot_type == "loess":
+                text = render_loess_overlay(embeds[0], values, spec)
+            else:
+                text = render_scatter(
+                    embeds if len(embeds) > 1 else embeds[0], values, spec)
+        self._emit(f"{stage.name}.svg",
+                   lambda text, path: Path(path).write_text(text), text)
 
 
 def run_pipeline(config: PipelineConfig):
@@ -502,175 +674,32 @@ def run_pipeline(config: PipelineConfig):
 
     Randomized stages derive their seed from the global seed plus their
     stage index.  A failing stage removes whatever files it had begun to
-    write and aborts with a PipelineError naming the stage.
+    write and aborts with a PipelineError naming the stage.  The manifest
+    of an earlier run into the same directory is removed first.
     """
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count()
-    rank_cache = _RankCache(out_dir / ".cache" if config.cache else None)
-
-    configurations: dict = {}
-    reduce_meta: dict = {}
-    profiles: dict = {}
-    per_item: dict = {}
-    score_rows: list = []
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    runner = StageRunner(out_dir, config.imputation,
+                         out_dir / ".cache" if config.cache else None,
+                         _worker_count())
     manifest: list = []
-
-    def run_stage(stage, stage_seed, record):
-        if stage.kind == "generate":
-            spec = ManifoldSpec(stage.shape, stage.n, stage_seed, stage.params)
-            data = generate(spec)
-            configurations[stage.name] = data
-            record(_write_config(data, stage.name))
-        elif stage.kind == "ingest":
-            data = ingest_csv(stage.path, has_header=stage.has_header,
-                              missing_token=stage.missing_token)
-            if config.imputation == "column_mean":
-                data = impute_column_mean(data)
-            configurations[stage.name] = data
-            record(_write_config(data, stage.name))
-        elif stage.kind == "reduce":
-            source = configurations[stage.source]
-            jobs = stage.jobs()
-
-            def run_job(job):
-                emit_name, method, params = job
-                request = dimred.ReductionRequest(
-                    method, stage.target_dim, params, seed=stage_seed)
-                return emit_name, method, params, \
-                    dimred.run_reduction(request, source)
-
-            if len(jobs) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_job, jobs))
-            else:
-                results = [run_job(jobs[0])]
-            for emit_name, method, params, result in results:
-                configurations[emit_name] = result.embedding
-                reduce_meta[emit_name] = (method, params)
-                record(_write_config(result.embedding, emit_name))
-        elif stage.kind == "agree":
-            _run_agree(stage, record)
-        else:
-            _run_plot(stage, record)
-
-    def _write_config(data, name):
-        path = out_dir / f"{name}.csv"
-        write_configuration(data, path)
-        return path
-
-    def _run_agree(stage, record):
-        ranks_a = rank_cache.ranks_for(stage.a, configurations[stage.a])
-        single = len(stage.b) == 1
-        for b_name in stage.b:
-            ranks_b = rank_cache.ranks_for(b_name, configurations[b_name])
-            prof = agreement_profile(ranks_a, ranks_b,
-                                     with_per_item=stage.per_item)
-            key = stage.name if single else f"{stage.name}:{b_name}"
-            file_base = stage.name if single else f"{stage.name}_{b_name}"
-            profiles[key] = prof
-            path = out_dir / f"{file_base}.csv"
-            write_profile(prof, path)
-            record(path)
-
-            n = prof.n
-            lo, hi = stage.range_k or (1, n - 1)
-            if hi > n - 1:
-                raise ValueError(
-                    f"range_k upper bound {hi} exceeds n-1 = {n - 1}")
-            ks = tuple(range(lo, hi + 1))
-            if stage.per_item:
-                matrix = prof.per_item[:, lo - 1:hi]
-                per_item[key] = (ks, matrix)
-                item_path = out_dir / f"{file_base}_items.csv"
-                labels = configurations[stage.a].labels
-                write_per_item(ks, matrix, item_path, labels=labels)
-                record(item_path)
-            if stage.z is not None:
-                ranks_z = rank_cache.ranks_for(stage.z,
-                                               configurations[stage.z])
-                psi_ab = psi(prof)
-                psi_az = psi(agreement_profile(ranks_a, ranks_z))
-                psi_bz = psi(agreement_profile(ranks_b, ranks_z))
-                partial = partial_agreement(psi_ab, psi_az, psi_bz)
-                partial_path = out_dir / f"{file_base}_partial.csv"
-                with partial_path.open("w", newline="") as fh:
-                    out = csv.writer(fh)
-                    out.writerow(["psi_ab", "psi_az", "psi_bz",
-                                  "partial_agreement"])
-                    out.writerow([repr(psi_ab), repr(psi_az),
-                                  repr(psi_bz), repr(partial)])
-                record(partial_path)
-
-            technique, params = reduce_meta.get(b_name, (b_name, {}))
-            row_params = {"dataset": stage.a, "embedding": b_name, **params}
-            mean_agreement = float(prof.ar[lo - 1:hi].mean())
-            psi_f = None
-            if n >= 4:
-                psi_f = weighted_psi(prof, WeightFunction.linear_taper(n))
-            score_rows.append(ScoreRow(
-                technique, row_params, f"{lo}-{hi}",
-                mean_agreement, psi(prof), psi_f,
-            ))
-
-    def _values_for(stage):
-        ks, matrix = per_item[stage.values["agree"]]
-        if "k" in stage.values:
-            k = int(stage.values["k"])
-            if k not in ks:
-                raise ValueError(f"k = {k} not among stored columns {ks}")
-            return matrix[:, ks.index(k)]
-        return matrix.mean(axis=1)
-
-    def _run_plot(stage, record):
-        if stage.plot_type == "lift":
-            named = {ref: profiles[ref] for ref in stage.profiles}
-            text = render_lift(named, stage.spec)
-        elif stage.plot_type == "scatter":
-            embeds = [configurations[ref] for ref in stage.embeddings]
-            text = render_scatter(
-                embeds if len(embeds) > 1 else embeds[0],
-                _values_for(stage), stage.spec)
-        elif stage.plot_type == "loess":
-            text = render_loess_overlay(
-                configurations[stage.embeddings[0]],
-                _values_for(stage), stage.spec)
-        else:
-            ks, matrix = per_item[stage.values["agree"]]
-            spec = stage.spec
-            if spec.range_k is None:
-                spec = replace(spec, range_k=ks)
-            order = None
-            if stage.order_by is not None:
-                order = order_by_first_coordinate(
-                    configurations[stage.order_by])
-            text = render_heatmap(matrix, item_order=order, spec=spec,
-                                  binary=stage.binary)
-        path = out_dir / f"{stage.name}.svg"
-        path.write_text(text)
-        record(path)
 
     for idx, stage in enumerate(config.stages):
         stage_seed = config.seed + idx
-        randomized = stage.kind in ("generate", "reduce")
-        written: list = []
-
-        def record(path, written=written, stage=stage,
-                   stage_seed=stage_seed, randomized=randomized):
-            written.append(path)
-            manifest.append(ManifestEntry(
-                path.relative_to(out_dir).as_posix(), stage.name,
-                stage_seed if randomized else None))
-
+        runner.written = []
         try:
-            run_stage(stage, stage_seed, record)
+            getattr(runner, stage.kind)(stage, stage_seed)
         except Exception as exc:
-            for path in written:
+            for path in runner.written:
                 Path(path).unlink(missing_ok=True)
             raise PipelineError(stage.name, stage.kind, exc) from exc
+        seed = stage_seed if stage.kind in ("generate", "reduce") else None
+        manifest += [ManifestEntry(path.relative_to(out_dir).as_posix(),
+                                   stage.name, seed) for path in runner.written]
 
     if config.scores is not None:
-        table = ScoreTable(tuple(score_rows))
+        table = ScoreTable(tuple(runner.score_rows))
         path = out_dir / config.scores
         table.write(path)
         manifest.append(ManifestEntry(

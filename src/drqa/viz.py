@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -42,8 +43,6 @@ COLOR_MODES = ("absolute", "relative_to_random", "comparative")
 CONFIG_SIDES = ("A", "B", "both")
 COMPARISONS = ("simple", "compare")
 EVAL_MODES = ("hard", "soft", "both")
-AGGREGATIONS = ("all", "item")
-PARAM_COUNTS = ("single", "multiple")
 
 
 def _f(v) -> str:
@@ -68,6 +67,10 @@ class PlotStyle:
     elevation: float = 20.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name),
+                              Integral if f.type == "int" else Real):
+                raise ValueError(f"{f.name} must be of type {f.type}")
         if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
             raise ValueError("canvas too small for its margin")
         if self.grid_resolution < 2:
@@ -89,8 +92,6 @@ class RenderSpec:
     eval_mode: str | None = None
     adjusted: bool = False
     range_k: tuple[int, ...] | None = None
-    aggregation: str = "all"
-    param: str = "single"
     style: PlotStyle = field(default_factory=PlotStyle)
 
     def __post_init__(self):
@@ -100,25 +101,17 @@ class RenderSpec:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
         if self.eval_mode is not None and self.eval_mode not in EVAL_MODES:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        if self.param not in PARAM_COUNTS:
-            raise ValueError(f"param must be one of {PARAM_COUNTS}")
         if self.range_k is not None:
-            ks = tuple(int(k) for k in self.range_k)
+            try:
+                ks = tuple(int(k) for k in self.range_k)
+            except TypeError:
+                raise ValueError(
+                    "range_k must be a sequence of integers") from None
             if not ks:
                 raise ValueError("range_k must not be empty")
             if any(k < 1 for k in ks) or list(ks) != sorted(set(ks)):
                 raise ValueError("range_k must be strictly increasing and >= 1")
             object.__setattr__(self, "range_k", ks)
-
-    def resolved_range(self, n: int) -> tuple[int, ...]:
-        """The k values to show, defaulting to all of 1..n-1."""
-        if self.range_k is None:
-            return tuple(range(1, n))
-        if self.range_k[-1] > n - 1:
-            raise ValueError(f"range_k exceeds n-1 = {n - 1}")
-        return self.range_k
 
 
 def _forbid_eval(spec: RenderSpec, plot: str) -> None:

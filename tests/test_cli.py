@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through the console entry point."""
 
+import copy
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from drqa.cli import main
 from drqa.ingest import ingest_csv, read_profile
+from drqa.pipeline import parse_config, run_pipeline
 
 
 def run_cli(*argv):
@@ -172,6 +174,16 @@ class TestPlot:
         assert run_cli("plot", "--type", "loess", "--spec",
                        str(loess_spec), "--out", str(tmp_path / "l.svg")) == 0
 
+    def test_short_profile_row_fails(self, tmp_path, capsys):
+        (tmp_path / "prof.csv").write_text(
+            "k,agreement,adjusted_agreement\n1\n")
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"profiles": ["prof.csv"]}))
+        code = run_cli("plot", "--type", "lift", "--spec", str(spec),
+                       "--out", str(tmp_path / "x.svg"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: prof.csv:")
+
     def test_unknown_spec_key_fails(self, tmp_path, capsys):
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"profiles": [], "zingers": 1}))
@@ -203,6 +215,105 @@ class TestPipelineCommand:
                 {"kind": "ingest", "name": "d", "path": "missing.csv"}]}))
         assert run_cli("pipeline", "--config", str(cfg)) == 1
         assert "stage 'd'" in capsys.readouterr().err
+
+
+def test_cli_and_pipeline_write_the_same_bytes(dataset, tmp_path):
+    emb = tmp_path / "emb.csv"
+    run_cli("reduce", "--method", "pca", "--dim", "2",
+            "--in", str(dataset), "--out", str(emb))
+    cli = tmp_path / "cli"
+    cli.mkdir()
+    assert run_cli("agree", "--a", str(dataset), "--b", str(emb),
+                   "--out", str(cli / "agr.csv"), "--per-item") == 0
+    style = {"style": {"grid_resolution": 8}}
+    plots = {
+        "lift": ("lift", {"profiles": {"agr": "agr.csv"}}),
+        "heat": ("heatmap", {"values": {"per_item": "agr_items.csv"},
+                             "order_by": "../emb.csv"}),
+        "scat": ("scatter", {"embeddings": ["../emb.csv"],
+                             "values": {"per_item": "agr_items.csv", "k": 3}}),
+        "lo": ("loess", {"embedding": "../emb.csv",
+                         "values": {"per_item": "agr_items.csv"},
+                         "spec": style}),
+    }
+    for name, (plot_type, spec) in plots.items():
+        (cli / f"{name}.json").write_text(json.dumps(spec))
+        assert run_cli("plot", "--type", plot_type,
+                       "--spec", str(cli / f"{name}.json"),
+                       "--out", str(cli / f"{name}.svg")) == 0
+
+    run_pipeline(parse_config({"version": 1, "out_dir": "pipe", "stages": [
+        {"kind": "ingest", "name": "data", "path": dataset.name},
+        {"kind": "ingest", "name": "emb", "path": emb.name},
+        {"kind": "agree", "name": "agr", "a": "data", "b": "emb",
+         "per_item": True},
+        {"kind": "plot", "name": "lift", "type": "lift", "profiles": ["agr"]},
+        {"kind": "plot", "name": "heat", "type": "heatmap",
+         "values": {"agree": "agr"}, "order_by": "emb"},
+        {"kind": "plot", "name": "scat", "type": "scatter",
+         "embeddings": ["emb"], "values": {"agree": "agr", "k": 3}},
+        {"kind": "plot", "name": "lo", "type": "loess", "embeddings": ["emb"],
+         "values": {"agree": "agr"}, "spec": style},
+    ]}, base_dir=tmp_path))
+    for name in ("agr.csv", "agr_items.csv", "lift.svg", "heat.svg",
+                 "scat.svg", "lo.svg"):
+        assert (cli / name).read_bytes() == \
+            (tmp_path / "pipe" / name).read_bytes(), name
+
+
+SWEEP_CONFIG = {
+    "version": 1, "seed": 3, "out_dir": "out", "imputation": "column_mean",
+    "cache": False, "scores": "scores.csv",
+    "stages": [
+        {"kind": "generate", "name": "g", "shape": "sphere_random", "n": 12,
+         "params": {"radius": 2.0}},
+        {"kind": "ingest", "name": "i", "path": "raw.csv",
+         "has_header": True, "missing_token": "NA"},
+        {"kind": "reduce", "name": "r", "source": "g", "method": "pca",
+         "target_dim": 2, "params": {"use_correlation": False}},
+        {"kind": "agree", "name": "a", "a": "g", "b": ["r"], "z": "i",
+         "per_item": True, "range_k": [1, 6]},
+        {"kind": "plot", "name": "p", "type": "scatter", "embeddings": ["r"],
+         "values": {"agree": "a", "k": 2},
+         "spec": {"adjusted": False, "range_k": [1, 2],
+                  "style": {"width": 300.0, "grid_resolution": 4}}},
+    ],
+}
+SWEEP_VALUES = (0, 7, -1, "x", [], [1], {}, None, True, 1.5, "20", [["x"]])
+
+
+def _field_paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _field_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize(
+    "path", list(_field_paths(SWEEP_CONFIG)),
+    ids=lambda path: ".".join(map(str, path)) or "config")
+def test_config_field_sweep_exits_cleanly(path, tmp_path, capsys):
+    """Each field replaced by a value of another type or range: the run
+    succeeds, or fails with status 1 and one ``error:`` line."""
+    (tmp_path / "raw.csv").write_text("id,x,y\n" + "".join(
+        f"u{i},{i},{i * 7 % 5}\n" for i in range(12)))
+    for value in SWEEP_VALUES:
+        config = copy.deepcopy(SWEEP_CONFIG)
+        if path:
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            config = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run_cli("pipeline", "--config", str(cfg))
+        err = capsys.readouterr().err.splitlines()
+        assert (code, err) == (0, []) or (
+            code == 1 and len(err) == 1 and err[0].startswith("error:")), \
+            (value, code, err)
 
 
 def test_public_api_imports():

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from drqa.geometry import Configuration, ranks_from_config
 from drqa.pipeline import (
     ManifestEntry,
     PipelineError,
     ScoreRow,
     ScoreTable,
+    _RankCache,
     load_config,
     parse_config,
     run_pipeline,
@@ -110,6 +112,12 @@ class TestParsing:
         cfg["stages"][1]["method"] = "pca"
         with pytest.raises(ValueError, match="transform"):
             parse_config(cfg, tmp_path)
+        # the reducer's input and its **kwargs are not parameters
+        for method, key in (("smacof", "dist"),
+                            ("local_smacof", "smacof_kwargs")):
+            cfg["stages"][1].update(method=method, params={key: 1})
+            with pytest.raises(ValueError, match=f"unknown keys .*{key}"):
+                parse_config(cfg, tmp_path)
 
     def test_references_must_resolve(self, tmp_path):
         with pytest.raises(ValueError, match="unknown source"):
@@ -235,6 +243,18 @@ class TestExecution:
         assert not (out / "agr_r1.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_failed_rerun_removes_old_manifest(self, tmp_path):
+        cfg = {"version": 1, "out_dir": "o", "stages": [
+            {"kind": "generate", "name": "g", "shape": "sphere_random",
+             "n": 20}]}
+        run(cfg, tmp_path)
+        assert (tmp_path / "o" / "manifest.json").exists()
+        cfg["stages"].append({"kind": "ingest", "name": "i",
+                              "path": "missing.csv"})
+        with pytest.raises(PipelineError, match="stage 'i'"):
+            run(cfg, tmp_path)
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRQA_THREADS", "2")
         cfg = full_config("o")
@@ -265,6 +285,43 @@ class TestDeterminismAndCache:
         # a second cached run reads the structures back
         again = dict(tree_hashes(tmp_path / "warm2"))
         assert again == cold
+
+    def test_cache_key_covers_shape_and_mask(self, tmp_path):
+        values = np.random.default_rng(0).normal(size=12)
+        mask = np.ones((4, 3), dtype=bool)
+        mask[1, 2] = False
+        configs = {
+            "wide": Configuration(values.reshape(6, 2)),
+            "tall": Configuration(values.reshape(4, 3)),
+            "square": Configuration(values.reshape(3, 4)),
+            "masked": Configuration(values.reshape(4, 3), mask=mask),
+        }
+        expected = {name: ranks_from_config(c).ranks
+                    for name, c in configs.items()}
+        assert not np.array_equal(expected["tall"], expected["masked"])
+        cache = _RankCache(tmp_path)
+        for name, config in configs.items():
+            assert np.array_equal(cache.ranks_for(name, config).ranks,
+                                  expected[name])
+        assert len(list(tmp_path.glob("ranks_*.npz"))) == len(configs)
+        from_disk = _RankCache(tmp_path)
+        for name, config in configs.items():
+            assert np.array_equal(from_disk.ranks_for(name, config).ranks,
+                                  expected[name])
+
+    def test_cache_write_that_raises_leaves_no_file(self, tmp_path,
+                                                    monkeypatch):
+        savez = np.savez
+
+        def savez_then_fail(file, **arrays):
+            savez(file, **arrays)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        config = Configuration(np.arange(10, dtype=float).reshape(5, 2))
+        with pytest.raises(OSError, match="disk full"):
+            _RankCache(tmp_path).ranks_for("d", config)
+        assert list(tmp_path.iterdir()) == []
 
     def test_different_seed_changes_outputs(self, tmp_path):
         run(full_config("a", seed=1), tmp_path)

@@ -101,7 +101,7 @@ class TestColorScale:
 class TestRenderSpec:
     def test_defaults_valid(self):
         spec = RenderSpec()
-        assert spec.resolved_range(5) == (1, 2, 3, 4)
+        assert spec.range_k is None and spec.style == PlotStyle()
 
     def test_range_k_validation(self):
         with pytest.raises(ValueError, match="empty"):
@@ -110,14 +110,13 @@ class TestRenderSpec:
             RenderSpec(range_k=(3, 2))
         with pytest.raises(ValueError, match="increasing"):
             RenderSpec(range_k=(0, 1))
-        spec = RenderSpec(range_k=(1, 5, 9))
-        with pytest.raises(ValueError, match="exceeds"):
-            spec.resolved_range(8)
+        with pytest.raises(ValueError, match="integers"):
+            RenderSpec(range_k=5)
+        assert RenderSpec(range_k=[1, 5, 9]).range_k == (1, 5, 9)
 
     def test_field_validation(self):
         for kw in ({"config_side": "C"}, {"comparison": "triple"},
-                   {"eval_mode": "fuzzy"}, {"aggregation": "median"},
-                   {"param": "many"}):
+                   {"eval_mode": "fuzzy"}):
             with pytest.raises(ValueError):
                 RenderSpec(**kw)
 
@@ -126,6 +125,10 @@ class TestRenderSpec:
             PlotStyle(width=10.0, height=10.0, margin=20.0)
         with pytest.raises(ValueError, match="loess_span"):
             PlotStyle(loess_span=0.0)
+        with pytest.raises(ValueError, match="azimuth must be of type float"):
+            PlotStyle(azimuth="x")
+        with pytest.raises(ValueError, match="grid_resolution must be of type int"):
+            PlotStyle(grid_resolution=2.5)
 
 
 @pytest.fixture
