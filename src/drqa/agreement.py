@@ -36,35 +36,27 @@ class AgreementProfile:
     ar : ndarray of shape (n - 1,)
         ``ar[k - 1]`` is ``AR_k``, the mean over items of ``a_ik / k``.
         ``AR_{n-1}`` is always 1 because the full neighbor sets coincide.
-    ar_adjusted : ndarray of shape (n - 1,)
-        ``AR_k - k / (n - 1)``, the rate in excess of random overlap.
     per_item : ndarray of shape (n, n - 1), optional
         Unadjusted per-item rates ``a_ik / k``; ``None`` unless requested.
     """
 
     n: int
     ar: np.ndarray
-    ar_adjusted: np.ndarray
     per_item: np.ndarray | None = None
 
     def __post_init__(self):
         n = int(self.n)
         ar = np.asarray(self.ar, dtype=float)
-        adj = np.asarray(self.ar_adjusted, dtype=float)
         if n < 2:
             raise ValueError("need at least 2 items")
-        if ar.shape != (n - 1,) or adj.shape != (n - 1,):
-            raise ValueError(f"profile arrays must have shape ({n - 1},)")
+        if ar.shape != (n - 1,):
+            raise ValueError(f"ar must have shape ({n - 1},)")
         if ar.min() < -1e-12 or ar.max() > 1 + 1e-12:
             raise ValueError("agreement rates must lie in [0, 1]")
         if abs(ar[-1] - 1.0) > 1e-12:
             raise ValueError("AR at k = n-1 must be 1")
-        k = np.arange(1, n, dtype=float)
-        if np.abs(adj - (ar - k / (n - 1))).max() > 1e-9:
-            raise ValueError("ar_adjusted is inconsistent with ar")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ar", _readonly(ar, float))
-        object.__setattr__(self, "ar_adjusted", _readonly(adj, float))
         if self.per_item is not None:
             pi = np.asarray(self.per_item, dtype=float)
             if pi.shape != (n, n - 1):
@@ -72,6 +64,12 @@ class AgreementProfile:
             if np.abs(pi.mean(axis=0) - ar).max() > 1e-9:
                 raise ValueError("per_item means are inconsistent with ar")
             object.__setattr__(self, "per_item", _readonly(pi, float))
+
+    @property
+    def ar_adjusted(self) -> np.ndarray:
+        """``AR_k - k / (n - 1)``, the rate in excess of random overlap."""
+        k = np.arange(1, self.n)
+        return self.ar - k / (self.n - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +237,8 @@ def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,
     a_ik = np.cumsum(hist[:, 1:], axis=1)
     k = np.arange(1, n)
     ar = a_ik.sum(axis=0) / (k * n)
-    ar_adjusted = ar - k / (n - 1)
     per_item = a_ik / k if with_per_item else None
-    return AgreementProfile(n, ar, ar_adjusted, per_item)
+    return AgreementProfile(n, ar, per_item)
 
 
 def psi(profile: AgreementProfile) -> float:

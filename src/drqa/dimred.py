@@ -253,7 +253,8 @@ def _check_weights(weights, n):
     return w
 
 
-def smacof(dist: ProximityMatrix, target_dim: int, weights=None,
+def smacof(dist: ProximityMatrix, target_dim: int,
+           weights: np.ndarray | None = None,
            transform: str = "ratio", max_iter: int = 500, tol: float = 1e-6,
            seed: int | None = None, init: str = "classical") -> ReductionResult:
     """Stress majorization of a distance matrix.
@@ -452,8 +453,7 @@ def geodesic_distances(config: Configuration, n_neighbors: int) -> ProximityMatr
     graph, _ = _knn_union_graph(config.items, n_neighbors)
     _check_connected(graph, "neighborhood")
     geo = shortest_path(graph, method="D", directed=False)
-    return ProximityMatrix(geo, "distance",
-                           {"metric": "geodesic", "n_neighbors": n_neighbors})
+    return ProximityMatrix(geo, "distance")
 
 
 def isomap(config: Configuration, target_dim: int, n_neighbors: int) -> ReductionResult:

@@ -3,14 +3,14 @@
 A configuration is an ``n x m`` matrix of item coordinates; source data and
 embeddings share the representation.  Proximities derived from a configuration
 are stored as full dense matrices, and a rank structure holds, for every item,
-the ascending distance rank of each other item together with the inverse
-neighbor ordering.  Rank structures are the only input the agreement metrics
-need, which makes them the natural cache boundary for pipelines.
+the ascending distance rank of each other item.  Rank structures are the
+only input the agreement metrics need, which makes them the natural cache
+boundary for pipelines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -104,14 +104,13 @@ class ProximityMatrix:
     """Dense symmetric ``n x n`` proximity values between items.
 
     ``kind`` is ``"distance"`` (zero diagonal, non-negative entries) or
-    ``"similarity"`` (unit diagonal, entries in ``[-1, 1]``).  ``metric_tag``
-    records how the values were produced.  Tiny numerical violations of the
-    range invariants are clamped; anything beyond tolerance is rejected.
+    ``"similarity"`` (unit diagonal, entries in ``[-1, 1]``).  Tiny numerical
+    violations of the range invariants are clamped; anything beyond tolerance
+    is rejected.
     """
 
     values: np.ndarray
     kind: str
-    metric_tag: dict = field(default_factory=dict)
 
     _SYM_TOL = 1e-9
 
@@ -143,7 +142,6 @@ class ProximityMatrix:
             v = np.clip(v, -1.0, 1.0)
             np.fill_diagonal(v, 1.0)
         object.__setattr__(self, "values", _readonly(v, float))
-        object.__setattr__(self, "metric_tag", dict(self.metric_tag))
 
     @property
     def n(self) -> int:
@@ -152,40 +150,40 @@ class ProximityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class RankStructure:
-    """Per-item neighbor ranks and the inverse neighbor ordering.
+    """Per-item neighbor ranks.
 
     ``ranks[i, j]`` is the ascending rank (1 .. n-1) of item ``j`` among the
-    neighbors of item ``i``; the unused diagonal is zero.  ``neighbors[i, r-1]``
-    is the item holding rank ``r``, so the two arrays are mutually inverse
-    row by row.  ``tie_policy`` records how ties were broken and where the
-    underlying proximities came from.
+    neighbors of item ``i``; the unused diagonal is zero, so each row is a
+    permutation of ``0 .. n-1``.  ``int32`` holds ``(n - 1)^2`` up to
+    n = 46 341, above :data:`DENSE_CAP`.
     """
 
     ranks: np.ndarray
-    neighbors: np.ndarray
-    tie_policy: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ranks = np.asarray(self.ranks)
-        nbrs = np.asarray(self.neighbors)
         n = ranks.shape[0]
         if ranks.shape != (n, n) or n < 2:
             raise ValueError(f"ranks must be square n >= 2, got {ranks.shape}")
-        if nbrs.shape != (n, n - 1):
-            raise ValueError(f"neighbors must have shape ({n}, {n - 1}), got {nbrs.shape}")
         if np.diag(ranks).any():
             raise ValueError("rank diagonal must be zero")
-        expect = np.arange(1, n, dtype=ranks.dtype)
-        taken = np.take_along_axis(ranks, nbrs, axis=1)
-        if not (taken == expect).all():
-            raise ValueError("ranks and neighbors are not mutually inverse")
-        object.__setattr__(self, "ranks", _readonly(ranks, np.int64))
-        object.__setattr__(self, "neighbors", _readonly(nbrs, np.int64))
-        object.__setattr__(self, "tie_policy", dict(self.tie_policy))
+        if ranks.min() < 0 or ranks.max() > n - 1:
+            raise ValueError(f"ranks must lie in 0 .. {n - 1}")
+        ranks = _readonly(ranks, np.int32)
+        seen = np.zeros((n, n), dtype=bool)
+        seen[np.arange(n)[:, None], ranks] = True
+        if not seen.all():
+            raise ValueError("each row of ranks must hold every rank once")
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def n(self) -> int:
         return self.ranks.shape[0]
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        """``neighbors[i, r - 1]`` is the item holding rank ``r`` for ``i``."""
+        return np.argsort(self.ranks, axis=1)[:, 1:]
 
 
 def _check_cap(n: int, cap: int):
@@ -227,8 +225,7 @@ def euclidean_distances(config: Configuration, p: float = 2.0,
         d = _masked_minkowski(x, config.mask, p)
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
-    tag = {"metric": "minkowski", "p": p, "masked": not config.fully_observed}
-    return ProximityMatrix(d, "distance", tag)
+    return ProximityMatrix(d, "distance")
 
 
 def _masked_minkowski(x: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
@@ -271,8 +268,7 @@ def correlation_similarities(config: Configuration) -> ProximityMatrix:
         s = _masked_correlation(x, config.mask)
     s = np.clip((s + s.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(s, 1.0)
-    tag = {"metric": "correlation", "masked": not config.fully_observed}
-    return ProximityMatrix(s, "similarity", tag)
+    return ProximityMatrix(s, "similarity")
 
 
 def _masked_correlation(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -302,24 +298,17 @@ def rank_structure(prox: ProximityMatrix) -> RankStructure:
     deterministic for any input.
     """
     d = prox.values
-    converted = prox.kind == "similarity"
-    if converted:
+    if prox.kind == "similarity":
         d = 1.0 - d
     n = prox.n
     work = d.copy()
     np.fill_diagonal(work, np.inf)
     order = np.argsort(work, axis=1, kind="stable")
-    neighbors = order[:, : n - 1]
-    ranks = np.empty((n, n), dtype=np.int64)
+    ranks = np.empty((n, n), dtype=np.int32)
     rows = np.arange(n)[:, None]
-    ranks[rows, order] = np.arange(1, n + 1)[None, :]
+    ranks[rows, order] = np.arange(1, n + 1, dtype=np.int32)[None, :]
     np.fill_diagonal(ranks, 0)
-    policy = {
-        "ties": "ascending-index",
-        "converted_from_similarity": converted,
-        "metric_tag": dict(prox.metric_tag),
-    }
-    return RankStructure(ranks, neighbors, policy)
+    return RankStructure(ranks)
 
 
 def ranks_from_config(config: Configuration, p: float = 2.0) -> RankStructure:

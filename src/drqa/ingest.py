@@ -149,9 +149,9 @@ def write_profile(profile: AgreementProfile, path) -> None:
     with path.open("w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["k", "agreement", "adjusted_agreement"])
-        for k in range(1, profile.n):
-            out.writerow([k, repr(float(profile.ar[k - 1])),
-                          repr(float(profile.ar_adjusted[k - 1]))])
+        for k, ar, adjusted in zip(range(1, profile.n), profile.ar,
+                                   profile.ar_adjusted):
+            out.writerow([k, repr(float(ar)), repr(float(adjusted))])
 
 
 def read_profile(path) -> AgreementProfile:
@@ -166,9 +166,11 @@ def read_profile(path) -> AgreementProfile:
     ks = [int(r[0]) for r in body]
     if ks != list(range(1, len(ks) + 1)):
         raise ValueError(f"{path.name}: profile rows must cover k = 1..n-1")
-    ar = np.array([float(r[1]) for r in body])
+    profile = AgreementProfile(len(ks) + 1, [float(r[1]) for r in body])
     adjusted = np.array([float(r[2]) for r in body])
-    return AgreementProfile(len(ks) + 1, ar, adjusted)
+    if np.abs(adjusted - profile.ar_adjusted).max() > 1e-9:
+        raise ValueError(f"{path.name}: adjusted_agreement does not match")
+    return profile
 
 
 def write_per_item(ks, values, path, labels=None) -> None:

@@ -11,6 +11,7 @@ which for the torus means thinning tube angles near the inner rim.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +27,14 @@ SHAPES = (
     "torus_small_regular",
 )
 
-_TORUS_RADII = {
-    "torus_large_regular": (10.0, 2.0),
-    "torus_small_regular": (3.0, 2.0),
-    "torus_random": (6.0, 2.0),
+#: Each shape's parameters and their defaults.
+SHAPE_DEFAULTS = {
+    **dict.fromkeys(("sphere_regular", "sphere_random"), {"radius": 1.0}),
+    "swiss_roll": {"phi_min": 1.5 * math.pi, "phi_max": 4.5 * math.pi,
+                   "height": 21.0, "sampling": "grid"},
+    "torus_large_regular": {"ring_radius": 10.0, "tube_radius": 2.0},
+    "torus_small_regular": {"ring_radius": 3.0, "tube_radius": 2.0},
+    "torus_random": {"ring_radius": 6.0, "tube_radius": 2.0},
 }
 
 
@@ -37,12 +42,9 @@ _TORUS_RADII = {
 class ManifoldSpec:
     """Shape name, item count, seed, and shape-specific parameters.
 
-    Recognized ``shape_params`` keys:
-
-    - spheres: ``radius`` (default 1.0)
-    - tori: ``ring_radius`` and ``tube_radius`` (defaults depend on variant)
-    - swiss roll: ``phi_min``, ``phi_max``, ``height``, ``sampling``
-      (``"grid"`` by default, ``"random"`` to sample the parameter rectangle)
+    :data:`SHAPE_DEFAULTS` lists each shape's ``shape_params`` keys and their
+    defaults.  The swiss roll's ``sampling`` is ``"grid"`` or ``"random"`` (to
+    sample the parameter rectangle); every other parameter is a number.
     """
 
     shape: str
@@ -55,31 +57,34 @@ class ManifoldSpec:
             raise ValueError(f"unknown shape {self.shape!r}; choose from {SHAPES}")
         if self.n < 4:
             raise ValueError(f"need n >= 4, got {self.n}")
+        defaults = SHAPE_DEFAULTS[self.shape]
+        for key, value in self.shape_params.items():
+            if key not in defaults:
+                raise ValueError(f"unknown shape_params for {self.shape}: {key!r}")
+            kind = str if key == "sampling" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"shape parameter {key} has the wrong type: "
+                                 f"{value!r}")
         object.__setattr__(self, "shape_params", dict(self.shape_params))
 
 
 def generate(spec: ManifoldSpec) -> Configuration:
     """Generate the configuration described by ``spec``."""
-    params = dict(spec.shape_params)
+    params = {**SHAPE_DEFAULTS[spec.shape], **spec.shape_params}
     if spec.shape == "sphere_regular":
-        pts = _sphere_lattice(spec.n, params.pop("radius", 1.0))
+        pts = _sphere_lattice(spec.n, params["radius"])
     elif spec.shape == "sphere_random":
-        pts = _sphere_random(spec.n, params.pop("radius", 1.0), spec.seed)
+        pts = _sphere_random(spec.n, params["radius"], spec.seed)
     elif spec.shape == "swiss_roll":
-        pts = _swiss_roll(spec.n, spec.seed, params)
-        params = {}
+        pts = _swiss_roll(spec.n, spec.seed, **params)
     else:
-        R0, r0 = _TORUS_RADII[spec.shape]
-        R = float(params.pop("ring_radius", R0))
-        r = float(params.pop("tube_radius", r0))
+        R, r = params["ring_radius"], params["tube_radius"]
         if not R > r > 0:
             raise ValueError(f"torus needs ring_radius > tube_radius > 0, got ({R}, {r})")
         if spec.shape == "torus_random":
             pts = _torus_random(spec.n, R, r, spec.seed)
         else:
             pts = _torus_lattice(spec.n, R, r)
-    if params:
-        raise ValueError(f"unknown shape_params for {spec.shape}: {sorted(params)}")
     return Configuration(pts, provenance=(f"generated:{spec.shape}", f"seed:{spec.seed}"))
 
 
@@ -117,13 +122,8 @@ def _divisor_grid(n: int, target_ratio: float) -> tuple[int, int]:
     return best[1]
 
 
-def _swiss_roll(n: int, seed: int, params: dict) -> np.ndarray:
-    phi_min = float(params.pop("phi_min", 1.5 * math.pi))
-    phi_max = float(params.pop("phi_max", 4.5 * math.pi))
-    height = float(params.pop("height", 21.0))
-    sampling = params.pop("sampling", "grid")
-    if params:
-        raise ValueError(f"unknown shape_params for swiss_roll: {sorted(params)}")
+def _swiss_roll(n: int, seed: int, phi_min: float, phi_max: float,
+                height: float, sampling: str) -> np.ndarray:
     if not (phi_max > phi_min > 0 and height > 0):
         raise ValueError("need phi_max > phi_min > 0 and height > 0")
     if sampling == "random":

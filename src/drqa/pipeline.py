@@ -12,9 +12,11 @@ import csv
 import hashlib
 import inspect
 import json
+import numbers
 import os
 import re
 import tempfile
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -88,6 +90,13 @@ def _ref(value, known: set, what: str, where: str) -> str:
     if not isinstance(value, str) or value not in known:
         raise ValueError(f"{where}: unknown {what} {value!r}")
     return value
+
+
+def _json_fits(value, annotation) -> bool:
+    """Whether a JSON value suits a parameter of type ``annotation``."""
+    types = tuple({float: numbers.Real, np.ndarray: list}.get(t, t)
+                  for t in typing.get_args(annotation) or (annotation,))
+    return isinstance(value, types) and isinstance(value, bool) == (bool in types)
 
 
 def _require(obj: dict, key: str, where: str):
@@ -336,11 +345,16 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
             raise ValueError(f"{where}: target_dim must be a positive integer")
         for m in methods:
             # the reducer's keyword parameters after its input and target_dim
-            signature = inspect.signature(getattr(dimred, m))
-            accepted = {p.name for p in list(signature.parameters.values())[2:]
-                        if p.kind is not p.VAR_KEYWORD}
+            signature = inspect.signature(getattr(dimred, m), eval_str=True)
+            hints = {p.name: p.annotation
+                     for p in list(signature.parameters.values())[2:]
+                     if p.kind is not p.VAR_KEYWORD}
             for params in grid:
-                _reject_unknown(params, accepted, f"{where}: params for {m}")
+                _reject_unknown(params, set(hints), f"{where}: params for {m}")
+                for key, value in params.items():
+                    if not _json_fits(value, hints[key]):
+                        raise ValueError(f"{where}: params for {m}: {key} "
+                                         f"has the wrong type: {value!r}")
         stage = ReduceStage(name, source, methods, target_dim, grid)
         for emit_name, _, _ in stage.jobs():
             if emit_name != name and emit_name in scope.taken:
@@ -507,19 +521,15 @@ class _RankCache:
                 digest.update(config.mask.tobytes())
             disk = self.directory / f"ranks_{digest.hexdigest()[:24]}.npz"
             if disk.exists():
-                loaded = np.load(disk)
-                structure = RankStructure(
-                    loaded["ranks"], loaded["neighbors"],
-                    tie_policy={"restored": True},
-                )
+                with np.load(disk) as loaded:
+                    structure = RankStructure(loaded["ranks"])
         if structure is None:
             structure = ranks_from_config(config)
             if disk is not None and not disk.exists():
                 fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
                 try:
                     with os.fdopen(fd, "wb") as fh:
-                        np.savez(fh, ranks=structure.ranks,
-                                 neighbors=structure.neighbors)
+                        np.savez(fh, ranks=structure.ranks)
                     os.replace(tmp, disk)
                 except BaseException:
                     os.unlink(tmp)

@@ -316,6 +316,30 @@ def test_config_field_sweep_exits_cleanly(path, tmp_path, capsys):
             (value, code, err)
 
 
+PARAM_SWEEP = {
+    "radius": ("generate", "--shape", "sphere_random", "--n", "12"),
+    "n_neighbors": ("reduce", "--method", "isomap", "--dim", "2"),
+    "max_iter": ("reduce", "--method", "smacof", "--dim", "2"),
+    "transform": ("reduce", "--method", "smacof", "--dim", "2"),
+}
+
+
+@pytest.mark.parametrize("key", PARAM_SWEEP)
+def test_param_value_sweep_exits_cleanly(key, dataset, tmp_path, capsys):
+    """Each sweep value as a shape or method parameter: the command
+    succeeds, or fails with status 1 and one ``error:`` line."""
+    argv = PARAM_SWEEP[key]
+    if argv[0] == "reduce":
+        argv += ("--in", str(dataset))
+    for value in SWEEP_VALUES:
+        code = run_cli(*argv, "--params", json.dumps({key: value}),
+                       "--out", str(tmp_path / "out.csv"))
+        err = capsys.readouterr().err.splitlines()
+        assert (code, err) == (0, []) or (
+            code == 1 and len(err) == 1 and err[0].startswith("error:")), \
+            (value, code, err)
+
+
 def test_public_api_imports():
     import drqa
 

@@ -195,7 +195,6 @@ class TestRankStructure:
         x = rng.standard_normal((10, 5))
         s = correlation_similarities(Configuration(x))
         rs = rank_structure(s)
-        assert rs.tie_policy["converted_from_similarity"]
         row = s.values[0].copy()
         row[0] = -np.inf
         assert rs.neighbors[0, 0] == int(np.argmax(row))
@@ -216,8 +215,17 @@ class TestRankStructure:
         rs2 = rank_structure(ProximityMatrix(v, "distance"))
         assert (rs1.ranks == rs2.ranks).all()
 
-    def test_inverse_consistency_validated(self):
-        ranks = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
-        bad = np.array([[1, 2], [0, 2], [0, 1]])
-        with pytest.raises(ValueError):
-            RankStructure(ranks, bad)
+    def test_stored_as_int32(self):
+        rs = RankStructure(np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]]))
+        assert rs.ranks.dtype == np.int32
+        assert (rs.neighbors == [[1, 2], [0, 2], [1, 0]]).all()
+
+    @pytest.mark.parametrize("ranks, message", [
+        ([[0, 1, 1], [1, 0, 2], [2, 1, 0]], "every rank once"),
+        ([[0, 1, 3], [1, 0, 2], [2, 1, 0]], "lie in 0 .. 2"),
+        ([[0, 1, 2], [1, 0, 2], [2, -1, 0]], "lie in 0 .. 2"),
+        ([[1, 0, 2], [1, 0, 2], [2, 1, 0]], "diagonal"),
+    ], ids=["repeated", "too_large", "negative", "diagonal"])
+    def test_rows_must_be_rank_permutations(self, ranks, message):
+        with pytest.raises(ValueError, match=message):
+            RankStructure(np.array(ranks))

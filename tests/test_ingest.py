@@ -162,6 +162,12 @@ class TestProfileFiles:
         with pytest.raises(ValueError, match="k = 1..n-1"):
             read_profile(p)
 
+    def test_inconsistent_adjusted_rejected(self, tmp_path):
+        p = tmp_path / "prof.csv"
+        p.write_text("k,agreement,adjusted_agreement\n1,0.5,0.3\n2,1.0,0.7\n")
+        with pytest.raises(ValueError, match="adjusted_agreement does not match"):
+            read_profile(p)
+
 
 class TestPerItemFiles:
     def test_round_trip(self, tmp_path):

@@ -109,4 +109,11 @@ class TestValidation:
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="unknown shape_params"):
-            generate(ManifoldSpec("sphere_regular", 100, shape_params={"bogus": 1}))
+            ManifoldSpec("sphere_regular", 100, shape_params={"bogus": 1})
+
+    @pytest.mark.parametrize("params", [
+        {"radius": "x"}, {"radius": True}, {"radius": [1]}],
+        ids=["string", "bool", "list"])
+    def test_param_types_checked(self, params):
+        with pytest.raises(ValueError, match="radius has the wrong type"):
+            ManifoldSpec("sphere_random", 100, shape_params=params)

@@ -83,6 +83,10 @@ class TestParsing:
              "n": 30, "extra": 1}]}
         with pytest.raises(ValueError, match="unknown keys \\['extra'\\]"):
             parse_config(base, tmp_path)
+        base["stages"][0].pop("extra")
+        base["stages"][0]["params"] = {"radius": 1.0}
+        with pytest.raises(ValueError, match="unknown shape_params.*radius"):
+            parse_config(base, tmp_path)
         cfg = {"version": 1, "stages": [
             {"kind": "generate", "name": "d", "shape": "torus_random", "n": 30},
             {"kind": "reduce", "name": "r", "source": "d",
@@ -118,6 +122,21 @@ class TestParsing:
             cfg["stages"][1].update(method=method, params={key: 1})
             with pytest.raises(ValueError, match=f"unknown keys .*{key}"):
                 parse_config(cfg, tmp_path)
+        # values must have the annotated type; smacof weights are a list
+        for method, key, value in (("smacof", "max_iter", [1]),
+                                   ("smacof", "max_iter", True),
+                                   ("smacof", "weights", "x"),
+                                   ("lle", "n_neighbors", "x"),
+                                   ("laplacian_eigenmaps", "t", None)):
+            cfg["stages"][1].update(method=method, params={key: value})
+            with pytest.raises(ValueError, match=f"{key} has the wrong type"):
+                parse_config(cfg, tmp_path)
+        for method, key, value in (("smacof", "weights", [[0, 1], [1, 0]]),
+                                   ("smacof", "seed", None),
+                                   ("local_smacof", "quantile", 1),
+                                   ("pca", "use_correlation", True)):
+            cfg["stages"][1].update(method=method, params={key: value})
+            parse_config(cfg, tmp_path)
 
     def test_references_must_resolve(self, tmp_path):
         with pytest.raises(ValueError, match="unknown source"):
@@ -303,11 +322,21 @@ class TestDeterminismAndCache:
         for name, config in configs.items():
             assert np.array_equal(cache.ranks_for(name, config).ranks,
                                   expected[name])
-        assert len(list(tmp_path.glob("ranks_*.npz"))) == len(configs)
+        files = sorted(tmp_path.glob("ranks_*.npz"))
+        assert len(files) == len(configs)
+        for path in files:
+            with np.load(path) as stored:
+                assert stored.files == ["ranks"]
+        # an entry in the earlier format: int64 ranks next to neighbors
+        with np.load(files[0]) as stored:
+            ranks = stored["ranks"].astype(np.int64)
+        np.savez(files[0], ranks=ranks,
+                 neighbors=np.argsort(ranks, axis=1)[:, 1:])
         from_disk = _RankCache(tmp_path)
         for name, config in configs.items():
-            assert np.array_equal(from_disk.ranks_for(name, config).ranks,
-                                  expected[name])
+            loaded = from_disk.ranks_for(name, config).ranks
+            assert loaded.dtype == expected[name].dtype == np.int32
+            assert np.array_equal(loaded, expected[name])
 
     def test_cache_write_that_raises_leaves_no_file(self, tmp_path,
                                                     monkeypatch):
