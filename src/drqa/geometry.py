@@ -1,11 +1,14 @@
 """Coordinate configurations, pairwise proximities, and neighbor rank structures.
 
 A configuration is an ``n x m`` matrix of item coordinates; source data and
-embeddings share the representation.  Proximities derived from a configuration
-are stored as full dense matrices, and a rank structure holds, for every item,
-the ascending distance rank of each other item.  Rank structures are the
-only input the agreement metrics need, which makes them the natural cache
-boundary for pipelines.
+embeddings share the representation.  A proximity matrix holds dense
+``n x n`` distances or similarities, and a rank structure holds, for every
+item, the ascending distance rank of each other item.  Rank structures are
+the only input the agreement metrics need, which makes them the natural
+cache boundary for pipelines.  They are computed one block of rows at a
+time, straight from a configuration or a proximity matrix, so the rank path
+never holds an ``n x n`` float matrix: its working memory is the ``int32``
+ranks (4·n² bytes) plus one block.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-#: Largest item count stored as a dense proximity matrix.
+#: Largest item count of a dense proximity matrix or rank structure.
 DENSE_CAP = 20_000
+
+#: Distances held by one block of rows on the rank path (8 MB as float64).
+_BLOCK_CELLS = 1 << 20
 
 PROXIMITY_KINDS = ("distance", "similarity")
 
@@ -214,25 +220,32 @@ def euclidean_distances(config: Configuration, p: float = 2.0,
     one observed column.  Core paths expect fully observed input and pipelines
     impute first.
     """
+    p = _exponent(p)
+    _check_cap(config.n, cap)
+    return ProximityMatrix(_distance_rows(config, 0, config.n, p), "distance")
+
+
+def _exponent(p: float) -> float:
     p = float(p)
     if not p >= 1.0:
         raise ValueError(f"Minkowski exponent must be >= 1, got {p}")
-    _check_cap(config.n, cap)
+    return p
+
+
+def _distance_rows(config: Configuration, start: int, stop: int,
+                   p: float) -> np.ndarray:
+    """Minkowski distances from items ``start .. stop - 1`` to every item.
+
+    Each pair's value does not depend on the block it is computed in, and
+    ``d(i, j)`` equals ``d(j, i)`` bit for bit.
+    """
     x = config.items
     if config.fully_observed:
-        d = cdist(x, x, "minkowski", p=p)
-    else:
-        d = _masked_minkowski(x, config.mask, p)
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    return ProximityMatrix(d, "distance")
-
-
-def _masked_minkowski(x: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
-    n = x.shape[0]
-    d = np.zeros((n, n))
+        return cdist(x[start:stop], x, "minkowski", p=p)
+    mask = config.mask
+    d = np.empty((stop - start, x.shape[0]))
     filled = np.where(mask, x, 0.0)
-    for i in range(n):
+    for i in range(start, stop):
         shared = mask[i] & mask
         ok = shared.any(axis=1)
         ok[i] = True
@@ -240,7 +253,7 @@ def _masked_minkowski(x: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
             j = int(np.argmin(ok))
             raise ValueError(f"items {i} and {j} share no observed dimension")
         diff = np.where(shared, np.abs(filled[i] - filled), 0.0)
-        d[i] = np.power(np.power(diff, p).sum(axis=1), 1.0 / p)
+        d[i - start] = np.power(np.power(diff, p).sum(axis=1), 1.0 / p)
     return d
 
 
@@ -290,27 +303,73 @@ def _masked_correlation(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return s
 
 
-def rank_structure(prox: ProximityMatrix) -> RankStructure:
-    """Neighbor ranks of every item under a proximity matrix.
+def rank_structure(source: ProximityMatrix | Configuration,
+                   p: float = 2.0) -> RankStructure:
+    """Neighbor ranks of every item under a proximity matrix or a configuration.
 
-    Similarities are first converted through ``distance = 1 - similarity``.
-    Ties are broken by ascending item index (stable order), so the result is
-    deterministic for any input.
+    Parameters
+    ----------
+    source : ProximityMatrix or Configuration
+        Similarities are first converted through
+        ``distance = 1 - similarity``.  A configuration is ranked by its
+        Minkowski distances, as :func:`euclidean_distances` computes them.
+    p : float
+        Minkowski exponent for a configuration; unused for a proximity matrix.
+
+    Ties are broken by ascending item index, so every row is the stable
+    ascending order of its distances and the result is deterministic for any
+    input.  Rows are computed in blocks of about ``_BLOCK_CELLS`` distances;
+    no ``n x n`` float matrix is built.
     """
-    d = prox.values
-    if prox.kind == "similarity":
-        d = 1.0 - d
-    n = prox.n
-    work = d.copy()
-    np.fill_diagonal(work, np.inf)
-    order = np.argsort(work, axis=1, kind="stable")
+    from_config = isinstance(source, Configuration)
+    if from_config:
+        p = _exponent(p)
+        _check_cap(source.n, DENSE_CAP)
+    n = source.n
     ranks = np.empty((n, n), dtype=np.int32)
-    rows = np.arange(n)[:, None]
-    ranks[rows, order] = np.arange(1, n + 1, dtype=np.int32)[None, :]
-    np.fill_diagonal(ranks, 0)
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        if from_config:
+            d = _distance_rows(source, start, stop, p)
+        elif source.kind == "similarity":
+            d = 1.0 - source.values[start:stop]
+        else:
+            d = source.values[start:stop].copy()
+        _rank_rows(d, ranks[start:stop], start)
     return RankStructure(ranks)
 
 
+def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:
+    """Write into ``out`` the ranks of items ``start ..`` from their rows ``d``.
+
+    ``d`` is overwritten.  The default sort is not stable, so rows that hold
+    equal distances are re-sorted by ``(run of equal values, index)``: that is
+    exactly the stable order, ties by ascending index.
+    """
+    b, n = d.shape
+    local = np.arange(b)
+    d[local, start + local] = np.inf
+    order = np.argsort(d, axis=1)
+    ordered = np.take_along_axis(d, order, axis=1)
+    tied = ordered[:, 1:] == ordered[:, :-1]
+    repair = np.flatnonzero(tied.any(axis=1))
+    if repair.size:
+        key = np.zeros((repair.size, n), dtype=np.int64)
+        np.cumsum(~tied[repair], axis=1, out=key[:, 1:])
+        key *= n
+        key += order[repair]
+        key.sort(axis=1)
+        order[repair] = key % n
+    np.put_along_axis(out, order, np.arange(1, n + 1, dtype=np.int32)[None, :],
+                      axis=1)
+    out[local, start + local] = 0
+
+
 def ranks_from_config(config: Configuration, p: float = 2.0) -> RankStructure:
-    """Convenience composition ``rank_structure(euclidean_distances(config, p))``."""
-    return rank_structure(euclidean_distances(config, p=p))
+    """Neighbor ranks of a configuration under Minkowski distances.
+
+    The same as ``rank_structure(euclidean_distances(config, p))``, ties by
+    ascending index included, without building the distance matrix.
+    """
+    return rank_structure(config, p)

@@ -65,6 +65,19 @@ class ManifoldSpec:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"shape parameter {key} has the wrong type: "
                                  f"{value!r}")
+        params = {**defaults, **self.shape_params}
+        if self.shape == "swiss_roll":
+            if not (params["phi_max"] > params["phi_min"] > 0
+                    and params["height"] > 0):
+                raise ValueError("need phi_max > phi_min > 0 and height > 0")
+            if params["sampling"] not in ("grid", "random"):
+                raise ValueError("sampling must be 'grid' or 'random', "
+                                 f"got {params['sampling']!r}")
+        elif self.shape.startswith("torus"):
+            R, r = params["ring_radius"], params["tube_radius"]
+            if not R > r > 0:
+                raise ValueError("torus needs ring_radius > tube_radius > 0, "
+                                 f"got ({R}, {r})")
         object.__setattr__(self, "shape_params", dict(self.shape_params))
 
 
@@ -79,8 +92,6 @@ def generate(spec: ManifoldSpec) -> Configuration:
         pts = _swiss_roll(spec.n, spec.seed, **params)
     else:
         R, r = params["ring_radius"], params["tube_radius"]
-        if not R > r > 0:
-            raise ValueError(f"torus needs ring_radius > tube_radius > 0, got ({R}, {r})")
         if spec.shape == "torus_random":
             pts = _torus_random(spec.n, R, r, spec.seed)
         else:
@@ -124,21 +135,17 @@ def _divisor_grid(n: int, target_ratio: float) -> tuple[int, int]:
 
 def _swiss_roll(n: int, seed: int, phi_min: float, phi_max: float,
                 height: float, sampling: str) -> np.ndarray:
-    if not (phi_max > phi_min > 0 and height > 0):
-        raise ValueError("need phi_max > phi_min > 0 and height > 0")
     if sampling == "random":
         rng = np.random.default_rng(seed)
         phi = rng.uniform(phi_min, phi_max, n)
         h = rng.uniform(0.0, height, n)
-    elif sampling == "grid":
+    else:
         span = np.linspace(phi_min, phi_max, 512)
         arc = np.trapezoid(np.sqrt(1.0 + span * span), span)
         a, b = _divisor_grid(n, arc / height)
         phi, h = np.meshgrid(np.linspace(phi_min, phi_max, a),
                              np.linspace(0.0, height, b), indexing="ij")
         phi, h = phi.ravel(), h.ravel()
-    else:
-        raise ValueError(f"sampling must be 'grid' or 'random', got {sampling!r}")
     return np.column_stack([phi * np.cos(phi), h, phi * np.sin(phi)])
 
 

@@ -93,10 +93,22 @@ def _ref(value, known: set, what: str, where: str) -> str:
 
 
 def _json_fits(value, annotation) -> bool:
-    """Whether a JSON value suits a parameter of type ``annotation``."""
-    types = tuple({float: numbers.Real, np.ndarray: list}.get(t, t)
-                  for t in typing.get_args(annotation) or (annotation,))
+    """Whether a JSON value suits a parameter of type ``annotation``.
+
+    An int suits a float, booleans suit only ``bool``, and an array is a
+    list nested to any depth whose leaves are real numbers.
+    """
+    types = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, list):
+        return np.ndarray in types and _real_leaves(value)
+    types = tuple(numbers.Real if t is float else t for t in types)
     return isinstance(value, types) and isinstance(value, bool) == (bool in types)
+
+
+def _real_leaves(value) -> bool:
+    if isinstance(value, list):
+        return all(map(_real_leaves, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require(obj: dict, key: str, where: str):

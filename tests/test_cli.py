@@ -279,7 +279,8 @@ SWEEP_CONFIG = {
                   "style": {"width": 300.0, "grid_resolution": 4}}},
     ],
 }
-SWEEP_VALUES = (0, 7, -1, "x", [], [1], {}, None, True, 1.5, "20", [["x"]])
+SWEEP_VALUES = (0, 7, -1, "x", [], [1], {}, None, True, 1.5, "20", [["x"]],
+                [[{}]])
 
 
 def _field_paths(obj, prefix=()):
@@ -321,6 +322,7 @@ PARAM_SWEEP = {
     "n_neighbors": ("reduce", "--method", "isomap", "--dim", "2"),
     "max_iter": ("reduce", "--method", "smacof", "--dim", "2"),
     "transform": ("reduce", "--method", "smacof", "--dim", "2"),
+    "weights": ("reduce", "--method", "smacof", "--dim", "2"),
 }
 
 

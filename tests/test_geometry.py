@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drqa import geometry
 from drqa.geometry import (
     Configuration,
     ProximityMatrix,
@@ -229,3 +230,88 @@ class TestRankStructure:
     def test_rows_must_be_rank_permutations(self, ranks, message):
         with pytest.raises(ValueError, match=message):
             RankStructure(np.array(ranks))
+
+
+def dense_reference_ranks(prox):
+    """Ranks by a stable argsort of the full matrix, ties by ascending index."""
+    d = prox.values if prox.kind == "distance" else 1.0 - prox.values
+    work = d.copy()
+    np.fill_diagonal(work, np.inf)
+    order = np.argsort(work, axis=1, kind="stable")
+    n = prox.n
+    ranks = np.zeros((n, n), dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, n + 1)[None, :], axis=1)
+    np.fill_diagonal(ranks, 0)
+    return ranks
+
+
+def blocked_inputs(kind, n, rng):
+    """(items, mask) of one kind of test input with n items."""
+    if kind == "gaussian":
+        return rng.standard_normal((n, 3)), None
+    if kind == "ties":
+        return rng.integers(0, 3, (n, 4)).astype(float), None
+    if kind == "duplicates":
+        return np.repeat(rng.standard_normal(((n + 2) // 3, 2)), 3, axis=0)[:n], None
+    x = rng.integers(0, 4, (n, 3)).astype(float)
+    mask = rng.random((n, 3)) > 0.3
+    mask[:, 0] = True
+    x[~mask] = np.nan
+    return x, mask
+
+
+BLOCK_ROWS = 8
+
+
+class TestBlockedRanks:
+    """Row-blocked ranks equal the dense stable-argsort reference exactly."""
+
+    @pytest.mark.parametrize("n", [2, 3, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                   BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("kind", ["gaussian", "ties", "duplicates",
+                                      "masked"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_configuration_matches_dense_reference(self, monkeypatch, n, kind, p):
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", BLOCK_ROWS * n)
+        x, mask = blocked_inputs(kind, n, np.random.default_rng(n))
+        config = Configuration(x, mask=mask)
+        expected = dense_reference_ranks(euclidean_distances(config, p=p))
+        rs = ranks_from_config(config, p=p)
+        assert rs.ranks.dtype == np.int32
+        assert (rs.ranks == expected).all()
+        assert (rank_structure(config, p=p).ranks == expected).all()
+        if mask is None and p == 2.0:
+            assert (rs.ranks == naive_ranks(naive_neighbors(x))).all()
+
+    @pytest.mark.parametrize("n", [3, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("kind", ["distance", "similarity"])
+    def test_proximity_matrix_matches_dense_reference(self, monkeypatch, n, kind):
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", BLOCK_ROWS * n)
+        x = np.random.default_rng(n).integers(0, 3, (n, 4)).astype(float)
+        x[:, 0] = np.arange(n) % 2 + 5.0  # no constant row, many equal rows
+        config = Configuration(x)
+        if kind == "distance":
+            prox = euclidean_distances(config)
+        else:
+            prox = correlation_similarities(config)
+        assert (rank_structure(prox).ranks == dense_reference_ranks(prox)).all()
+
+    def test_cap_and_exponent_checked(self, monkeypatch):
+        monkeypatch.setattr(geometry, "DENSE_CAP", 4)
+        with pytest.raises(ValueError, match="cap"):
+            ranks_from_config(Configuration(np.zeros((5, 1))))
+        with pytest.raises(ValueError, match="exponent"):
+            rank_structure(Configuration(np.zeros((3, 1))), p=0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(1, 3), st.integers(1, 10),
+           st.sampled_from([1.0, 2.0, 3.0]), st.data())
+    def test_small_integer_coordinates(self, n, m, block_rows, p, data):
+        cells = st.integers(-2, 2)
+        x = np.array(data.draw(st.lists(st.lists(cells, min_size=m, max_size=m),
+                                        min_size=n, max_size=n)), dtype=float)
+        config = Configuration(x)
+        expected = dense_reference_ranks(euclidean_distances(config, p=p))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
+            assert (ranks_from_config(config, p=p).ranks == expected).all()

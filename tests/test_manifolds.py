@@ -102,10 +102,21 @@ class TestValidation:
             ManifoldSpec("sphere_regular", 3)
 
     def test_bad_torus_radii(self):
-        spec = ManifoldSpec("torus_random", 100,
-                            shape_params={"ring_radius": 1.0, "tube_radius": 2.0})
         with pytest.raises(ValueError, match="ring_radius > tube_radius"):
-            generate(spec)
+            ManifoldSpec("torus_random", 100,
+                         shape_params={"ring_radius": 1.0, "tube_radius": 2.0})
+        with pytest.raises(ValueError, match="ring_radius > tube_radius"):
+            ManifoldSpec("torus_small_regular", 100,
+                         shape_params={"tube_radius": 0})
+
+    @pytest.mark.parametrize("params, message", [
+        ({"sampling": "x"}, "sampling must be 'grid' or 'random'"),
+        ({"phi_min": 5.0, "phi_max": 4.0}, "phi_max > phi_min > 0"),
+        ({"height": 0}, "height > 0"),
+    ], ids=["sampling", "phi", "height"])
+    def test_bad_swiss_roll_params(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            ManifoldSpec("swiss_roll", 100, shape_params=params)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="unknown shape_params"):

@@ -106,6 +106,18 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown keys \\['styl'\\]"):
             parse_config(cfg, tmp_path)
 
+    @pytest.mark.parametrize("shape, params, message", [
+        ("torus_random", {"ring_radius": 1, "tube_radius": 2},
+         "ring_radius > tube_radius"),
+        ("swiss_roll", {"sampling": "x"}, "sampling must be"),
+    ], ids=["torus_radii", "sampling"])
+    def test_shape_param_values_checked(self, tmp_path, shape, params, message):
+        cfg = {"version": 1, "stages": [
+            {"kind": "generate", "name": "d", "shape": shape, "n": 30,
+             "params": params}]}
+        with pytest.raises(ValueError, match=message):
+            parse_config(cfg, tmp_path)
+
     def test_method_params_checked_per_method(self, tmp_path):
         cfg = {"version": 1, "stages": [
             {"kind": "generate", "name": "d", "shape": "sphere_random", "n": 30},
@@ -126,6 +138,9 @@ class TestParsing:
         for method, key, value in (("smacof", "max_iter", [1]),
                                    ("smacof", "max_iter", True),
                                    ("smacof", "weights", "x"),
+                                   ("smacof", "weights", [[{}]]),
+                                   ("smacof", "weights", [[0, "1"], [1, 0]]),
+                                   ("smacof", "weights", [[0, True], [1, 0]]),
                                    ("lle", "n_neighbors", "x"),
                                    ("laplacian_eigenmaps", "t", None)):
             cfg["stages"][1].update(method=method, params={key: value})
