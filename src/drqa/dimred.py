@@ -12,7 +12,8 @@ method-specific diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,7 +22,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import cdist
 
-from .geometry import Configuration, ProximityMatrix, euclidean_distances
+from . import geometry
+from .geometry import Configuration, ProximityMatrix
 
 METHODS = (
     "pca",
@@ -45,23 +47,6 @@ class DisconnectedGraphError(ValueError):
         super().__init__(f"{message}: {len(sizes)} components of sizes {sizes}")
         self.n_components = len(sizes)
         self.component_sizes = sizes
-
-
-@dataclass(frozen=True)
-class ReductionRequest:
-    """Method name, target dimensionality, method parameters, and seed."""
-
-    method: str
-    target_dim: int
-    params: dict = field(default_factory=dict)
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.target_dim < 1:
-            raise ValueError("target_dim must be at least 1")
-        object.__setattr__(self, "params", dict(self.params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +74,24 @@ def _result(x: np.ndarray, source: Configuration | None, method: str,
     return ReductionResult(emb, diagnostics)
 
 
-def _require_coordinates(config: Configuration, method: str):
+def _require_coordinates(config: Configuration, method: str,
+                         target_dim: int | None = None):
     if not isinstance(config, Configuration):
         raise TypeError(f"{method} needs a coordinate Configuration")
     if not config.fully_observed:
         raise ValueError(f"{method} requires a fully observed configuration")
+    if target_dim is not None and not 1 <= target_dim < config.m:
+        raise ValueError(f"target_dim must lie in 1 .. {config.m - 1}, got {target_dim}")
 
 
-def _require_distance(prox: ProximityMatrix, method: str):
+def _require_distance(prox: ProximityMatrix, method: str,
+                      target_dim: int | None = None):
     if not isinstance(prox, ProximityMatrix):
         raise TypeError(f"{method} needs a ProximityMatrix")
     if prox.kind != "distance":
         raise ValueError(f"{method} needs distances, got {prox.kind}")
+    if target_dim is not None and not 1 <= target_dim < prox.n:
+        raise ValueError(f"target_dim must lie in 1 .. {prox.n - 1}, got {target_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +106,8 @@ def pca(config: Configuration, target_dim: int, use_correlation: bool = False) -
     Diagnostics carry the full eigenvalue spectrum on the covariance scale, so
     the eigenvalues sum to the total variance of the prepared data.
     """
-    _require_coordinates(config, "pca")
+    _require_coordinates(config, "pca", target_dim)
     n, m = config.n, config.m
-    if not 1 <= target_dim < m:
-        raise ValueError(f"target_dim must lie in 1 .. {m - 1}, got {target_dim}")
     if n <= target_dim:
         raise ValueError(f"need more than target_dim = {target_dim} items")
     x = config.items - config.items.mean(axis=0)
@@ -153,10 +142,8 @@ def classical_mds(dist: ProximityMatrix, target_dim: int) -> ReductionResult:
     dimensionality and is rejected, except for the all-zero matrix, which
     embeds to all zeros.
     """
-    _require_distance(dist, "classical_mds")
+    _require_distance(dist, "classical_mds", target_dim)
     n = dist.n
-    if not 1 <= target_dim <= n - 1:
-        raise ValueError(f"target_dim must lie in 1 .. {n - 1}, got {target_dim}")
     b = -0.5 * dist.values**2
     b = b - b.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=0, keepdims=True)
@@ -284,10 +271,8 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         Classical scaling start by default (falls back to a seeded random
         start if classical scaling rejects the input).
     """
-    _require_distance(dist, "smacof")
+    _require_distance(dist, "smacof", target_dim)
     n = dist.n
-    if not 1 <= target_dim <= n - 1:
-        raise ValueError(f"target_dim must lie in 1 .. {n - 1}, got {target_dim}")
     if transform not in ("ratio", "ordinal"):
         raise ValueError(f"transform must be 'ratio' or 'ordinal', got {transform!r}")
     if max_iter < 1:
@@ -424,7 +409,7 @@ def _neighbor_lists(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.nda
     return order[:, :n_neighbors], d
 
 
-def _knn_union_graph(x: np.ndarray, n_neighbors: int) -> tuple[csr_matrix, np.ndarray]:
+def _knn_union_graph(x: np.ndarray, n_neighbors: int) -> csr_matrix:
     """Symmetric k-nearest-neighbor graph weighted by Euclidean distance."""
     n = x.shape[0]
     if not 1 <= n_neighbors <= n - 1:
@@ -433,13 +418,12 @@ def _knn_union_graph(x: np.ndarray, n_neighbors: int) -> tuple[csr_matrix, np.nd
     rows = np.repeat(np.arange(n), n_neighbors)
     cols = nbrs.ravel()
     graph = csr_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
-    return graph.maximum(graph.T), d
-
-
-def _check_connected(graph: csr_matrix, what: str) -> None:
+    graph = graph.maximum(graph.T)
     n_comp, labels = connected_components(graph, directed=False)
     if n_comp > 1:
-        raise DisconnectedGraphError(f"{what} graph is disconnected", np.bincount(labels))
+        raise DisconnectedGraphError("neighborhood graph is disconnected",
+                                     np.bincount(labels))
+    return graph
 
 
 def geodesic_distances(config: Configuration, n_neighbors: int) -> ProximityMatrix:
@@ -450,17 +434,14 @@ def geodesic_distances(config: Configuration, n_neighbors: int) -> ProximityMatr
     sizes.
     """
     _require_coordinates(config, "geodesic_distances")
-    graph, _ = _knn_union_graph(config.items, n_neighbors)
-    _check_connected(graph, "neighborhood")
+    graph = _knn_union_graph(config.items, n_neighbors)
     geo = shortest_path(graph, method="D", directed=False)
     return ProximityMatrix(geo, "distance")
 
 
 def isomap(config: Configuration, target_dim: int, n_neighbors: int) -> ReductionResult:
     """Classical scaling of graph geodesic distances."""
-    _require_coordinates(config, "isomap")
-    if not 1 <= target_dim < config.m:
-        raise ValueError(f"target_dim must lie in 1 .. {config.m - 1}, got {target_dim}")
+    _require_coordinates(config, "isomap", target_dim)
     geo = geodesic_distances(config, n_neighbors)
     inner = classical_mds(geo, target_dim)
     diagnostics = dict(inner.diagnostics)
@@ -471,9 +452,7 @@ def isomap(config: Configuration, target_dim: int, n_neighbors: int) -> Reductio
         "component_sizes": [config.n],
         "geodesic_max": float(geo.values.max()),
     })
-    emb = Configuration(inner.embedding.items, labels=config.labels,
-                        provenance=("reduced:isomap",))
-    return ReductionResult(emb, diagnostics)
+    return _result(inner.embedding.items, config, "isomap", diagnostics)
 
 
 def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int,
@@ -486,13 +465,10 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
     constant eigenvector at eigenvalue zero is discarded; the next
     ``target_dim`` eigenvectors, scaled so ``f' D f = 1``, form the embedding.
     """
-    _require_coordinates(config, "laplacian_eigenmaps")
-    if not 1 <= target_dim < config.m:
-        raise ValueError(f"target_dim must lie in 1 .. {config.m - 1}, got {target_dim}")
+    _require_coordinates(config, "laplacian_eigenmaps", target_dim)
     if not t > 0:
         raise ValueError(f"kernel parameter t must be positive, got {t}")
-    graph, _ = _knn_union_graph(config.items, n_neighbors)
-    _check_connected(graph, "neighborhood")
+    graph = _knn_union_graph(config.items, n_neighbors)
     adj = graph.toarray()
     if math.isinf(t):
         w = (adj > 0).astype(float)
@@ -528,10 +504,8 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
     dimensionality, a ridge of ``reg`` times the Gram trace is added; the
     count of regularized items is reported.
     """
-    _require_coordinates(config, "lle")
+    _require_coordinates(config, "lle", target_dim)
     n, m = config.n, config.m
-    if not 1 <= target_dim < m:
-        raise ValueError(f"target_dim must lie in 1 .. {m - 1}, got {target_dim}")
     if not target_dim + 1 <= n_neighbors <= n - 1:
         raise ValueError(
             f"n_neighbors must lie in {target_dim + 1} .. {n - 1}, got {n_neighbors}"
@@ -581,40 +555,31 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
 # dispatch
 
 
-def run_reduction(request: ReductionRequest, source) -> ReductionResult:
-    """Run the reduction named by ``request`` on coordinates or distances.
+def run_reduction(method: str, source, target_dim: int, params: dict | None = None,
+                  seed: int | None = None) -> ReductionResult:
+    """Run the reducer named ``method`` on coordinates or distances.
 
     Coordinate methods require a :class:`Configuration`; distance methods
     accept either a distance :class:`ProximityMatrix` or a configuration,
-    from which Euclidean distances are taken.
+    from which Euclidean distances are taken.  ``seed`` reaches only the
+    stress majorization methods, and only when ``params`` sets none.  The
+    embedding carries the labels of a source configuration.
+
+    The reducer and the distance function are looked up on their modules
+    at each call, so a wrapper installed there (a timing span, a test
+    double) sees every reduction.
     """
-    method = request.method
-    params = dict(request.params)
-    labels = source.labels if isinstance(source, Configuration) else None
-    if method in COORDINATE_METHODS:
-        if not isinstance(source, Configuration):
-            raise TypeError(f"{method} requires coordinates, not {type(source).__name__}")
-        if method == "pca":
-            result = pca(source, request.target_dim, **params)
-        elif method == "lle":
-            result = lle(source, request.target_dim, **params)
-        elif method == "isomap":
-            result = isomap(source, request.target_dim, **params)
-        else:
-            result = laplacian_eigenmaps(source, request.target_dim, **params)
-    else:
-        if isinstance(source, Configuration):
-            source = euclidean_distances(source)
-        if method != "classical_mds" and request.seed is not None:
-            params.setdefault("seed", request.seed)
-        if method == "classical_mds":
-            result = classical_mds(source, request.target_dim, **params)
-        elif method == "smacof":
-            result = smacof(source, request.target_dim, **params)
-        else:
-            result = local_smacof(source, request.target_dim, **params)
-    if labels is not None and result.embedding.labels is None:
-        emb = Configuration(result.embedding.items, labels=labels,
-                            provenance=result.embedding.provenance)
-        result = ReductionResult(emb, result.diagnostics)
-    return result
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    params = dict(params or {})
+    labels = None
+    if method not in COORDINATE_METHODS and isinstance(source, Configuration):
+        labels = source.labels
+        source = geometry.euclidean_distances(source)
+    if method in ("smacof", "local_smacof") and seed is not None:
+        params.setdefault("seed", seed)
+    reducer = getattr(sys.modules[__name__], method)
+    result = reducer(source, target_dim, **params)
+    if labels is None:
+        return result
+    return replace(result, embedding=replace(result.embedding, labels=labels))

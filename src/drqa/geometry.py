@@ -192,13 +192,12 @@ class RankStructure:
         return np.argsort(self.ranks, axis=1)[:, 1:]
 
 
-def _check_cap(n: int, cap: int):
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the dense proximity cap of {cap}")
+def _check_cap(n: int):
+    if n > DENSE_CAP:
+        raise ValueError(f"n = {n} exceeds the dense proximity cap of {DENSE_CAP}")
 
 
-def euclidean_distances(config: Configuration, p: float = 2.0,
-                        cap: int = DENSE_CAP) -> ProximityMatrix:
+def euclidean_distances(config: Configuration, p: float = 2.0) -> ProximityMatrix:
     """Minkowski distances between all item pairs of a configuration.
 
     Parameters
@@ -206,8 +205,6 @@ def euclidean_distances(config: Configuration, p: float = 2.0,
     config : Configuration
     p : float
         Minkowski exponent, ``p >= 1``; ``p = 2`` is the Euclidean default.
-    cap : int
-        Largest accepted item count for dense storage.
 
     Returns
     -------
@@ -218,10 +215,10 @@ def euclidean_distances(config: Configuration, p: float = 2.0,
     Partially observed configurations are handled by summing over the columns
     a pair of rows both observe (no rescaling); every pair must share at least
     one observed column.  Core paths expect fully observed input and pipelines
-    impute first.
+    impute first.  More than :data:`DENSE_CAP` items are rejected.
     """
     p = _exponent(p)
-    _check_cap(config.n, cap)
+    _check_cap(config.n)
     return ProximityMatrix(_distance_rows(config, 0, config.n, p), "distance")
 
 
@@ -267,7 +264,7 @@ def correlation_similarities(config: Configuration) -> ProximityMatrix:
     """
     if config.m < 2:
         raise ValueError("correlation needs at least 2 dimensions")
-    _check_cap(config.n, DENSE_CAP)
+    _check_cap(config.n)
     x = config.items
     if config.fully_observed:
         centered = x - x.mean(axis=1, keepdims=True)
@@ -324,7 +321,7 @@ def rank_structure(source: ProximityMatrix | Configuration,
     from_config = isinstance(source, Configuration)
     if from_config:
         p = _exponent(p)
-        _check_cap(source.n, DENSE_CAP)
+        _check_cap(source.n)
     n = source.n
     ranks = np.empty((n, n), dtype=np.int32)
     step = max(1, _BLOCK_CELLS // n)

@@ -43,6 +43,7 @@ from .manifolds import ManifoldSpec, generate
 from .viz import (
     PlotStyle,
     RenderSpec,
+    _is_int,
     order_by_first_coordinate,
     render_heatmap,
     render_lift,
@@ -109,6 +110,13 @@ def _real_leaves(value) -> bool:
     if isinstance(value, list):
         return all(map(_real_leaves, value))
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _flag(raw: dict, key: str, default: bool, where: str) -> bool:
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}: {key} must be a boolean")
+    return value
 
 
 def _require(obj: dict, key: str, where: str):
@@ -281,9 +289,9 @@ def _parse_range_k(raw, where: str):
     if raw is None:
         return None
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
-            or not all(isinstance(v, int) for v in raw)):
+            or not all(map(_is_int, raw))):
         raise ValueError(f"{where}: range_k must be [lo, hi]")
-    lo, hi = raw
+    lo, hi = map(int, raw)
     if not 1 <= lo <= hi:
         raise ValueError(f"{where}: range_k bounds must satisfy 1 <= lo <= hi")
     return (lo, hi)
@@ -305,8 +313,9 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
         _reject_unknown(raw, {"kind", "name", "shape", "n", "params"}, where)
         shape = _require(raw, "shape", where)
         n = _require(raw, "n", where)
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise ValueError(f"{where}: n must be an integer")
+        n = int(n)
         params = _reject_unknown(raw.get("params", {}), None,
                                  f"{where}: params")
         ManifoldSpec(shape, n, 0, params)  # fail fast on bad arguments
@@ -319,12 +328,13 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
         path = _require(raw, "path", where)
         if not isinstance(path, str):
             raise ValueError(f"{where}: path must be a string")
+        missing_token = raw.get("missing_token", "NA")
+        if not isinstance(missing_token, str):
+            raise ValueError(f"{where}: missing_token must be a string")
         scope.configurations.add(name)
-        return IngestStage(
-            name, str(scope.base_dir / path),
-            has_header=bool(raw.get("has_header", True)),
-            missing_token=str(raw.get("missing_token", "NA")),
-        )
+        return IngestStage(name, str(scope.base_dir / path),
+                           has_header=_flag(raw, "has_header", True, where),
+                           missing_token=missing_token)
 
     if kind == "reduce":
         _reject_unknown(raw, {"kind", "name", "source", "method", "methods",
@@ -353,8 +363,9 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
         grid = tuple(_reject_unknown(p, None, f"{where}: params")
                      for p in grid)
         target_dim = _require(raw, "target_dim", where)
-        if not isinstance(target_dim, int) or target_dim < 1:
+        if not _is_int(target_dim) or target_dim < 1:
             raise ValueError(f"{where}: target_dim must be a positive integer")
+        target_dim = int(target_dim)
         for m in methods:
             # the reducer's keyword parameters after its input and target_dim
             signature = inspect.signature(getattr(dimred, m), eval_str=True)
@@ -388,7 +399,7 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
             _ref(ref, scope.configurations, "artifact", where)
         stage = AgreeStage(
             name, a, b, z=z,
-            per_item=bool(raw.get("per_item", False)),
+            per_item=_flag(raw, "per_item", False, where),
             range_k=_parse_range_k(raw.get("range_k"), where),
         )
         scope.profiles.update(stage.profile_keys())
@@ -419,7 +430,7 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
                              f"{where}: values")
     _ref(_require(values, "agree", f"{where}: values"), scope.per_item,
          "agree artifact with per-item output", where)
-    if not isinstance(values.get("k", 0), int):
+    if not _is_int(values.get("k", 0)):
         raise ValueError(f"{where}: values: k must be an integer")
     embeddings = ()
     if plot_type != "heatmap":
@@ -434,7 +445,7 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
     if order_by is not None:
         _ref(order_by, scope.configurations, "embedding", where)
     return PlotStage(name, plot_type, spec, embeddings=embeddings,
-                     values=values, binary=bool(raw.get("binary", False)),
+                     values=values, binary=_flag(raw, "binary", False, where),
                      order_by=order_by)
 
 
@@ -452,8 +463,9 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
     if version != CONFIG_VERSION:
         raise ValueError(f"config: unsupported version {version!r}")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ValueError("config: seed must be an integer")
+    seed = int(seed)
     out_dir = obj.get("out_dir", "out")
     if not isinstance(out_dir, str):
         raise ValueError("config: out_dir must be a path")
@@ -609,24 +621,30 @@ class StageRunner:
     def reduce(self, stage: ReduceStage, seed: int) -> None:
         source = self.configurations[stage.source]
         jobs = stage.jobs()
-        requests = [dimred.ReductionRequest(method, stage.target_dim, params,
-                                            seed=seed)
-                    for _, method, params in jobs]
+
+        def run(job):
+            _, method, params = job
+            return dimred.run_reduction(method, source, stage.target_dim,
+                                        params, seed)
+
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            results = list(pool.map(dimred.run_reduction, requests,
-                                    [source] * len(jobs)))
+            results = list(pool.map(run, jobs))
         for (emit_name, method, params), result in zip(jobs, results):
             self.reduce_meta[emit_name] = (method, params)
             self._store(emit_name, result.embedding)
 
     def agree(self, stage: AgreeStage, seed=None) -> None:
         ranks_a = self._ranks(stage.a)
+        if stage.z is not None:
+            ranks_z = self._ranks(stage.z)
+            psi_az = psi(agreement_profile(ranks_a, ranks_z))
         for b_name, key in zip(stage.b, stage.profile_keys()):
             ranks_b = self._ranks(b_name)
             prof = agreement_profile(ranks_a, ranks_b,
                                      with_per_item=stage.per_item)
             file_base = key.replace(":", "_")  # names never contain ":"
-            self.profiles[key] = prof
+            # later stages read only ar and the range_k columns
+            self.profiles[key] = replace(prof, per_item=None)
             self._emit(f"{file_base}.csv", write_profile, prof)
 
             n = prof.n
@@ -636,14 +654,12 @@ class StageRunner:
                     f"range_k upper bound {hi} exceeds n-1 = {n - 1}")
             if stage.per_item:
                 ks = tuple(range(lo, hi + 1))
-                matrix = prof.per_item[:, lo - 1:hi]
+                matrix = prof.per_item[:, lo - 1:hi].copy()
                 self.per_item[key] = (ks, matrix)
                 self._emit(f"{file_base}_items.csv", write_per_item, ks,
                            matrix, labels=self.configurations[stage.a].labels)
             psi_ab = psi(prof)
             if stage.z is not None:
-                ranks_z = self._ranks(stage.z)
-                psi_az = psi(agreement_profile(ranks_a, ranks_z))
                 psi_bz = psi(agreement_profile(ranks_b, ranks_z))
                 partial = (psi_ab, psi_az, psi_bz,
                            partial_agreement(psi_ab, psi_az, psi_bz))

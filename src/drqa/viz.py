@@ -45,6 +45,11 @@ COMPARISONS = ("simple", "compare")
 EVAL_MODES = ("hard", "soft", "both")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; booleans are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _f(v) -> str:
     return "%.3f" % float(v)
 
@@ -68,8 +73,9 @@ class PlotStyle:
 
     def __post_init__(self):
         for f in fields(self):
-            if not isinstance(getattr(self, f.name),
-                              Integral if f.type == "int" else Real):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(
+                    value, Integral if f.type == "int" else Real):
                 raise ValueError(f"{f.name} must be of type {f.type}")
         if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
             raise ValueError("canvas too small for its margin")
@@ -101,12 +107,13 @@ class RenderSpec:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
         if self.eval_mode is not None and self.eval_mode not in EVAL_MODES:
             raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
+        if not isinstance(self.adjusted, bool):
+            raise ValueError("adjusted must be a boolean")
         if self.range_k is not None:
-            try:
-                ks = tuple(int(k) for k in self.range_k)
-            except TypeError:
-                raise ValueError(
-                    "range_k must be a sequence of integers") from None
+            ks = tuple(self.range_k) if np.iterable(self.range_k) else None
+            if ks is None or not all(map(_is_int, ks)):
+                raise ValueError("range_k must be a sequence of integers")
+            ks = tuple(map(int, ks))
             if not ks:
                 raise ValueError("range_k must not be empty")
             if any(k < 1 for k in ks) or list(ks) != sorted(set(ks)):
@@ -242,11 +249,11 @@ def _strip_ns(el: ET.Element) -> None:
             node.tag = node.tag.split("}", 1)[1]
 
 
-def _data_transform(points, rect, equal_axes=True):
+def _data_transform(points, rect):
     """Affine map from data coordinates into a screen rectangle.
 
-    Screen y runs downward, so the data y axis is flipped.  With
-    ``equal_axes`` both axes share one scale, preserving shape.
+    Screen y runs downward, so the data y axis is flipped.  Both axes
+    share one scale, preserving shape.
     """
     x0, y0, w, h = rect
     pts = np.asarray(points, dtype=float)
@@ -254,19 +261,15 @@ def _data_transform(points, rect, equal_axes=True):
     hi = pts.max(axis=0)
     span = hi - lo
     span[span <= 0] = 1.0
-    if equal_axes:
-        s = min(w / span[0], h / span[1])
-        sx = sy = s
-    else:
-        sx, sy = w / span[0], h / span[1]
+    s = min(w / span[0], h / span[1])
     cx, cy = (lo + hi) / 2.0
     mx, my = x0 + w / 2.0, y0 + h / 2.0
 
     def to_screen(p):
         p = np.asarray(p, dtype=float)
         return np.column_stack([
-            mx + (p[:, 0] - cx) * sx,
-            my - (p[:, 1] - cy) * sy,
+            mx + (p[:, 0] - cx) * s,
+            my - (p[:, 1] - cy) * s,
         ])
 
     return to_screen
@@ -532,13 +535,11 @@ def render_loess_overlay(embedding: Configuration, item_values,
     nodes = np.array([[surface.xs[c], surface.ys[r]]
                       for r in range(g) for c in range(g)])
     centers = to_screen(nodes)
-    # cell size from the first grid step, clamped for degenerate clouds
-    if g > 1:
-        step = centers.reshape(g, g, 2)
-        cw = abs(float(step[0, 1, 0] - step[0, 0, 0])) or 1.0
-        ch = abs(float(step[1, 0, 1] - step[0, 0, 1])) or 1.0
-    else:
-        cw = ch = 1.0
+    # cell size from the first grid step (a grid has at least 2 nodes a
+    # side), clamped for degenerate clouds
+    step = centers.reshape(g, g, 2)
+    cw = abs(float(step[0, 1, 0] - step[0, 0, 0])) or 1.0
+    ch = abs(float(step[1, 0, 1] - step[0, 0, 1])) or 1.0
     surf = ET.SubElement(root, "g", {"class": "surface"})
     flat = surface.values.reshape(-1)
     for i in range(g * g):

@@ -208,6 +208,18 @@ class TestPipelineCommand:
         assert "manifest.json" in out
         assert (tmp_path / "res" / "a.csv").exists()
 
+    def test_string_flag_rejected(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "out_dir": "res", "stages": [
+                {"kind": "ingest", "name": "d", "path": dataset.name},
+                {"kind": "agree", "name": "a", "a": "d", "b": "d",
+                 "per_item": "no"}]}))
+        assert run_cli("pipeline", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: stage 1 (agree): per_item must be a boolean"]
+        assert not (tmp_path / "res").exists()
+
     def test_error_reports_stage(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

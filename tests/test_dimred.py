@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from drqa import dimred, geometry
 from drqa.agreement import agreement_profile, psi
 from drqa.dimred import (
+    METHODS,
     DisconnectedGraphError,
-    ReductionRequest,
     classical_mds,
     geodesic_distances,
     isomap,
@@ -384,30 +385,68 @@ class TestLaplacianEigenmaps:
         assert (prof.ar[:50] > k / (n - 1)).all()
 
 
+SMALL_PARAMS = {
+    "pca": {},
+    "classical_mds": {},
+    "smacof": {"max_iter": 5},
+    "local_smacof": {"max_iter": 5, "quantile": 0.5},
+    "lle": {"n_neighbors": 5},
+    "isomap": {"n_neighbors": 5},
+    "laplacian_eigenmaps": {"n_neighbors": 5},
+}
+
+
 class TestDispatchAndSigns:
     def test_request_validation(self):
+        c = Configuration(np.random.default_rng(69).standard_normal((10, 3)))
         with pytest.raises(ValueError, match="unknown method"):
-            ReductionRequest("tsne", 2)
-        with pytest.raises(ValueError):
-            ReductionRequest("pca", 0)
+            run_reduction("tsne", c, 2)
+        with pytest.raises(ValueError, match="target_dim must lie in"):
+            run_reduction("pca", c, 0)
 
     def test_labels_survive_reduction(self):
         rng = np.random.default_rng(70)
         labels = tuple(f"it{i}" for i in range(20))
         c = Configuration(rng.standard_normal((20, 3)), labels=labels)
-        for method, params in [
-            ("pca", {}),
-            ("classical_mds", {}),
-            ("smacof", {"max_iter": 5}),
-            ("lle", {"n_neighbors": 5}),
-        ]:
-            res = run_reduction(ReductionRequest(method, 2, params), c)
+        assert set(SMALL_PARAMS) == set(METHODS)
+        for method, params in SMALL_PARAMS.items():
+            res = run_reduction(method, c, 2, params, seed=0)
             assert res.embedding.labels == labels
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_dispatch_looks_up_module_functions(self, method, monkeypatch):
+        calls = []
+
+        def spy(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, kwargs))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(dimred, method)
+        spy(geometry, "euclidean_distances")
+        c = Configuration(np.random.default_rng(72).standard_normal((20, 3)))
+        run_reduction(method, c, 2, SMALL_PARAMS[method], seed=5)
+        distances = [] if method in dimred.COORDINATE_METHODS else [
+            ("euclidean_distances", {})]
+        seeded = {"seed": 5} if method in ("smacof", "local_smacof") else {}
+        assert calls == distances + [(method, {**SMALL_PARAMS[method], **seeded})]
+
+    def test_params_seed_wins_over_stage_seed(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(dimred, "smacof",
+                            lambda dist, dim, **kw: seen.append(kw["seed"]))
+        c = Configuration(np.zeros((3, 2)))
+        run_reduction("smacof", c, 2, {"seed": 1}, seed=5)
+        assert seen == [1]
 
     def test_coordinate_method_rejects_distances(self):
         d = ProximityMatrix(np.zeros((3, 3)), "distance")
-        with pytest.raises(TypeError, match="coordinates"):
-            run_reduction(ReductionRequest("pca", 1), d)
+        with pytest.raises(TypeError, match="coordinate Configuration"):
+            run_reduction("pca", d, 1)
 
     def test_sign_convention_everywhere(self):
         rng = np.random.default_rng(71)

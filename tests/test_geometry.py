@@ -76,10 +76,11 @@ class TestEuclideanDistances:
         with pytest.raises(ValueError):
             euclidean_distances(c, p=0.5)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(geometry, "DENSE_CAP", 4)
         c = Configuration(np.zeros((5, 1)))
         with pytest.raises(ValueError, match="cap"):
-            euclidean_distances(c, cap=4)
+            euclidean_distances(c)
 
     def test_masked_pairs_use_shared_columns(self):
         x = np.array([[0.0, 10.0], [3.0, 0.0], [0.0, 6.0]])

@@ -6,12 +6,16 @@ import json
 import numpy as np
 import pytest
 
+from drqa import pipeline
+from drqa.agreement import agreement_profile
 from drqa.geometry import Configuration, ranks_from_config
 from drqa.pipeline import (
+    AgreeStage,
     ManifestEntry,
     PipelineError,
     ScoreRow,
     ScoreTable,
+    StageRunner,
     _RankCache,
     load_config,
     parse_config,
@@ -60,6 +64,21 @@ def full_config(out_dir, seed=11, cache=False):
              "spec": {"style": {"grid_resolution": 10}}},
         ],
     }
+
+
+def typed_config():
+    """A config using every integer, boolean and string field of a stage."""
+    return {"version": 1, "seed": 0, "stages": [
+        {"kind": "ingest", "name": "i", "path": "raw.csv",
+         "has_header": True, "missing_token": "NA"},
+        {"kind": "reduce", "name": "r", "source": "i", "method": "pca",
+         "target_dim": 2},
+        {"kind": "agree", "name": "a", "a": "i", "b": "r", "per_item": True,
+         "range_k": [1, 2]},
+        {"kind": "plot", "name": "h", "type": "heatmap", "binary": False,
+         "values": {"agree": "a", "k": 1},
+         "spec": {"adjusted": False, "range_k": [1, 2],
+                  "style": {"loess_span": 0.5, "azimuth": 10}}}]}
 
 
 class TestParsing:
@@ -180,6 +199,42 @@ class TestParsing:
         with pytest.raises(ValueError, match="per-item"):
             parse_config(cfg, tmp_path)
 
+    @pytest.mark.parametrize("path, value", [
+        (("seed",), True),
+        (("stages", 1, "target_dim"), True),
+        (("stages", 2, "range_k"), [True, True]),
+        (("stages", 2, "per_item"), "no"),
+        (("stages", 0, "has_header"), "false"),
+        (("stages", 0, "missing_token"), [1]),
+        (("stages", 3, "binary"), 1),
+        (("stages", 3, "values", "k"), True),
+        (("stages", 3, "spec", "adjusted"), 1),
+        (("stages", 3, "spec", "range_k"), ["1", "2"]),
+        (("stages", 3, "spec", "range_k"), [True, 2]),
+        (("stages", 3, "spec", "style", "loess_span"), True),
+        (("stages", 3, "spec", "style", "azimuth"), True),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_booleans_and_integers_kept_apart(self, tmp_path, path, value):
+        cfg = typed_config()
+        parse_config(cfg, tmp_path)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=str(path[-1])):
+            parse_config(cfg, tmp_path)
+
+    def test_numpy_integers_accepted(self, tmp_path):
+        cfg = typed_config()
+        cfg["seed"] = np.int64(3)
+        cfg["stages"][1]["target_dim"] = np.int32(2)
+        cfg["stages"][2]["range_k"] = [np.int64(1), np.int64(2)]
+        cfg["stages"][3]["spec"]["range_k"] = np.arange(1, 3)
+        parsed = parse_config(cfg, tmp_path)
+        assert type(parsed.seed) is int
+        assert parsed.stages[2].range_k == (1, 2)
+        assert parsed.stages[3].spec.range_k == (1, 2)
+
     def test_duplicate_names_rejected(self, tmp_path):
         cfg = {"version": 1, "stages": [
             {"kind": "generate", "name": "d", "shape": "sphere_random", "n": 30},
@@ -259,6 +314,37 @@ class TestExecution:
         assert rows[0] == "psi_ab,psi_az,psi_bz,partial_agreement"
         vals = [float(v) for v in rows[1].split(",")]
         assert -1.0 <= vals[3] <= 1.0
+
+    def test_agree_keeps_only_what_plots_read(self, tmp_path):
+        rng = np.random.default_rng(5)
+        runner = StageRunner(tmp_path)
+        for name in ("a", "b"):
+            runner.configurations[name] = Configuration(
+                rng.standard_normal((12, 3)))
+        runner.agree(AgreeStage("s", "a", ("b",), per_item=True,
+                                range_k=(2, 5)))
+        assert runner.profiles["s"].per_item is None
+        ks, matrix = runner.per_item["s"]
+        assert ks == (2, 3, 4, 5)
+        assert matrix.shape == (12, 4) and matrix.base is None
+
+    def test_partial_agreement_scores_a_against_z_once(self, tmp_path,
+                                                       monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return agreement_profile(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "agreement_profile", counted)
+        rng = np.random.default_rng(6)
+        runner = StageRunner(tmp_path)
+        for name in ("a", "b1", "b2", "z"):
+            runner.configurations[name] = Configuration(
+                rng.standard_normal((12, 3)))
+        runner.agree(AgreeStage("s", "a", ("b1", "b2"), z="z"))
+        assert len(calls) == 5  # a-b1, a-b2, a-z, b1-z, b2-z
+        assert len(runner.partials) == 2
 
     def test_failing_stage_removes_its_outputs(self, tmp_path):
         cfg = {"version": 1, "out_dir": "o", "stages": [
