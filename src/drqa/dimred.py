@@ -393,7 +393,7 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
         "threshold": threshold,
         "active_pair_fraction": float(w[off].mean()),
     })
-    return ReductionResult(result.embedding, diagnostics)
+    return _result(result.embedding.items, None, "local_smacof", diagnostics)
 
 
 # ---------------------------------------------------------------------------

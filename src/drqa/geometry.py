@@ -340,13 +340,24 @@ def rank_structure(source: ProximityMatrix | Configuration,
 def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:
     """Write into ``out`` the ranks of items ``start ..`` from their rows ``d``.
 
-    ``d`` is overwritten.  The default sort is not stable, so rows that hold
-    equal distances are re-sorted by ``(run of equal values, index)``: that is
-    exactly the stable order, ties by ascending index.
+    ``d`` is overwritten.
     """
     b, n = d.shape
     local = np.arange(b)
     d[local, start + local] = np.inf
+    np.put_along_axis(out, _stable_order(d),
+                      np.arange(1, n + 1, dtype=np.int32)[None, :], axis=1)
+    out[local, start + local] = 0
+
+
+def _stable_order(d: np.ndarray) -> np.ndarray:
+    """``np.argsort(d, axis=1, kind="stable")`` for a 2-d array without NaN.
+
+    The default sort is faster but not stable, so rows that hold equal
+    values are re-sorted by ``(run of equal values, index)``: that is
+    exactly the stable order, ties by ascending index.
+    """
+    n = d.shape[1]
     order = np.argsort(d, axis=1)
     ordered = np.take_along_axis(d, order, axis=1)
     tied = ordered[:, 1:] == ordered[:, :-1]
@@ -358,9 +369,7 @@ def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:
         key += order[repair]
         key.sort(axis=1)
         order[repair] = key % n
-    np.put_along_axis(out, order, np.arange(1, n + 1, dtype=np.int32)[None, :],
-                      axis=1)
-    out[local, start + local] = 0
+    return order
 
 
 def ranks_from_config(config: Configuration, p: float = 2.0) -> RankStructure:

@@ -6,6 +6,15 @@ surfaces, and lift plots of a profile against its chance baseline.  All
 output is plain SVG 1.1 text built with fixed float formatting and
 insertion-ordered attributes, so a given input always yields the same
 bytes.
+
+The renderers write that text directly, from numpy arrays, with one small
+writer (``_tag``) that produces what ElementTree would serialize: attributes
+in insertion order, ``" />"`` closing an element without content, ``&``,
+``<`` and ``>`` escaped in text, and additionally ``"``, CR, LF and TAB
+escaped in attribute values.  Bulk elements (cells, points, bands) are
+filled into a ``%`` template made by the same writer.  Colors come from one
+array kernel, ``ColorScale.rgb_array``.  Only ``compose_panels`` builds an
+ElementTree, since it re-serializes SVG documents it did not write.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .agreement import AgreementProfile, psi
-from .geometry import Configuration, _readonly
+from .geometry import Configuration, _readonly, _stable_order
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -54,8 +63,24 @@ def _f(v) -> str:
     return "%.3f" % float(v)
 
 
+def _fs(values) -> list[str]:
+    """``_f`` of every value of an array, flattened."""
+    return ["%.3f" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
 def _hex(rgb) -> str:
     return "#%02x%02x%02x" % tuple(int(c) for c in rgb)
+
+
+def _hex_array(rgb: np.ndarray) -> list:
+    """``_hex`` along the last axis of an integer array, as nested lists.
+
+    Each distinct color is formatted once.
+    """
+    code = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    uniq, inverse = np.unique(code, return_inverse=True)
+    names = np.array(["#%06x" % c for c in uniq.tolist()], dtype=object)
+    return names[inverse.reshape(code.shape)].tolist()
 
 
 @dataclass(frozen=True)
@@ -165,22 +190,38 @@ class ColorScale:
             span = 1.0
         return cls(mode, (-span, span))
 
-    def rgb(self, value: float) -> tuple[int, int, int]:
+    def rgb_array(self, values) -> np.ndarray:
+        """Integer colors of shape ``values.shape + (3,)``.
+
+        Each channel is ``a + t * (b - a)`` between two anchors, rounded half
+        to even, where ``t`` is the clipped value's position on its side of
+        the scale.
+        """
         lo, hi = self.domain
-        v = min(max(float(value), lo), hi)
+        v = np.clip(np.asarray(values, dtype=float), lo, hi)
+        if np.isnan(v).any():
+            raise ValueError("cannot color NaN")
         if self.mode == "absolute":
+            neg = np.zeros(v.shape, dtype=bool)
             t = (v - lo) / (hi - lo)
-            a, b = NEUTRAL_RGB, POSITIVE_RGB
-        elif v < 0:
-            t = 1.0 - v / lo
-            a, b = NEGATIVE_RGB, NEUTRAL_RGB
         else:
-            t = v / hi if hi > 0 else 0.0
-            a, b = NEUTRAL_RGB, POSITIVE_RGB
-        return tuple(int(round(a[i] + t * (b[i] - a[i]))) for i in range(3))
+            neg = v < 0
+            # the branch not taken may divide by zero or overflow
+            with np.errstate(all="ignore"):
+                t = np.where(neg, 1.0 - v / lo, v / hi if hi > 0 else 0.0)
+        a = np.where(neg[..., None], NEGATIVE_RGB, NEUTRAL_RGB)
+        b = np.where(neg[..., None], NEUTRAL_RGB, POSITIVE_RGB)
+        return np.rint(a + t[..., None] * (b - a)).astype(np.int64)
+
+    def rgb(self, value: float) -> tuple[int, int, int]:
+        return tuple(int(c) for c in self.rgb_array(float(value)))
 
     def css(self, value: float) -> str:
         return _hex(self.rgb(value))
+
+    def css_array(self, values) -> list:
+        """``css`` of every value, as nested lists shaped like ``values``."""
+        return _hex_array(self.rgb_array(values))
 
 
 def _scale_for(spec: RenderSpec, values, binary: bool = False) -> ColorScale:
@@ -199,48 +240,69 @@ def _scale_for(spec: RenderSpec, values, binary: bool = False) -> ColorScale:
 # SVG plumbing
 
 
-def _svg_root(width: float, height: float) -> ET.Element:
-    return ET.Element("svg", {
+_XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
+_ATTR_ESCAPES = str.maketrans({'"': "&quot;", "\r": "&#13;", "\n": "&#10;",
+                               "\t": "&#09;"})
+
+
+def _escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _tag(name: str, attrs: Mapping[str, str], content: str = "") -> str:
+    """One element; ``content`` is its serialized children or escaped text."""
+    head = "<" + name + "".join(
+        f' {k}="{_escape_text(v).translate(_ATTR_ESCAPES)}"'
+        for k, v in attrs.items())
+    if content:
+        return f"{head}>{content}</{name}>"
+    return head + " />"
+
+
+def _template(name: str, attrs: Mapping[str, str | None]) -> str:
+    """``_tag(name, attrs)`` as a ``%`` format with a ``%s`` slot per ``None``.
+
+    Slots take numbers formatted by ``_f`` or hex colors, which need no
+    escaping.
+    """
+    marked = {k: "\0" if v is None else v for k, v in attrs.items()}
+    return _tag(name, marked).replace("%", "%%").replace("\0", "%s")
+
+
+def _svg_attrs(width: float, height: float) -> dict:
+    return {
         "xmlns": SVG_NS,
         "version": "1.1",
         "width": _f(width),
         "height": _f(height),
         "viewBox": f"0 0 {_f(width)} {_f(height)}",
-    })
+    }
 
 
-def _rect(parent, x, y, w, h, fill, cls, extra=None):
-    attrs = {"class": cls, "x": _f(x), "y": _f(y),
-             "width": _f(w), "height": _f(h), "fill": fill}
-    if extra:
-        attrs.update(extra)
-    return ET.SubElement(parent, "rect", attrs)
+def _svg(width: float, height: float, body: str) -> str:
+    return _XML_DECL + _tag("svg", _svg_attrs(width, height), body) + "\n"
 
 
-def _circle(parent, x, y, r, fill, cls, extra=None):
-    attrs = {"class": cls, "cx": _f(x), "cy": _f(y), "r": _f(r), "fill": fill}
-    if extra:
-        attrs.update(extra)
-    return ET.SubElement(parent, "circle", attrs)
-
-
-def _text(parent, x, y, content, cls, anchor="start", size=12.0):
-    el = ET.SubElement(parent, "text", {
+def _text(x, y, content, cls, anchor="start", size=12.0) -> str:
+    return _tag("text", {
         "class": cls, "x": _f(x), "y": _f(y),
         "font-family": "sans-serif", "font-size": _f(size),
         "text-anchor": anchor, "fill": "#333333",
-    })
-    el.text = content
-    return el
+    }, _escape_text(content))
 
 
-def _points_attr(xy) -> str:
-    return " ".join(f"{_f(x)},{_f(y)}" for x, y in xy)
+def _points_attr(xs, ys) -> str:
+    return " ".join(f"{x},{y}" for x, y in zip(_fs(xs), _fs(ys)))
 
 
-def _to_svg(root: ET.Element) -> str:
-    body = ET.tostring(root, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+def _circles(xy, fills, radius: float, extra=None) -> str:
+    """One ``pt`` circle per row of screen coordinates ``xy``."""
+    circle = _template("circle", {"class": "pt", "cx": None, "cy": None,
+                                  "r": _f(radius), "fill": None,
+                                  **(extra or {})})
+    return "".join(circle % mark
+                   for mark in zip(_fs(xy[:, 0]), _fs(xy[:, 1]), fills))
 
 
 def _strip_ns(el: ET.Element) -> None:
@@ -344,22 +406,20 @@ def render_scatter(embeddings, item_values, spec: RenderSpec | None = None) -> s
 
     st = spec.style
     caption_h = 24.0
-    root = _svg_root(st.width * len(panels), st.height + caption_h)
     label = "mean difference" if spec.comparison == "compare" else "mean agreement"
+    fills = scale.css_array(vals)
+    body = []
     for idx, config in enumerate(panels):
         planar = _as_planar(config, st)
         ox = idx * st.width
         rect = (ox + st.margin, st.margin,
                 st.width - 2 * st.margin, st.height - 2 * st.margin)
-        to_screen = _data_transform(planar, rect)
-        xy = to_screen(planar)
-        group = ET.SubElement(root, "g", {"class": "panel"})
-        for i in range(n):
-            _circle(group, xy[i, 0], xy[i, 1], st.point_radius,
-                    scale.css(vals[i]), "pt")
-        _text(group, ox + st.width / 2.0, st.height + caption_h / 2.0,
-              f"{label} = {_f(vals.mean())}", "caption", anchor="middle")
-    return _to_svg(root)
+        xy = _data_transform(planar, rect)(planar)
+        body.append(_tag("g", {"class": "panel"}, _circles(
+            xy, fills, st.point_radius) + _text(
+            ox + st.width / 2.0, st.height + caption_h / 2.0,
+            f"{label} = {_f(vals.mean())}", "caption", anchor="middle")))
+    return _svg(st.width * len(panels), st.height + caption_h, "".join(body))
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +465,27 @@ def render_heatmap(per_item_by_k, item_order=None,
     scale = _scale_for(spec, vals, binary=binary)
 
     st = spec.style
-    root = _svg_root(st.width, st.height)
     plot_w = st.width - 2 * st.margin
     plot_h = st.height - 2 * st.margin
     cw = plot_w / n_cols
     ch = plot_h / n
-    grid = ET.SubElement(root, "g", {"class": "cells"})
-    for row, item in enumerate(order):
-        for col in range(n_cols):
-            _rect(grid, st.margin + col * cw, st.margin + row * ch,
-                  cw, ch, scale.css(vals[item, col]), "cell")
-    legend = ET.SubElement(root, "g", {"class": "legend"})
+    cell = _template("rect", {"class": "cell", "x": None, "y": None,
+                              "width": _f(cw), "height": _f(ch), "fill": None})
+    xs = _fs(st.margin + np.arange(n_cols) * cw)
+    ys = _fs(st.margin + np.arange(n) * ch)
+    cells = "".join(cell % (x, y, fill)
+                    for y, row_fills in zip(ys, scale.css_array(vals[order]))
+                    for x, fill in zip(xs, row_fills))
     k_label = f"k = {ks[0]}..{ks[-1]}"
     if spec.eval_mode is not None:
         k_label += f" ({spec.eval_mode} movements)"
-    _text(legend, st.margin + plot_w / 2.0, st.height - st.margin / 4.0,
-          k_label, "axis", anchor="middle")
-    _text(legend, st.margin + plot_w / 2.0, st.margin * 0.6,
-          f"mean = {_f(vals.mean())}", "caption", anchor="middle")
-    return _to_svg(root)
+    legend = _tag("g", {"class": "legend"}, _text(
+        st.margin + plot_w / 2.0, st.height - st.margin / 4.0,
+        k_label, "axis", anchor="middle") + _text(
+        st.margin + plot_w / 2.0, st.margin * 0.6,
+        f"mean = {_f(vals.mean())}", "caption", anchor="middle"))
+    return _svg(st.width, st.height,
+                _tag("g", {"class": "cells"}, cells) + legend)
 
 
 # ---------------------------------------------------------------------------
@@ -483,26 +545,30 @@ def loess_surface(points, values, span: float = 0.75,
     out = np.empty((grid, grid))
     fell_back = np.zeros((grid, grid), dtype=bool)
     for row, gy in enumerate(ys):
-        for col, gx in enumerate(xs):
-            dx = pts[:, 0] - gx
-            dy = pts[:, 1] - gy
-            d = np.hypot(dx, dy)
-            sel = np.argsort(d, kind="stable")[:q]
-            d_max = d[sel[-1]]
-            if d_max > 0:
-                w = np.clip(1.0 - (d[sel] / d_max) ** 3, 0.0, None) ** 3
-            else:
-                w = np.ones(q)
-            sw = np.sqrt(w)
-            design = np.column_stack([np.ones(q), dx[sel], dy[sel]])
-            coef, _, rank, _ = np.linalg.lstsq(
-                design * sw[:, None], vals[sel] * sw, rcond=None
-            )
+        # one grid row at a time: each node's support is its q nearest
+        # points, ties by ascending index; only the solve runs per node
+        dx = pts[None, :, 0] - xs[:, None]
+        dy = pts[:, 1] - gy
+        d = np.hypot(dx, dy[None, :])
+        sel = _stable_order(d)[:, :q]
+        d_sel = np.take_along_axis(d, sel, axis=1)
+        d_max = d_sel[:, -1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(d_max > 0, np.clip(
+                1.0 - (d_sel / d_max) ** 3, 0.0, None) ** 3, 1.0)
+        sw = np.sqrt(w)
+        design = np.stack([sw, np.take_along_axis(dx, sel, axis=1) * sw,
+                           dy[sel] * sw], axis=2)
+        target = vals[sel] * sw
+        for col in range(grid):
+            coef, _, rank, _ = np.linalg.lstsq(design[col], target[col],
+                                               rcond=None)
             if rank == 3:
                 out[row, col] = coef[0]
             else:
-                out[row, col] = np.average(vals[sel], weights=w) \
-                    if w.sum() > 0 else vals[sel].mean()
+                v = vals[sel[col]]
+                out[row, col] = np.average(v, weights=w[col]) \
+                    if w[col].sum() > 0 else v.mean()
                 fell_back[row, col] = True
     return LoessSurface(xs, ys, out, fell_back)
 
@@ -527,24 +593,23 @@ def render_loess_overlay(embedding: Configuration, item_values,
                             span=st.loess_span, grid=st.grid_resolution)
     scale = _scale_for(spec, vals)
 
-    root = _svg_root(st.width, st.height)
     rect = (st.margin, st.margin, st.width - 2 * st.margin,
             st.height - 2 * st.margin)
     to_screen = _data_transform(embedding.items, rect)
     g = surface.xs.size
-    nodes = np.array([[surface.xs[c], surface.ys[r]]
-                      for r in range(g) for c in range(g)])
+    nodes = np.column_stack([np.tile(surface.xs, g),
+                             np.repeat(surface.ys, g)])
     centers = to_screen(nodes)
     # cell size from the first grid step (a grid has at least 2 nodes a
     # side), clamped for degenerate clouds
     step = centers.reshape(g, g, 2)
     cw = abs(float(step[0, 1, 0] - step[0, 0, 0])) or 1.0
     ch = abs(float(step[1, 0, 1] - step[0, 0, 1])) or 1.0
-    surf = ET.SubElement(root, "g", {"class": "surface"})
-    flat = surface.values.reshape(-1)
-    for i in range(g * g):
-        _rect(surf, centers[i, 0] - cw / 2.0, centers[i, 1] - ch / 2.0,
-              cw, ch, scale.css(flat[i]), "surf")
+    tile = _template("rect", {"class": "surf", "x": None, "y": None,
+                              "width": _f(cw), "height": _f(ch), "fill": None})
+    tiles = "".join(tile % cell for cell in zip(
+        _fs(centers[:, 0] - cw / 2.0), _fs(centers[:, 1] - ch / 2.0),
+        scale.css_array(surface.values.reshape(-1))))
 
     if categories is not None:
         cats = list(categories)
@@ -556,15 +621,14 @@ def render_loess_overlay(embedding: Configuration, item_values,
                 seen[c] = TECHNIQUE_RGB[len(seen) % len(TECHNIQUE_RGB)]
         fills = [_hex(seen[c]) for c in cats]
     else:
-        fills = [scale.css(v) for v in vals]
-    xy = to_screen(embedding.items)
-    marks = ET.SubElement(root, "g", {"class": "points"})
-    for i in range(n):
-        _circle(marks, xy[i, 0], xy[i, 1], st.point_radius, fills[i], "pt",
-                extra={"stroke": "#000000", "stroke-width": _f(0.75)})
-    _text(root, st.width / 2.0, st.height - st.margin / 4.0,
-          f"mean agreement = {_f(vals.mean())}", "caption", anchor="middle")
-    return _to_svg(root)
+        fills = scale.css_array(vals)
+    marks = _circles(to_screen(embedding.items), fills, st.point_radius,
+                     extra={"stroke": "#000000", "stroke-width": _f(0.75)})
+    return _svg(st.width, st.height, _tag("g", {"class": "surface"}, tiles)
+                + _tag("g", {"class": "points"}, marks)
+                + _text(st.width / 2.0, st.height - st.margin / 4.0,
+                        f"mean agreement = {_f(vals.mean())}", "caption",
+                        anchor="middle"))
 
 
 # ---------------------------------------------------------------------------
@@ -617,77 +681,71 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
         raise ValueError("lift plots need n >= 3")
 
     st = spec.style
-    caption_h = 20.0 * len(named)
-    root = _svg_root(st.width, st.height + caption_h)
     x0, y0 = st.margin, st.margin
     plot_w = st.width - 2 * st.margin
     plot_h = st.height - 2 * st.margin
 
     ks = np.arange(1, n)
     base = ks / (n - 1)
-
-    def sx(k):
-        return x0 + (k - 1) / (n - 2) * plot_w
+    sx = x0 + (ks - 1) / (n - 2) * plot_w
 
     def sy(v):
         return y0 + (1.0 - v) * plot_h
 
-    colors = [TECHNIQUE_RGB[i % len(TECHNIQUE_RGB)] for i in range(len(named))]
+    colors = np.array([TECHNIQUE_RGB[i % len(TECHNIQUE_RGB)]
+                       for i in range(len(named))])
     gains = np.stack([np.maximum(p.ar_adjusted, 0.0) for _, p in named])
 
-    bands = ET.SubElement(root, "g", {"class": "bands"})
-    t_count = len(named)
-    for i in range(n - 2):
-        left = gains[:, i]
-        right = gains[:, i + 1]
-        # stack techniques by their height on the left edge
-        order = sorted(range(t_count), key=lambda t: (-left[t], t))
-        l_sorted = [left[t] for t in order] + [0.0]
-        r_sorted = sorted(right, reverse=True) + [0.0]
-        for depth in range(t_count):
-            l_hi, l_lo = l_sorted[depth], l_sorted[depth + 1]
-            r_hi, r_lo = r_sorted[depth], r_sorted[depth + 1]
-            if l_hi - l_lo <= 0 and r_hi - r_lo <= 0:
-                continue
-            covering = [colors[t] for t in order[:depth + 1]]
-            blend = np.mean(covering, axis=0)
-            pts = [
-                (sx(ks[i]), sy(base[i] + l_hi)),
-                (sx(ks[i + 1]), sy(base[i + 1] + r_hi)),
-                (sx(ks[i + 1]), sy(base[i + 1] + r_lo)),
-                (sx(ks[i]), sy(base[i] + l_lo)),
-            ]
-            ET.SubElement(bands, "polygon", {
-                "class": "band",
-                "points": _points_attr(pts),
-                "fill": _hex(blend),
-                "fill-opacity": _f(FILL_OPACITY),
-            })
+    # per unit interval of k, stack the techniques by their height on the
+    # left edge (ties by position); depth d covers the d + 1 highest and
+    # takes the mean of their colors
+    order = np.argsort(-gains[:, :-1], axis=0, kind="stable")
+    zero = np.zeros((1, n - 2))
+    left = np.vstack([np.take_along_axis(gains[:, :-1], order, axis=0), zero])
+    right = np.vstack([np.sort(gains[:, 1:], axis=0)[::-1], zero])
+    depth = np.arange(1, len(named) + 1)[:, None, None]
+    blends = np.cumsum(colors[order], axis=0) / depth
+    keep = ((left[:-1] - left[1:] > 0) | (right[:-1] - right[1:] > 0)).T
+    col, dep = np.nonzero(keep)
+    xl, xr = sx[col], sx[col + 1]
+    bl, br = base[col], base[col + 1]
+    corners = zip(*map(_fs, (
+        xl, sy(bl + left[dep, col]), xr, sy(br + right[dep, col]),
+        xr, sy(br + right[dep + 1, col]), xl, sy(bl + left[dep + 1, col]))))
+    band = _template("polygon", {"class": "band", "points": None,
+                                 "fill": None, "fill-opacity": _f(FILL_OPACITY)})
+    bands = "".join(
+        band % ("%s,%s %s,%s %s,%s %s,%s" % quad, fill)
+        for quad, fill in zip(corners, _hex_array(
+            blends[dep, col].astype(np.int64))))
 
-    ET.SubElement(root, "polyline", {
+    body = [_tag("g", {"class": "bands"}, bands), _tag("polyline", {
         "class": "baseline",
-        "points": _points_attr((sx(k), sy(b)) for k, b in zip(ks, base)),
+        "points": _points_attr(sx, sy(base)),
         "fill": "none",
         "stroke": "#777777",
         "stroke-dasharray": "4 3",
-    })
-    for (name, prof), rgb in zip(named, colors):
-        ET.SubElement(root, "polyline", {
+    })]
+    legend = []
+    for idx, ((name, prof), rgb) in enumerate(zip(named, colors)):
+        body.append(_tag("polyline", {
             "class": "curve",
-            "points": _points_attr((sx(k), sy(v)) for k, v in zip(ks, prof.ar)),
+            "points": _points_attr(sx, sy(prof.ar)),
             "fill": "none",
             "stroke": _hex(rgb),
             "stroke-width": _f(1.5),
-        })
-    legend = ET.SubElement(root, "g", {"class": "legend"})
-    for idx, ((name, prof), rgb) in enumerate(zip(named, colors)):
+        }))
         y = st.height + 14.0 + 20.0 * idx
-        _rect(legend, x0, y - 9.0, 12.0, 12.0, _hex(rgb), "swatch")
-        _text(legend, x0 + 18.0, y + 1.0,
-              f"{name}: all-k agreement = {_f(psi(prof))}", "caption")
-    _text(root, x0 + plot_w / 2.0, st.height - st.margin / 4.0,
-          "k", "axis", anchor="middle")
-    return _to_svg(root)
+        legend.append(_tag("rect", {
+            "class": "swatch", "x": _f(x0), "y": _f(y - 9.0),
+            "width": _f(12.0), "height": _f(12.0), "fill": _hex(rgb)}))
+        legend.append(_text(x0 + 18.0, y + 1.0,
+                            f"{name}: all-k agreement = {_f(psi(prof))}",
+                            "caption"))
+    body.append(_tag("g", {"class": "legend"}, "".join(legend)))
+    body.append(_text(x0 + plot_w / 2.0, st.height - st.margin / 4.0,
+                      "k", "axis", anchor="middle"))
+    return _svg(st.width, st.height + 20.0 * len(named), "".join(body))
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +770,10 @@ def compose_panels(panels: Sequence[str], columns: int | None = None) -> str:
     rows = -(-len(roots) // cols)
     col_w = max(widths)
     row_h = max(heights)
-    outer = _svg_root(col_w * min(cols, len(roots)), row_h * rows)
+    outer = ET.Element("svg", _svg_attrs(col_w * min(cols, len(roots)),
+                                         row_h * rows))
     for idx, el in enumerate(roots):
         el.set("x", _f((idx % cols) * col_w))
         el.set("y", _f((idx // cols) * row_h))
         outer.append(el)
-    return _to_svg(outer)
+    return _XML_DECL + ET.tostring(outer, encoding="unicode") + "\n"

@@ -316,3 +316,33 @@ class TestBlockedRanks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
             assert (ranks_from_config(config, p=p).ranks == expected).all()
+
+
+class TestStableOrder:
+    """The unstable sort plus tie repair equals a stable argsort exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 25), st.data())
+    def test_matches_stable_argsort(self, rows, n, data):
+        cells = st.sampled_from([0.0, -0.0, 1.5, 2.0, np.inf, -np.inf]) | \
+            st.floats(-3, 3, allow_nan=False)
+        d = np.array(data.draw(st.lists(cells, min_size=rows * n,
+                                        max_size=rows * n))).reshape(rows, n)
+        expected = np.argsort(d, axis=1, kind="stable")
+        assert (geometry._stable_order(d) == expected).all()
+
+    def test_duplicate_rows_and_inf(self):
+        row = np.array([2.0, np.inf, 1.0, 2.0, np.inf, 1.0, 0.0, 2.0])
+        d = np.vstack([row, row, row[::-1], np.full(8, np.inf)])
+        expected = np.argsort(d, axis=1, kind="stable")
+        assert (geometry._stable_order(d) == expected).all()
+
+    @pytest.mark.parametrize("kind", ["ties", "duplicates"])
+    def test_every_block_size(self, monkeypatch, kind):
+        n = 13
+        x, _ = blocked_inputs(kind, n, np.random.default_rng(40))
+        config = Configuration(x)
+        expected = dense_reference_ranks(euclidean_distances(config))
+        for block_rows in range(1, n + 1):
+            monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
+            assert (rank_structure(config).ranks == expected).all()

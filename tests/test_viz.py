@@ -4,10 +4,16 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drqa.agreement import agreement_profile
 from drqa.geometry import Configuration, ranks_from_config
 from drqa.viz import (
+    COLOR_MODES,
+    NEGATIVE_RGB,
+    NEUTRAL_RGB,
+    POSITIVE_RGB,
     ColorScale,
     PlotStyle,
     RenderSpec,
@@ -98,6 +104,76 @@ class TestColorScale:
             ColorScale("comparative", (0.5, 1.0))
 
 
+def reference_rgb(mode, domain, value):
+    """The scalar color formula the array kernel must reproduce bit for bit."""
+    lo, hi = domain
+    v = min(max(float(value), lo), hi)
+    if mode == "absolute":
+        t = (v - lo) / (hi - lo)
+        a, b = NEUTRAL_RGB, POSITIVE_RGB
+    elif v < 0:
+        t = 1.0 - v / lo
+        a, b = NEGATIVE_RGB, NEUTRAL_RGB
+    else:
+        t = v / hi if hi > 0 else 0.0
+        a, b = NEUTRAL_RGB, POSITIVE_RGB
+    return tuple(int(round(a[i] + t * (b[i] - a[i]))) for i in range(3))
+
+
+@st.composite
+def scale_and_values(draw):
+    mode = draw(st.sampled_from(COLOR_MODES))
+    bound = st.floats(0, 1e3, allow_nan=False)
+    if mode == "absolute":
+        lo = draw(st.floats(-1e3, 1e3, allow_nan=False))
+        hi = lo + draw(st.floats(1e-3, 1e3, allow_nan=False))
+    else:
+        lo, hi = -draw(bound), draw(bound)
+        if lo == hi:
+            hi = 1.0
+    # channels step by 255, 133 or 207 between anchors: fractions m / (2 *
+    # step) put a channel on .5 before rounding whenever the float
+    # arithmetic is exact, as it is for the dyadic domains drawn below
+    halfway = st.sampled_from([255, 133, 207]).flatmap(
+        lambda step: st.integers(-2 * step, 2 * step).map(
+            lambda m: m / (2 * step) * (hi if m >= 0 else -lo)
+            if mode != "absolute" else lo + abs(m) / (2 * step) * (hi - lo)))
+    outside = st.floats(-4e3, 4e3, allow_nan=False)
+    values = draw(st.lists(halfway | outside | st.sampled_from([lo, hi, 0.0]),
+                           min_size=1, max_size=30))
+    return ColorScale(mode, (lo, hi)), values
+
+
+class TestColorKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(scale_and_values())
+    def test_kernel_equals_scalar_reference(self, case):
+        scale, values = case
+        want = [reference_rgb(scale.mode, scale.domain, v) for v in values]
+        got = scale.rgb_array(np.array(values))
+        assert got.tolist() == [list(rgb) for rgb in want]
+        assert scale.css_array(values) == ["#%02x%02x%02x" % rgb for rgb in want]
+        assert [scale.rgb(v) for v in values] == want
+
+    @pytest.mark.parametrize("mode,domain,value,want", [
+        # 255 - 127.5, 255 - 66.5, 255: .5 rounds to even
+        ("absolute", (0.0, 1.0), 0.5, (128, 188, 255)),
+        ("comparative", (-1.0, 1.0), 0.5, (128, 188, 255)),
+        # 255 - 0.5 * 0, 59 + 0.5 * 196, 48 + 0.5 * 207 = 151.5
+        ("relative_to_random", (-2.0, 2.0), -1.0, (255, 157, 152)),
+        ("comparative", (-1.0, 0.0), 3.0, (255, 255, 255)),
+    ])
+    def test_halfway_and_clipped_values(self, mode, domain, value, want):
+        scale = ColorScale(mode, domain)
+        assert reference_rgb(mode, domain, value) == want
+        assert scale.rgb(value) == want
+        assert scale.rgb_array(np.full((2, 3), value)).tolist() == [[list(want)] * 3] * 2
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ColorScale("absolute", (0.0, 1.0)).rgb_array([0.5, np.nan])
+
+
 class TestRenderSpec:
     def test_defaults_valid(self):
         spec = RenderSpec()
@@ -164,6 +240,21 @@ class TestLoessSurface:
             node = np.array([surf.xs[c], surf.ys[r]])
             want = naive_weighted_loess_fit(pts, vals, node, q)
             assert surf.values[r, c] == pytest.approx(want, abs=1e-8)
+
+    def test_tied_points_match_independent_normal_equations(self):
+        # a lattice with repeated points: most supports end inside a run
+        # of equal distances, which the stable order cuts by index
+        rng = np.random.default_rng(9)
+        pts = rng.integers(0, 5, (70, 2)).astype(float)
+        vals = rng.uniform(0, 1, 70)
+        q = int(np.ceil(0.4 * 70))
+        surf = loess_surface(pts, vals, span=0.4, grid=9)
+        assert not surf.fallback.any()
+        for r in range(9):
+            for c in range(9):
+                node = np.array([surf.xs[c], surf.ys[r]])
+                want = naive_weighted_loess_fit(pts, vals, node, q)
+                assert surf.values[r, c] == pytest.approx(want, abs=1e-8)
 
     def test_translation_invariance(self, cloud):
         pts, vals = cloud
