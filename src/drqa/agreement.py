@@ -13,6 +13,14 @@ sizes that count.
 
 Everything here consumes :class:`~drqa.geometry.RankStructure` values, so the
 metrics apply to any proximity source, coordinates or not.
+
+The overlaps come from one block kernel, :func:`_overlap_counts`, run over
+blocks of rows: :class:`_OverlapSums` adds each block's integer counts into
+one vector per compared pair and keeps per-item rates only for the columns
+asked for.  :func:`agreement_profile` runs it over row slices of two stored
+rank structures; the pipeline's agree stage runs it over rank blocks as
+they are computed or read from its cache, and never holds an ``n x n``
+array.  The counts are integers, so every block size gives the same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RankStructure, _readonly
+from .geometry import RankStructure, _readonly, _row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +213,59 @@ def _check_pair(rank_a: RankStructure, rank_b: RankStructure) -> int:
     return rank_a.n
 
 
+def _overlap_counts(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Overlaps ``a_ik`` for one block of items, from their rank rows.
+
+    ``rows_a`` and ``rows_b`` hold the ranks of the same items under A and
+    B.  Returns an ``int64`` array of shape ``(rows, n - 1)`` whose
+    ``[i, k - 1]`` entry counts the items among the first ``k`` neighbors
+    of item ``i`` in both.
+
+    Item ``j`` is in both k-neighborhoods exactly when
+    ``max(rank_a[i, j], rank_b[i, j]) <= k``, so a row-wise cumulative
+    histogram of that maximum yields every ``a_ik`` in one pass instead of
+    comparing neighbor sets k by k.
+    """
+    b, n = rows_a.shape
+    worst = np.maximum(rows_a, rows_b, dtype=np.int64)
+    worst += np.arange(0, b * n, n)[:, None]  # one histogram per row
+    hist = np.bincount(worst.ravel(), minlength=b * n).reshape(b, n)
+    # column 0 holds only the self-pair; overlaps accumulate over ranks 1..n-1
+    return np.cumsum(hist[:, 1:], axis=1)
+
+
+class _OverlapSums:
+    """Overlap totals of one compared pair, added one block of rows at a time.
+
+    ``sums[k - 1]`` is the sum over the items seen so far of ``a_ik``.  With
+    ``columns = (lo, hi)``, ``per_item`` is an ``n x (hi - lo + 1)`` matrix
+    whose rows receive the rates ``a_ik / k`` for ``k = lo .. hi``.
+    """
+
+    def __init__(self, n: int, columns: tuple | None = None):
+        self.n = n
+        self.k = np.arange(1, n)
+        self.sums = np.zeros(n - 1, dtype=np.int64)
+        self.columns = columns
+        self.per_item = None
+        if columns is not None:
+            lo, hi = columns
+            self.per_item = np.empty((n, hi - lo + 1))
+
+    def add(self, start: int, rows_a: np.ndarray, rows_b: np.ndarray) -> None:
+        """Count the items ``start ..`` whose rank rows are given."""
+        a_ik = _overlap_counts(rows_a, rows_b)
+        self.sums += a_ik.sum(axis=0)
+        if self.per_item is not None:
+            lo, hi = self.columns
+            np.divide(a_ik[:, lo - 1:hi], self.k[lo - 1:hi],
+                      out=self.per_item[start:start + len(a_ik)])
+
+    def ar(self) -> np.ndarray:
+        """``AR_k`` for every k, once every item has been added."""
+        return self.sums / (self.k * self.n)
+
+
 def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,
                       with_per_item: bool = False) -> AgreementProfile:
     """Agreement rates between two rank structures for every ``k``.
@@ -223,22 +284,14 @@ def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,
 
     Notes
     -----
-    Item ``j`` is in both k-neighborhoods of item ``i`` exactly when
-    ``max(rank_a[i, j], rank_b[i, j]) <= k``, so a row-wise cumulative
-    histogram of that maximum yields all overlaps ``a_ik`` in one O(n^2) pass
-    instead of comparing neighbor sets k by k.
+    Runs :func:`_overlap_counts` over blocks of rows, so besides the result
+    it holds only one block's counts.
     """
     n = _check_pair(rank_a, rank_b)
-    worst = np.maximum(rank_a.ranks, rank_b.ranks)
-    offsets = np.arange(n)[:, None] * n
-    flat = (worst + offsets).ravel()
-    hist = np.bincount(flat, minlength=n * n).reshape(n, n)
-    # column 0 holds only the self-pair; overlaps accumulate over ranks 1..n-1
-    a_ik = np.cumsum(hist[:, 1:], axis=1)
-    k = np.arange(1, n)
-    ar = a_ik.sum(axis=0) / (k * n)
-    per_item = a_ik / k if with_per_item else None
-    return AgreementProfile(n, ar, per_item)
+    counts = _OverlapSums(n, (1, n - 1) if with_per_item else None)
+    for start, stop in _row_blocks(n):
+        counts.add(start, rank_a.ranks[start:stop], rank_b.ranks[start:stop])
+    return AgreementProfile(n, counts.ar(), counts.per_item)
 
 
 def psi(profile: AgreementProfile) -> float:

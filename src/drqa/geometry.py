@@ -4,11 +4,14 @@ A configuration is an ``n x m`` matrix of item coordinates; source data and
 embeddings share the representation.  A proximity matrix holds dense
 ``n x n`` distances or similarities, and a rank structure holds, for every
 item, the ascending distance rank of each other item.  Rank structures are
-the only input the agreement metrics need, which makes them the natural
-cache boundary for pipelines.  They are computed one block of rows at a
-time, straight from a configuration or a proximity matrix, so the rank path
-never holds an ``n x n`` float matrix: its working memory is the ``int32``
-ranks (4·n² bytes) plus one block.
+the only input the agreement metrics need.  Ranks are computed one block
+of rows at a time (:func:`_row_blocks`), straight from a configuration or
+a proximity matrix, so the rank path never holds an ``n x n`` float
+matrix.  :func:`rank_structure` keeps every block in one ``int32`` matrix
+(4·n² bytes); the pipeline's agree stage instead consumes each block as it
+is ranked and keeps none.  Ranks that come from outside, from callers or
+from a cache file, are checked block by block (:func:`_check_rank_rows`);
+ranks computed here are permutations by construction and are not.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ DENSE_CAP = 20_000
 _BLOCK_CELLS = 1 << 20
 
 PROXIMITY_KINDS = ("distance", "similarity")
+
+#: Above this magnitude ``x + x`` overflows.
+_HALF_MAX = np.finfo(float).max / 2
 
 
 def _readonly(a: np.ndarray, dtype) -> np.ndarray:
@@ -122,32 +128,46 @@ class ProximityMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        # a fresh array from the conversion is this constructor's own
+        owned = v is not self.values and v.base is None
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"proximity matrix must be square, got {v.shape}")
         if v.shape[0] < 2:
             raise ValueError("need at least 2 items")
         if self.kind not in PROXIMITY_KINDS:
             raise ValueError(f"kind must be one of {PROXIMITY_KINDS}, got {self.kind!r}")
-        if not np.isfinite(v).all():
+        lo, hi = v.min(), v.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("proximity values must be finite")
-        if np.abs(v - v.T).max() > self._SYM_TOL:
-            raise ValueError("proximity matrix is not symmetric")
-        v = (v + v.T) / 2.0
+        # (x + x) / 2 == x unless x + x overflows, so averaging a bitwise
+        # symmetric matrix with its transpose would change nothing
+        if (max(-lo, hi) > _HALF_MAX
+                or not np.array_equal(v.view(np.int64), v.T.view(np.int64))):
+            if np.abs(v - v.T).max() > self._SYM_TOL:
+                raise ValueError("proximity matrix is not symmetric")
+            v = (v + v.T) / 2.0
+            lo, hi, owned = v.min(), v.max(), True
         if self.kind == "distance":
             if np.abs(np.diag(v)).max() > self._SYM_TOL:
                 raise ValueError("distance diagonal must be zero")
-            if v.min() < -self._SYM_TOL:
+            if lo < -self._SYM_TOL:
                 raise ValueError("distances must be non-negative")
-            v = np.maximum(v, 0.0)
-            np.fill_diagonal(v, 0.0)
+            if np.signbit(v).any():  # tiny negatives and -0.0 become +0.0
+                v, owned = np.maximum(v, 0.0), True
+            diagonal = 0.0
         else:
             if np.abs(np.diag(v) - 1.0).max() > self._SYM_TOL:
                 raise ValueError("similarity diagonal must be one")
-            if np.abs(v).max() > 1.0 + self._SYM_TOL:
+            if max(-lo, hi) > 1.0 + self._SYM_TOL:
                 raise ValueError("similarities must lie in [-1, 1]")
-            v = np.clip(v, -1.0, 1.0)
-            np.fill_diagonal(v, 1.0)
-        object.__setattr__(self, "values", _readonly(v, float))
+            if max(-lo, hi) > 1.0:
+                v, owned = np.clip(v, -1.0, 1.0), True
+            diagonal = 1.0
+        if not owned:
+            v = v.copy(order="K")
+        np.fill_diagonal(v, diagonal)
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -171,16 +191,22 @@ class RankStructure:
         n = ranks.shape[0]
         if ranks.shape != (n, n) or n < 2:
             raise ValueError(f"ranks must be square n >= 2, got {ranks.shape}")
-        if np.diag(ranks).any():
-            raise ValueError("rank diagonal must be zero")
-        if ranks.min() < 0 or ranks.max() > n - 1:
-            raise ValueError(f"ranks must lie in 0 .. {n - 1}")
-        ranks = _readonly(ranks, np.int32)
-        seen = np.zeros((n, n), dtype=bool)
-        seen[np.arange(n)[:, None], ranks] = True
-        if not seen.all():
-            raise ValueError("each row of ranks must hold every rank once")
-        object.__setattr__(self, "ranks", ranks)
+        if ranks.dtype.kind not in "iu":
+            raise ValueError(f"ranks must be integers, got {ranks.dtype}")
+        _check_rank_rows(ranks, 0)
+        object.__setattr__(self, "ranks", _readonly(ranks, np.int32))
+
+    @classmethod
+    def _trusted(cls, ranks: np.ndarray) -> "RankStructure":
+        """Adopt ``int32`` ranks built here, without a copy or a check.
+
+        Only for ranks that are permutations by construction; the array is
+        made read-only in place.
+        """
+        structure = object.__new__(cls)
+        ranks.setflags(write=False)
+        object.__setattr__(structure, "ranks", ranks)
+        return structure
 
     @property
     def n(self) -> int:
@@ -190,6 +216,31 @@ class RankStructure:
     def neighbors(self) -> np.ndarray:
         """``neighbors[i, r - 1]`` is the item holding rank ``r`` for ``i``."""
         return np.argsort(self.ranks, axis=1)[:, 1:]
+
+
+def _check_rank_rows(rows: np.ndarray, start: int) -> None:
+    """Raise unless ``rows`` are valid rank rows of items ``start ..``.
+
+    Each row must hold 0 at its own item and every rank ``0 .. n-1``
+    exactly once.
+    """
+    b, n = rows.shape
+    local = np.arange(b)
+    if rows[local, start + local].any():
+        raise ValueError("rank diagonal must be zero")
+    if rows.min() < 0 or rows.max() > n - 1:
+        raise ValueError(f"ranks must lie in 0 .. {n - 1}")
+    seen = np.zeros((b, n), dtype=bool)
+    seen[local[:, None], rows] = True
+    if not seen.all():
+        raise ValueError("each row of ranks must hold every rank once")
+
+
+def _row_blocks(n: int) -> list:
+    """``(start, stop)`` of consecutive row blocks of about ``_BLOCK_CELLS``
+    cells each, covering rows ``0 .. n-1``."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _check_cap(n: int):
@@ -324,9 +375,7 @@ def rank_structure(source: ProximityMatrix | Configuration,
         _check_cap(source.n)
     n = source.n
     ranks = np.empty((n, n), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    for start, stop in _row_blocks(n):
         if from_config:
             d = _distance_rows(source, start, stop, p)
         elif source.kind == "similarity":
@@ -334,7 +383,7 @@ def rank_structure(source: ProximityMatrix | Configuration,
         else:
             d = source.values[start:stop].copy()
         _rank_rows(d, ranks[start:stop], start)
-    return RankStructure(ranks)
+    return RankStructure._trusted(ranks)
 
 
 def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:

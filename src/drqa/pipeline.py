@@ -4,6 +4,16 @@ A pipeline is a JSON document with a version, a global seed, and an
 ordered stage list.  Stages publish named artifacts that later stages
 reference; every file lands in the output directory and is listed in a
 manifest.  Identical config and inputs yield byte-identical outputs.
+
+An agree stage makes one pass over blocks of rows.  For each block it
+ranks the rows of every artifact it compares once, and adds each compared
+pair's overlap counts (:func:`drqa.agreement._overlap_counts`) into that
+pair's totals; per-item rates are kept only for the ``range_k`` columns.
+No ``n x n`` rank structure is held.  With ``cache`` on, each artifact's
+ranks are kept in ``.cache/ranks_<key>.npy``: a hit is read through
+``mmap`` one block at a time, and each block is checked to be rank
+permutations before it is used; a miss appends its blocks to a temporary
+file that is renamed into place once complete.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import re
 import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -25,13 +36,23 @@ import numpy as np
 
 from . import dimred
 from .agreement import (
+    AgreementProfile,
     WeightFunction,
-    agreement_profile,
+    _OverlapSums,
+    agreement_profile,  # noqa: F401  perfbench/tracing.py wraps it here
     partial_agreement,
     psi,
     weighted_psi,
 )
-from .geometry import Configuration, RankStructure, ranks_from_config
+from .geometry import (
+    Configuration,
+    RankStructure,
+    _check_cap,
+    _check_rank_rows,
+    _distance_rows,
+    _rank_rows,
+    _row_blocks,
+)
 from .ingest import (
     impute_column_mean,
     ingest_csv,
@@ -520,46 +541,112 @@ def _worker_count() -> int | None:
     return None if value == 0 else value
 
 
-class _RankCache:
-    """Rank structures per artifact, optionally persisted on disk.
+class _RankRows:
+    """The rank rows of one artifact, served block by block, in row order.
 
-    Disk entries are keyed by shape, items and mask, and are renamed into
-    place only once fully written.
+    With a cache entry at ``path``, each block is read from it through its
+    own ``mmap``, so the pages of earlier blocks are released, and checked
+    before use.  Otherwise rows are ranked from the configuration; with a
+    ``path``, they are also appended to a temporary file that ``close``
+    renames into place once every row is in it.  Use as a context manager.
+    """
+
+    def __init__(self, name: str, config: Configuration, path: Path | None):
+        _check_cap(config.n)
+        self.name = name
+        self.config = config
+        self.path = path
+        self._file = None
+        self._written = 0
+        self.cached = path is not None and path.exists()
+        if self.cached:
+            self._load()  # a wrong shape or type fails before any work
+        elif path is not None:
+            fd, self._tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            self._file = os.fdopen(fd, "wb")
+            try:
+                np.lib.format.write_array_header_1_0(self._file, {
+                    "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
+                    "fortran_order": False, "shape": (config.n, config.n)})
+            except BaseException:
+                self.close(complete=False)
+                raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(complete=exc_type is None)
+
+    def _load(self) -> np.ndarray:
+        """The cache entry, mapped read-only."""
+        stored = np.load(self.path, mmap_mode="r")
+        n = self.config.n
+        if stored.dtype != np.int32 or stored.shape != (n, n):
+            raise ValueError(
+                f"rank cache entry {self.path.name} for {self.name!r} holds "
+                f"{stored.dtype} {stored.shape}, not int32 {(n, n)}")
+        return stored
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """The ``int32`` rank rows of items ``start .. stop - 1``."""
+        if self.cached:
+            rows = self._load()[start:stop]
+            try:
+                _check_rank_rows(rows, start)
+            except ValueError as exc:
+                raise ValueError(f"rank cache entry {self.path.name} for "
+                                 f"{self.name!r}: {exc}") from None
+            return rows
+        rows = np.empty((stop - start, self.config.n), dtype=np.int32)
+        _rank_rows(_distance_rows(self.config, start, stop, 2.0), rows, start)
+        if self._file is not None:
+            if start != self._written:
+                raise ValueError("rank rows must be written in order")
+            rows.tofile(self._file)
+            self._written = stop
+        return rows
+
+    def close(self, complete: bool) -> None:
+        """Rename a fully written cache file into place, or remove it."""
+        if self._file is None:
+            return
+        self._file.close()
+        self._file = None
+        if complete and self._written == self.config.n:
+            os.replace(self._tmp, self.path)
+        else:
+            os.unlink(self._tmp)
+
+
+class _RankCache:
+    """Rank rows per artifact, optionally persisted on disk as ``.npy``.
+
+    Disk entries are keyed by shape, items and mask.
     """
 
     def __init__(self, directory: Path | None):
         self.directory = directory
-        self.memory: dict = {}
         if directory is not None:
             directory.mkdir(parents=True, exist_ok=True)
 
-    def ranks_for(self, name: str, config: Configuration) -> RankStructure:
-        if name in self.memory:
-            return self.memory[name]
-        structure = None
-        disk = None
+    def rows(self, name: str, config: Configuration) -> _RankRows:
+        path = None
         if self.directory is not None:
             digest = hashlib.sha256(repr(config.items.shape).encode())
             digest.update(config.items.tobytes())
             if config.mask is not None:
                 digest.update(config.mask.tobytes())
-            disk = self.directory / f"ranks_{digest.hexdigest()[:24]}.npz"
-            if disk.exists():
-                with np.load(disk) as loaded:
-                    structure = RankStructure(loaded["ranks"])
-        if structure is None:
-            structure = ranks_from_config(config)
-            if disk is not None and not disk.exists():
-                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        np.savez(fh, ranks=structure.ranks)
-                    os.replace(tmp, disk)
-                except BaseException:
-                    os.unlink(tmp)
-                    raise
-        self.memory[name] = structure
-        return structure
+            path = self.directory / f"ranks_{digest.hexdigest()[:24]}.npy"
+        return _RankRows(name, config, path)
+
+    def ranks_for(self, name: str, config: Configuration) -> RankStructure:
+        """The whole rank structure of one artifact, through the cache."""
+        ranks = np.empty((config.n, config.n), dtype=np.int32)
+        with self.rows(name, config) as rows:
+            for start, stop in _row_blocks(config.n):
+                ranks[start:stop] = rows.block(start, stop)
+        return RankStructure._trusted(ranks)
 
 
 def _write_partial(values, path) -> None:
@@ -604,9 +691,6 @@ class StageRunner:
         self.configurations[name] = data
         self._emit(f"{name}.csv", write_configuration, data)
 
-    def _ranks(self, name: str) -> RankStructure:
-        return self.rank_cache.ranks_for(name, self.configurations[name])
-
     def generate(self, stage: GenerateStage, seed: int) -> None:
         spec = ManifoldSpec(stage.shape, stage.n, seed, stage.params)
         self._store(stage.name, generate(spec))
@@ -634,33 +718,50 @@ class StageRunner:
             self._store(emit_name, result.embedding)
 
     def agree(self, stage: AgreeStage, seed=None) -> None:
-        ranks_a = self._ranks(stage.a)
-        if stage.z is not None:
-            ranks_z = self._ranks(stage.z)
-            psi_az = psi(agreement_profile(ranks_a, ranks_z))
-        for b_name, key in zip(stage.b, stage.profile_keys()):
-            ranks_b = self._ranks(b_name)
-            prof = agreement_profile(ranks_a, ranks_b,
-                                     with_per_item=stage.per_item)
-            file_base = key.replace(":", "_")  # names never contain ":"
-            # later stages read only ar and the range_k columns
-            self.profiles[key] = replace(prof, per_item=None)
-            self._emit(f"{file_base}.csv", write_profile, prof)
+        n = self.configurations[stage.a].n
+        for name in filter(None, (stage.z, *stage.b)):
+            m = self.configurations[name].n
+            if m != n:
+                raise ValueError(f"item counts differ: {n} vs {m}")
+        lo, hi = stage.range_k or (1, n - 1)
+        if hi > n - 1:
+            raise ValueError(f"range_k upper bound {hi} exceeds n-1 = {n - 1}")
 
-            n = prof.n
-            lo, hi = stage.range_k or (1, n - 1)
-            if hi > n - 1:
-                raise ValueError(
-                    f"range_k upper bound {hi} exceeds n-1 = {n - 1}")
+        # one count per compared pair; A-Z is shared by every B
+        columns = (lo, hi) if stage.per_item else None
+        pairs = {(stage.a, b): _OverlapSums(n, columns) for b in stage.b}
+        if stage.z is not None:
+            for x in (stage.a, *stage.b):
+                pairs.setdefault((x, stage.z), _OverlapSums(n))
+        with ExitStack() as stack:
+            sources = {name: stack.enter_context(self.rank_cache.rows(
+                name, self.configurations[name]))
+                for name in dict.fromkeys(x for pair in pairs for x in pair)}
+            for start, stop in _row_blocks(n):
+                rows = {name: source.block(start, stop)
+                        for name, source in sources.items()}
+                for (x, y), counts in pairs.items():
+                    counts.add(start, rows[x], rows[y])
+
+        def profile(x, y):
+            return AgreementProfile(n, pairs[x, y].ar())
+
+        if stage.z is not None:
+            psi_az = psi(profile(stage.a, stage.z))
+        for b_name, key in zip(stage.b, stage.profile_keys()):
+            prof = profile(stage.a, b_name)
+            file_base = key.replace(":", "_")  # names never contain ":"
+            self.profiles[key] = prof
+            self._emit(f"{file_base}.csv", write_profile, prof)
             if stage.per_item:
                 ks = tuple(range(lo, hi + 1))
-                matrix = prof.per_item[:, lo - 1:hi].copy()
+                matrix = pairs[stage.a, b_name].per_item
                 self.per_item[key] = (ks, matrix)
                 self._emit(f"{file_base}_items.csv", write_per_item, ks,
                            matrix, labels=self.configurations[stage.a].labels)
             psi_ab = psi(prof)
             if stage.z is not None:
-                psi_bz = psi(agreement_profile(ranks_b, ranks_z))
+                psi_bz = psi(profile(b_name, stage.z))
                 partial = (psi_ab, psi_az, psi_bz,
                            partial_agreement(psi_ab, psi_az, psi_bz))
                 self.partials[key] = partial

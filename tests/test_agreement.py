@@ -1,10 +1,14 @@
 """Agreement metrics against the naive oracle and frozen hand-worked values."""
 
+import contextlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drqa import geometry
 from drqa.agreement import (
     AgreementProfile,
     WeightFunction,
@@ -17,6 +21,7 @@ from drqa.agreement import (
     weighted_psi,
 )
 from drqa.geometry import ranks_from_config, Configuration
+from drqa.pipeline import AgreeStage, StageRunner
 
 from oracles import (
     naive_co_ranking,
@@ -152,6 +157,95 @@ class TestOracleEquivalence:
             n = cm.n
             for k in range(1, n):
                 assert cm.block_sum(k) == counts[:, k - 1].sum()
+
+
+def dense_profile(rank_a, rank_b):
+    """(ar, per-item rates) by the dense formula: one n x n histogram."""
+    n = rank_a.n
+    worst = np.maximum(rank_a.ranks, rank_b.ranks)
+    offsets = np.arange(n)[:, None] * n
+    flat = (worst + offsets).ravel()
+    hist = np.bincount(flat, minlength=n * n).reshape(n, n)
+    a_ik = np.cumsum(hist[:, 1:], axis=1)
+    k = np.arange(1, n)
+    return a_ik.sum(axis=0) / (k * n), a_ik / k
+
+
+def dense_psi(ar):
+    n = len(ar) + 1
+    return psi(AgreementProfile(n, ar))
+
+
+class TestBlockedKernel:
+    """Blocked overlap counts are bit-equal to the dense formula."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 20), st.integers(1, 3), st.data())
+    def test_stage_matches_dense_formula(self, n, n_maps, data):
+        cells = st.integers(0, 3)
+
+        def draw_items(m):
+            rows = st.lists(st.lists(cells, min_size=m, max_size=m),
+                            min_size=n, max_size=n)
+            return Configuration(np.array(data.draw(rows), dtype=float))
+
+        configs = {"a": draw_items(3), "z": draw_items(2)}
+        maps = tuple(f"b{i}" for i in range(n_maps))
+        for name in maps:
+            configs[name] = draw_items(2)
+        lo = data.draw(st.integers(1, n - 1))
+        hi = data.draw(st.integers(lo, n - 1))
+        block_rows = data.draw(st.integers(1, n))
+        with_z = data.draw(st.booleans())
+
+        stage = AgreeStage("s", "a", maps, z="z" if with_z else None,
+                           per_item=True, range_k=(lo, hi))
+        keys = stage.profile_keys()
+        runner = StageRunner(targets={  # write no files
+            key.replace(":", "_") + suffix: None
+            for key in keys for suffix in (".csv", "_items.csv",
+                                           "_partial.csv")})
+        runner.configurations.update(configs)
+
+        ranks = {name: ranks_from_config(c) for name, c in configs.items()}
+        expected = {}
+        try:
+            for b, key in zip(maps, keys):
+                ar, per_item = dense_profile(ranks["a"], ranks[b])
+                partial = None
+                if with_z:
+                    ab, az, bz = (
+                        dense_psi(dense_profile(ranks[x], ranks[y])[0])
+                        for x, y in (("a", b), ("a", "z"), (b, "z")))
+                    partial = (ab, az, bz, partial_agreement(ab, az, bz))
+                expected[key] = (ar, per_item[:, lo - 1:hi], partial)
+        except ValueError as exc:  # e.g. psi(a, z) = 1: partial undefined
+            failure = pytest.raises(ValueError, match=re.escape(str(exc)))
+        else:
+            failure = contextlib.nullcontext()
+        with failure, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
+            runner.agree(stage)
+        for key, (ar, per_item, partial) in expected.items():
+            assert runner.profiles[key].ar.tobytes() == ar.tobytes()
+            ks, matrix = runner.per_item[key]
+            assert ks == tuple(range(lo, hi + 1))
+            assert matrix.tobytes() == per_item.tobytes()
+            if with_z:
+                assert runner.partials[key] == partial
+
+    @pytest.mark.parametrize("seed, sizes", oracle_cases(3))
+    def test_profile_every_block_size(self, monkeypatch, seed, sizes):
+        a, b = random_pair(seed + 400, *sizes)
+        ra = ranks_from_config(Configuration(a))
+        rb = ranks_from_config(Configuration(b))
+        ar, per_item = dense_profile(ra, rb)
+        n = ra.n
+        for block_rows in sorted({1, 2, 7, n - 1, n}):
+            monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
+            prof = agreement_profile(ra, rb, with_per_item=True)
+            assert prof.ar.tobytes() == ar.tobytes()
+            assert prof.per_item.tobytes() == per_item.tobytes()
 
 
 class TestProfileProperties:

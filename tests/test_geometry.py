@@ -1,5 +1,7 @@
 """Configurations, proximities, and rank structures."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,7 +149,86 @@ class TestCorrelationSimilarities:
         assert s[0, 1] == pytest.approx(1.0)
 
 
+def reference_proximity_values(values, kind, tol=1e-9):
+    """The proximity constructor's values as it computed them before its
+    fast paths: always average with the transpose, clamp, fill the diagonal
+    and copy."""
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("proximity values must be finite")
+    if np.abs(v - v.T).max() > tol:
+        raise ValueError("proximity matrix is not symmetric")
+    v = (v + v.T) / 2.0
+    if kind == "distance":
+        if np.abs(np.diag(v)).max() > tol:
+            raise ValueError("distance diagonal must be zero")
+        if v.min() < -tol:
+            raise ValueError("distances must be non-negative")
+        v = np.maximum(v, 0.0)
+        np.fill_diagonal(v, 0.0)
+    else:
+        if np.abs(np.diag(v) - 1.0).max() > tol:
+            raise ValueError("similarity diagonal must be one")
+        if np.abs(v).max() > 1.0 + tol:
+            raise ValueError("similarities must lie in [-1, 1]")
+        v = np.clip(v, -1.0, 1.0)
+        np.fill_diagonal(v, 1.0)
+    return np.array(v, dtype=float, copy=True)
+
+
+PROXIMITY_CELLS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1.0 + 5e-10, -1.0 - 5e-10, 1.5, 3e-10, -3e-10,
+     -2e-9, 5e-324, 1e308]) | st.floats(-2, 2)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # 1e308 + 1e308 is inf
+def check_against_reference(v, kind):
+    caller = v.copy()
+    try:
+        expected = reference_proximity_values(v, kind)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            ProximityMatrix(v, kind)
+    else:
+        got = ProximityMatrix(v, kind).values
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, v)
+    assert v.tobytes() == caller.tobytes()
+
+
 class TestProximityMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5), st.sampled_from(["distance", "similarity"]),
+           st.booleans(), st.booleans(), st.data())
+    def test_matches_reference_constructor(self, n, kind, symmetric, unit,
+                                           data):
+        v = np.array(data.draw(st.lists(PROXIMITY_CELLS, min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+        if symmetric:  # most real inputs are exactly symmetric
+            v = np.triu(v) + np.triu(v, 1).T
+        if unit:
+            np.fill_diagonal(v, 0.0 if kind == "distance" else 1.0)
+        check_against_reference(v, kind)
+
+    @pytest.mark.parametrize("kind", ["distance", "similarity"])
+    @pytest.mark.parametrize("upper, lower", [
+        (1e308, 1e308),    # symmetric, but x + x overflows
+        (-0.0, -0.0),      # symmetric negative zeros
+        (-0.0, 0.0),       # equal, but not bit for bit
+        (-3e-10, -3e-10),  # a negative within tolerance
+        (1.0 + 5e-10, 1.0 + 5e-10),
+        (0.25, 0.25 + 1e-12),
+        (np.nan, np.nan),
+        (np.inf, np.inf),
+    ])
+    @pytest.mark.parametrize("diagonal", [0.0, -0.0, 2e-10, 1.0, 1.0 - 2e-10])
+    def test_edge_values_match_reference(self, kind, upper, lower, diagonal):
+        v = np.full((3, 3), 0.5)
+        v[0, 2], v[2, 0] = upper, lower
+        np.fill_diagonal(v, diagonal)
+        check_against_reference(v, kind)
+
     def test_asymmetry_rejected(self):
         v = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
@@ -222,12 +303,32 @@ class TestRankStructure:
         assert rs.ranks.dtype == np.int32
         assert (rs.neighbors == [[1, 2], [0, 2], [1, 0]]).all()
 
+    def test_computed_ranks_are_read_only_and_unchecked(self, monkeypatch):
+        def no_check(rows, start):
+            raise AssertionError("computed ranks were checked")
+
+        monkeypatch.setattr(geometry, "_check_rank_rows", no_check)
+        config = Configuration(np.random.default_rng(4).standard_normal((9, 2)))
+        for rs in (rank_structure(config),
+                   rank_structure(euclidean_distances(config))):
+            assert rs.ranks.dtype == np.int32
+            assert not rs.ranks.flags.writeable
+            with pytest.raises(ValueError):
+                rs.ranks[0, 1] = 5
+
+    def test_caller_ranks_are_copied(self):
+        ranks = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]], dtype=np.int32)
+        rs = RankStructure(ranks)
+        ranks[0, 1], ranks[0, 2] = 2, 1
+        assert rs.ranks[0, 1] == 1 and not rs.ranks.flags.writeable
+
     @pytest.mark.parametrize("ranks, message", [
         ([[0, 1, 1], [1, 0, 2], [2, 1, 0]], "every rank once"),
         ([[0, 1, 3], [1, 0, 2], [2, 1, 0]], "lie in 0 .. 2"),
         ([[0, 1, 2], [1, 0, 2], [2, -1, 0]], "lie in 0 .. 2"),
         ([[1, 0, 2], [1, 0, 2], [2, 1, 0]], "diagonal"),
-    ], ids=["repeated", "too_large", "negative", "diagonal"])
+        ([[0., 1., 2.], [1., 0., 2.], [2., 1., 0.]], "integers"),
+    ], ids=["repeated", "too_large", "negative", "diagonal", "float"])
     def test_rows_must_be_rank_permutations(self, ranks, message):
         with pytest.raises(ValueError, match=message):
             RankStructure(np.array(ranks))

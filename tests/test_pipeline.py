@@ -2,15 +2,18 @@
 
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from drqa import pipeline
-from drqa.agreement import agreement_profile
+from drqa import agreement, geometry, pipeline
+from drqa.cli import main
 from drqa.geometry import Configuration, ranks_from_config
 from drqa.pipeline import (
     AgreeStage,
+    IngestStage,
     ManifestEntry,
     PipelineError,
     ScoreRow,
@@ -21,6 +24,8 @@ from drqa.pipeline import (
     parse_config,
     run_pipeline,
 )
+
+from oracles import naive_neighbors, naive_overlap_counts, naive_profile
 
 
 def run(obj, base_dir):
@@ -330,20 +335,33 @@ class TestExecution:
 
     def test_partial_agreement_scores_a_against_z_once(self, tmp_path,
                                                        monkeypatch):
+        kernel = agreement._overlap_counts
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return agreement_profile(*args, **kwargs)
+        def counted(rows_a, rows_b):
+            calls.append((rows_a.copy(), rows_b.copy()))
+            return kernel(rows_a, rows_b)
 
-        monkeypatch.setattr(pipeline, "agreement_profile", counted)
+        monkeypatch.setattr(agreement, "_overlap_counts", counted)
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 5 * 12)  # 5, 5, 2 rows
         rng = np.random.default_rng(6)
         runner = StageRunner(tmp_path)
         for name in ("a", "b1", "b2", "z"):
             runner.configurations[name] = Configuration(
                 rng.standard_normal((12, 3)))
+        ranks = {name: ranks_from_config(c).ranks
+                 for name, c in runner.configurations.items()}
         runner.agree(AgreeStage("s", "a", ("b1", "b2"), z="z"))
-        assert len(calls) == 5  # a-b1, a-b2, a-z, b1-z, b2-z
+
+        def owner(rows):
+            return next(name for name, r in ranks.items()
+                        if any(np.array_equal(rows, r[i:i + len(rows)])
+                               for i in range(0, 12, 5)))
+
+        pairs = Counter((owner(ra), owner(rb)) for ra, rb in calls)
+        # once per block each: a-b1, a-b2, a-z, b1-z, b2-z
+        assert pairs == {("a", "b1"): 3, ("a", "b2"): 3, ("a", "z"): 3,
+                         ("b1", "z"): 3, ("b2", "z"): 3}
         assert len(runner.partials) == 2
 
     def test_failing_stage_removes_its_outputs(self, tmp_path):
@@ -401,7 +419,7 @@ class TestDeterminismAndCache:
         cold = tree_hashes(tmp_path / "cold")
         warm = tree_hashes(tmp_path / "warm")
         assert cold == warm
-        assert list((tmp_path / "warm" / ".cache").glob("ranks_*.npz"))
+        assert list((tmp_path / "warm" / ".cache").glob("ranks_*.npy"))
         # a second cached run reads the structures back
         again = dict(tree_hashes(tmp_path / "warm2"))
         assert again == cold
@@ -423,35 +441,89 @@ class TestDeterminismAndCache:
         for name, config in configs.items():
             assert np.array_equal(cache.ranks_for(name, config).ranks,
                                   expected[name])
-        files = sorted(tmp_path.glob("ranks_*.npz"))
+        files = sorted(tmp_path.glob("ranks_*.npy"))
         assert len(files) == len(configs)
         for path in files:
-            with np.load(path) as stored:
-                assert stored.files == ["ranks"]
-        # an entry in the earlier format: int64 ranks next to neighbors
-        with np.load(files[0]) as stored:
-            ranks = stored["ranks"].astype(np.int64)
-        np.savez(files[0], ranks=ranks,
-                 neighbors=np.argsort(ranks, axis=1)[:, 1:])
+            stored = np.load(path)
+            assert stored.dtype == np.int32
+        # a stale entry in the earlier .npz format, holding wrong ranks, is
+        # ignored: the structures are ranked again and stored as .npy
+        for path in files:
+            wrong = np.load(path)[::-1, ::-1].astype(np.int64)
+            np.savez(path.with_suffix(".npz"), ranks=wrong,
+                     neighbors=np.argsort(wrong, axis=1)[:, 1:])
+            path.unlink()
         from_disk = _RankCache(tmp_path)
         for name, config in configs.items():
             loaded = from_disk.ranks_for(name, config).ranks
             assert loaded.dtype == expected[name].dtype == np.int32
             assert np.array_equal(loaded, expected[name])
+        assert sorted(tmp_path.glob("ranks_*.npy")) == files
 
     def test_cache_write_that_raises_leaves_no_file(self, tmp_path,
                                                     monkeypatch):
-        savez = np.savez
+        write_header = np.lib.format.write_array_header_1_0
 
-        def savez_then_fail(file, **arrays):
-            savez(file, **arrays)
+        def write_then_fail(fp, d):
+            write_header(fp, d)
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", savez_then_fail)
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0",
+                            write_then_fail)
         config = Configuration(np.arange(10, dtype=float).reshape(5, 2))
         with pytest.raises(OSError, match="disk full"):
             _RankCache(tmp_path).ranks_for("d", config)
         assert list(tmp_path.iterdir()) == []
+
+    def test_cache_miss_failing_midway_leaves_no_file(self, tmp_path,
+                                                      monkeypatch):
+        rank_rows = pipeline._rank_rows
+        blocks = []
+
+        def fail_on_second(d, out, start):
+            blocks.append(start)
+            if len(blocks) == 2:
+                raise OSError("disk full")
+            rank_rows(d, out, start)
+
+        monkeypatch.setattr(pipeline, "_rank_rows", fail_on_second)
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 2 * 5)
+        config = Configuration(np.arange(10, dtype=float).reshape(5, 2))
+        with pytest.raises(OSError, match="disk full"):
+            _RankCache(tmp_path).ranks_for("d", config)
+        assert blocks == [0, 2]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_corrupt_cache_entry_is_one_error_line(self, tmp_path, capsys):
+        cfg = full_config("o", cache=True)
+        cfg["stages"] = cfg["stages"][:3]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 0
+        entry = sorted((tmp_path / "o" / ".cache").glob("ranks_*.npy"))[0]
+        ranks = np.load(entry)
+        ranks[37, ranks[37] == 2] = 1  # rank 1 twice, rank 2 missing
+        np.save(entry, ranks)
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert entry.name in err[0] and "every rank once" in err[0]
+        assert "Traceback" not in captured.err
+
+    def test_warm_run_reads_every_rank_from_the_cache(self, tmp_path,
+                                                      monkeypatch):
+        cfg = full_config("o", cache=True)
+        run(cfg, tmp_path)
+        cold = tree_hashes(tmp_path / "o")
+
+        def no_ranking(*args):
+            raise AssertionError("ranked although every entry is cached")
+
+        monkeypatch.setattr(pipeline, "_rank_rows", no_ranking)
+        run(cfg, tmp_path)
+        assert tree_hashes(tmp_path / "o") == cold
 
     def test_different_seed_changes_outputs(self, tmp_path):
         run(full_config("a", seed=1), tmp_path)
@@ -459,6 +531,99 @@ class TestDeterminismAndCache:
         ha = tree_hashes(tmp_path / "a")
         hb = tree_hashes(tmp_path / "b")
         assert ha != hb
+
+
+def naive_masked_neighbors(x, mask):
+    """Neighbor lists of integer data by the squared distance over the
+    columns both items observe, ties by item index."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        cand = []
+        for j in range(n):
+            if j != i:
+                shared = mask[i] & mask[j]
+                cand.append((int(((x[i] - x[j])[shared] ** 2).sum()), j))
+        cand.sort()
+        out.append([j for _, j in cand])
+    return out
+
+
+def survey_and_map(kind, n, rng):
+    """(survey items, 2-D map) with many tied distances."""
+    if kind == "ties":
+        x = rng.integers(1, 4, (n, 3)).astype(float)
+    else:  # duplicates: every survey row appears three times
+        x = np.repeat(rng.integers(1, 6, ((n + 2) // 3, 3)), 3,
+                      axis=0)[:n].astype(float)
+    return x, rng.integers(0, 3, (n, 2)).astype(float)
+
+
+class TestStreamedAgree:
+    """The agree stage's single blocked pass against the naive oracle."""
+
+    N = 13
+
+    @pytest.mark.parametrize("kind", ["ties", "duplicates", "masked"])
+    def test_rates_match_oracle_for_every_block_size(self, tmp_path,
+                                                     monkeypatch, kind):
+        n, lo, hi = self.N, 2, 7
+        rng = np.random.default_rng(17)
+        runner = StageRunner(tmp_path, imputation="none")
+        if kind == "masked":
+            x = rng.integers(1, 6, (n, 4))
+            mask = rng.random((n, 4)) > 0.3
+            mask[:, 0] = True
+            cells = [[str(v) if ok else "NA" for v, ok in zip(row, keep)]
+                     for row, keep in zip(x, mask)]
+            (tmp_path / "survey.csv").write_text(
+                "a,b,c,d\n" + "".join(",".join(r) + "\n" for r in cells))
+            runner.ingest(IngestStage("survey", str(tmp_path / "survey.csv")))
+            assert runner.configurations["survey"].mask is not None
+            nbrs_a = naive_masked_neighbors(x, mask)
+            coords = rng.integers(0, 3, (n, 2)).astype(float)
+        else:
+            x, coords = survey_and_map(kind, n, rng)
+            runner.configurations["survey"] = Configuration(x)
+            nbrs_a = naive_neighbors(x)
+        runner.configurations["map"] = Configuration(coords)
+        nbrs_b = naive_neighbors(coords)
+        ar, _ = naive_profile(nbrs_a, nbrs_b)
+        k = np.arange(lo, hi + 1)
+        rates = naive_overlap_counts(nbrs_a, nbrs_b)[:, lo - 1:hi] / k
+
+        for block_rows in range(1, n + 1):
+            monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
+            runner.agree(AgreeStage("s", "survey", ("map",), per_item=True,
+                                    range_k=(lo, hi)))
+            assert (runner.profiles["s"].ar == ar).all()
+            ks, matrix = runner.per_item["s"]
+            assert ks == tuple(k)
+            assert (matrix == rates).all()
+
+    def test_holds_no_dense_array(self, tmp_path, monkeypatch):
+        """Blocks of 16 rows at n = 1500: the stage's peak allocation stays
+        below one dense int32 rank structure (4·n² bytes)."""
+        n = 1500
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 16 * n)
+        rng = np.random.default_rng(3)
+        runner = StageRunner(tmp_path)
+        runner.configurations["survey"] = Configuration(
+            rng.integers(1, 6, (n, 12)).astype(float))
+        maps = ("m0", "m1", "m2")
+        for name in maps:
+            runner.configurations[name] = Configuration(
+                rng.standard_normal((n, 2)))
+        stage = AgreeStage("fit", "survey", maps, per_item=True,
+                           range_k=(1, 10))
+        tracemalloc.start()
+        try:
+            runner.agree(stage)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n
+        assert runner.per_item["fit:m2"][1].shape == (n, 10)
 
 
 class TestScores:
