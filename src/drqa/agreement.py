@@ -12,7 +12,7 @@ attains.  A weight function over ``k`` restricts or tapers the neighborhood
 sizes that count.
 
 Everything here consumes :class:`~drqa.geometry.RankStructure` values, so the
-metrics apply to any proximity source, coordinates or not.
+metrics apply to any distance source, coordinates or not.
 
 The overlaps come from one block kernel, :func:`_overlap_counts`, run over
 blocks of rows: :class:`_OverlapSums` adds each block's integer counts into

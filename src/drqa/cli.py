@@ -1,9 +1,10 @@
 """Command line entry points: generate, ingest, reduce, agree, plot, pipeline.
 
 The single-step subcommands run the pipeline's stage code
-(``StageRunner``): each loads its file inputs into the runner's artifact
-store, runs one stage, and writes that stage's files under the names
-given on the command line, so no config is needed.
+(``StageRunner.run``): each loads its file inputs into the runner's
+artifact store, runs one stage, and writes that stage's files under the
+names given on the command line, so no config is needed.  A stage that
+fails removes the files it had begun to write.
 """
 
 from __future__ import annotations
@@ -47,17 +48,15 @@ def _json_dict(text: str, what: str) -> dict:
 def _cmd_generate(args) -> None:
     params = _json_dict(args.params, "--params") if args.params else {}
     runner = StageRunner(targets={"out.csv": args.out})
-    runner.generate(GenerateStage("out", args.shape, args.n, params),
-                    args.seed)
+    runner.run(GenerateStage("out", args.shape, args.n, params), args.seed)
     print(f"wrote {args.out}")
 
 
 def _cmd_ingest(args) -> None:
     runner = StageRunner(imputation="column_mean" if args.impute else "none",
                          targets={"out.csv": args.out})
-    runner.ingest(IngestStage("out", args.in_path,
-                              has_header=not args.no_header,
-                              missing_token=args.missing_token))
+    runner.run(IngestStage("out", args.in_path, has_header=not args.no_header,
+                           missing_token=args.missing_token))
     print(f"wrote {args.out}")
 
 
@@ -73,7 +72,7 @@ def _cmd_reduce(args) -> None:
         "reduce", _Scope(configurations={"in"}))
     runner = StageRunner(targets={"out.csv": args.out})
     runner.configurations["in"] = ingest_csv(args.in_path)
-    runner.reduce(stage, args.seed)
+    runner.run(stage, args.seed)
     print(f"wrote {args.out}")
 
 
@@ -86,7 +85,7 @@ def _cmd_agree(args) -> None:
         if getattr(args, name) is not None:
             runner.configurations[name] = ingest_csv(getattr(args, name))
     z = "z" if args.z is not None else None
-    runner.agree(AgreeStage("out", "a", ("b",), z=z, per_item=args.per_item))
+    runner.run(AgreeStage("out", "a", ("b",), z=z, per_item=args.per_item))
     print(f"wrote {args.out}")
     print(f"psi = {runner.score_rows[0].psi!r}")
     if args.per_item:
@@ -143,7 +142,7 @@ def _cmd_plot(args) -> None:
     if stage.values is not None:
         ref = stage.values["agree"]
         runner.per_item[ref] = read_per_item(base / ref)[:2]
-    runner.plot(stage)
+    runner.run(stage)
     print(f"wrote {args.out}")
 
 

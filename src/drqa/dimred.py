@@ -88,8 +88,6 @@ def _require_distance(prox: ProximityMatrix, method: str,
                       target_dim: int | None = None):
     if not isinstance(prox, ProximityMatrix):
         raise TypeError(f"{method} needs a ProximityMatrix")
-    if prox.kind != "distance":
-        raise ValueError(f"{method} needs distances, got {prox.kind}")
     if target_dim is not None and not 1 <= target_dim < prox.n:
         raise ValueError(f"target_dim must lie in 1 .. {prox.n - 1}, got {target_dim}")
 
@@ -256,7 +254,7 @@ def smacof(dist: ProximityMatrix, target_dim: int,
 
     Parameters
     ----------
-    dist : ProximityMatrix of kind ``"distance"``
+    dist : ProximityMatrix
     target_dim : int
     weights : ndarray of shape (n, n), optional
         Symmetric non-negative pair weights; zero-weight pairs are ignored by
@@ -436,7 +434,7 @@ def geodesic_distances(config: Configuration, n_neighbors: int) -> ProximityMatr
     _require_coordinates(config, "geodesic_distances")
     graph = _knn_union_graph(config.items, n_neighbors)
     geo = shortest_path(graph, method="D", directed=False)
-    return ProximityMatrix(geo, "distance")
+    return ProximityMatrix(geo)
 
 
 def isomap(config: Configuration, target_dim: int, n_neighbors: int) -> ReductionResult:
@@ -560,7 +558,7 @@ def run_reduction(method: str, source, target_dim: int, params: dict | None = No
     """Run the reducer named ``method`` on coordinates or distances.
 
     Coordinate methods require a :class:`Configuration`; distance methods
-    accept either a distance :class:`ProximityMatrix` or a configuration,
+    accept either a :class:`ProximityMatrix` or a configuration,
     from which Euclidean distances are taken.  ``seed`` reaches only the
     stress majorization methods, and only when ``params`` sets none.  The
     embedding carries the labels of a source configuration.

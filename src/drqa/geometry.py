@@ -1,17 +1,18 @@
-"""Coordinate configurations, pairwise proximities, and neighbor rank structures.
+"""Coordinate configurations, pairwise distances, and neighbor rank structures.
 
 A configuration is an ``n x m`` matrix of item coordinates; source data and
 embeddings share the representation.  A proximity matrix holds dense
-``n x n`` distances or similarities, and a rank structure holds, for every
-item, the ascending distance rank of each other item.  Rank structures are
-the only input the agreement metrics need.  Ranks are computed one block
-of rows at a time (:func:`_row_blocks`), straight from a configuration or
-a proximity matrix, so the rank path never holds an ``n x n`` float
-matrix.  :func:`rank_structure` keeps every block in one ``int32`` matrix
-(4·n² bytes); the pipeline's agree stage instead consumes each block as it
-is ranked and keeps none.  Ranks that come from outside, from callers or
-from a cache file, are checked block by block (:func:`_check_rank_rows`);
-ranks computed here are permutations by construction and are not.
+``n x n`` distances; a caller who has similarities ``s`` passes ``1 - s``.
+A rank structure holds, for every item, the ascending distance rank of
+each other item.  Rank structures are the only input the agreement metrics
+need.  Ranks are computed one block of rows at a time (:func:`_row_blocks`),
+straight from a configuration or a distance matrix, so the rank path never
+holds an ``n x n`` float matrix.  :func:`rank_structure` keeps every block
+in one ``int32`` matrix (4·n² bytes); the pipeline's agree stage instead
+consumes each block as it is ranked and keeps none.  Ranks that come from
+outside, from callers or from a cache file, are checked block by block
+(:func:`_check_rank_rows`); ranks computed here are permutations by
+construction and are not.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ DENSE_CAP = 20_000
 
 #: Distances held by one block of rows on the rank path (8 MB as float64).
 _BLOCK_CELLS = 1 << 20
-
-PROXIMITY_KINDS = ("distance", "similarity")
 
 #: Above this magnitude ``x + x`` overflows.
 _HALF_MAX = np.finfo(float).max / 2
@@ -113,16 +112,15 @@ class Configuration:
 
 @dataclass(frozen=True, eq=False)
 class ProximityMatrix:
-    """Dense symmetric ``n x n`` proximity values between items.
+    """Dense symmetric ``n x n`` distances between items.
 
-    ``kind`` is ``"distance"`` (zero diagonal, non-negative entries) or
-    ``"similarity"`` (unit diagonal, entries in ``[-1, 1]``).  Tiny numerical
-    violations of the range invariants are clamped; anything beyond tolerance
-    is rejected.
+    The diagonal is zero and every entry is finite and non-negative.
+    Asymmetry, a non-zero diagonal and negative entries within tolerance
+    are repaired (averaged, zeroed, clamped to ``+0.0``); anything beyond
+    tolerance is rejected.  Similarities ``s`` are passed as ``1 - s``.
     """
 
     values: np.ndarray
-    kind: str
 
     _SYM_TOL = 1e-9
 
@@ -134,8 +132,6 @@ class ProximityMatrix:
             raise ValueError(f"proximity matrix must be square, got {v.shape}")
         if v.shape[0] < 2:
             raise ValueError("need at least 2 items")
-        if self.kind not in PROXIMITY_KINDS:
-            raise ValueError(f"kind must be one of {PROXIMITY_KINDS}, got {self.kind!r}")
         lo, hi = v.min(), v.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("proximity values must be finite")
@@ -146,26 +142,16 @@ class ProximityMatrix:
             if np.abs(v - v.T).max() > self._SYM_TOL:
                 raise ValueError("proximity matrix is not symmetric")
             v = (v + v.T) / 2.0
-            lo, hi, owned = v.min(), v.max(), True
-        if self.kind == "distance":
-            if np.abs(np.diag(v)).max() > self._SYM_TOL:
-                raise ValueError("distance diagonal must be zero")
-            if lo < -self._SYM_TOL:
-                raise ValueError("distances must be non-negative")
-            if np.signbit(v).any():  # tiny negatives and -0.0 become +0.0
-                v, owned = np.maximum(v, 0.0), True
-            diagonal = 0.0
-        else:
-            if np.abs(np.diag(v) - 1.0).max() > self._SYM_TOL:
-                raise ValueError("similarity diagonal must be one")
-            if max(-lo, hi) > 1.0 + self._SYM_TOL:
-                raise ValueError("similarities must lie in [-1, 1]")
-            if max(-lo, hi) > 1.0:
-                v, owned = np.clip(v, -1.0, 1.0), True
-            diagonal = 1.0
+            lo, owned = v.min(), True
+        if np.abs(np.diag(v)).max() > self._SYM_TOL:
+            raise ValueError("distance diagonal must be zero")
+        if lo < -self._SYM_TOL:
+            raise ValueError("distances must be non-negative")
+        if np.signbit(v).any():  # tiny negatives and -0.0 become +0.0
+            v, owned = np.maximum(v, 0.0), True
         if not owned:
             v = v.copy(order="K")
-        np.fill_diagonal(v, diagonal)
+        np.fill_diagonal(v, 0.0)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -259,7 +245,7 @@ def euclidean_distances(config: Configuration, p: float = 2.0) -> ProximityMatri
 
     Returns
     -------
-    ProximityMatrix of kind ``"distance"``.
+    ProximityMatrix
 
     Notes
     -----
@@ -270,7 +256,7 @@ def euclidean_distances(config: Configuration, p: float = 2.0) -> ProximityMatri
     """
     p = _exponent(p)
     _check_cap(config.n)
-    return ProximityMatrix(_distance_rows(config, 0, config.n, p), "distance")
+    return ProximityMatrix(_distance_rows(config, 0, config.n, p))
 
 
 def _exponent(p: float) -> float:
@@ -305,64 +291,17 @@ def _distance_rows(config: Configuration, start: int, stop: int,
     return d
 
 
-def correlation_similarities(config: Configuration) -> ProximityMatrix:
-    """Row-wise Pearson correlations between all item pairs.
-
-    Each item's coordinate vector is centered by its own mean; the similarity
-    of two items is the cosine of the centered vectors.  Requires ``m >= 2``
-    and rejects any item whose observed coordinates have zero variance.
-    Partially observed pairs correlate over their shared columns.
-    """
-    if config.m < 2:
-        raise ValueError("correlation needs at least 2 dimensions")
-    _check_cap(config.n)
-    x = config.items
-    if config.fully_observed:
-        centered = x - x.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(centered, axis=1)
-        if (norms == 0).any():
-            i = int(np.argmin(norms))
-            who = config.labels[i] if config.labels else str(i)
-            raise ValueError(f"item {who} has zero variance")
-        s = (centered @ centered.T) / np.outer(norms, norms)
-    else:
-        s = _masked_correlation(x, config.mask)
-    s = np.clip((s + s.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(s, 1.0)
-    return ProximityMatrix(s, "similarity")
-
-
-def _masked_correlation(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    s = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = mask[i] & mask[j]
-            if shared.sum() < 2:
-                raise ValueError(f"items {i} and {j} share fewer than 2 observed dimensions")
-            a = x[i, shared]
-            b = x[j, shared]
-            a = a - a.mean()
-            b = b - b.mean()
-            na, nb = np.linalg.norm(a), np.linalg.norm(b)
-            if na == 0 or nb == 0:
-                raise ValueError(f"zero variance on the shared dimensions of items {i} and {j}")
-            s[i, j] = s[j, i] = float(a @ b) / (na * nb)
-    return s
-
-
 def rank_structure(source: ProximityMatrix | Configuration,
                    p: float = 2.0) -> RankStructure:
-    """Neighbor ranks of every item under a proximity matrix or a configuration.
+    """Neighbor ranks of every item under a distance matrix or a configuration.
 
     Parameters
     ----------
     source : ProximityMatrix or Configuration
-        Similarities are first converted through
-        ``distance = 1 - similarity``.  A configuration is ranked by its
-        Minkowski distances, as :func:`euclidean_distances` computes them.
+        A configuration is ranked by its Minkowski distances, as
+        :func:`euclidean_distances` computes them.
     p : float
-        Minkowski exponent for a configuration; unused for a proximity matrix.
+        Minkowski exponent for a configuration; unused for a distance matrix.
 
     Ties are broken by ascending item index, so every row is the stable
     ascending order of its distances and the result is deterministic for any
@@ -378,8 +317,6 @@ def rank_structure(source: ProximityMatrix | Configuration,
     for start, stop in _row_blocks(n):
         if from_config:
             d = _distance_rows(source, start, stop, p)
-        elif source.kind == "similarity":
-            d = 1.0 - source.values[start:stop]
         else:
             d = source.values[start:stop].copy()
         _rank_rows(d, ranks[start:stop], start)

@@ -1,4 +1,4 @@
-"""CSV input and output for configurations, profiles, and tallies.
+"""CSV input and output for configurations, profiles, and per-item values.
 
 All writers quote per RFC 4180 and print floats with ``repr``, so values
 round-trip losslessly and repeated runs emit identical bytes.
@@ -11,8 +11,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .agreement import AgreementProfile, RankMovementTally
+from .agreement import AgreementProfile
 from .geometry import Configuration
+
+
+def _read_rows(path: Path) -> list:
+    """The rows of a CSV text file; undecodable bytes fail with its name."""
+    try:
+        with path.open(newline="") as fh:
+            return list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not {exc.encoding} text") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
 
 
 def _is_number(cell: str) -> bool:
@@ -33,8 +44,7 @@ def ingest_csv(path, has_header: bool = True,
     non-numeric.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows:
         raise ValueError(f"{path.name}: no rows")
 
@@ -156,8 +166,7 @@ def write_profile(profile: AgreementProfile, path) -> None:
 
 def read_profile(path) -> AgreementProfile:
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows or rows[0][:2] != ["k", "agreement"]:
         raise ValueError(f"{path.name}: not an agreement profile file")
     body = rows[1:]
@@ -191,8 +200,7 @@ def write_per_item(ks, values, path, labels=None) -> None:
 def read_per_item(path):
     """Read a per-item value matrix back as ``(ks, values, labels)``."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows or rows[0][:1] != ["id"] or len(rows[0]) < 2:
         raise ValueError(f"{path.name}: not a per-item value file")
     try:
@@ -202,21 +210,10 @@ def read_per_item(path):
     if any(len(r) != len(rows[0]) for r in rows[1:]):
         raise ValueError(f"{path.name}: rows must match the header's width")
     labels = tuple(r[0] for r in rows[1:])
+    if not labels:
+        raise ValueError(f"{path.name}: no item rows")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{path.name}: item ids must be unique")
     values = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
     return ks, values, labels
 
-
-def write_movements(tallies, path) -> None:
-    """Write rank-movement tallies, one row per boundary k."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["k", "hard_intrusions", "soft_intrusions",
-                      "hard_extrusions", "soft_extrusions",
-                      "unchanged", "outside"])
-        for t in tallies:
-            if not isinstance(t, RankMovementTally):
-                raise TypeError("expected RankMovementTally rows")
-            out.writerow([t.k, t.hard_intrusions, t.soft_intrusions,
-                          t.hard_extrusions, t.soft_extrusions,
-                          t.unchanged, t.outside])

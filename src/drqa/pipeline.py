@@ -390,15 +390,19 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
         for m in methods:
             # the reducer's keyword parameters after its input and target_dim
             signature = inspect.signature(getattr(dimred, m), eval_str=True)
-            hints = {p.name: p.annotation
-                     for p in list(signature.parameters.values())[2:]
-                     if p.kind is not p.VAR_KEYWORD}
+            accepted = [p for p in list(signature.parameters.values())[2:]
+                        if p.kind is not p.VAR_KEYWORD]
+            hints = {p.name: p.annotation for p in accepted}
             for params in grid:
                 _reject_unknown(params, set(hints), f"{where}: params for {m}")
                 for key, value in params.items():
                     if not _json_fits(value, hints[key]):
                         raise ValueError(f"{where}: params for {m}: {key} "
                                          f"has the wrong type: {value!r}")
+                for p in accepted:
+                    if p.default is p.empty and p.name not in params:
+                        raise ValueError(f"{where}: params for {m}: missing "
+                                         f"required key {p.name!r}")
         stage = ReduceStage(name, source, methods, target_dim, grid)
         for emit_name, _, _ in stage.jobs():
             if emit_name != name and emit_name in scope.taken:
@@ -663,6 +667,8 @@ class StageRunner:
     reduce only), reads its inputs from the store and adds its results.
     Its file ``f`` goes to ``targets[f]`` if given (None skips it), else
     to ``out_dir / f``; each path joins ``written`` before it is written.
+    Stages are run through :meth:`run`, which removes those files again
+    when the stage fails.
     """
 
     def __init__(self, out_dir=".", imputation: str = "none",
@@ -680,6 +686,21 @@ class StageRunner:
         self.partials: dict = {}
         self.score_rows: list = []
         self.written: list = []
+
+    def run(self, stage, seed: int | None = None) -> list:
+        """Run one stage and return the paths it wrote.
+
+        If the stage raises, every file it had begun to write is removed
+        and the exception propagates.
+        """
+        self.written = []
+        try:
+            getattr(self, stage.kind)(stage, seed)
+        except BaseException:
+            for path in self.written:
+                Path(path).unlink(missing_ok=True)
+            raise
+        return self.written
 
     def _emit(self, file_name: str, write, *args, **kwargs) -> None:
         path = self.targets.get(file_name, self.out_dir / file_name)
@@ -826,16 +847,13 @@ def run_pipeline(config: PipelineConfig):
 
     for idx, stage in enumerate(config.stages):
         stage_seed = config.seed + idx
-        runner.written = []
         try:
-            getattr(runner, stage.kind)(stage, stage_seed)
+            written = runner.run(stage, stage_seed)
         except Exception as exc:
-            for path in runner.written:
-                Path(path).unlink(missing_ok=True)
             raise PipelineError(stage.name, stage.kind, exc) from exc
         seed = stage_seed if stage.kind in ("generate", "reduce") else None
         manifest += [ManifestEntry(path.relative_to(out_dir).as_posix(),
-                                   stage.name, seed) for path in runner.written]
+                                   stage.name, seed) for path in written]
 
     if config.scores is not None:
         table = ScoreTable(tuple(runner.score_rows))

@@ -51,7 +51,6 @@ FILL_OPACITY = 0.45
 COLOR_MODES = ("absolute", "relative_to_random", "comparative")
 CONFIG_SIDES = ("A", "B", "both")
 COMPARISONS = ("simple", "compare")
-EVAL_MODES = ("hard", "soft", "both")
 
 
 def _is_int(value) -> bool:
@@ -112,15 +111,10 @@ class PlotStyle:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """What to draw: sides, comparison mode, k range, and styling.
-
-    ``eval_mode`` tags plots that show hard/soft rank movements; only the
-    heatmap consumes it, and the other renderers reject a non-None value.
-    """
+    """What to draw: sides, comparison mode, k range, and styling."""
 
     config_side: str = "both"
     comparison: str = "simple"
-    eval_mode: str | None = None
     adjusted: bool = False
     range_k: tuple[int, ...] | None = None
     style: PlotStyle = field(default_factory=PlotStyle)
@@ -130,8 +124,6 @@ class RenderSpec:
             raise ValueError(f"config_side must be one of {CONFIG_SIDES}")
         if self.comparison not in COMPARISONS:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
-        if self.eval_mode is not None and self.eval_mode not in EVAL_MODES:
-            raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
         if not isinstance(self.adjusted, bool):
             raise ValueError("adjusted must be a boolean")
         if self.range_k is not None:
@@ -144,13 +136,6 @@ class RenderSpec:
             if any(k < 1 for k in ks) or list(ks) != sorted(set(ks)):
                 raise ValueError("range_k must be strictly increasing and >= 1")
             object.__setattr__(self, "range_k", ks)
-
-
-def _forbid_eval(spec: RenderSpec, plot: str) -> None:
-    if spec.eval_mode is not None:
-        raise ValueError(
-            f"eval_mode applies to rank-movement heatmaps, not {plot} plots"
-        )
 
 
 class ColorScale:
@@ -385,7 +370,6 @@ def render_scatter(embeddings, item_values, spec: RenderSpec | None = None) -> s
     carries the aggregate of the plotted values.
     """
     spec = spec or RenderSpec()
-    _forbid_eval(spec, "scatter")
     if isinstance(embeddings, Configuration):
         panels = [embeddings]
     else:
@@ -476,12 +460,9 @@ def render_heatmap(per_item_by_k, item_order=None,
     cells = "".join(cell % (x, y, fill)
                     for y, row_fills in zip(ys, scale.css_array(vals[order]))
                     for x, fill in zip(xs, row_fills))
-    k_label = f"k = {ks[0]}..{ks[-1]}"
-    if spec.eval_mode is not None:
-        k_label += f" ({spec.eval_mode} movements)"
     legend = _tag("g", {"class": "legend"}, _text(
         st.margin + plot_w / 2.0, st.height - st.margin / 4.0,
-        k_label, "axis", anchor="middle") + _text(
+        f"k = {ks[0]}..{ks[-1]}", "axis", anchor="middle") + _text(
         st.margin + plot_w / 2.0, st.margin * 0.6,
         f"mean = {_f(vals.mean())}", "caption", anchor="middle"))
     return _svg(st.width, st.height,
@@ -583,7 +564,6 @@ def render_loess_overlay(embedding: Configuration, item_values,
     of the agreement scale; the surface always shows the value field.
     """
     spec = spec or RenderSpec()
-    _forbid_eval(spec, "loess")
     if embedding.m != 2:
         raise ValueError("loess overlay requires a 2D embedding")
     n = embedding.n
@@ -662,7 +642,6 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
     each technique's all-k agreement summary.
     """
     spec = spec or RenderSpec()
-    _forbid_eval(spec, "lift")
     if isinstance(profiles, Mapping):
         named = list(profiles.items())
     elif isinstance(profiles, AgreementProfile):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ class TestReduce:
                        "--n-neighbors", "8") == 0
         assert ingest_csv(out).m == 2
 
+    @pytest.mark.parametrize("method", ["isomap", "lle", "laplacian_eigenmaps"])
+    def test_missing_n_neighbors_fails(self, method, dataset, tmp_path, capsys):
+        out = tmp_path / "emb.csv"
+        code = run_cli("reduce", "--method", method, "--dim", "1",
+                       "--in", str(dataset), "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1, err
+        assert err[0] == (f"error: reduce: params for {method}: "
+                          "missing required key 'n_neighbors'")
+        assert not out.exists()
+
 
 class TestAgree:
     def test_profile_and_per_item(self, dataset, tmp_path, capsys):
@@ -131,6 +143,18 @@ class TestAgree:
         assert run_cli("agree", "--a", str(dataset), "--b", str(dataset),
                        "--out", str(tmp_path / "p.csv")) == 0
         assert "psi = 1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("per_item", [False, True])
+    def test_failure_leaves_no_files(self, per_item, dataset, tmp_path, capsys):
+        # psi(a, z) = 1 leaves partial agreement undefined, after the
+        # profile has been written
+        out = tmp_path / "p.csv"
+        code = run_cli("agree", "--a", str(dataset), "--b", str(dataset),
+                       "--z", str(dataset), "--out", str(out),
+                       *(["--per-item"] if per_item else []))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error:"), err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["data.csv"]
 
 
 class TestPlot:
@@ -352,6 +376,95 @@ def test_param_value_sweep_exits_cleanly(key, dataset, tmp_path, capsys):
         assert (code, err) == (0, []) or (
             code == 1 and len(err) == 1 and err[0].startswith("error:")), \
             (value, code, err)
+
+
+def _malformed(text: str, how: str) -> bytes:
+    """A CSV file written by drqa, broken in one way.
+
+    The first field of a row is its label (an item id, or k in a profile),
+    the second a value.
+    """
+    header, *rows = text.splitlines()
+    if how == "empty":
+        return b""
+    if how == "header_only":
+        rows = []
+    elif how == "short_row":
+        rows[-1] = rows[-1].rsplit(",", 1)[0]
+    elif how == "inf":
+        label, _, rest = rows[0].split(",", 2)
+        rows[0] = ",".join([label, "inf", rest])
+    elif how == "oversized_field":  # beyond the csv module's field limit
+        rows[0] = rows[0].split(",", 1)[0] + "," + "1" * 200_000
+    elif how == "duplicate_labels":
+        rows[1] = rows[0].split(",", 1)[0] + "," + rows[1].split(",", 1)[1]
+    elif how == "non_utf8":
+        return ("\n".join([header, *rows]) + "\n").encode().replace(
+            b"\n", b"\n\xff", 1)
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+MALFORMATIONS = ["short_row", "non_utf8", "inf", "duplicate_labels",
+                 "header_only", "empty", "oversized_field"]
+
+#: Each file argument of a subcommand: the good file the malformed one is
+#: made from, and the command line with ``bad.csv`` in that place.
+FILE_ARGUMENTS = {
+    "agree_a": ("data.csv", ["agree", "--a", "bad.csv", "--b", "emb.csv"]),
+    "agree_b": ("emb.csv", ["agree", "--a", "data.csv", "--b", "bad.csv"]),
+    "agree_z": ("emb.csv", ["agree", "--a", "data.csv", "--b", "emb.csv",
+                            "--z", "bad.csv"]),
+    "reduce_in": ("data.csv", ["reduce", "--method", "pca", "--dim", "2",
+                               "--in", "bad.csv"]),
+    "ingest_in": ("data.csv", ["ingest", "--in", "bad.csv"]),
+    "plot_embedding": ("emb.csv", ["plot", "--type", "scatter", {
+        "embeddings": ["bad.csv"], "values": {"per_item": "p_items.csv"}}]),
+    "plot_loess_embedding": ("emb.csv", ["plot", "--type", "loess", {
+        "embedding": "bad.csv", "values": {"per_item": "p_items.csv"}}]),
+    "plot_order_by": ("emb.csv", ["plot", "--type", "heatmap", {
+        "order_by": "bad.csv", "values": {"per_item": "p_items.csv"}}]),
+    "plot_per_item": ("p_items.csv", ["plot", "--type", "scatter", {
+        "embeddings": ["emb.csv"], "values": {"per_item": "bad.csv"}}]),
+    "plot_profile": ("p.csv", ["plot", "--type", "lift",
+                               {"profiles": ["bad.csv"]}]),
+}
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """A dataset, its 2-d embedding, and their profile and per-item file."""
+    d = tmp_path_factory.mktemp("good")
+    assert run_cli("generate", "--shape", "sphere_random", "--n", "12",
+                   "--seed", "3", "--out", str(d / "data.csv")) == 0
+    assert run_cli("reduce", "--method", "pca", "--dim", "2", "--in",
+                   str(d / "data.csv"), "--out", str(d / "emb.csv")) == 0
+    assert run_cli("agree", "--a", str(d / "data.csv"), "--b",
+                   str(d / "emb.csv"), "--out", str(d / "p.csv"),
+                   "--per-item") == 0
+    return {f.name: f.read_text() for f in d.iterdir()}
+
+
+@pytest.mark.parametrize("how", MALFORMATIONS)
+@pytest.mark.parametrize("argument", FILE_ARGUMENTS)
+def test_malformed_csv_exits_cleanly(argument, how, good_files, tmp_path,
+                                     monkeypatch, capsys):
+    """Every file argument of every subcommand rejects a malformed CSV with
+    status 1, one ``error:`` line and no output file."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in good_files.items():
+        Path(name).write_text(text)
+    source, argv = FILE_ARGUMENTS[argument]
+    Path("bad.csv").write_bytes(_malformed(good_files[source], how))
+    if isinstance(argv[-1], dict):
+        Path("spec.json").write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], "--spec", "spec.json"]
+    code = run_cli(*argv, "--out", "out.file")
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error:"), (
+        code, captured.err)
+    assert captured.out == ""
+    assert not Path("out.file").exists()
 
 
 def test_public_api_imports():

@@ -115,7 +115,7 @@ class TestClassicalMDS:
         assert np.allclose(back, d.values, atol=1e-8)
 
     def test_zero_matrix_embeds_to_zeros(self):
-        d = ProximityMatrix(np.zeros((5, 5)), "distance")
+        d = ProximityMatrix(np.zeros((5, 5)))
         res = classical_mds(d, 2)
         assert (res.embedding.items == 0).all()
 
@@ -132,14 +132,9 @@ class TestClassicalMDS:
             [2.0, 2.0, 0.0, 1.0],
             [1.0, 1.0, 1.0, 0.0],
         ])
-        res = classical_mds(ProximityMatrix(v, "distance"), 2)
+        res = classical_mds(ProximityMatrix(v), 2)
         assert res.diagnostics["non_euclidean_warning"]
         assert res.diagnostics["eigenvalues"].min() >= 0.0
-
-    def test_similarity_input_rejected(self):
-        s = ProximityMatrix(np.eye(3), "similarity")
-        with pytest.raises(ValueError, match="distances"):
-            classical_mds(s, 1)
 
 
 @pytest.fixture(scope="module")
@@ -184,14 +179,14 @@ class TestSmacof:
         rng = np.random.default_rng(21)
         pts = rng.standard_normal((40, 2))
         d = euclidean_distances(Configuration(pts))
-        warped = ProximityMatrix(d.values**3, "distance")
+        warped = ProximityMatrix(d.values**3)
         res = smacof(warped, 2, transform="ordinal", max_iter=300)
         assert res.diagnostics["stress"] < 0.01
         prof = profile_between(pts, res.embedding.items)
         assert mean_local_ar(prof) > 0.9
 
     def test_two_items_fit_perfectly(self):
-        d = ProximityMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]), "distance")
+        d = ProximityMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))
         # classical start is already exact, so the distance is reproduced
         res = smacof(d, 1, transform="ratio")
         emb = res.embedding.items
@@ -215,7 +210,7 @@ class TestSmacof:
         assert err.value.n_components == 3
 
     def test_zero_weights_rejected(self):
-        d = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "distance")
+        d = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="all weights are zero"):
             smacof(d, 1, weights=np.zeros((2, 2)))
 
@@ -234,7 +229,7 @@ class TestLocalSmacof:
         assert (a == b).all()
 
     def test_quantile_bounds(self):
-        d = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "distance")
+        d = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         for q in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="quantile"):
                 local_smacof(d, 1, quantile=q)
@@ -451,7 +446,7 @@ class TestDispatchAndSigns:
         assert seen == [1]
 
     def test_coordinate_method_rejects_distances(self):
-        d = ProximityMatrix(np.zeros((3, 3)), "distance")
+        d = ProximityMatrix(np.zeros((3, 3)))
         with pytest.raises(TypeError, match="coordinate Configuration"):
             run_reduction("pca", d, 1)
 

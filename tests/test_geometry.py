@@ -1,4 +1,4 @@
-"""Configurations, proximities, and rank structures."""
+"""Configurations, distances, and rank structures."""
 
 import re
 
@@ -12,7 +12,6 @@ from drqa.geometry import (
     Configuration,
     ProximityMatrix,
     RankStructure,
-    correlation_similarities,
     euclidean_distances,
     rank_structure,
     ranks_from_config,
@@ -118,39 +117,8 @@ class TestEuclideanDistances:
         assert (np.diag(d) == 0).all()
 
 
-class TestCorrelationSimilarities:
-    def test_perfect_and_anti_correlation(self):
-        x = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 2.0, 1.0]])
-        s = correlation_similarities(Configuration(x)).values
-        assert s[0, 1] == pytest.approx(1.0)
-        assert s[0, 2] == pytest.approx(-1.0)
-        assert (np.diag(s) == 1.0).all()
-
-    def test_zero_variance_row_named(self):
-        x = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
-        with pytest.raises(ValueError, match="zero variance"):
-            correlation_similarities(Configuration(x, labels=("flat", "ok")))
-
-    def test_single_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_similarities(Configuration(np.zeros((3, 1))))
-
-    def test_range_bounds(self):
-        rng = np.random.default_rng(3)
-        s = correlation_similarities(Configuration(rng.standard_normal((20, 6)))).values
-        assert s.min() >= -1.0 and s.max() <= 1.0
-
-    def test_masked_shared_columns(self):
-        x = np.array([[1.0, 2.0, 3.0, 9.0], [2.0, 4.0, 6.0, 0.0], [5.0, 1.0, 2.0, 7.0]])
-        mask = np.ones((3, 4), bool)
-        mask[1, 3] = False
-        s = correlation_similarities(Configuration(x, mask=mask)).values
-        # pair (0, 1) correlates over the first three columns only
-        assert s[0, 1] == pytest.approx(1.0)
-
-
-def reference_proximity_values(values, kind, tol=1e-9):
-    """The proximity constructor's values as it computed them before its
+def reference_proximity_values(values, tol=1e-9):
+    """The distance constructor's values as it computed them before its
     fast paths: always average with the transpose, clamp, fill the diagonal
     and copy."""
     v = np.asarray(values, dtype=float)
@@ -159,20 +127,12 @@ def reference_proximity_values(values, kind, tol=1e-9):
     if np.abs(v - v.T).max() > tol:
         raise ValueError("proximity matrix is not symmetric")
     v = (v + v.T) / 2.0
-    if kind == "distance":
-        if np.abs(np.diag(v)).max() > tol:
-            raise ValueError("distance diagonal must be zero")
-        if v.min() < -tol:
-            raise ValueError("distances must be non-negative")
-        v = np.maximum(v, 0.0)
-        np.fill_diagonal(v, 0.0)
-    else:
-        if np.abs(np.diag(v) - 1.0).max() > tol:
-            raise ValueError("similarity diagonal must be one")
-        if np.abs(v).max() > 1.0 + tol:
-            raise ValueError("similarities must lie in [-1, 1]")
-        v = np.clip(v, -1.0, 1.0)
-        np.fill_diagonal(v, 1.0)
+    if np.abs(np.diag(v)).max() > tol:
+        raise ValueError("distance diagonal must be zero")
+    if v.min() < -tol:
+        raise ValueError("distances must be non-negative")
+    v = np.maximum(v, 0.0)
+    np.fill_diagonal(v, 0.0)
     return np.array(v, dtype=float, copy=True)
 
 
@@ -182,15 +142,15 @@ PROXIMITY_CELLS = st.sampled_from(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # 1e308 + 1e308 is inf
-def check_against_reference(v, kind):
+def check_against_reference(v):
     caller = v.copy()
     try:
-        expected = reference_proximity_values(v, kind)
+        expected = reference_proximity_values(v)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            ProximityMatrix(v, kind)
+            ProximityMatrix(v)
     else:
-        got = ProximityMatrix(v, kind).values
+        got = ProximityMatrix(v).values
         assert got.tobytes() == expected.tobytes()
         assert not got.flags.writeable
         assert not np.shares_memory(got, v)
@@ -199,19 +159,20 @@ def check_against_reference(v, kind):
 
 class TestProximityMatrix:
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(2, 5), st.sampled_from(["distance", "similarity"]),
-           st.booleans(), st.booleans(), st.data())
-    def test_matches_reference_constructor(self, n, kind, symmetric, unit,
+    @given(st.integers(2, 5), st.booleans(), st.booleans(), st.data())
+    def test_matches_reference_constructor(self, n, symmetric, zero_diagonal,
                                            data):
         v = np.array(data.draw(st.lists(PROXIMITY_CELLS, min_size=n * n,
                                         max_size=n * n))).reshape(n, n)
         if symmetric:  # most real inputs are exactly symmetric
             v = np.triu(v) + np.triu(v, 1).T
-        if unit:
-            np.fill_diagonal(v, 0.0 if kind == "distance" else 1.0)
-        check_against_reference(v, kind)
+        if zero_diagonal:
+            np.fill_diagonal(v, 0.0)
+        check_against_reference(v)
 
-    @pytest.mark.parametrize("kind", ["distance", "similarity"])
+    # a single "kind": case ids keep the suffix they had when a proximity
+    # matrix could also hold similarities
+    @pytest.mark.parametrize("kind", ["distance"])
     @pytest.mark.parametrize("upper, lower", [
         (1e308, 1e308),    # symmetric, but x + x overflows
         (-0.0, -0.0),      # symmetric negative zeros
@@ -227,26 +188,17 @@ class TestProximityMatrix:
         v = np.full((3, 3), 0.5)
         v[0, 2], v[2, 0] = upper, lower
         np.fill_diagonal(v, diagonal)
-        check_against_reference(v, kind)
+        check_against_reference(v)
 
     def test_asymmetry_rejected(self):
         v = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            ProximityMatrix(v, "distance")
+            ProximityMatrix(v)
 
     def test_negative_distance_rejected(self):
         v = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
-            ProximityMatrix(v, "distance")
-
-    def test_similarity_diag_must_be_one(self):
-        v = np.array([[0.5, 0.1], [0.1, 0.5]])
-        with pytest.raises(ValueError):
-            ProximityMatrix(v, "similarity")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ProximityMatrix(np.zeros((2, 2)), "affinity")
+            ProximityMatrix(v)
 
 
 class TestRankStructure:
@@ -273,15 +225,6 @@ class TestRankStructure:
         assert rs.ranks[0, 1] == 1
         assert rs.ranks[0, 2] == 2
 
-    def test_similarity_conversion_flips_order(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((10, 5))
-        s = correlation_similarities(Configuration(x))
-        rs = rank_structure(s)
-        row = s.values[0].copy()
-        row[0] = -np.inf
-        assert rs.neighbors[0, 0] == int(np.argmax(row))
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from(["square", "sqrt", "scale"]))
     def test_invariance_under_monotone_transform(self, seed, kind):
@@ -295,7 +238,7 @@ class TestRankStructure:
         else:
             v = 3.5 * d.values
         rs1 = rank_structure(d)
-        rs2 = rank_structure(ProximityMatrix(v, "distance"))
+        rs2 = rank_structure(ProximityMatrix(v))
         assert (rs1.ranks == rs2.ranks).all()
 
     def test_stored_as_int32(self):
@@ -336,8 +279,7 @@ class TestRankStructure:
 
 def dense_reference_ranks(prox):
     """Ranks by a stable argsort of the full matrix, ties by ascending index."""
-    d = prox.values if prox.kind == "distance" else 1.0 - prox.values
-    work = d.copy()
+    work = prox.values.copy()
     np.fill_diagonal(work, np.inf)
     order = np.argsort(work, axis=1, kind="stable")
     n = prox.n
@@ -386,16 +328,12 @@ class TestBlockedRanks:
             assert (rs.ranks == naive_ranks(naive_neighbors(x))).all()
 
     @pytest.mark.parametrize("n", [3, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
-    @pytest.mark.parametrize("kind", ["distance", "similarity"])
+    @pytest.mark.parametrize("kind", ["distance"])  # see the edge-value ids
     def test_proximity_matrix_matches_dense_reference(self, monkeypatch, n, kind):
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", BLOCK_ROWS * n)
         x = np.random.default_rng(n).integers(0, 3, (n, 4)).astype(float)
-        x[:, 0] = np.arange(n) % 2 + 5.0  # no constant row, many equal rows
-        config = Configuration(x)
-        if kind == "distance":
-            prox = euclidean_distances(config)
-        else:
-            prox = correlation_similarities(config)
+        x[:, 0] = np.arange(n) % 2 + 5.0  # many equal rows
+        prox = euclidean_distances(Configuration(x))
         assert (rank_structure(prox).ranks == dense_reference_ranks(prox)).all()
 
     def test_cap_and_exponent_checked(self, monkeypatch):

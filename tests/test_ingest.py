@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from drqa.agreement import agreement_profile, classify_rank_movements
+from drqa.agreement import agreement_profile
 from drqa.geometry import Configuration, euclidean_distances, ranks_from_config
 from drqa.ingest import (
     impute_column_mean,
@@ -11,7 +11,6 @@ from drqa.ingest import (
     read_per_item,
     read_profile,
     write_configuration,
-    write_movements,
     write_per_item,
     write_profile,
 )
@@ -190,17 +189,3 @@ class TestPerItemFiles:
         with pytest.raises(ValueError, match="one column per k"):
             write_per_item([1, 2], np.zeros((3, 3)), tmp_path / "x.csv")
 
-
-class TestMovementFiles:
-    def test_rows_written(self, tmp_path):
-        rng = np.random.default_rng(5)
-        ra = ranks_from_config(Configuration(rng.standard_normal((8, 3))))
-        rb = ranks_from_config(Configuration(rng.standard_normal((8, 2))))
-        tallies = [classify_rank_movements(ra, rb, k) for k in (1, 3, 5)]
-        p = tmp_path / "moves.csv"
-        write_movements(tallies, p)
-        lines = p.read_text().splitlines()
-        assert lines[0].startswith("k,hard_intrusions")
-        assert len(lines) == 4
-        total = sum(int(x) for x in lines[1].split(",")[1:])
-        assert total == 8 * 7

@@ -125,10 +125,11 @@ class TestParsing:
             {"kind": "agree", "name": "a", "a": "d", "b": "r",
              "per_item": True},
             {"kind": "plot", "name": "p", "type": "scatter",
-             "embeddings": ["r"], "values": {"agree": "a"},
-             "spec": {"styl": {}}}]}
-        with pytest.raises(ValueError, match="unknown keys \\['styl'\\]"):
-            parse_config(cfg, tmp_path)
+             "embeddings": ["r"], "values": {"agree": "a"}}]}
+        for key, value in (("styl", {}), ("eval_mode", "hard")):
+            cfg["stages"][3]["spec"] = {key: value}
+            with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+                parse_config(cfg, tmp_path)
 
     @pytest.mark.parametrize("shape, params, message", [
         ("torus_random", {"ring_radius": 1, "tube_radius": 2},
@@ -176,6 +177,20 @@ class TestParsing:
                                    ("pca", "use_correlation", True)):
             cfg["stages"][1].update(method=method, params={key: value})
             parse_config(cfg, tmp_path)
+        # a parameter without a default must be set, in every grid entry
+        for method in ("isomap", "lle", "laplacian_eigenmaps"):
+            cfg["stages"][1].update(method=method, params={"n_neighbors": 5})
+            parse_config(cfg, tmp_path)
+            for params in ({}, {"n_neighbors": 5}):
+                cfg["stages"][1].pop("params", None)
+                cfg["stages"][1].update(method=method, param_grid=[params, {}])
+                with pytest.raises(ValueError, match=f"params for {method}: "
+                                   "missing required key 'n_neighbors'"):
+                    parse_config(cfg, tmp_path)
+            cfg["stages"][1].pop("param_grid")
+            cfg["stages"][1]["params"] = {}
+            with pytest.raises(ValueError, match="missing required key"):
+                parse_config(cfg, tmp_path)
 
     def test_references_must_resolve(self, tmp_path):
         with pytest.raises(ValueError, match="unknown source"):

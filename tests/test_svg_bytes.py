@@ -102,8 +102,6 @@ CASES = {
     "heatmap_binary": lambda: render_heatmap(
         diff_values(), spec=RenderSpec(comparison="compare", style=style()),
         binary=True),
-    "heatmap_eval_caption": lambda: render_heatmap(
-        heat_values(), spec=RenderSpec(eval_mode="soft", style=style())),
     "heatmap_order": lambda: render_heatmap(
         heat_values(), item_order=[4, 0, 8, 2, 6, 1, 7, 3, 5],
         spec=RenderSpec(range_k=(2, 3, 5, 8, 13))),
@@ -147,8 +145,6 @@ DIGESTS = {
         "5ffc06b2e8bdf17e44972815f4cd8b7edee2ebc0405b808c00d325c6b718db83",
     "heatmap_compare":
         "cbda9078ce013a7c4568f7caeeb64e9bed978d642141c146e8355416401a6eaa",
-    "heatmap_eval_caption":
-        "df3cdb28b5648e6cee43de3253948f49d78e599c00e73fb7cc0cd19bba12ee8a",
     "heatmap_order":
         "86d1c2101b8373b2f68934074b917bc63ebdd7b1612f0eb96c3b2469d2ae6330",
     "lift_no_bands":

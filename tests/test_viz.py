@@ -191,8 +191,7 @@ class TestRenderSpec:
         assert RenderSpec(range_k=[1, 5, 9]).range_k == (1, 5, 9)
 
     def test_field_validation(self):
-        for kw in ({"config_side": "C"}, {"comparison": "triple"},
-                   {"eval_mode": "fuzzy"}):
+        for kw in ({"config_side": "C"}, {"comparison": "triple"}):
             with pytest.raises(ValueError):
                 RenderSpec(**kw)
 
@@ -331,11 +330,6 @@ class TestScatter:
                                 RenderSpec(config_side="A", style=small_style()))
         assert len(elements(just_a, "pt")) == 25
 
-    def test_eval_mode_rejected(self, embedding_2d):
-        spec = RenderSpec(eval_mode="hard", style=small_style())
-        with pytest.raises(ValueError, match="heatmap"):
-            render_scatter(embedding_2d, np.zeros(25), spec)
-
     def test_byte_identical_reruns(self, embedding_2d):
         vals = np.linspace(0, 1, 25)
         spec = RenderSpec(style=small_style())
@@ -386,12 +380,6 @@ class TestHeatmap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             render_heatmap(np.zeros((0, 0)))
-
-    def test_eval_mode_annotates_legend(self):
-        vals = np.zeros((4, 3))
-        spec = RenderSpec(eval_mode="hard", style=small_style())
-        svg = render_heatmap(vals, spec=spec)
-        assert "hard movements" in svg
 
 
 class TestLoessOverlay:
