@@ -26,7 +26,7 @@ array.  The counts are integers, so every block size gives the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ class AgreementProfile:
 
     Attributes
     ----------
-    n : int
-        Item count of the compared configurations.
     ar : ndarray of shape (n - 1,)
         ``ar[k - 1]`` is ``AR_k``, the mean over items of ``a_ik / k``.
         ``AR_{n-1}`` is always 1 because the full neighbor sets coincide.
@@ -48,22 +46,20 @@ class AgreementProfile:
         Unadjusted per-item rates ``a_ik / k``; ``None`` unless requested.
     """
 
-    n: int
     ar: np.ndarray
     per_item: np.ndarray | None = None
 
     def __post_init__(self):
-        n = int(self.n)
         ar = np.asarray(self.ar, dtype=float)
-        if n < 2:
+        if ar.ndim != 1:
+            raise ValueError(f"ar must be a vector, got shape {ar.shape}")
+        if ar.size < 1:
             raise ValueError("need at least 2 items")
-        if ar.shape != (n - 1,):
-            raise ValueError(f"ar must have shape ({n - 1},)")
+        n = ar.size + 1
         if ar.min() < -1e-12 or ar.max() > 1 + 1e-12:
             raise ValueError("agreement rates must lie in [0, 1]")
         if abs(ar[-1] - 1.0) > 1e-12:
             raise ValueError("AR at k = n-1 must be 1")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "ar", _readonly(ar, float))
         if self.per_item is not None:
             pi = np.asarray(self.per_item, dtype=float)
@@ -72,6 +68,11 @@ class AgreementProfile:
             if np.abs(pi.mean(axis=0) - ar).max() > 1e-9:
                 raise ValueError("per_item means are inconsistent with ar")
             object.__setattr__(self, "per_item", _readonly(pi, float))
+
+    @property
+    def n(self) -> int:
+        """Item count of the compared configurations."""
+        return self.ar.shape[0] + 1
 
     @property
     def ar_adjusted(self) -> np.ndarray:
@@ -87,7 +88,6 @@ class WeightFunction:
     ``values[k - 1]`` is ``f(k)``.  At least one weight must be positive.
     """
 
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -107,7 +107,7 @@ class WeightFunction:
     @classmethod
     def uniform(cls, n: int) -> "WeightFunction":
         """``f(k) = 1`` everywhere; recovers the unweighted aggregate."""
-        return cls("uniform", np.ones(n - 1))
+        return cls(np.ones(n - 1))
 
     @classmethod
     def indicator(cls, n: int, k_lo: int, k_hi: int) -> "WeightFunction":
@@ -116,7 +116,7 @@ class WeightFunction:
             raise ValueError(f"need 1 <= k_lo <= k_hi <= {n - 1}, got [{k_lo}, {k_hi}]")
         v = np.zeros(n - 1)
         v[k_lo - 1 : k_hi] = 1.0
-        return cls("indicator", v)
+        return cls(v)
 
     @classmethod
     def linear_taper(cls, n: int) -> "WeightFunction":
@@ -134,11 +134,7 @@ class WeightFunction:
         v[k < lo] = 1.0
         mid = (k >= lo) & (k < hi)
         v[mid] = 1.0 - (k[mid] - n / 3.0) / (n / 3.0)
-        return cls("linear_taper", np.clip(v, 0.0, 1.0))
-
-    @classmethod
-    def from_table(cls, values) -> "WeightFunction":
-        return cls("custom", np.asarray(values, dtype=float))
+        return cls(np.clip(v, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,19 +148,23 @@ class CoRankingMatrix:
     """
 
     omega: np.ndarray
-    n: int
 
     def __post_init__(self):
-        n = int(self.n)
         om = np.asarray(self.omega)
-        if om.shape != (n - 1, n - 1):
-            raise ValueError(f"omega must have shape ({n - 1}, {n - 1})")
+        if om.ndim != 2 or om.shape[0] != om.shape[1]:
+            raise ValueError(f"omega must be square, got shape {om.shape}")
+        if om.shape[0] < 1:
+            raise ValueError("need at least 2 items")
+        n = om.shape[0] + 1
         if (om < 0).any():
             raise ValueError("counts must be non-negative")
         if not (om.sum(axis=0) == n).all() or not (om.sum(axis=1) == n).all():
             raise ValueError("every row and column must sum to n")
         object.__setattr__(self, "omega", _readonly(om, np.int64))
-        object.__setattr__(self, "n", n)
+
+    @property
+    def n(self) -> int:
+        return self.omega.shape[0] + 1
 
     def block_sum(self, k: int) -> int:
         """Sum of the leading ``k x k`` block."""
@@ -291,7 +291,7 @@ def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,
     counts = _OverlapSums(n, (1, n - 1) if with_per_item else None)
     for start, stop in _row_blocks(n):
         counts.add(start, rank_a.ranks[start:stop], rank_b.ranks[start:stop])
-    return AgreementProfile(n, counts.ar(), counts.per_item)
+    return AgreementProfile(counts.ar(), counts.per_item)
 
 
 def psi(profile: AgreementProfile) -> float:
@@ -301,14 +301,12 @@ def psi(profile: AgreementProfile) -> float:
     perfect recovery would attain, ``sum_k (n - k - 1) / (n - 1)``.  Equals 1
     for identical rank structures, is close to 0 for unrelated ones, and can
     be negative when agreement is below random.  Undefined for ``n = 2``
-    (the denominator vanishes).
+    (the denominator vanishes).  The same as :func:`weighted_psi` under
+    uniform weights.
     """
-    n = profile.n
-    if n < 3:
+    if profile.n < 3:
         raise ValueError("aggregate agreement is undefined for n < 3")
-    k = np.arange(1, n)
-    denom = ((n - k - 1) / (n - 1)).sum()
-    return float(profile.ar_adjusted.sum() / denom)
+    return weighted_psi(profile, WeightFunction.uniform(profile.n))
 
 
 def weighted_psi(profile: AgreementProfile, f: WeightFunction) -> float:
@@ -381,7 +379,7 @@ def co_ranking(rank_a: RankStructure, rank_b: RankStructure) -> CoRankingMatrix:
     rb = rank_b.ranks[off] - 1
     flat = ra * (n - 1) + rb
     omega = np.bincount(flat, minlength=(n - 1) * (n - 1)).reshape(n - 1, n - 1)
-    return CoRankingMatrix(omega, n)
+    return CoRankingMatrix(omega)
 
 
 def classify_rank_movements(rank_a: RankStructure, rank_b: RankStructure,

@@ -81,11 +81,11 @@ def _cmd_agree(args) -> None:
     runner = StageRunner(targets={"out.csv": args.out,
                                   "out_items.csv": items_path,
                                   "out_partial.csv": None})
-    for name in ("a", "b", "z"):
-        if getattr(args, name) is not None:
-            runner.configurations[name] = ingest_csv(getattr(args, name))
-    z = "z" if args.z is not None else None
-    runner.run(AgreeStage("out", "a", ("b",), z=z, per_item=args.per_item))
+    # artifacts are named by their files, so errors name the file
+    for path in filter(None, (args.a, args.b, args.z)):
+        runner.configurations[path] = ingest_csv(path)
+    runner.run(AgreeStage("out", args.a, (args.b,), z=args.z,
+                          per_item=args.per_item))
     print(f"wrote {args.out}")
     print(f"psi = {runner.score_rows[0].psi!r}")
     if args.per_item:
@@ -141,7 +141,7 @@ def _cmd_plot(args) -> None:
         runner.profiles[name] = read_profile(base / profiles[name])
     if stage.values is not None:
         ref = stage.values["agree"]
-        runner.per_item[ref] = read_per_item(base / ref)[:2]
+        runner.per_item[ref] = read_per_item(base / ref)
     runner.run(stage)
     print(f"wrote {args.out}")
 

@@ -66,11 +66,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def _result(x: np.ndarray, source: Configuration | None, method: str,
+def _result(x: np.ndarray, source: Configuration | None,
             diagnostics: dict) -> ReductionResult:
     labels = source.labels if source is not None else None
-    emb = Configuration(np.ascontiguousarray(x), labels=labels,
-                        provenance=(f"reduced:{method}",))
+    emb = Configuration(np.ascontiguousarray(x), labels=labels)
     return ReductionResult(emb, diagnostics)
 
 
@@ -126,7 +125,7 @@ def pca(config: Configuration, target_dim: int, use_correlation: bool = False) -
         "explained_variance_ratio": eigenvalues / total if total > 0 else eigenvalues,
         "use_correlation": use_correlation,
     }
-    return _result(scores, config, "pca", diagnostics)
+    return _result(scores, config, diagnostics)
 
 
 def classical_mds(dist: ProximityMatrix, target_dim: int) -> ReductionResult:
@@ -169,7 +168,7 @@ def classical_mds(dist: ProximityMatrix, target_dim: int) -> ReductionResult:
         "n_negative_eigenvalues": n_negative,
         "non_euclidean_warning": n_negative > 0,
     }
-    return _result(x, None, "classical_mds", diagnostics)
+    return _result(x, None, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         "stop_reason": reason,
         "init": init_used,
     }
-    return _result(x, None, "smacof", diagnostics)
+    return _result(x, None, diagnostics)
 
 
 def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
@@ -391,7 +390,7 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
         "threshold": threshold,
         "active_pair_fraction": float(w[off].mean()),
     })
-    return _result(result.embedding.items, None, "local_smacof", diagnostics)
+    return _result(result.embedding.items, None, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +449,7 @@ def isomap(config: Configuration, target_dim: int, n_neighbors: int) -> Reductio
         "component_sizes": [config.n],
         "geodesic_max": float(geo.values.max()),
     })
-    return _result(inner.embedding.items, config, "isomap", diagnostics)
+    return _result(inner.embedding.items, config, diagnostics)
 
 
 def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int,
@@ -487,7 +486,7 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
         "n_components": 1,
         "component_sizes": [config.n],
     }
-    return _result(x, config, "laplacian_eigenmaps", diagnostics)
+    return _result(x, config, diagnostics)
 
 
 def lle(config: Configuration, target_dim: int, n_neighbors: int,
@@ -546,7 +545,7 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
         "regularized_items": regularized,
         "weight_row_sum_error": float(np.abs(w.sum(axis=1) - 1.0).max()),
     }
-    return _result(x_out, config, "lle", diagnostics)
+    return _result(x_out, config, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,6 @@ DENSE_CAP = 20_000
 #: Distances held by one block of rows on the rank path (8 MB as float64).
 _BLOCK_CELLS = 1 << 20
 
-#: Above this magnitude ``x + x`` overflows.
-_HALF_MAX = np.finfo(float).max / 2
-
 
 def _readonly(a: np.ndarray, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
@@ -51,15 +48,11 @@ class Configuration:
     mask : ndarray of bool of shape (n, m), optional
         Presence mask; ``True`` marks an observed cell.  ``None`` means fully
         observed.  Every observed cell must be finite.
-    provenance : tuple of str
-        Free-form notes on how the configuration was produced (generator,
-        imputation, reduction method).
     """
 
     items: np.ndarray
     labels: tuple[str, ...] | None = None
     mask: np.ndarray | None = None
-    provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
         items = np.asarray(self.items, dtype=float)
@@ -95,7 +88,6 @@ class Configuration:
         if mask is not None:
             mask = _readonly(mask, bool)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "provenance", tuple(self.provenance))
 
     @property
     def n(self) -> int:
@@ -126,34 +118,28 @@ class ProximityMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        # a fresh array from the conversion is this constructor's own
-        owned = v is not self.values and v.base is None
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"proximity matrix must be square, got {v.shape}")
         if v.shape[0] < 2:
             raise ValueError("need at least 2 items")
-        lo, hi = v.min(), v.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        # min and max see any NaN or inf without an n x n mask, and one
+        # n x n buffer holds |v - v.T|, then the average, then the result:
+        # extra temporaries raise the peak memory of threaded reduce stages
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("proximity values must be finite")
-        # (x + x) / 2 == x unless x + x overflows, so averaging a bitwise
-        # symmetric matrix with its transpose would change nothing
-        if (max(-lo, hi) > _HALF_MAX
-                or not np.array_equal(v.view(np.int64), v.T.view(np.int64))):
-            if np.abs(v - v.T).max() > self._SYM_TOL:
-                raise ValueError("proximity matrix is not symmetric")
-            v = (v + v.T) / 2.0
-            lo, owned = v.min(), True
-        if np.abs(np.diag(v)).max() > self._SYM_TOL:
+        out = np.subtract(v, v.T)
+        if np.abs(out, out=out).max() > self._SYM_TOL:
+            raise ValueError("proximity matrix is not symmetric")
+        np.add(v, v.T, out=out)
+        out /= 2.0
+        if np.abs(np.diag(out)).max() > self._SYM_TOL:
             raise ValueError("distance diagonal must be zero")
-        if lo < -self._SYM_TOL:
+        if out.min() < -self._SYM_TOL:
             raise ValueError("distances must be non-negative")
-        if np.signbit(v).any():  # tiny negatives and -0.0 become +0.0
-            v, owned = np.maximum(v, 0.0), True
-        if not owned:
-            v = v.copy(order="K")
-        np.fill_diagonal(v, 0.0)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        np.maximum(out, 0.0, out=out)  # tiny negatives and -0.0 become +0.0
+        np.fill_diagonal(out, 0.0)
+        out.setflags(write=False)
+        object.__setattr__(self, "values", out)
 
     @property
     def n(self) -> int:

@@ -1,12 +1,15 @@
 """CSV input and output for configurations, profiles, and per-item values.
 
 All writers quote per RFC 4180 and print floats with ``repr``, so values
-round-trip losslessly and repeated runs emit identical bytes.
+round-trip losslessly and repeated runs emit identical bytes.  Every error
+a reader raises on a file's content, including those of the record it
+builds, starts with that file's name.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +18,27 @@ from .agreement import AgreementProfile
 from .geometry import Configuration
 
 
+def _names_its_file(read):
+    """Prefix each ``ValueError`` of ``read(path, ...)`` with the file name."""
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        path = Path(path)
+        try:
+            return read(path, *args, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
+    return reader
+
+
 def _read_rows(path: Path) -> list:
-    """The rows of a CSV text file; undecodable bytes fail with its name."""
+    """The rows of a CSV text file; undecodable bytes are a ValueError."""
     try:
         with path.open(newline="") as fh:
             return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path.name}: not {exc.encoding} text") from None
+        raise ValueError(f"not {exc.encoding} text") from None
     except csv.Error as exc:
-        raise ValueError(f"{path.name}: {exc}") from None
+        raise ValueError(str(exc)) from None
 
 
 def _is_number(cell: str) -> bool:
@@ -34,6 +49,7 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+@_names_its_file
 def ingest_csv(path, has_header: bool = True,
                missing_token: str = "NA") -> Configuration:
     """Read a rectangular numeric CSV into a Configuration.
@@ -43,28 +59,27 @@ def ingest_csv(path, has_header: bool = True,
     ``id`` or ``label``, or when every entry in that column is
     non-numeric.
     """
-    path = Path(path)
     rows = _read_rows(path)
     if not rows:
-        raise ValueError(f"{path.name}: no rows")
+        raise ValueError("no rows")
 
     header = None
     if has_header:
         header = [c.strip() for c in rows[0]]
         rows = rows[1:]
         if not rows:
-            raise ValueError(f"{path.name}: header but no data rows")
+            raise ValueError("header but no data rows")
 
     width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(
-                f"{path.name}: row {r + 1} has {len(row)} fields, "
+                f"row {r + 1} has {len(row)} fields, "
                 f"expected {width}"
             )
     if header is not None and len(header) != width:
         raise ValueError(
-            f"{path.name}: header has {len(header)} fields, "
+            f"header has {len(header)} fields, "
             f"data rows have {width}"
         )
 
@@ -87,7 +102,7 @@ def ingest_csv(path, has_header: bool = True,
         cells = [row[1:] for row in cells]
         width -= 1
     if width == 0:
-        raise ValueError(f"{path.name}: no data columns")
+        raise ValueError("no data columns")
 
     items = np.zeros((len(cells), width))
     mask = np.ones((len(cells), width), dtype=bool)
@@ -100,11 +115,10 @@ def ingest_csv(path, has_header: bool = True,
             else:
                 col = c + 2 if first_is_label else c + 1
                 raise ValueError(
-                    f"{path.name}: non-numeric cell {cell!r} at "
+                    f"non-numeric cell {cell!r} at "
                     f"row {r + 1}, column {col}"
                 )
-    return Configuration(items, labels=labels, mask=mask,
-                         provenance=(f"ingested:{path.name}",))
+    return Configuration(items, labels=labels, mask=mask)
 
 
 def impute_column_mean(config: Configuration) -> Configuration:
@@ -125,8 +139,7 @@ def impute_column_mean(config: Configuration) -> Configuration:
     means = col_sum / observed_per_col
     rows, cols = np.nonzero(~mask)
     items[rows, cols] = means[cols]
-    return Configuration(items, labels=config.labels,
-                         provenance=config.provenance + ("imputed:column_mean",))
+    return Configuration(items, labels=config.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +177,21 @@ def write_profile(profile: AgreementProfile, path) -> None:
             out.writerow([k, repr(float(ar)), repr(float(adjusted))])
 
 
+@_names_its_file
 def read_profile(path) -> AgreementProfile:
-    path = Path(path)
     rows = _read_rows(path)
     if not rows or rows[0][:2] != ["k", "agreement"]:
-        raise ValueError(f"{path.name}: not an agreement profile file")
+        raise ValueError("not an agreement profile file")
     body = rows[1:]
     if any(len(r) < 3 for r in body):
-        raise ValueError(f"{path.name}: profile rows need three fields")
+        raise ValueError("profile rows need three fields")
     ks = [int(r[0]) for r in body]
     if ks != list(range(1, len(ks) + 1)):
-        raise ValueError(f"{path.name}: profile rows must cover k = 1..n-1")
-    profile = AgreementProfile(len(ks) + 1, [float(r[1]) for r in body])
+        raise ValueError("profile rows must cover k = 1..n-1")
+    profile = AgreementProfile([float(r[1]) for r in body])
     adjusted = np.array([float(r[2]) for r in body])
     if np.abs(adjusted - profile.ar_adjusted).max() > 1e-9:
-        raise ValueError(f"{path.name}: adjusted_agreement does not match")
+        raise ValueError("adjusted_agreement does not match")
     return profile
 
 
@@ -197,23 +210,25 @@ def write_per_item(ks, values, path, labels=None) -> None:
             out.writerow([row_id] + [repr(float(v)) for v in row])
 
 
+@_names_its_file
 def read_per_item(path):
     """Read a per-item value matrix back as ``(ks, values, labels)``."""
-    path = Path(path)
     rows = _read_rows(path)
     if not rows or rows[0][:1] != ["id"] or len(rows[0]) < 2:
-        raise ValueError(f"{path.name}: not a per-item value file")
+        raise ValueError("not a per-item value file")
     try:
         ks = tuple(int(c.removeprefix("k=")) for c in rows[0][1:])
     except ValueError:
-        raise ValueError(f"{path.name}: malformed k columns") from None
+        raise ValueError("malformed k columns") from None
     if any(len(r) != len(rows[0]) for r in rows[1:]):
-        raise ValueError(f"{path.name}: rows must match the header's width")
+        raise ValueError("rows must match the header's width")
     labels = tuple(r[0] for r in rows[1:])
     if not labels:
-        raise ValueError(f"{path.name}: no item rows")
+        raise ValueError("no item rows")
     if len(set(labels)) != len(labels):
-        raise ValueError(f"{path.name}: item ids must be unique")
+        raise ValueError("item ids must be unique")
     values = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+    if not np.isfinite(values).all():
+        raise ValueError("item values must be finite")
     return ks, values, labels
 

@@ -96,7 +96,7 @@ def generate(spec: ManifoldSpec) -> Configuration:
             pts = _torus_random(spec.n, R, r, spec.seed)
         else:
             pts = _torus_lattice(spec.n, R, r)
-    return Configuration(pts, provenance=(f"generated:{spec.shape}", f"seed:{spec.seed}"))
+    return Configuration(pts)
 
 
 def _sphere_lattice(n: int, radius: float) -> np.ndarray:

@@ -4,6 +4,9 @@ A pipeline is a JSON document with a version, a global seed, and an
 ordered stage list.  Stages publish named artifacts that later stages
 reference; every file lands in the output directory and is listed in a
 manifest.  Identical config and inputs yield byte-identical outputs.
+Artifacts paired row by row (an agree stage's ``a`` with each ``b`` and
+``z``, a plot's per-item rates with each embedding) must list the same item
+ids whenever both have ids.
 
 An agree stage makes one pass over blocks of rows.  For each block it
 ranks the rows of every artifact it compares once, and adds each compared
@@ -88,8 +91,6 @@ class PipelineError(RuntimeError):
 
     def __init__(self, stage_name: str, kind: str, cause: Exception):
         super().__init__(f"stage {stage_name!r} ({kind}) failed: {cause}")
-        self.stage_name = stage_name
-        self.kind = kind
 
 
 def _reject_unknown(obj, allowed: set | None, where: str) -> dict:
@@ -144,6 +145,13 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ValueError(f"{where}: missing required key {key!r}")
     return obj[key]
+
+
+def _check_ids(ids, other, what: str, against: str) -> None:
+    """Raise if two artifacts that are paired row by row both have item ids
+    and these differ, in value or in order."""
+    if ids is not None and other is not None and ids != other:
+        raise ValueError(f"item ids of {what} do not match those of {against}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +430,8 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
         z = raw.get("z")
         for ref in (a, *b, *([z] if z is not None else [])):
             _ref(ref, scope.configurations, "artifact", where)
+        if len(set(b)) != len(b):
+            raise ValueError(f"{where}: duplicate artifacts in b")
         stage = AgreeStage(
             name, a, b, z=z,
             per_item=_flag(raw, "per_item", False, where),
@@ -510,13 +520,27 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
 
     scope = _Scope(base_dir)
     stages = []
+    scored = {}  # (a, b, range_k) -> the agree stage that scores it
     for idx, raw in enumerate(raw_stages):
         if not isinstance(raw, dict):
             raise ValueError(f"stage {idx}: must be an object")
         kind = _require(raw, "kind", f"stage {idx}")
         if kind not in STAGE_KINDS:
             raise ValueError(f"stage {idx}: unknown kind {kind!r}")
-        stages.append(_parse_stage(raw, f"stage {idx} ({kind})", scope))
+        where = f"stage {idx} ({kind})"
+        stage = _parse_stage(raw, where, scope)
+        stages.append(stage)
+        if scores is None or kind != "agree":
+            continue
+        # an omitted range_k and an explicit [1, n-1] can only be told
+        # apart at run time, by ScoreTable
+        for b in stage.b:
+            first = scored.setdefault((stage.a, b, stage.range_k), stage.name)
+            if first != stage.name:
+                raise ValueError(
+                    f"{where}: agree stages {first!r} and {stage.name!r} "
+                    f"both score {b!r} against {stage.a!r} over the same "
+                    f"range_k")
 
     return PipelineConfig(seed=seed, out_dir=base_dir / out_dir,
                           stages=tuple(stages), imputation=imputation,
@@ -740,10 +764,12 @@ class StageRunner:
 
     def agree(self, stage: AgreeStage, seed=None) -> None:
         n = self.configurations[stage.a].n
+        ids = self.configurations[stage.a].labels
         for name in filter(None, (stage.z, *stage.b)):
-            m = self.configurations[name].n
-            if m != n:
-                raise ValueError(f"item counts differ: {n} vs {m}")
+            other = self.configurations[name]
+            if other.n != n:
+                raise ValueError(f"item counts differ: {n} vs {other.n}")
+            _check_ids(other.labels, ids, repr(name), repr(stage.a))
         lo, hi = stage.range_k or (1, n - 1)
         if hi > n - 1:
             raise ValueError(f"range_k upper bound {hi} exceeds n-1 = {n - 1}")
@@ -765,7 +791,7 @@ class StageRunner:
                     counts.add(start, rows[x], rows[y])
 
         def profile(x, y):
-            return AgreementProfile(n, pairs[x, y].ar())
+            return AgreementProfile(pairs[x, y].ar())
 
         if stage.z is not None:
             psi_az = psi(profile(stage.a, stage.z))
@@ -777,9 +803,9 @@ class StageRunner:
             if stage.per_item:
                 ks = tuple(range(lo, hi + 1))
                 matrix = pairs[stage.a, b_name].per_item
-                self.per_item[key] = (ks, matrix)
+                self.per_item[key] = (ks, matrix, ids)
                 self._emit(f"{file_base}_items.csv", write_per_item, ks,
-                           matrix, labels=self.configurations[stage.a].labels)
+                           matrix, labels=ids)
             psi_ab = psi(prof)
             if stage.z is not None:
                 psi_bz = psi(profile(b_name, stage.z))
@@ -799,11 +825,16 @@ class StageRunner:
 
     def plot(self, stage: PlotStage, seed=None) -> None:
         spec = stage.spec
+        if stage.plot_type != "lift":
+            rates = stage.values["agree"]
+            ks, matrix, ids = self.per_item[rates]
+            for name in filter(None, (*stage.embeddings, stage.order_by)):
+                _check_ids(self.configurations[name].labels, ids,
+                           f"embedding {name!r}", f"per-item rates {rates!r}")
         if stage.plot_type == "lift":
             named = {ref: self.profiles[ref] for ref in stage.profiles}
             text = render_lift(named, spec)
         elif stage.plot_type == "heatmap":
-            ks, matrix = self.per_item[stage.values["agree"]]
             if spec.range_k is None:
                 spec = replace(spec, range_k=ks)
             order = None
@@ -813,7 +844,6 @@ class StageRunner:
             text = render_heatmap(matrix, item_order=order, spec=spec,
                                   binary=stage.binary)
         else:
-            ks, matrix = self.per_item[stage.values["agree"]]
             k = stage.values.get("k")
             if k is not None and k not in ks:
                 raise ValueError(f"k = {k} not among stored columns {ks}")

@@ -49,7 +49,6 @@ TECHNIQUE_RGB = (
 FILL_OPACITY = 0.45
 
 COLOR_MODES = ("absolute", "relative_to_random", "comparative")
-CONFIG_SIDES = ("A", "B", "both")
 COMPARISONS = ("simple", "compare")
 
 
@@ -111,17 +110,14 @@ class PlotStyle:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """What to draw: sides, comparison mode, k range, and styling."""
+    """What to draw: comparison mode, k range, and styling."""
 
-    config_side: str = "both"
     comparison: str = "simple"
     adjusted: bool = False
     range_k: tuple[int, ...] | None = None
     style: PlotStyle = field(default_factory=PlotStyle)
 
     def __post_init__(self):
-        if self.config_side not in CONFIG_SIDES:
-            raise ValueError(f"config_side must be one of {CONFIG_SIDES}")
         if self.comparison not in COMPARISONS:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
         if not isinstance(self.adjusted, bool):
@@ -201,11 +197,8 @@ class ColorScale:
     def rgb(self, value: float) -> tuple[int, int, int]:
         return tuple(int(c) for c in self.rgb_array(float(value)))
 
-    def css(self, value: float) -> str:
-        return _hex(self.rgb(value))
-
     def css_array(self, values) -> list:
-        """``css`` of every value, as nested lists shaped like ``values``."""
+        """Hex colors of every value, as nested lists shaped like ``values``."""
         return _hex_array(self.rgb_array(values))
 
 
@@ -376,11 +369,6 @@ def render_scatter(embeddings, item_values, spec: RenderSpec | None = None) -> s
         panels = list(embeddings)
         if not 1 <= len(panels) <= 2:
             raise ValueError("expected one or two embeddings")
-    if len(panels) == 2:
-        if spec.config_side == "A":
-            panels = panels[:1]
-        elif spec.config_side == "B":
-            panels = panels[1:]
     n = panels[0].n
     for p in panels:
         if p.n != n:
@@ -627,9 +615,7 @@ def lift_area(profile: AgreementProfile) -> float:
 
 def full_lift_area(n: int) -> float:
     """Lift area of a perfect profile, the ceiling for any technique."""
-    k = np.arange(1, n)
-    gain = 1.0 - k / (n - 1)
-    return float((gain[:-1] + gain[1:]).sum() / 2.0)
+    return lift_area(AgreementProfile(np.ones(n - 1)))
 
 
 def render_lift(profiles, spec: RenderSpec | None = None) -> str:

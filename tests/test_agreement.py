@@ -172,8 +172,7 @@ def dense_profile(rank_a, rank_b):
 
 
 def dense_psi(ar):
-    n = len(ar) + 1
-    return psi(AgreementProfile(n, ar))
+    return psi(AgreementProfile(ar))
 
 
 class TestBlockedKernel:
@@ -228,7 +227,7 @@ class TestBlockedKernel:
             runner.agree(stage)
         for key, (ar, per_item, partial) in expected.items():
             assert runner.profiles[key].ar.tobytes() == ar.tobytes()
-            ks, matrix = runner.per_item[key]
+            ks, matrix, _ = runner.per_item[key]
             assert ks == tuple(range(lo, hi + 1))
             assert matrix.tobytes() == per_item.tobytes()
             if with_z:
@@ -358,11 +357,11 @@ class TestWeights:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            WeightFunction.from_table([0.5, -0.1, 0.2])
+            WeightFunction([0.5, -0.1, 0.2])
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            WeightFunction.from_table([0.0, 0.0])
+            WeightFunction([0.0, 0.0])
 
     def test_weight_only_at_last_k_rejected(self):
         a, b = random_pair(12)
@@ -373,7 +372,7 @@ class TestWeights:
         v = np.zeros(prof.n - 1)
         v[-1] = 1.0
         with pytest.raises(ValueError):
-            weighted_psi(prof, WeightFunction.from_table(v))
+            weighted_psi(prof, WeightFunction(v))
 
     def test_size_mismatch_rejected(self):
         a, b = random_pair(13)
@@ -467,4 +466,4 @@ class TestCoRankingStructure:
 class TestProfileType:
     def test_final_rate_must_be_one(self):
         with pytest.raises(ValueError):
-            AgreementProfile(3, np.array([0.5, 0.9]))
+            AgreementProfile(np.array([0.5, 0.9]))

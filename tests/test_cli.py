@@ -156,8 +156,57 @@ class TestAgree:
         assert code == 1 and len(err) == 1 and err[0].startswith("error:"), err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["data.csv"]
 
+    @pytest.mark.parametrize("option", ["--b", "--z"])
+    def test_mismatched_item_ids_fail(self, option, tmp_path, capsys):
+        """A map whose rows list the items in another order is not scored
+        row by row against the data."""
+        data, emb, rev = (tmp_path / f for f in ("d.csv", "e.csv", "r.csv"))
+        assert run_cli("generate", "--shape", "sphere_random", "--n", "12",
+                       "--seed", "2", "--out", str(data)) == 0
+        assert run_cli("reduce", "--method", "pca", "--dim", "2",
+                       "--in", str(data), "--out", str(emb)) == 0
+        header, *rows = emb.read_text().splitlines()
+        rev.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        argv = {"--b": ["--b", str(rev)],
+                "--z": ["--b", str(emb), "--z", str(rev)]}[option]
+        capsys.readouterr()
+        code = run_cli("agree", "--a", str(data), *argv,
+                       "--out", str(tmp_path / "p.csv"), "--per-item")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: item ids of {str(rev)!r} do not "
+                                f"match those of {str(data)!r}\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "d.csv", "e.csv", "r.csv"]
+
 
 class TestPlot:
+    @pytest.mark.parametrize("plot_type, spec", [
+        ("scatter", {"embeddings": ["emb.csv"]}),
+        ("loess", {"embedding": "emb.csv"}),
+        ("heatmap", {"order_by": "emb.csv"}),
+    ], ids=["scatter", "loess", "heatmap_order_by"])
+    def test_mismatched_item_ids_fail(self, plot_type, spec, good_files,
+                                      tmp_path, monkeypatch, capsys):
+        """Per-item rates of other items are not painted onto an
+        embedding."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in good_files.items():
+            Path(name).write_text(text)
+        header, *rows = good_files["p_items.csv"].splitlines()
+        rows = [f"other{i}," + r.split(",", 1)[1]
+                for i, r in enumerate(rows)][::-1]
+        Path("o_items.csv").write_text("\n".join([header, *rows]) + "\n")
+        for rates, code in (("p_items.csv", 0), ("o_items.csv", 1)):
+            Path("spec.json").write_text(json.dumps(
+                {**spec, "values": {"per_item": rates}}))
+            assert run_cli("plot", "--type", plot_type, "--spec", "spec.json",
+                           "--out", f"{rates}.svg") == code
+        assert capsys.readouterr().err == (
+            "error: item ids of embedding 'emb.csv' do not match those of "
+            "per-item rates 'o_items.csv'\n")
+        assert not Path("o_items.csv.svg").exists()
+
     def test_lift_from_profiles(self, dataset, tmp_path):
         emb = tmp_path / "emb.csv"
         run_cli("reduce", "--method", "pca", "--dim", "2",
@@ -463,6 +512,7 @@ def test_malformed_csv_exits_cleanly(argument, how, good_files, tmp_path,
     err = captured.err.splitlines()
     assert code == 1 and len(err) == 1 and err[0].startswith("error:"), (
         code, captured.err)
+    assert "bad.csv" in err[0]
     assert captured.out == ""
     assert not Path("out.file").exists()
 

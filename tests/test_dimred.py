@@ -409,13 +409,6 @@ class TestDispatchAndSigns:
             assert res.embedding.labels == labels
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_provenance_names_the_method(self, method):
-        c = Configuration(np.random.default_rng(73).standard_normal((20, 3)),
-                          labels=tuple(f"it{i}" for i in range(20)))
-        res = run_reduction(method, c, 2, SMALL_PARAMS[method], seed=0)
-        assert res.embedding.provenance == (f"reduced:{method}",)
-
-    @pytest.mark.parametrize("method", METHODS)
     def test_dispatch_looks_up_module_functions(self, method, monkeypatch):
         calls = []
 

@@ -118,9 +118,8 @@ class TestEuclideanDistances:
 
 
 def reference_proximity_values(values, tol=1e-9):
-    """The distance constructor's values as it computed them before its
-    fast paths: always average with the transpose, clamp, fill the diagonal
-    and copy."""
+    """The distance constructor's values, spelled out: check, average with
+    the transpose, clamp, fill the diagonal and copy."""
     v = np.asarray(values, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("proximity values must be finite")

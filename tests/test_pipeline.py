@@ -11,6 +11,7 @@ import pytest
 from drqa import agreement, geometry, pipeline
 from drqa.cli import main
 from drqa.geometry import Configuration, ranks_from_config
+from drqa.ingest import write_configuration
 from drqa.pipeline import (
     AgreeStage,
     IngestStage,
@@ -126,7 +127,8 @@ class TestParsing:
              "per_item": True},
             {"kind": "plot", "name": "p", "type": "scatter",
              "embeddings": ["r"], "values": {"agree": "a"}}]}
-        for key, value in (("styl", {}), ("eval_mode", "hard")):
+        for key, value in (("styl", {}), ("eval_mode", "hard"),
+                           ("config_side", "A")):
             cfg["stages"][3]["spec"] = {key: value}
             with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
                 parse_config(cfg, tmp_path)
@@ -261,6 +263,10 @@ class TestParsing:
             {"kind": "generate", "name": "d", "shape": "sphere_random", "n": 30}]}
         with pytest.raises(ValueError, match="already in use"):
             parse_config(cfg, tmp_path)
+        cfg["stages"][1] = {"kind": "agree", "name": "a", "a": "d",
+                            "b": ["d", "d"]}
+        with pytest.raises(ValueError, match="duplicate artifacts in b"):
+            parse_config(cfg, tmp_path)
 
 
 class TestExecution:
@@ -344,8 +350,8 @@ class TestExecution:
         runner.agree(AgreeStage("s", "a", ("b",), per_item=True,
                                 range_k=(2, 5)))
         assert runner.profiles["s"].per_item is None
-        ks, matrix = runner.per_item["s"]
-        assert ks == (2, 3, 4, 5)
+        ks, matrix, ids = runner.per_item["s"]
+        assert ks == (2, 3, 4, 5) and ids is None
         assert matrix.shape == (12, 4) and matrix.base is None
 
     def test_partial_agreement_scores_a_against_z_once(self, tmp_path,
@@ -407,6 +413,57 @@ class TestExecution:
         with pytest.raises(PipelineError, match="stage 'i'"):
             run(cfg, tmp_path)
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("role", ["b", "z"])
+    def test_agree_rejects_mismatched_item_ids(self, role, tmp_path):
+        """Rows are paired item by item, so a map listing the items in
+        another order fails instead of being scored row against row."""
+        x = np.random.default_rng(8).standard_normal((12, 3))
+        ids = [f"s{i}" for i in range(12)]
+        write_configuration(Configuration(x, labels=ids), tmp_path / "s.csv")
+        write_configuration(Configuration(x[::-1], labels=ids[::-1]),
+                            tmp_path / "m.csv")
+        cfg = {"version": 1, "out_dir": "o", "stages": [
+            {"kind": "ingest", "name": "survey", "path": "s.csv"},
+            {"kind": "ingest", "name": "map", "path": "m.csv"},
+            {"kind": "agree", "name": "agr", "a": "survey",
+             **({"b": "map"} if role == "b" else {"b": "survey", "z": "map"})}]}
+        with pytest.raises(PipelineError, match="^stage 'agr' \\(agree\\) "
+                           "failed: item ids of 'map' do not match those of "
+                           "'survey'$"):
+            run(cfg, tmp_path)
+        assert not list((tmp_path / "o").glob("agr*"))
+
+    @pytest.mark.parametrize("plot_type, key", [
+        ("scatter", "embeddings"), ("loess", "embeddings"),
+        ("heatmap", "order_by"),
+    ], ids=["scatter", "loess", "heatmap_order_by"])
+    def test_plot_rejects_mismatched_item_ids(self, plot_type, key, tmp_path):
+        """Per-item rates are painted only onto an embedding of the same
+        items in the same order."""
+        x = np.random.default_rng(9).standard_normal((12, 2))
+        ids = [f"s{i}" for i in range(12)]
+        write_configuration(Configuration(x, labels=ids), tmp_path / "m.csv")
+        write_configuration(Configuration(x[::-1], labels=ids[::-1]),
+                            tmp_path / "r.csv")
+
+        def config(out_dir, embedding):
+            return {"version": 1, "out_dir": out_dir, "stages": [
+                {"kind": "ingest", "name": "map", "path": "m.csv"},
+                {"kind": "ingest", "name": "shuffled", "path": "r.csv"},
+                {"kind": "agree", "name": "agr", "a": "map", "b": "map",
+                 "per_item": True},
+                {"kind": "plot", "name": "fig", "type": plot_type,
+                 "values": {"agree": "agr"},
+                 key: [embedding] if key == "embeddings" else embedding}]}
+
+        run(config("ok", "map"), tmp_path)
+        assert (tmp_path / "ok" / "fig.svg").exists()
+        with pytest.raises(PipelineError, match="^stage 'fig' \\(plot\\) "
+                           "failed: item ids of embedding 'shuffled' do not "
+                           "match those of per-item rates 'agr'$"):
+            run(config("o", "shuffled"), tmp_path)
+        assert not (tmp_path / "o" / "fig.svg").exists()
 
     def test_threads_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DRQA_THREADS", "2")
@@ -612,7 +669,7 @@ class TestStreamedAgree:
             runner.agree(AgreeStage("s", "survey", ("map",), per_item=True,
                                     range_k=(lo, hi)))
             assert (runner.profiles["s"].ar == ar).all()
-            ks, matrix = runner.per_item["s"]
+            ks, matrix, _ = runner.per_item["s"]
             assert ks == tuple(k)
             assert (matrix == rates).all()
 
@@ -657,6 +714,34 @@ class TestScores:
         row = ScoreRow("pca", {"dataset": "d"}, "1-9", 0.5, 0.4, 0.3)
         with pytest.raises(ValueError, match="duplicate"):
             ScoreTable((row, row))
+
+    def test_duplicate_rows_rejected_at_parse_time(self, tmp_path):
+        """Two agree stages that would write the same score row fail before
+        any stage runs, and the error names both."""
+        cfg = {"version": 1, "out_dir": "o", "scores": "scores.csv",
+               "stages": [
+                   {"kind": "generate", "name": "d", "shape": "sphere_random",
+                    "n": 20},
+                   {"kind": "reduce", "name": "r", "source": "d",
+                    "method": "pca", "target_dim": 2},
+                   {"kind": "agree", "name": "first", "a": "d", "b": "r",
+                    "range_k": [1, 5]},
+                   {"kind": "agree", "name": "second", "a": "d",
+                    "b": ["d", "r"], "range_k": [1, 5]}]}
+        with pytest.raises(ValueError, match="^stage 3 \\(agree\\): agree "
+                           "stages 'first' and 'second' both score 'r' "
+                           "against 'd' over the same range_k$"):
+            parse_config(cfg, tmp_path)
+        cfg["stages"][3]["range_k"] = [1, 6]
+        parse_config(cfg, tmp_path)
+        # an omitted range_k means [1, n-1], which only a run can know
+        del cfg["stages"][2]["range_k"]
+        cfg["stages"][3]["range_k"] = [1, 19]
+        with pytest.raises(ValueError, match="^duplicate score row"):
+            run(cfg, tmp_path)
+        del cfg["scores"]  # without a score table both may run
+        cfg["stages"][2]["range_k"] = [1, 19]
+        run(cfg, tmp_path)
 
     def test_load_config_resolves_relative_paths(self, tmp_path):
         (tmp_path / "raw.csv").write_text("x,y\n1,2\n3,4\n5,6\n")

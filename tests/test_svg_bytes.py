@@ -84,7 +84,7 @@ def profiles(count, n=30):
 
 def chance_profile(n=20):
     k = np.arange(1, n)
-    return AgreementProfile(n, k / (n - 1))
+    return AgreementProfile(k / (n - 1))
 
 
 def scatter_panel():

@@ -191,9 +191,8 @@ class TestRenderSpec:
         assert RenderSpec(range_k=[1, 5, 9]).range_k == (1, 5, 9)
 
     def test_field_validation(self):
-        for kw in ({"config_side": "C"}, {"comparison": "triple"}):
-            with pytest.raises(ValueError):
-                RenderSpec(**kw)
+        with pytest.raises(ValueError):
+            RenderSpec(comparison="triple")
 
     def test_style_validation(self):
         with pytest.raises(ValueError, match="margin"):
@@ -326,9 +325,6 @@ class TestScatter:
         both = render_scatter([embedding_2d, other], vals,
                               RenderSpec(style=small_style()))
         assert len(elements(both, "pt")) == 50
-        just_a = render_scatter([embedding_2d, other], vals,
-                                RenderSpec(config_side="A", style=small_style()))
-        assert len(elements(just_a, "pt")) == 25
 
     def test_byte_identical_reruns(self, embedding_2d):
         vals = np.linspace(0, 1, 25)
