@@ -38,7 +38,7 @@ _PLOT_INPUTS = {"lift": {"profiles"}, "scatter": {"embeddings", "values"},
 def _json_dict(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{what}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{what}: expected a JSON object")

@@ -175,20 +175,62 @@ def classical_mds(dist: ProximityMatrix, target_dim: int) -> ReductionResult:
 # stress majorization
 
 
-def _stress(d_embed, d_hat, weights, off):
-    num = (weights * (d_embed - d_hat) ** 2)[off].sum()
-    den = (weights * d_embed**2)[off].sum()
+def _offdiag(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of square ``m``, in row-major order.
+
+    Row ``r`` of the (n - 1, n) result holds the n entries that lie between
+    the diagonal cells ``r`` and ``r + 1`` of ``m.ravel()``, so read row by
+    row they are ``m[~np.eye(n, dtype=bool)]``.  It is a view of ``m`` when
+    ``m`` is C-contiguous, and writes to it reach ``m``.
+    """
+    n = m.shape[0]
+    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
+def _stress(d, d_hat, w, work):
+    """Normalized Stress of off-diagonal vectors; ``work`` is scratch and
+    may hold ``d_hat``."""
+    np.subtract(d, d_hat, out=work)
+    np.square(work, out=work)
+    if w is not None:
+        np.multiply(w, work, out=work)
+    num = work.sum()
+    np.square(d, out=work)
+    if w is not None:
+        np.multiply(w, work, out=work)
+    den = work.sum()
     if den <= 0:
         raise ValueError("embedded configuration collapsed to a point")
     return math.sqrt(num / den)
 
 
-def _fit_ratio(d_embed, delta, weights, off):
-    den = (weights * delta**2)[off].sum()
-    if den <= 0:
-        return np.zeros_like(delta)
-    b = (weights * d_embed * delta)[off].sum() / den
-    return b * delta
+class _RatioFit:
+    """The least-squares scale factor ``b`` of the dissimilarities.
+
+    ``update`` refits ``b`` to embedded distances; ``values`` writes the
+    fitted ``b * delta`` into ``work`` and returns it.
+    """
+
+    def __init__(self, delta, w):
+        self.delta, self.w = delta, w
+        sq = np.square(delta)
+        if w is not None:
+            np.multiply(w, sq, out=sq)
+        self.den = sq.sum()
+        self.b = 0.0  # 0.0 * delta is +0.0, so a zero denominator fits zeros
+
+    def update(self, d, work):
+        if self.den <= 0:
+            return
+        if self.w is None:
+            np.multiply(d, self.delta, out=work)
+        else:
+            np.multiply(self.w, d, out=work)
+            np.multiply(work, self.delta, out=work)
+        self.b = work.sum() / self.den
+
+    def values(self, work):
+        return np.multiply(self.b, self.delta, out=work)
 
 
 class _OrdinalFit:
@@ -196,26 +238,29 @@ class _OrdinalFit:
 
     Pairs are ordered once by ascending dissimilarity (ties by index, the
     primary approach: tied inputs may receive different fitted values).  Each
-    call pools the current embedded distances over that order.
+    ``update`` pools the current embedded distances over that order and
+    writes the fit to both entries of each pair; zero-weight pairs get zero.
     """
 
-    def __init__(self, delta, weights):
-        n = delta.shape[0]
+    def __init__(self, delta, w, n):
         iu, ju = np.triu_indices(n, k=1)
-        w = weights[iu, ju]
-        keep = w > 0
-        self.iu, self.ju, self.w = iu[keep], ju[keep], w[keep]
-        self.order = np.lexsort((self.ju, self.iu, delta[self.iu, self.ju]))
+        upper = iu * (n - 1) + ju - 1  # (i, j) in the off-diagonal vector
+        lower = ju * (n - 1) + iu      # (j, i)
+        if w is not None:
+            keep = w[upper] > 0
+            upper, lower = upper[keep], lower[keep]
+        order = np.argsort(delta[upper], kind="stable")  # ties by (i, j)
+        self.upper, self.lower = upper[order], lower[order]
+        self.w = np.ones(upper.size) if w is None else w[self.upper]
+        self.fit = np.zeros_like(delta)
 
-    def __call__(self, d_embed):
-        y = d_embed[self.iu, self.ju][self.order]
-        fit = isotonic_regression(y, weights=self.w[self.order]).x
-        d_hat = np.zeros_like(d_embed)
-        ii = self.iu[self.order]
-        jj = self.ju[self.order]
-        d_hat[ii, jj] = fit
-        d_hat[jj, ii] = fit
-        return d_hat
+    def update(self, d, work):
+        fit = isotonic_regression(d[self.upper], weights=self.w).x
+        self.fit[self.upper] = fit
+        self.fit[self.lower] = fit
+
+    def values(self, work):
+        return self.fit
 
 
 def _check_weights(weights, n):
@@ -251,6 +296,12 @@ def smacof(dist: ProximityMatrix, target_dim: int,
     update ever fails to decrease the recorded Stress it is rolled back and
     iteration stops, so the Stress history is non-increasing by construction.
 
+    Iterations run on the off-diagonal entries of ``d``, ``dhat``, the
+    dissimilarities and the weights, each held as one contiguous vector in
+    row-major pair order (``m[~np.eye(n, dtype=bool)]``), in buffers that
+    the call reuses.  Every sum runs over such a vector, so that order fixes
+    the summation, and with it every bit of the result.
+
     Parameters
     ----------
     dist : ProximityMatrix
@@ -276,15 +327,19 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         raise ValueError("max_iter must be positive")
     if init not in ("classical", "random"):
         raise ValueError(f"init must be 'classical' or 'random', got {init!r}")
-    delta = dist.values
-    unit_weights = weights is None
-    if unit_weights:
-        w = np.ones((n, n))
-        np.fill_diagonal(w, 0.0)
-    else:
-        w = _check_weights(weights, n)
-        unit_weights = bool((w[~np.eye(n, dtype=bool)] == 1.0).all())
-    off = ~np.eye(n, dtype=bool)
+    delta = _offdiag(dist.values).flatten()
+    # w stays None for unit weights: 1.0 * x == x, so skipping it keeps the bits
+    w = solve = None
+    if weights is not None:
+        full = _check_weights(weights, n)
+        if not (_offdiag(full) == 1.0).all():
+            w = _offdiag(full).flatten()
+            factor = cho_factor(np.diag(full.sum(axis=1)) - full
+                                + np.ones((n, n)) / n)
+            # the factor does not change: check only each right-hand side
+            solve = lambda rhs: cho_solve(  # noqa: E731
+                factor, np.asarray_chkfinite(rhs), check_finite=False)
+        del full
 
     init_used = init
     x = None
@@ -295,46 +350,57 @@ def smacof(dist: ProximityMatrix, target_dim: int,
             init_used = "random-fallback"
     if x is None:
         rng = np.random.default_rng(seed)
-        scale = delta[off].mean() if delta[off].max() > 0 else 1.0
+        scale = delta.mean() if delta.max() > 0 else 1.0
         x = rng.standard_normal((n, target_dim)) * scale
 
-    solve = None
-    if not unit_weights:
-        v = np.diag(w.sum(axis=1)) - w
-        factor = cho_factor(v + np.ones((n, n)) / n)
-        solve = lambda rhs: cho_solve(factor, rhs)  # noqa: E731
+    fit = (_RatioFit(delta, w) if transform == "ratio"
+           else _OrdinalFit(delta, w, n))
+    mat = np.empty((n, n))  # the embedded distances, then the matrix B
+    mat_off = _offdiag(mat)
+    d = np.empty_like(delta)  # the embedded distances of x
+    work = np.empty_like(delta)
+    positive = np.empty((n - 1, n), dtype=bool)
 
-    fit = _fit_ratio if transform == "ratio" else None
-    ordinal = _OrdinalFit(delta, w) if transform == "ordinal" else None
+    def grid(v):
+        return v.reshape(n - 1, n)
 
-    def fit_dhat(d_embed):
-        if transform == "ratio":
-            return fit(d_embed, delta, w, off)
-        return ordinal(d_embed)
+    def measure(x_cur):
+        """Put the distances of ``x_cur`` into ``d``, refit the transform
+        to them, and return the Stress."""
+        cdist(x_cur, x_cur, out=mat)
+        np.copyto(grid(d), mat_off)
+        fit.update(d, work)
+        return _stress(d, fit.values(work), w, work)
 
-    def guttman(x_cur, d_embed, d_hat):
+    def guttman(x_cur):
+        # B = diag(rowsum(R)) - R with R = w * d_hat / d where d > 0, else 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d_embed > 0, d_hat / d_embed, 0.0) * w
-        bmat = -ratio
-        np.fill_diagonal(bmat, ratio.sum(axis=1))
-        rhs = bmat @ x_cur
-        return rhs / n if unit_weights else solve(rhs)
+            np.divide(grid(fit.values(work)), grid(d), out=mat_off)
+        np.greater(grid(d), 0.0, out=positive)
+        if not positive.all():  # coincident items; a masked divide is slow
+            mat_off[~positive] = 0.0
+        mat.reshape(-1)[:: n + 1] = 0.0
+        if w is not None:
+            np.multiply(mat_off, grid(w), out=mat_off)
+        rowsum = mat.sum(axis=1)
+        np.negative(mat, out=mat)
+        mat.reshape(-1)[:: n + 1] = rowsum
+        rhs = mat @ x_cur
+        return rhs / n if solve is None else solve(rhs)
 
-    d_embed = cdist(x, x)
-    d_hat = fit_dhat(d_embed)
-    history = [_stress(d_embed, d_hat, w, off)]
+    # d and the fit always belong to the last measured x; a rejected update
+    # ends the loop, so nothing reads them after that
+    history = [measure(x)]
     converged = False
     reason = "max_iter"
     for _ in range(max_iter):
-        x_new = guttman(x, d_embed, d_hat)
-        d_new = cdist(x_new, x_new)
-        d_hat_new = fit_dhat(d_new)
-        s_new = _stress(d_new, d_hat_new, w, off)
+        x_new = guttman(x)
+        s_new = measure(x_new)
         if s_new > history[-1]:
             converged = True
             reason = "no_decrease"
             break
-        x, d_embed, d_hat = x_new, d_new, d_hat_new
+        x = x_new
         history.append(s_new)
         prev, cur = history[-2], history[-1]
         if prev - cur < tol * max(prev, np.finfo(float).tiny):
@@ -371,9 +437,7 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
     _require_distance(dist, "local_smacof")
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
-    n = dist.n
-    off = ~np.eye(n, dtype=bool)
-    threshold = float(np.quantile(dist.values[off], quantile))
+    threshold = float(np.quantile(_offdiag(dist.values), quantile))
     w = (dist.values <= threshold).astype(float)
     np.fill_diagonal(w, 0.0)
     try:
@@ -388,7 +452,7 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
         "method": "local_smacof",
         "quantile": quantile,
         "threshold": threshold,
-        "active_pair_fraction": float(w[off].mean()),
+        "active_pair_fraction": float(_offdiag(w).mean()),
     })
     return _result(result.embedding.items, None, diagnostics)
 

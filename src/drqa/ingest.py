@@ -146,10 +146,12 @@ def impute_column_mean(config: Configuration) -> Configuration:
 # Writers and readers
 
 
-def _ids(config: Configuration):
-    if config.labels is not None:
-        return config.labels
-    return tuple(str(i) for i in range(config.n))
+def item_ids(labels, n: int) -> tuple:
+    """The ids that a written file gives ``n`` items: their labels, or
+    ``"0" .. "n-1"`` when they have none."""
+    if labels is not None:
+        return tuple(labels)
+    return tuple(str(i) for i in range(n))
 
 
 def write_configuration(config: Configuration, path) -> None:
@@ -159,7 +161,7 @@ def write_configuration(config: Configuration, path) -> None:
     with path.open("w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["id"] + [f"dim{j + 1}" for j in range(config.m)])
-        for i, row_id in enumerate(_ids(config)):
+        for i, row_id in enumerate(item_ids(config.labels, config.n)):
             row = [row_id]
             for j in range(config.m):
                 observed = mask is None or mask[i, j]
@@ -201,12 +203,11 @@ def write_per_item(ks, values, path, labels=None) -> None:
     ks = [int(k) for k in ks]
     if values.ndim != 2 or values.shape[1] != len(ks):
         raise ValueError("values must have one column per k")
-    ids = labels if labels is not None else [str(i) for i in range(len(values))]
     path = Path(path)
     with path.open("w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["id"] + [f"k={k}" for k in ks])
-        for row_id, row in zip(ids, values):
+        for row_id, row in zip(item_ids(labels, len(values)), values):
             out.writerow([row_id] + [repr(float(v)) for v in row])
 
 

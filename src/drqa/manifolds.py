@@ -65,6 +65,9 @@ class ManifoldSpec:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"shape parameter {key} has the wrong type: "
                                  f"{value!r}")
+            if kind is not str and not math.isfinite(value):
+                raise ValueError(f"shape parameter {key} must be finite, "
+                                 f"got {value!r}")
         params = {**defaults, **self.shape_params}
         if self.shape == "swiss_roll":
             if not (params["phi_max"] > params["phi_min"] > 0

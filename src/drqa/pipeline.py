@@ -59,6 +59,7 @@ from .geometry import (
 from .ingest import (
     impute_column_mean,
     ingest_csv,
+    item_ids,
     write_configuration,
     write_per_item,
     write_profile,
@@ -147,10 +148,15 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _check_ids(ids, other, what: str, against: str) -> None:
-    """Raise if two artifacts that are paired row by row both have item ids
-    and these differ, in value or in order."""
-    if ids is not None and other is not None and ids != other:
+def _check_ids(ids, other, n: int, what: str, against: str) -> None:
+    """Raise unless two artifacts of ``n`` items that are paired row by row
+    list the same items in the same order.
+
+    Labels of ``None`` stand for the ids ``"0" .. "n-1"`` that the written
+    file carries, so a stage accepts the same artifacts as the CLI does
+    when given the files that the pipeline wrote.
+    """
+    if item_ids(ids, n) != item_ids(other, n):
         raise ValueError(f"item ids of {what} do not match those of {against}")
 
 
@@ -549,8 +555,10 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    with path.open() as fh:
-        obj = json.load(fh)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(obj, base_dir=path.parent)
 
 
@@ -769,7 +777,7 @@ class StageRunner:
             other = self.configurations[name]
             if other.n != n:
                 raise ValueError(f"item counts differ: {n} vs {other.n}")
-            _check_ids(other.labels, ids, repr(name), repr(stage.a))
+            _check_ids(other.labels, ids, n, repr(name), repr(stage.a))
         lo, hi = stage.range_k or (1, n - 1)
         if hi > n - 1:
             raise ValueError(f"range_k upper bound {hi} exceeds n-1 = {n - 1}")
@@ -830,7 +838,8 @@ class StageRunner:
             ks, matrix, ids = self.per_item[rates]
             for name in filter(None, (*stage.embeddings, stage.order_by)):
                 _check_ids(self.configurations[name].labels, ids,
-                           f"embedding {name!r}", f"per-item rates {rates!r}")
+                           len(matrix), f"embedding {name!r}",
+                           f"per-item rates {rates!r}")
         if stage.plot_type == "lift":
             named = {ref: self.profiles[ref] for ref in stage.profiles}
             text = render_lift(named, spec)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from drqa.cli import main
 from drqa.ingest import ingest_csv, read_profile
@@ -346,6 +348,50 @@ def test_cli_and_pipeline_write_the_same_bytes(dataset, tmp_path):
             (tmp_path / "pipe" / name).read_bytes(), name
 
 
+
+def _generated_against(tmp_path, capsys, other: dict) -> tuple:
+    """Run a pipeline that scores a generated artifact ``d`` against
+    ``other``, then ``drqa agree`` on the files it wrote; return the
+    ``(exit status, stderr)`` of each."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "out_dir": "o", "stages": [
+        {"kind": "generate", "name": "d", "shape": "sphere_random", "n": 12},
+        other, {"kind": "agree", "name": "ag", "a": "d", "b": other["name"]},
+    ]}))
+    capsys.readouterr()
+    pipe = run_cli("pipeline", "--config", str(cfg)), capsys.readouterr().err
+    o = tmp_path / "o"
+    cli = run_cli("agree", "--a", str(o / "d.csv"),
+                  "--b", str(o / f"{other['name']}.csv"),
+                  "--out", str(tmp_path / "p.csv")), capsys.readouterr().err
+    return pipe, cli
+
+
+def test_generated_ids_fail_alike_against_ingested_ids(tmp_path, capsys):
+    """A generated artifact has the ids "0" .. "n-1" that its file
+    carries, so a stage and the CLI on the written files both reject
+    scoring it against items named s0 .. s11."""
+    x = np.random.default_rng(4).standard_normal((12, 3))
+    (tmp_path / "m.csv").write_text("id,x,y,z\n" + "".join(
+        f"s{i},{a},{b},{c}\n" for i, (a, b, c) in enumerate(x.tolist())))
+    pipe, cli = _generated_against(
+        tmp_path, capsys, {"kind": "ingest", "name": "m", "path": "m.csv"})
+    mismatch = "item ids of {!r} do not match those of {!r}"
+    o = tmp_path / "o"
+    assert pipe == (1, "error: stage 'ag' (agree) failed: "
+                       + mismatch.format("m", "d") + "\n")
+    assert cli == (1, "error: " + mismatch.format(str(o / "m.csv"),
+                                                  str(o / "d.csv")) + "\n")
+
+
+def test_generated_artifact_scores_against_its_reduction(tmp_path, capsys):
+    pipe, cli = _generated_against(
+        tmp_path, capsys, {"kind": "reduce", "name": "r", "source": "d",
+                           "method": "pca", "target_dim": 2})
+    assert pipe == (0, "") and cli == (0, "")
+    assert (tmp_path / "p.csv").read_bytes() == \
+        (tmp_path / "o" / "ag.csv").read_bytes()
+
 SWEEP_CONFIG = {
     "version": 1, "seed": 3, "out_dir": "out", "imputation": "column_mean",
     "cache": False, "scores": "scores.csv",
@@ -382,8 +428,9 @@ def _field_paths(obj, prefix=()):
 def test_config_field_sweep_exits_cleanly(path, tmp_path, capsys):
     """Each field replaced by a value of another type or range: the run
     succeeds, or fails with status 1 and one ``error:`` line."""
+    # the ids "0" .. "11" of the generated g, which agree stage a pairs with i
     (tmp_path / "raw.csv").write_text("id,x,y\n" + "".join(
-        f"u{i},{i},{i * 7 % 5}\n" for i in range(12)))
+        f"{i},{i},{i * 7 % 5}\n" for i in range(12)))
     for value in SWEEP_VALUES:
         config = copy.deepcopy(SWEEP_CONFIG)
         if path:
@@ -426,6 +473,58 @@ def test_param_value_sweep_exits_cleanly(key, dataset, tmp_path, capsys):
             code == 1 and len(err) == 1 and err[0].startswith("error:")), \
             (value, code, err)
 
+
+#: A config that runs; the fuzz below breaks its bytes.  It names no
+#: out_dir and no input file, and its numbers are single digits, so the
+#: mutations (which insert no digits) cannot aim it elsewhere or make it big.
+FUZZ_CONFIG = json.dumps({"version": 1, "seed": 1, "stages": [
+    {"kind": "generate", "name": "g", "shape": "sphere_random", "n": 9},
+    {"kind": "reduce", "name": "r", "source": "g", "method": "pca",
+     "target_dim": 2},
+    {"kind": "agree", "name": "a", "a": "g", "b": "r", "per_item": True},
+    {"kind": "plot", "name": "p", "type": "scatter", "embeddings": ["r"],
+     "values": {"agree": "a", "k": 2}},
+]}).encode()
+
+
+@st.composite
+def config_bytes(draw):
+    """Arbitrary bytes, or the bytes of ``FUZZ_CONFIG`` with a few short
+    spans replaced by arbitrary non-digit bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    data = bytearray(FUZZ_CONFIG)
+    no_digits = st.binary(max_size=6).map(
+        lambda b: bytes(c for c in b if not 0x30 <= c <= 0x39))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(len(data), start + 6)))
+        data[start:stop] = draw(no_digits)
+    return bytes(data)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=config_bytes())
+@example(data=b"[" * 100_000)  # deeper than the JSON decoder recurses
+@example(data=b"\xff" + FUZZ_CONFIG)
+def test_config_bytes_exit_cleanly(data, tmp_path, capsys):
+    """Whatever bytes the config file holds, the run succeeds, or fails
+    with status 1 and one ``error:`` line, never a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    code = run_cli("pipeline", "--config", str(cfg))
+    err = capsys.readouterr().err.splitlines()
+    assert (code, err) == (0, []) or (
+        code == 1 and len(err) == 1 and err[0].startswith("error:")), \
+        (data, code, err)
+
+def test_deeply_nested_params_exit_cleanly(tmp_path, capsys):
+    code = run_cli("generate", "--shape", "sphere_random", "--n", "12",
+                   "--params", "[" * 100_000, "--out", str(tmp_path / "g.csv"))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith("error: --params: invalid JSON")
 
 def _malformed(text: str, how: str) -> bytes:
     """A CSV file written by drqa, broken in one way.

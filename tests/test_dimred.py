@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import isotonic_regression
+from scipy.spatial.distance import cdist
 
 from drqa import dimred, geometry
 from drqa.agreement import agreement_profile, psi
@@ -219,6 +222,214 @@ class TestSmacof:
         with pytest.raises(ValueError, match="transform"):
             smacof(d, 2, transform="interval")
 
+
+
+def reference_smacof(dist, target_dim, weights=None, transform="ratio",
+                     max_iter=500, tol=1e-6, seed=None, init="classical"):
+    """Stress majorization on n x n arrays, summing ``m[off]`` gathers.
+
+    ``smacof`` must reproduce this loop bit for bit: its off-diagonal
+    vectors hold the same values in the same row-major order, so every
+    sum, and with it every rounding, is the same.
+    """
+    dimred._require_distance(dist, "smacof", target_dim)
+    n = dist.n
+    if transform not in ("ratio", "ordinal"):
+        raise ValueError(f"transform must be 'ratio' or 'ordinal', got {transform!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if init not in ("classical", "random"):
+        raise ValueError(f"init must be 'classical' or 'random', got {init!r}")
+    delta = dist.values
+    off = ~np.eye(n, dtype=bool)
+    if weights is None:
+        w = np.ones((n, n))
+        np.fill_diagonal(w, 0.0)
+        unit = True
+    else:
+        w = dimred._check_weights(weights, n)
+        unit = bool((w[off] == 1.0).all())
+    init_used = init
+    x = None
+    if init == "classical":
+        try:
+            x = classical_mds(dist, target_dim).embedding.items.copy()
+        except ValueError:
+            init_used = "random-fallback"
+    if x is None:
+        rng = np.random.default_rng(seed)
+        scale = delta[off].mean() if delta[off].max() > 0 else 1.0
+        x = rng.standard_normal((n, target_dim)) * scale
+    if not unit:
+        factor = cho_factor(np.diag(w.sum(axis=1)) - w + np.ones((n, n)) / n)
+    iu, ju = np.triu_indices(n, k=1)
+    keep = w[iu, ju] > 0
+    iu, ju = iu[keep], ju[keep]
+    order = np.lexsort((ju, iu, delta[iu, ju]))
+
+    def fit(d):
+        if transform == "ratio":
+            den = (w * delta**2)[off].sum()
+            if den <= 0:
+                return np.zeros_like(delta)
+            return (w * d * delta)[off].sum() / den * delta
+        y = isotonic_regression(d[iu, ju][order],
+                                weights=w[iu, ju][order]).x
+        d_hat = np.zeros_like(d)
+        d_hat[iu[order], ju[order]] = y
+        d_hat[ju[order], iu[order]] = y
+        return d_hat
+
+    def stress(d, d_hat):
+        num = (w * (d - d_hat) ** 2)[off].sum()
+        den = (w * d**2)[off].sum()
+        if den <= 0:
+            raise ValueError("embedded configuration collapsed to a point")
+        return math.sqrt(num / den)
+
+    def guttman(x, d, d_hat):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(d > 0, d_hat / d, 0.0) * w
+        bmat = -ratio
+        np.fill_diagonal(bmat, ratio.sum(axis=1))
+        rhs = bmat @ x
+        return rhs / n if unit else cho_solve(factor, rhs)
+
+    d = cdist(x, x)
+    d_hat = fit(d)
+    history = [stress(d, d_hat)]
+    reason = "max_iter"
+    for _ in range(max_iter):
+        x_new = guttman(x, d, d_hat)
+        d_new = cdist(x_new, x_new)
+        d_hat_new = fit(d_new)
+        s_new = stress(d_new, d_hat_new)
+        if s_new > history[-1]:
+            reason = "no_decrease"
+            break
+        x, d, d_hat = x_new, d_new, d_hat_new
+        history.append(s_new)
+        prev, cur = history[-2], history[-1]
+        if prev - cur < tol * max(prev, np.finfo(float).tiny):
+            reason = "stress_change"
+            break
+        if cur < 1e-12:
+            reason = "stress_floor"
+            break
+    return x, {"stress_history": np.asarray(history),
+               "n_iterations": len(history) - 1, "stop_reason": reason,
+               "init": init_used}
+
+
+def _bits(reducer, *args, **kwargs):
+    """Everything a stress majorization call yields, as comparable bytes,
+    or the error it raised."""
+    try:
+        out = reducer(*args, **kwargs)
+    except Exception as err:  # noqa: BLE001 - errors must match too
+        return type(err), str(err)
+    x, diag = (out.embedding.items, out.diagnostics) if hasattr(
+        out, "embedding") else out
+    return (x.tobytes(), diag["stress_history"].tobytes(),
+            diag["n_iterations"], diag["stop_reason"], diag["init"])
+
+
+def _bit_weights(kind, d):
+    n = d.n
+    if kind == "none":
+        return None
+    if kind == "ones":
+        return np.ones((n, n))
+    if kind == "positive":
+        w = np.random.default_rng(n).uniform(0.25, 4.0, (n, n))
+        return (w + w.T) / 2.0
+    # local_smacof's 0/1 weights: the shortest 30 % of the pairs
+    off = ~np.eye(n, dtype=bool)
+    w = (d.values <= np.quantile(d.values[off], 0.3)).astype(float)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+#: n = 64 puts coincident items into the classical start of the small
+#: torus, so the zero-distance branch of the update runs
+BIT_N = 64
+
+
+@pytest.fixture(scope="module")
+def bit_shapes():
+    return {shape: euclidean_distances(generate(ManifoldSpec(shape, BIT_N,
+                                                             seed=4)))
+            for shape in ("sphere_regular", "torus_small_regular",
+                          "swiss_roll")}
+
+
+class TestSmacofBits:
+    """``smacof`` keeps every bit of the n x n loop in ``reference_smacof``."""
+
+    def test_torus_start_has_coincident_items(self, bit_shapes):
+        x = classical_mds(bit_shapes["torus_small_regular"], 2).embedding.items
+        d = cdist(x, x)
+        assert (d[~np.eye(BIT_N, dtype=bool)] == 0).any()
+
+    @pytest.mark.parametrize("init", ["classical", "random"])
+    @pytest.mark.parametrize("weights", ["none", "ones", "positive", "binary"])
+    @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
+    @pytest.mark.parametrize("shape", ["sphere_regular", "torus_small_regular",
+                                       "swiss_roll"])
+    def test_shapes(self, bit_shapes, shape, transform, weights, init):
+        d = bit_shapes[shape]
+        kwargs = dict(weights=_bit_weights(weights, d), transform=transform,
+                      init=init, seed=9, max_iter=150)
+        want = _bits(reference_smacof, d, 2, **kwargs)
+        assert isinstance(want[0], bytes), want
+        assert _bits(smacof, d, 2, **kwargs) == want
+
+    @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
+    def test_local_smacof(self, bit_shapes, transform):
+        d = bit_shapes["swiss_roll"]
+        w = _bit_weights("binary", d)
+        want = _bits(reference_smacof, d, 2, weights=w, transform=transform)
+        assert _bits(local_smacof, d, 2, quantile=0.3,
+                     transform=transform) == want
+
+
+    @pytest.mark.parametrize("case", [
+        "max_iter_1", "two_items", "two_items_random", "three_items",
+        "random_fallback", "collapsed", "zero_distances_random",
+        "asymmetric_weights", "negative_weights", "disconnected_weights",
+        "zero_weights", "bad_transform", "bad_init", "no_iterations",
+    ])
+    @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
+    def test_edge_cases(self, bit_shapes, case, transform):
+        """Small inputs, single steps, fallbacks and every raised error."""
+        rng = np.random.default_rng(11)
+        three = euclidean_distances(Configuration(rng.standard_normal((3, 2))))
+        line = euclidean_distances(Configuration(np.arange(3.0)[:, None]))
+        zeros = ProximityMatrix(np.zeros((3, 3)))
+        two = ProximityMatrix(np.array([[0.0, 3.0], [3.0, 0.0]]))
+        ring = np.roll(np.eye(3), 1, axis=1)
+        dist, dim, kwargs = {
+            "max_iter_1": (bit_shapes["swiss_roll"], 2,
+                           {"init": "random", "max_iter": 1}),
+            "two_items": (two, 1, {}),
+            "two_items_random": (two, 1, {"init": "random"}),
+            "three_items": (three, 1, {"weights": np.array(
+                [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])}),
+            "random_fallback": (line, 2, {}),
+            "collapsed": (zeros, 1, {}),
+            "zero_distances_random": (zeros, 1, {"init": "random"}),
+            "asymmetric_weights": (three, 1, {"weights": ring}),
+            "negative_weights": (three, 1, {"weights": -np.ones((3, 3))}),
+            "disconnected_weights": (three, 1, {"weights": np.diag([1.0] * 3)
+                                               + np.eye(3)[[1, 0, 2]]}),
+            "zero_weights": (two, 1, {"weights": np.zeros((2, 2))}),
+            "bad_transform": (two, 1, {"transform": "interval"}),
+            "bad_init": (two, 1, {"init": "spectral"}),
+            "no_iterations": (two, 1, {"max_iter": 0}),
+        }[case]
+        kwargs = {"transform": transform, "seed": 2, **kwargs}
+        want = _bits(reference_smacof, dist, dim, **kwargs)
+        assert _bits(smacof, dist, dim, **kwargs) == want
 
 class TestLocalSmacof:
     def test_full_quantile_equals_plain(self):

@@ -1,5 +1,7 @@
 """Manifold generators: surface membership, determinism, sampling uniformity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,14 @@ class TestValidation:
     def test_param_types_checked(self, params):
         with pytest.raises(ValueError, match="radius has the wrong type"):
             ManifoldSpec("sphere_random", 100, shape_params=params)
+
+    @pytest.mark.parametrize("shape, params", [
+        ("sphere_random", {"radius": math.inf}),
+        ("sphere_regular", {"radius": math.nan}),
+        ("swiss_roll", {"phi_max": math.inf}),
+        ("torus_random", {"ring_radius": math.inf}),
+    ], ids=["radius_inf", "radius_nan", "phi_max_inf", "ring_radius_inf"])
+    def test_non_finite_params_rejected(self, shape, params):
+        """JSON configs can hold 1e999; it fails here, not in generation."""
+        with pytest.raises(ValueError, match="must be finite"):
+            ManifoldSpec(shape, 100, shape_params=params)
