@@ -13,7 +13,6 @@ from drqa import (
     PlotStyle,
     RenderSpec,
     agreement_profile,
-    compose_panels,
     euclidean_distances,
     generate,
     lle,
@@ -73,9 +72,5 @@ loess_spec = RenderSpec(style=PlotStyle(grid_resolution=40))
 lift = render_lift({"pca": prof_pca, "smacof": prof_mds, "lle": prof_lle},
                    RenderSpec())
 (out / "lift.svg").write_text(lift)
-
-# Any renders can be tiled into one figure.
-(out / "panel.svg").write_text(
-    compose_panels([lift, render_scatter(flat_pca, values, spec)], columns=2))
 
 print("wrote", ", ".join(sorted(p.name for p in out.glob("*.svg"))))

@@ -14,13 +14,16 @@ sizes that count.
 Everything here consumes :class:`~drqa.geometry.RankStructure` values, so the
 metrics apply to any distance source, coordinates or not.
 
-The overlaps come from one block kernel, :func:`_overlap_counts`, run over
-blocks of rows: :class:`_OverlapSums` adds each block's integer counts into
-one vector per compared pair and keeps per-item rates only for the columns
-asked for.  :func:`agreement_profile` runs it over row slices of two stored
-rank structures; the pipeline's agree stage runs it over rank blocks as
-they are computed or read from its cache, and never holds an ``n x n``
-array.  The counts are integers, so every block size gives the same bits.
+This module owns the single pass that every overlap count comes from.
+:func:`_count_overlaps` walks the blocks of rows once, asks each compared
+source for its rank rows of the block, and feeds every compared pair's
+:class:`_OverlapSums`, which adds the block's integer counts from one
+kernel, :func:`_overlap_counts`, into one vector per pair and keeps
+per-item rates only for the columns asked for.  :func:`agreement_profile`
+runs the pass over row slices of two stored rank structures; the
+pipeline's agree stage runs it over rank blocks as they are computed or
+read from its cache, and never holds an ``n x n`` array.  The counts are
+integers, so every block size gives the same bits.
 """
 
 from __future__ import annotations
@@ -266,6 +269,20 @@ class _OverlapSums:
         return self.sums / (self.k * self.n)
 
 
+def _count_overlaps(sources: dict, pairs: dict, n: int) -> None:
+    """Feed every compared pair's overlap sums in one pass over row blocks.
+
+    ``sources[name](start, stop)`` returns the rank rows of items
+    ``start .. stop - 1`` under ``name``; each source is asked once per
+    block, in row order.  ``pairs`` maps ``(x, y)`` source names to the
+    :class:`_OverlapSums` of that pair.
+    """
+    for start, stop in _row_blocks(n):
+        rows = {name: block(start, stop) for name, block in sources.items()}
+        for (x, y), sums in pairs.items():
+            sums.add(start, rows[x], rows[y])
+
+
 def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,
                       with_per_item: bool = False) -> AgreementProfile:
     """Agreement rates between two rank structures for every ``k``.
@@ -284,13 +301,14 @@ def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,
 
     Notes
     -----
-    Runs :func:`_overlap_counts` over blocks of rows, so besides the result
-    it holds only one block's counts.
+    Runs :func:`_count_overlaps` over row slices of the two structures, so
+    besides the result it holds only one block's counts.
     """
     n = _check_pair(rank_a, rank_b)
     counts = _OverlapSums(n, (1, n - 1) if with_per_item else None)
-    for start, stop in _row_blocks(n):
-        counts.add(start, rank_a.ranks[start:stop], rank_b.ranks[start:stop])
+    _count_overlaps({"a": lambda start, stop: rank_a.ranks[start:stop],
+                     "b": lambda start, stop: rank_b.ranks[start:stop]},
+                    {("a", "b"): counts}, n)
     return AgreementProfile(counts.ar(), counts.per_item)
 
 

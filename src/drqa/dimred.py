@@ -285,7 +285,7 @@ def _check_weights(weights, n):
 def smacof(dist: ProximityMatrix, target_dim: int,
            weights: np.ndarray | None = None,
            transform: str = "ratio", max_iter: int = 500, tol: float = 1e-6,
-           seed: int | None = None, init: str = "classical") -> ReductionResult:
+           seed: int | None = 0, init: str = "classical") -> ReductionResult:
     """Stress majorization of a distance matrix.
 
     Minimizes normalized Stress, the root of ``sum w (d - dhat)^2`` over
@@ -314,7 +314,9 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         Stop after ``max_iter`` updates or when the relative Stress decrease
         falls below ``tol``.
     seed : int, optional
-        Seeds the random start when ``init = "random"``.
+        Seeds the random start, taken when ``init = "random"`` and when
+        classical scaling rejects the input.  The fixed default makes
+        repeated calls give the same result; ``None`` draws a fresh start.
     init : {"classical", "random"}
         Classical scaling start by default (falls back to a seeded random
         start if classical scaling rejects the input).

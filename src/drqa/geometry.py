@@ -5,19 +5,28 @@ embeddings share the representation.  A proximity matrix holds dense
 ``n x n`` distances; a caller who has similarities ``s`` passes ``1 - s``.
 A rank structure holds, for every item, the ascending distance rank of
 each other item.  Rank structures are the only input the agreement metrics
-need.  Ranks are computed one block of rows at a time (:func:`_row_blocks`),
-straight from a configuration or a distance matrix, so the rank path never
-holds an ``n x n`` float matrix.  :func:`rank_structure` keeps every block
-in one ``int32`` matrix (4·n² bytes); the pipeline's agree stage instead
-consumes each block as it is ranked and keeps none.  Ranks that come from
-outside, from callers or from a cache file, are checked block by block
-(:func:`_check_rank_rows`); ranks computed here are permutations by
+need.
+
+This module owns rank rows.  One block source, :class:`_RankRows`, ranks
+one block of rows at a time (:func:`_row_blocks`), straight from a
+configuration or a distance matrix, so the rank path never holds an
+``n x n`` float matrix.  It also owns the rank cache file format: one
+``int32`` ``.npy`` array of shape ``(n, n)``, read through ``mmap`` and
+checked block by block (:func:`_check_rank_rows`), and written in row
+order to a temporary file that is renamed into place once complete.
+:func:`rank_structure` assembles every block into one ``int32`` matrix
+(4·n² bytes); the pipeline's agree stage instead consumes each block as it
+is served and keeps none.  Ranks that come from outside, from callers or
+from a cache file, are checked; ranks computed here are permutations by
 construction and are not.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -294,19 +303,106 @@ def rank_structure(source: ProximityMatrix | Configuration,
     input.  Rows are computed in blocks of about ``_BLOCK_CELLS`` distances;
     no ``n x n`` float matrix is built.
     """
-    from_config = isinstance(source, Configuration)
-    if from_config:
-        p = _exponent(p)
+    return _RankRows(source, p).structure()
+
+
+class _RankRows:
+    """The rank rows of a configuration or a distance matrix, served block
+    by block, in row order.
+
+    Without a ``path``, each block is ranked when it is asked for.  With a
+    cache file at ``path``, each block is read from it through its own
+    ``mmap``, so the pages of earlier blocks are released, and checked
+    before use.  With a ``path`` that does not exist yet, ranked blocks are
+    also appended to a temporary file that ``close`` renames into place
+    once every row is in it; use the object as a context manager then.
+    ``name`` names the ranked artifact in errors about the file.
+    """
+
+    def __init__(self, source: ProximityMatrix | Configuration,
+                 p: float = 2.0, path: Path | None = None,
+                 name: str | None = None):
+        self.from_config = isinstance(source, Configuration)
+        if self.from_config:
+            p = _exponent(p)
         _check_cap(source.n)
-    n = source.n
-    ranks = np.empty((n, n), dtype=np.int32)
-    for start, stop in _row_blocks(n):
-        if from_config:
-            d = _distance_rows(source, start, stop, p)
+        self.source = source
+        self.p = p
+        self.path = path
+        self.name = name
+        self._file = None
+        self._written = 0
+        self.cached = path is not None and path.exists()
+        if self.cached:
+            self._load()  # a wrong shape or type fails before any work
+        elif path is not None:
+            fd, self._tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            self._file = os.fdopen(fd, "wb")
+            try:
+                np.lib.format.write_array_header_1_0(self._file, {
+                    "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
+                    "fortran_order": False, "shape": (source.n, source.n)})
+            except BaseException:
+                self.close(complete=False)
+                raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(complete=exc_type is None)
+
+    def _load(self) -> np.ndarray:
+        """The cache file, mapped read-only."""
+        stored = np.load(self.path, mmap_mode="r")
+        n = self.source.n
+        if stored.dtype != np.int32 or stored.shape != (n, n):
+            raise ValueError(
+                f"rank cache entry {self.path.name} for {self.name!r} holds "
+                f"{stored.dtype} {stored.shape}, not int32 {(n, n)}")
+        return stored
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """The ``int32`` rank rows of items ``start .. stop - 1``."""
+        if self.cached:
+            rows = self._load()[start:stop]
+            try:
+                _check_rank_rows(rows, start)
+            except ValueError as exc:
+                raise ValueError(f"rank cache entry {self.path.name} for "
+                                 f"{self.name!r}: {exc}") from None
+            return rows
+        if self.from_config:
+            d = _distance_rows(self.source, start, stop, self.p)
         else:
-            d = source.values[start:stop].copy()
-        _rank_rows(d, ranks[start:stop], start)
-    return RankStructure._trusted(ranks)
+            d = self.source.values[start:stop].copy()
+        rows = np.empty(d.shape, dtype=np.int32)
+        _rank_rows(d, rows, start)
+        if self._file is not None:
+            if start != self._written:
+                raise ValueError("rank rows must be written in order")
+            rows.tofile(self._file)
+            self._written = stop
+        return rows
+
+    def structure(self) -> RankStructure:
+        """Every row, assembled into one rank structure."""
+        n = self.source.n
+        ranks = np.empty((n, n), dtype=np.int32)
+        for start, stop in _row_blocks(n):
+            ranks[start:stop] = self.block(start, stop)
+        return RankStructure._trusted(ranks)
+
+    def close(self, complete: bool) -> None:
+        """Rename a fully written cache file into place, or remove it."""
+        if self._file is None:
+            return
+        self._file.close()
+        self._file = None
+        if complete and self._written == self.source.n:
+            os.replace(self._tmp, self.path)
+        else:
+            os.unlink(self._tmp)
 
 
 def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:

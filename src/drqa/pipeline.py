@@ -8,15 +8,13 @@ Artifacts paired row by row (an agree stage's ``a`` with each ``b`` and
 ``z``, a plot's per-item rates with each embedding) must list the same item
 ids whenever both have ids.
 
-An agree stage makes one pass over blocks of rows.  For each block it
-ranks the rows of every artifact it compares once, and adds each compared
-pair's overlap counts (:func:`drqa.agreement._overlap_counts`) into that
-pair's totals; per-item rates are kept only for the ``range_k`` columns.
-No ``n x n`` rank structure is held.  With ``cache`` on, each artifact's
-ranks are kept in ``.cache/ranks_<key>.npy``: a hit is read through
-``mmap`` one block at a time, and each block is checked to be rank
-permutations before it is used; a miss appends its blocks to a temporary
-file that is renamed into place once complete.
+An agree stage makes one pass over blocks of rows
+(:func:`drqa.agreement._count_overlaps`): for each block it takes the rank
+rows of every artifact it compares once, from
+:class:`drqa.geometry._RankRows`, and adds each compared pair's overlap
+counts into that pair's totals.  With ``cache`` on, each artifact's ranks
+are kept in ``.cache/ranks_<key>.npy``, in the format that
+:mod:`drqa.geometry` defines.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import json
 import numbers
 import os
 import re
-import tempfile
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -42,20 +39,13 @@ from .agreement import (
     AgreementProfile,
     WeightFunction,
     _OverlapSums,
+    _count_overlaps,
     agreement_profile,  # noqa: F401  perfbench/tracing.py wraps it here
     partial_agreement,
     psi,
     weighted_psi,
 )
-from .geometry import (
-    Configuration,
-    RankStructure,
-    _check_cap,
-    _check_rank_rows,
-    _distance_rows,
-    _rank_rows,
-    _row_blocks,
-)
+from .geometry import Configuration, RankStructure, _RankRows
 from .ingest import (
     impute_column_mean,
     ingest_csv,
@@ -363,6 +353,8 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
         path = _require(raw, "path", where)
         if not isinstance(path, str):
             raise ValueError(f"{where}: path must be a string")
+        if "\0" in path:
+            raise ValueError(f"{where}: path must not contain a NUL character")
         missing_token = raw.get("missing_token", "NA")
         if not isinstance(missing_token, str):
             raise ValueError(f"{where}: missing_token must be a string")
@@ -510,6 +502,8 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
     out_dir = obj.get("out_dir", "out")
     if not isinstance(out_dir, str):
         raise ValueError("config: out_dir must be a path")
+    if "\0" in out_dir:
+        raise ValueError("config: out_dir must not contain a NUL character")
     imputation = obj.get("imputation", "none")
     if imputation not in IMPUTATIONS:
         raise ValueError(f"config: imputation must be one of {IMPUTATIONS}")
@@ -577,84 +571,6 @@ def _worker_count() -> int | None:
     return None if value == 0 else value
 
 
-class _RankRows:
-    """The rank rows of one artifact, served block by block, in row order.
-
-    With a cache entry at ``path``, each block is read from it through its
-    own ``mmap``, so the pages of earlier blocks are released, and checked
-    before use.  Otherwise rows are ranked from the configuration; with a
-    ``path``, they are also appended to a temporary file that ``close``
-    renames into place once every row is in it.  Use as a context manager.
-    """
-
-    def __init__(self, name: str, config: Configuration, path: Path | None):
-        _check_cap(config.n)
-        self.name = name
-        self.config = config
-        self.path = path
-        self._file = None
-        self._written = 0
-        self.cached = path is not None and path.exists()
-        if self.cached:
-            self._load()  # a wrong shape or type fails before any work
-        elif path is not None:
-            fd, self._tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            self._file = os.fdopen(fd, "wb")
-            try:
-                np.lib.format.write_array_header_1_0(self._file, {
-                    "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
-                    "fortran_order": False, "shape": (config.n, config.n)})
-            except BaseException:
-                self.close(complete=False)
-                raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close(complete=exc_type is None)
-
-    def _load(self) -> np.ndarray:
-        """The cache entry, mapped read-only."""
-        stored = np.load(self.path, mmap_mode="r")
-        n = self.config.n
-        if stored.dtype != np.int32 or stored.shape != (n, n):
-            raise ValueError(
-                f"rank cache entry {self.path.name} for {self.name!r} holds "
-                f"{stored.dtype} {stored.shape}, not int32 {(n, n)}")
-        return stored
-
-    def block(self, start: int, stop: int) -> np.ndarray:
-        """The ``int32`` rank rows of items ``start .. stop - 1``."""
-        if self.cached:
-            rows = self._load()[start:stop]
-            try:
-                _check_rank_rows(rows, start)
-            except ValueError as exc:
-                raise ValueError(f"rank cache entry {self.path.name} for "
-                                 f"{self.name!r}: {exc}") from None
-            return rows
-        rows = np.empty((stop - start, self.config.n), dtype=np.int32)
-        _rank_rows(_distance_rows(self.config, start, stop, 2.0), rows, start)
-        if self._file is not None:
-            if start != self._written:
-                raise ValueError("rank rows must be written in order")
-            rows.tofile(self._file)
-            self._written = stop
-        return rows
-
-    def close(self, complete: bool) -> None:
-        """Rename a fully written cache file into place, or remove it."""
-        if self._file is None:
-            return
-        self._file.close()
-        self._file = None
-        if complete and self._written == self.config.n:
-            os.replace(self._tmp, self.path)
-        else:
-            os.unlink(self._tmp)
-
-
 class _RankCache:
     """Rank rows per artifact, optionally persisted on disk as ``.npy``.
 
@@ -667,6 +583,7 @@ class _RankCache:
             directory.mkdir(parents=True, exist_ok=True)
 
     def rows(self, name: str, config: Configuration) -> _RankRows:
+        """The rank rows of one artifact; a context manager."""
         path = None
         if self.directory is not None:
             digest = hashlib.sha256(repr(config.items.shape).encode())
@@ -674,15 +591,12 @@ class _RankCache:
             if config.mask is not None:
                 digest.update(config.mask.tobytes())
             path = self.directory / f"ranks_{digest.hexdigest()[:24]}.npy"
-        return _RankRows(name, config, path)
+        return _RankRows(config, path=path, name=name)
 
     def ranks_for(self, name: str, config: Configuration) -> RankStructure:
         """The whole rank structure of one artifact, through the cache."""
-        ranks = np.empty((config.n, config.n), dtype=np.int32)
         with self.rows(name, config) as rows:
-            for start, stop in _row_blocks(config.n):
-                ranks[start:stop] = rows.block(start, stop)
-        return RankStructure._trusted(ranks)
+            return rows.structure()
 
 
 def _write_partial(values, path) -> None:
@@ -790,13 +704,9 @@ class StageRunner:
                 pairs.setdefault((x, stage.z), _OverlapSums(n))
         with ExitStack() as stack:
             sources = {name: stack.enter_context(self.rank_cache.rows(
-                name, self.configurations[name]))
+                name, self.configurations[name])).block
                 for name in dict.fromkeys(x for pair in pairs for x in pair)}
-            for start, stop in _row_blocks(n):
-                rows = {name: source.block(start, stop)
-                        for name, source in sources.items()}
-                for (x, y), counts in pairs.items():
-                    counts.add(start, rows[x], rows[y])
+            _count_overlaps(sources, pairs, n)
 
         def profile(x, y):
             return AgreementProfile(pairs[x, y].ar())

@@ -13,14 +13,13 @@ in insertion order, ``" />"`` closing an element without content, ``&``,
 ``<`` and ``>`` escaped in text, and additionally ``"``, CR, LF and TAB
 escaped in attribute values.  Bulk elements (cells, points, bands) are
 filled into a ``%`` template made by the same writer.  Colors come from one
-array kernel, ``ColorScale.rgb_array``.  Only ``compose_panels`` builds an
-ElementTree, since it re-serializes SVG documents it did not write.
+array kernel, ``ColorScale.rgb_array``.  ``_tag`` is the only way SVG is
+written here.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
@@ -248,18 +247,14 @@ def _template(name: str, attrs: Mapping[str, str | None]) -> str:
     return _tag(name, marked).replace("%", "%%").replace("\0", "%s")
 
 
-def _svg_attrs(width: float, height: float) -> dict:
-    return {
+def _svg(width: float, height: float, body: str) -> str:
+    return _XML_DECL + _tag("svg", {
         "xmlns": SVG_NS,
         "version": "1.1",
         "width": _f(width),
         "height": _f(height),
         "viewBox": f"0 0 {_f(width)} {_f(height)}",
-    }
-
-
-def _svg(width: float, height: float, body: str) -> str:
-    return _XML_DECL + _tag("svg", _svg_attrs(width, height), body) + "\n"
+    }, body) + "\n"
 
 
 def _text(x, y, content, cls, anchor="start", size=12.0) -> str:
@@ -281,12 +276,6 @@ def _circles(xy, fills, radius: float, extra=None) -> str:
                                   **(extra or {})})
     return "".join(circle % mark
                    for mark in zip(_fs(xy[:, 0]), _fs(xy[:, 1]), fills))
-
-
-def _strip_ns(el: ET.Element) -> None:
-    for node in el.iter():
-        if "}" in node.tag:
-            node.tag = node.tag.split("}", 1)[1]
 
 
 def _data_transform(points, rect):
@@ -711,34 +700,3 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
     body.append(_text(x0 + plot_w / 2.0, st.height - st.margin / 4.0,
                       "k", "axis", anchor="middle"))
     return _svg(st.width, st.height + 20.0 * len(named), "".join(body))
-
-
-# ---------------------------------------------------------------------------
-# Composition
-
-
-def compose_panels(panels: Sequence[str], columns: int | None = None) -> str:
-    """Lay out finished SVG documents side by side in a grid."""
-    if not panels:
-        raise ValueError("no panels to compose")
-    roots = []
-    for text in panels:
-        el = ET.fromstring(text)
-        _strip_ns(el)
-        el.attrib.pop("xmlns", None)
-        roots.append(el)
-    cols = columns or len(roots)
-    if cols < 1:
-        raise ValueError("columns must be positive")
-    widths = [float(r.get("width")) for r in roots]
-    heights = [float(r.get("height")) for r in roots]
-    rows = -(-len(roots) // cols)
-    col_w = max(widths)
-    row_h = max(heights)
-    outer = ET.Element("svg", _svg_attrs(col_w * min(cols, len(roots)),
-                                         row_h * rows))
-    for idx, el in enumerate(roots):
-        el.set("x", _f((idx % cols) * col_w))
-        el.set("y", _f((idx // cols) * row_h))
-        outer.append(el)
-    return _XML_DECL + ET.tostring(outer, encoding="unicode") + "\n"

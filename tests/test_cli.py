@@ -295,6 +295,25 @@ class TestPipelineCommand:
         assert err == ["error: stage 1 (agree): per_item must be a boolean"]
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("key, message", [
+        ("out_dir", "config: out_dir must not contain a NUL character"),
+        ("path", "stage 0 (ingest): path must not contain a NUL character"),
+    ])
+    def test_nul_in_a_path_is_one_error_line(self, key, message, dataset,
+                                             tmp_path, capsys):
+        config = {"version": 1, "out_dir": "res", "stages": [
+            {"kind": "ingest", "name": "d", "path": dataset.name}]}
+        if key == "out_dir":
+            config["out_dir"] = "o\u0000x"
+        else:
+            config["stages"][0]["path"] = "data\u0000.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("pipeline", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert "\0" not in captured.err and "Traceback" not in captured.err
+
     def test_error_reports_stage(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -222,10 +222,19 @@ class TestSmacof:
         with pytest.raises(ValueError, match="transform"):
             smacof(d, 2, transform="interval")
 
+    @pytest.mark.parametrize("reducer", [smacof, local_smacof])
+    def test_default_seed_repeats_the_random_start(self, reducer):
+        """Collinear points have no 2-d classical start, so the random
+        fallback runs; without a seed it must still repeat exactly."""
+        line = euclidean_distances(Configuration(np.arange(5.0)[:, None]))
+        first, second = _bits(reducer, line, 2), _bits(reducer, line, 2)
+        assert first[-1] == "random-fallback"
+        assert first == second
+
 
 
 def reference_smacof(dist, target_dim, weights=None, transform="ratio",
-                     max_iter=500, tol=1e-6, seed=None, init="classical"):
+                     max_iter=500, tol=1e-6, seed=0, init="classical"):
     """Stress majorization on n x n arrays, summing ``m[off]`` gathers.
 
     ``smacof`` must reproduce this loop bit for bit: its off-diagonal

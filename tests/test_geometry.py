@@ -16,6 +16,7 @@ from drqa.geometry import (
     rank_structure,
     ranks_from_config,
 )
+from drqa.pipeline import _RankCache
 
 from oracles import naive_neighbors, naive_ranks
 
@@ -314,7 +315,8 @@ class TestBlockedRanks:
     @pytest.mark.parametrize("kind", ["gaussian", "ties", "duplicates",
                                       "masked"])
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_configuration_matches_dense_reference(self, monkeypatch, n, kind, p):
+    def test_configuration_matches_dense_reference(self, monkeypatch, tmp_path,
+                                                   n, kind, p):
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", BLOCK_ROWS * n)
         x, mask = blocked_inputs(kind, n, np.random.default_rng(n))
         config = Configuration(x, mask=mask)
@@ -325,6 +327,17 @@ class TestBlockedRanks:
         assert (rank_structure(config, p=p).ranks == expected).all()
         if mask is None and p == 2.0:
             assert (rs.ranks == naive_ranks(naive_neighbors(x))).all()
+        if p != 2.0:
+            return
+        # the rank cache serves the same rows, ranked and written (cold) or
+        # read back (warm), at every block size
+        for block_rows in range(1, n + 1):
+            monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
+            directory = tmp_path / str(block_rows)
+            cold = _RankCache(directory).ranks_for("x", config).ranks
+            assert len(list(directory.glob("ranks_*.npy"))) == 1
+            warm = _RankCache(directory).ranks_for("x", config).ranks
+            assert (cold == expected).all() and (warm == expected).all()
 
     @pytest.mark.parametrize("n", [3, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
     @pytest.mark.parametrize("kind", ["distance"])  # see the edge-value ids

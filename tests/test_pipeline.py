@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from drqa import agreement, geometry, pipeline
+from drqa import agreement, geometry
 from drqa.cli import main
 from drqa.geometry import Configuration, ranks_from_config
 from drqa.ingest import write_configuration
@@ -549,7 +549,7 @@ class TestDeterminismAndCache:
 
     def test_cache_miss_failing_midway_leaves_no_file(self, tmp_path,
                                                       monkeypatch):
-        rank_rows = pipeline._rank_rows
+        rank_rows = geometry._rank_rows
         blocks = []
 
         def fail_on_second(d, out, start):
@@ -558,7 +558,7 @@ class TestDeterminismAndCache:
                 raise OSError("disk full")
             rank_rows(d, out, start)
 
-        monkeypatch.setattr(pipeline, "_rank_rows", fail_on_second)
+        monkeypatch.setattr(geometry, "_rank_rows", fail_on_second)
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", 2 * 5)
         config = Configuration(np.arange(10, dtype=float).reshape(5, 2))
         with pytest.raises(OSError, match="disk full"):
@@ -593,7 +593,7 @@ class TestDeterminismAndCache:
         def no_ranking(*args):
             raise AssertionError("ranked although every entry is cached")
 
-        monkeypatch.setattr(pipeline, "_rank_rows", no_ranking)
+        monkeypatch.setattr(geometry, "_rank_rows", no_ranking)
         run(cfg, tmp_path)
         assert tree_hashes(tmp_path / "o") == cold
 

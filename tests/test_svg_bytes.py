@@ -16,7 +16,6 @@ from drqa.geometry import Configuration, ranks_from_config
 from drqa.viz import (
     PlotStyle,
     RenderSpec,
-    compose_panels,
     loess_surface,
     render_heatmap,
     render_lift,
@@ -129,14 +128,9 @@ CASES = {
          for name, prof in profiles(6).items()}, RenderSpec(style=style())),
     "lift_no_bands": lambda: render_lift(
         {"chance": chance_profile()}, RenderSpec(style=style())),
-    "compose": lambda: compose_panels(
-        [scatter_panel(), render_lift(profiles(2)), scatter_panel()],
-        columns=2),
 }
 
 DIGESTS = {
-    "compose":
-        "31741a64186fa56a3adb6c1444a6005e9e12f82a31740722eb5107690f993415",
     "heatmap_absolute":
         "374cf8c13b72a5e7120b6f398affa876087933fae221f8f6dd933c91e23a349e",
     "heatmap_adjusted":

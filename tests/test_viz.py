@@ -18,7 +18,6 @@ from drqa.viz import (
     PlotStyle,
     RenderSpec,
     TECHNIQUE_RGB,
-    compose_panels,
     full_lift_area,
     lift_area,
     loess_surface,
@@ -475,19 +474,3 @@ class TestLift:
         spec = RenderSpec(style=small_style())
         assert render_lift({"t": prof}, spec) == render_lift({"t": prof}, spec)
 
-
-class TestCompose:
-    def test_grid_layout(self, embedding_2d):
-        vals = np.zeros(25)
-        spec = RenderSpec(style=small_style())
-        panel = render_scatter(embedding_2d, vals, spec)
-        out = compose_panels([panel, panel, panel], columns=2)
-        root = parse(out)
-        assert float(root.get("width")) == pytest.approx(400.0)
-        assert float(root.get("height")) == pytest.approx(2 * 184.0)
-        nested = [el for el in root.iter() if el.tag.endswith("svg")]
-        assert len(nested) == 4  # outer plus three panels
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="panels"):
-            compose_panels([])
