@@ -43,15 +43,15 @@ prof_mds = agreement_profile(source_ranks, ranks_from_config(flat_mds),
 prof_lle = agreement_profile(source_ranks, ranks_from_config(flat_lle))
 
 # Scatter: embedded positions shaded by each item's mean agreement over
-# k = 1..20; the caption carries the panel mean.
-spec = RenderSpec(range_k=(1, 20))
+# k = 1..20; the caption carries the panel mean.  Column j of per_item holds
+# k = j + 1, so the [:, :20] slice is what picks that k window.
 values = prof_pca.per_item[:, :20].mean(axis=1)
-(out / "scatter.svg").write_text(render_scatter(flat_pca, values, spec))
+(out / "scatter.svg").write_text(render_scatter(flat_pca, values))
 
 # Two embeddings side by side, shaded by the per-item difference.
 diff = (prof_pca.per_item[:, :20].mean(axis=1)
         - prof_mds.per_item[:, :20].mean(axis=1))
-compare = RenderSpec(comparison="compare", range_k=(1, 20))
+compare = RenderSpec(comparison="compare")
 (out / "scatter_compare.svg").write_text(
     render_scatter([flat_pca, flat_mds], diff, compare))
 

@@ -467,7 +467,7 @@ def _neighbor_lists(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.nda
     """Indices of the n_neighbors nearest items per row, stable ties."""
     d = cdist(x, x)
     np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
+    order = geometry._stable_order(d)
     np.fill_diagonal(d, 0.0)
     return order[:, :n_neighbors], d
 

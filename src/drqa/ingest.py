@@ -221,6 +221,8 @@ def read_per_item(path):
         ks = tuple(int(c.removeprefix("k=")) for c in rows[0][1:])
     except ValueError:
         raise ValueError("malformed k columns") from None
+    if ks[0] < 1 or any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValueError("k columns must be strictly increasing and >= 1")
     if any(len(r) != len(rows[0]) for r in rows[1:]):
         raise ValueError("rows must match the header's width")
     labels = tuple(r[0] for r in rows[1:])

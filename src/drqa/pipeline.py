@@ -29,7 +29,7 @@ import re
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +110,11 @@ def _json_fits(value, annotation) -> bool:
     """Whether a JSON value suits a parameter of type ``annotation``.
 
     An int suits a float, booleans suit only ``bool``, and an array is a
-    list nested to any depth whose leaves are real numbers.
+    list nested to any depth whose leaves are real numbers.  ``null`` suits
+    nothing: a parameter takes its default only when its key is left out.
     """
+    if value is None:
+        return False
     types = typing.get_args(annotation) or (annotation,)
     if isinstance(value, list):
         return np.ndarray in types and _real_leaves(value)
@@ -456,10 +459,12 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
         return PlotStage(name, plot_type, spec, profiles=refs)
 
     allowed = common | {"embeddings", "values"}
+    values_keys = {"agree", "k"}
     if plot_type == "heatmap":
         allowed |= {"binary", "order_by"}
+        values_keys = {"agree"}  # a heatmap draws every stored k
     _reject_unknown(raw, allowed, where)
-    values = _reject_unknown(_require(raw, "values", where), {"agree", "k"},
+    values = _reject_unknown(_require(raw, "values", where), values_keys,
                              f"{where}: values")
     _ref(_require(values, "agree", f"{where}: values"), scope.per_item,
          "agree artifact with per-item output", where)
@@ -754,14 +759,12 @@ class StageRunner:
             named = {ref: self.profiles[ref] for ref in stage.profiles}
             text = render_lift(named, spec)
         elif stage.plot_type == "heatmap":
-            if spec.range_k is None:
-                spec = replace(spec, range_k=ks)
             order = None
             if stage.order_by is not None:
                 order = order_by_first_coordinate(
                     self.configurations[stage.order_by])
             text = render_heatmap(matrix, item_order=order, spec=spec,
-                                  binary=stage.binary)
+                                  binary=stage.binary, ks=ks)
         else:
             k = stage.values.get("k")
             if k is not None and k not in ks:

@@ -7,6 +7,12 @@ output is plain SVG 1.1 text built with fixed float formatting and
 insertion-ordered attributes, so a given input always yields the same
 bytes.
 
+Each renderer takes its data and a ``RenderSpec``, which says only how to
+draw: ``comparison`` (``simple`` colors agreement on [0, 1], ``compare``
+colors differences on a diverging scale) and the ``PlotStyle``.  Which
+values and k are drawn comes from the data itself; a heatmap labels its
+columns with the k values passed along with its matrix.
+
 The renderers write that text directly, from numpy arrays, with one small
 writer (``_tag``) that produces what ElementTree would serialize: attributes
 in insertion order, ``" />"`` closing an element without content, ``&``,
@@ -35,7 +41,7 @@ NEGATIVE_RGB = (255, 59, 48)
 NEUTRAL_RGB = (255, 255, 255)
 POSITIVE_RGB = (0, 122, 255)
 
-# cycled per-technique colors for curves and categorical points
+# cycled per-technique colors for lift curves
 TECHNIQUE_RGB = (
     (0, 122, 255),
     (255, 149, 0),
@@ -47,7 +53,7 @@ TECHNIQUE_RGB = (
 
 FILL_OPACITY = 0.45
 
-COLOR_MODES = ("absolute", "relative_to_random", "comparative")
+COLOR_MODES = ("absolute", "comparative")
 COMPARISONS = ("simple", "compare")
 
 
@@ -109,37 +115,27 @@ class PlotStyle:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """What to draw: comparison mode, k range, and styling."""
+    """How to draw: the comparison mode and the styling.
+
+    What is drawn, and at which k, comes from the renderer's data; a
+    heatmap takes its k labels through ``render_heatmap(..., ks=)``.
+    """
 
     comparison: str = "simple"
-    adjusted: bool = False
-    range_k: tuple[int, ...] | None = None
     style: PlotStyle = field(default_factory=PlotStyle)
 
     def __post_init__(self):
         if self.comparison not in COMPARISONS:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
-        if not isinstance(self.adjusted, bool):
-            raise ValueError("adjusted must be a boolean")
-        if self.range_k is not None:
-            ks = tuple(self.range_k) if np.iterable(self.range_k) else None
-            if ks is None or not all(map(_is_int, ks)):
-                raise ValueError("range_k must be a sequence of integers")
-            ks = tuple(map(int, ks))
-            if not ks:
-                raise ValueError("range_k must not be empty")
-            if any(k < 1 for k in ks) or list(ks) != sorted(set(ks)):
-                raise ValueError("range_k must be strictly increasing and >= 1")
-            object.__setattr__(self, "range_k", ks)
 
 
 class ColorScale:
-    """Maps values to colors for one of the three coloring modes.
+    """Maps values to colors for one of the two coloring modes.
 
     ``absolute`` ramps from the neutral color to the positive anchor over
-    the domain.  The two diverging modes pin 0 at the neutral midpoint,
-    negative values toward the red anchor and positive toward the blue
-    one.  Values outside the domain are clipped.
+    the domain.  ``comparative`` diverges: it pins 0 at the neutral
+    midpoint, negative values toward the red anchor and positive toward
+    the blue one.  Values outside the domain are clipped.
     """
 
     def __init__(self, mode: str, domain: tuple[float, float]):
@@ -157,7 +153,7 @@ class ColorScale:
     def for_values(cls, mode: str, values) -> "ColorScale":
         """Pick a domain for the given values.
 
-        Absolute agreement lives on [0, 1].  Diverging modes use a
+        Absolute agreement lives on [0, 1].  The diverging mode uses a
         symmetric domain at the 98th percentile of the magnitudes so a
         stray outlier cannot wash out the palette; an all-zero field
         degenerates to a token interval that renders everything neutral.
@@ -202,14 +198,9 @@ class ColorScale:
 
 
 def _scale_for(spec: RenderSpec, values, binary: bool = False) -> ColorScale:
-    if binary or spec.comparison == "compare":
-        mode = "comparative"
-    elif spec.adjusted:
-        mode = "relative_to_random"
-    else:
-        mode = "absolute"
     if binary:
         return ColorScale("comparative", (-1.0, 1.0))
+    mode = "comparative" if spec.comparison == "compare" else "absolute"
     return ColorScale.for_values(mode, values)
 
 
@@ -393,9 +384,12 @@ def order_by_first_coordinate(config: Configuration) -> tuple[int, ...]:
 
 
 def render_heatmap(per_item_by_k, item_order=None,
-                   spec: RenderSpec | None = None, binary: bool = False) -> str:
+                   spec: RenderSpec | None = None, binary: bool = False,
+                   ks=None) -> str:
     """Item-by-k agreement map, one cell per (item, k) pair.
 
+    ``ks`` are the k values of the matrix's columns, strictly increasing
+    integers of at least 1, one per column; by default 1 .. columns.
     ``binary`` replaces each cell by the sign of its value before
     coloring: blue when the first technique wins, red when the second
     does, neutral on ties.
@@ -407,14 +401,15 @@ def render_heatmap(per_item_by_k, item_order=None,
     if not np.isfinite(vals).all():
         raise ValueError("per_item_by_k must be finite")
     n, n_cols = vals.shape
-    if spec.range_k is None:
-        ks = tuple(range(1, n_cols + 1))
-    else:
-        ks = spec.range_k
+    ks = range(1, n_cols + 1) if ks is None else ks
+    if not np.iterable(ks) or not all(map(_is_int, ks)):
+        raise ValueError("ks must be a sequence of integers")
+    ks = tuple(ks)
     if len(ks) != n_cols:
         raise ValueError(
-            f"range_k has {len(ks)} entries but the matrix has {n_cols} columns"
-        )
+            f"ks has {len(ks)} entries but the matrix has {n_cols} columns")
+    if ks[0] < 1 or any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be strictly increasing and >= 1")
     if item_order is None:
         order = np.arange(n)
     else:
@@ -532,19 +527,16 @@ def loess_surface(points, values, span: float = 0.75,
 
 
 def render_loess_overlay(embedding: Configuration, item_values,
-                         spec: RenderSpec | None = None,
-                         categories=None) -> str:
+                         spec: RenderSpec | None = None) -> str:
     """Smoothed agreement surface with the items drawn on top.
 
-    Every point gets a black outline so it reads against the surface.
-    When ``categories`` is given, points take categorical colors instead
-    of the agreement scale; the surface always shows the value field.
+    The points take the surface's colors, each with a black outline so it
+    reads against the surface.
     """
     spec = spec or RenderSpec()
     if embedding.m != 2:
         raise ValueError("loess overlay requires a 2D embedding")
-    n = embedding.n
-    vals = _check_values(item_values, n)
+    vals = _check_values(item_values, embedding.n)
     st = spec.style
     surface = loess_surface(embedding.items, vals,
                             span=st.loess_span, grid=st.grid_resolution)
@@ -567,19 +559,8 @@ def render_loess_overlay(embedding: Configuration, item_values,
     tiles = "".join(tile % cell for cell in zip(
         _fs(centers[:, 0] - cw / 2.0), _fs(centers[:, 1] - ch / 2.0),
         scale.css_array(surface.values.reshape(-1))))
-
-    if categories is not None:
-        cats = list(categories)
-        if len(cats) != n:
-            raise ValueError(f"expected {n} categories, got {len(cats)}")
-        seen: dict = {}
-        for c in cats:
-            if c not in seen:
-                seen[c] = TECHNIQUE_RGB[len(seen) % len(TECHNIQUE_RGB)]
-        fills = [_hex(seen[c]) for c in cats]
-    else:
-        fills = scale.css_array(vals)
-    marks = _circles(to_screen(embedding.items), fills, st.point_radius,
+    marks = _circles(to_screen(embedding.items), scale.css_array(vals),
+                     st.point_radius,
                      extra={"stroke": "#000000", "stroke-width": _f(0.75)})
     return _svg(st.width, st.height, _tag("g", {"class": "surface"}, tiles)
                 + _tag("g", {"class": "points"}, marks)

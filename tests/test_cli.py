@@ -259,6 +259,42 @@ class TestPlot:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: prof.csv:")
 
+    def test_bad_k_columns_fail_naming_the_file(self, good_files, tmp_path,
+                                                monkeypatch, capsys):
+        """The k columns of a per-item file are integers of at least 1, in
+        strictly increasing order."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in good_files.items():
+            Path(name).write_text(text)
+        rows = [",".join(r.split(",")[:3])
+                for r in good_files["p_items.csv"].splitlines()[1:]]
+        for plot_type, spec, header in (
+                ("scatter", {"embeddings": ["emb.csv"]}, "id,k=0,k=0"),
+                ("heatmap", {}, "id,k=3,k=2")):
+            Path("bad_items.csv").write_text("\n".join([header, *rows]) + "\n")
+            Path("spec.json").write_text(json.dumps(
+                {**spec, "values": {"per_item": "bad_items.csv"}}))
+            assert run_cli("plot", "--type", plot_type, "--spec", "spec.json",
+                           "--out", "x.svg") == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: bad_items.csv: k columns must be strictly increasing "
+                "and >= 1"]
+            assert not Path("x.svg").exists()
+
+    def test_heatmap_takes_no_k(self, good_files, tmp_path, monkeypatch,
+                                capsys):
+        """A heatmap draws every stored k, so its values name no k."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in good_files.items():
+            Path(name).write_text(text)
+        Path("spec.json").write_text(json.dumps(
+            {"values": {"per_item": "p_items.csv", "k": 3}}))
+        assert run_cli("plot", "--type", "heatmap", "--spec", "spec.json",
+                       "--out", "x.svg") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: plot spec: values: unknown keys ['k']"]
+        assert not Path("x.svg").exists()
+
     def test_unknown_spec_key_fails(self, tmp_path, capsys):
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"profiles": [], "zingers": 1}))
@@ -313,6 +349,56 @@ class TestPipelineCommand:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"]
         assert "\0" not in captured.err and "Traceback" not in captured.err
+
+    def test_null_reducer_parameter_is_one_error_line(self, tmp_path,
+                                                      capsys):
+        """A parameter takes its default only when its key is left out, so
+        ``"seed": null`` cannot make a run draw a fresh random start."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "out_dir": "res", "stages": [
+                {"kind": "generate", "name": "d", "shape": "swiss_roll",
+                 "n": 40},
+                {"kind": "reduce", "name": "r", "source": "d",
+                 "method": "smacof", "target_dim": 2,
+                 "params": {"seed": None, "init": "random", "max_iter": 5}}]}))
+        assert run_cli("pipeline", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: stage 1 (reduce): params for smacof: seed has the wrong "
+            "type: None"]
+        assert not (tmp_path / "res").exists()
+
+    def test_heatmap_labels_its_columns_from_the_per_item_data(self, tmp_path,
+                                                              capsys):
+        """The k label comes from the agree stage's columns; a plot spec
+        holds only comparison and style, and a heatmap's values no k."""
+        config = {"version": 1, "out_dir": "res", "stages": [
+            {"kind": "generate", "name": "d", "shape": "swiss_roll", "n": 60},
+            {"kind": "reduce", "name": "r", "source": "d", "method": "pca",
+             "target_dim": 2},
+            {"kind": "agree", "name": "a", "a": "d", "b": "r",
+             "per_item": True, "range_k": [1, 5]},
+            {"kind": "plot", "name": "h", "type": "heatmap",
+             "values": {"agree": "a"}}]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("pipeline", "--config", str(cfg)) == 0
+        svg = (tmp_path / "res" / "h.svg").read_text()
+        assert ">k = 1..5</text>" in svg
+        assert capsys.readouterr().err == ""
+        for key, value, message in (
+                ("spec", {"range_k": [20, 21, 22, 23, 24]},
+                 "unknown keys ['range_k']"),
+                ("spec", {"adjusted": True}, "unknown keys ['adjusted']"),
+                ("values", {"agree": "a", "k": 3},
+                 "values: unknown keys ['k']")):
+            broken = copy.deepcopy(config)
+            broken["stages"][3][key] = value
+            cfg.write_text(json.dumps(broken))
+            assert run_cli("pipeline", "--config", str(cfg)) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: stage 3 (plot): {message}"]
+        assert (tmp_path / "res" / "h.svg").read_text() == svg
 
     def test_error_reports_stage(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -425,7 +511,7 @@ SWEEP_CONFIG = {
          "per_item": True, "range_k": [1, 6]},
         {"kind": "plot", "name": "p", "type": "scatter", "embeddings": ["r"],
          "values": {"agree": "a", "k": 2},
-         "spec": {"adjusted": False, "range_k": [1, 2],
+         "spec": {"comparison": "simple",
                   "style": {"width": 300.0, "grid_resolution": 4}}},
     ],
 }

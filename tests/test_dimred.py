@@ -512,6 +512,19 @@ class TestLLE:
 
 
 class TestIsomapAndGeodesics:
+    @pytest.mark.parametrize("kind", ["tied", "duplicated"])
+    def test_neighbor_lists_match_the_naive_oracle(self, kind):
+        """Nearest neighbors by ascending distance, ties by item index."""
+        rng = np.random.default_rng(52)
+        for n in (3, 4, 9, 30, 61):
+            x = rng.integers(0, 3, (n, 2)).astype(float)
+            if kind == "duplicated":
+                x[n // 2:] = x[:n - n // 2]
+            want = np.array(naive_neighbors(x))
+            for k in sorted({1, n // 2, n - 1}):
+                got, _ = dimred._neighbor_lists(x, k)
+                assert np.array_equal(got, want[:, :k]), (n, k)
+
     def test_collinear_geodesic_goes_through_middle(self):
         pts = Configuration(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         geo = geodesic_distances(pts, n_neighbors=1)

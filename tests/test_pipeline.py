@@ -82,9 +82,10 @@ def typed_config():
         {"kind": "agree", "name": "a", "a": "i", "b": "r", "per_item": True,
          "range_k": [1, 2]},
         {"kind": "plot", "name": "h", "type": "heatmap", "binary": False,
-         "values": {"agree": "a", "k": 1},
-         "spec": {"adjusted": False, "range_k": [1, 2],
-                  "style": {"loess_span": 0.5, "azimuth": 10}}}]}
+         "values": {"agree": "a"},
+         "spec": {"style": {"loess_span": 0.5, "azimuth": 10}}},
+        {"kind": "plot", "name": "s", "type": "scatter", "embeddings": ["r"],
+         "values": {"agree": "a", "k": 1}}]}
 
 
 class TestParsing:
@@ -169,12 +170,12 @@ class TestParsing:
                                    ("smacof", "weights", [[0, "1"], [1, 0]]),
                                    ("smacof", "weights", [[0, True], [1, 0]]),
                                    ("lle", "n_neighbors", "x"),
-                                   ("laplacian_eigenmaps", "t", None)):
+                                   ("laplacian_eigenmaps", "t", None),
+                                   ("smacof", "seed", None)):
             cfg["stages"][1].update(method=method, params={key: value})
             with pytest.raises(ValueError, match=f"{key} has the wrong type"):
                 parse_config(cfg, tmp_path)
         for method, key, value in (("smacof", "weights", [[0, 1], [1, 0]]),
-                                   ("smacof", "seed", None),
                                    ("local_smacof", "quantile", 1),
                                    ("pca", "use_correlation", True)):
             cfg["stages"][1].update(method=method, params={key: value})
@@ -229,10 +230,7 @@ class TestParsing:
         (("stages", 0, "has_header"), "false"),
         (("stages", 0, "missing_token"), [1]),
         (("stages", 3, "binary"), 1),
-        (("stages", 3, "values", "k"), True),
-        (("stages", 3, "spec", "adjusted"), 1),
-        (("stages", 3, "spec", "range_k"), ["1", "2"]),
-        (("stages", 3, "spec", "range_k"), [True, 2]),
+        (("stages", 4, "values", "k"), True),
         (("stages", 3, "spec", "style", "loess_span"), True),
         (("stages", 3, "spec", "style", "azimuth"), True),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
@@ -251,11 +249,11 @@ class TestParsing:
         cfg["seed"] = np.int64(3)
         cfg["stages"][1]["target_dim"] = np.int32(2)
         cfg["stages"][2]["range_k"] = [np.int64(1), np.int64(2)]
-        cfg["stages"][3]["spec"]["range_k"] = np.arange(1, 3)
+        cfg["stages"][4]["values"]["k"] = np.int64(2)
         parsed = parse_config(cfg, tmp_path)
         assert type(parsed.seed) is int
         assert parsed.stages[2].range_k == (1, 2)
-        assert parsed.stages[3].spec.range_k == (1, 2)
+        assert parsed.stages[4].values["k"] == 2
 
     def test_duplicate_names_rejected(self, tmp_path):
         cfg = {"version": 1, "stages": [

@@ -94,8 +94,6 @@ def scatter_panel():
 CASES = {
     "heatmap_absolute": lambda: render_heatmap(
         heat_values(), spec=RenderSpec(style=style())),
-    "heatmap_adjusted": lambda: render_heatmap(
-        diff_values(), spec=RenderSpec(adjusted=True, style=style())),
     "heatmap_compare": lambda: render_heatmap(
         diff_values(), spec=RenderSpec(comparison="compare", style=style())),
     "heatmap_binary": lambda: render_heatmap(
@@ -103,12 +101,9 @@ CASES = {
         binary=True),
     "heatmap_order": lambda: render_heatmap(
         heat_values(), item_order=[4, 0, 8, 2, 6, 1, 7, 3, 5],
-        spec=RenderSpec(range_k=(2, 3, 5, 8, 13))),
+        ks=(2, 3, 5, 8, 13)),
     "loess": lambda: render_loess_overlay(
         *cloud(), RenderSpec(style=style())),
-    "loess_categories": lambda: render_loess_overlay(
-        *cloud(), RenderSpec(comparison="compare", style=style()),
-        categories=["x", "y", "z", "y"] * 10),
     "loess_tied": lambda: render_loess_overlay(
         *tied_cloud(), RenderSpec(style=style(loess_span=0.3,
                                               grid_resolution=7))),
@@ -133,8 +128,6 @@ CASES = {
 DIGESTS = {
     "heatmap_absolute":
         "374cf8c13b72a5e7120b6f398affa876087933fae221f8f6dd933c91e23a349e",
-    "heatmap_adjusted":
-        "cbda9078ce013a7c4568f7caeeb64e9bed978d642141c146e8355416401a6eaa",
     "heatmap_binary":
         "5ffc06b2e8bdf17e44972815f4cd8b7edee2ebc0405b808c00d325c6b718db83",
     "heatmap_compare":
@@ -149,8 +142,6 @@ DIGESTS = {
         "b5a35e88f0ad10b366dee830f92bf336b86856bcd998161f342858b685c2e963",
     "loess":
         "7c29aaddda46dc3644f0d8b031c3a400ef439ee1240cf0a21fb7e0c69d21ec40",
-    "loess_categories":
-        "83de5512781e0b4ca0af1b104df13a9bdaee6e5796a8826d53a41fdbf319771c",
     "loess_fallback":
         "10154cd4e1b84b2106b13fbdbe566da22a5d771085f06caa372135c0e15460ca",
     "loess_tied":

@@ -70,7 +70,6 @@ class TestColorScale:
     @pytest.mark.parametrize("mode,domain", [
         ("absolute", (0.0, 1.0)),
         ("comparative", (-1.5, 1.5)),
-        ("relative_to_random", (-0.3, 0.3)),
     ])
     def test_red_never_rises_blue_never_falls(self, mode, domain):
         s = ColorScale(mode, domain)
@@ -159,7 +158,7 @@ class TestColorKernel:
         ("absolute", (0.0, 1.0), 0.5, (128, 188, 255)),
         ("comparative", (-1.0, 1.0), 0.5, (128, 188, 255)),
         # 255 - 0.5 * 0, 59 + 0.5 * 196, 48 + 0.5 * 207 = 151.5
-        ("relative_to_random", (-2.0, 2.0), -1.0, (255, 157, 152)),
+        ("comparative", (-2.0, 2.0), -1.0, (255, 157, 152)),
         ("comparative", (-1.0, 0.0), 3.0, (255, 255, 255)),
     ])
     def test_halfway_and_clipped_values(self, mode, domain, value, want):
@@ -176,18 +175,20 @@ class TestColorKernel:
 class TestRenderSpec:
     def test_defaults_valid(self):
         spec = RenderSpec()
-        assert spec.range_k is None and spec.style == PlotStyle()
+        assert spec.comparison == "simple" and spec.style == PlotStyle()
 
     def test_range_k_validation(self):
-        with pytest.raises(ValueError, match="empty"):
-            RenderSpec(range_k=())
-        with pytest.raises(ValueError, match="increasing"):
-            RenderSpec(range_k=(3, 2))
-        with pytest.raises(ValueError, match="increasing"):
-            RenderSpec(range_k=(0, 1))
-        with pytest.raises(ValueError, match="integers"):
-            RenderSpec(range_k=5)
-        assert RenderSpec(range_k=[1, 5, 9]).range_k == (1, 5, 9)
+        # a spec holds no k range: the ks travel with the matrix they label,
+        # and render_heatmap checks them
+        with pytest.raises(TypeError, match="range_k"):
+            RenderSpec(range_k=(1, 5))
+        vals = np.zeros((4, 3))
+        for ks, match in ((5, "integers"), ((1.0, 2.0, 3.0), "integers"),
+                          ((1, True, 3), "integers"),
+                          ((3, 2, 4), "increasing"), ((1, 1, 2), "increasing"),
+                          ((0, 1, 2), ">= 1")):
+            with pytest.raises(ValueError, match=match):
+                render_heatmap(vals, ks=ks)
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -366,11 +367,20 @@ class TestHeatmap:
         c = Configuration(np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
         assert order_by_first_coordinate(c) == (1, 2, 0)
 
+    def test_ks_label_the_columns(self):
+        vals = np.zeros((4, 3))
+        for ks, label in ((None, "k = 1..3"), ([2, 5, 9], "k = 2..9"),
+                          (np.arange(4, 7), "k = 4..6")):
+            svg = render_heatmap(vals, ks=ks)
+            assert [el.text for el in elements(svg, "axis")] == [label]
+
     def test_range_k_must_match_columns(self):
         vals = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="columns"):
-            render_heatmap(vals, spec=RenderSpec(range_k=(1, 2),
-                                                 style=small_style()))
+        for ks, match in (((), "0 entries"),
+                          ((1, 2), "2 entries but the matrix has 3 columns"),
+                          ((1, 2, 3, 4), "4 entries")):
+            with pytest.raises(ValueError, match=match):
+                render_heatmap(vals, ks=ks, spec=RenderSpec(style=small_style()))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -391,15 +401,6 @@ class TestLoessOverlay:
         spec = RenderSpec(style=small_style(grid_resolution=5))
         svg = render_loess_overlay(embedding_2d, np.full(25, 0.6), spec)
         assert len({el.get("fill") for el in elements(svg, "surf")}) == 1
-
-    def test_categorical_coloring(self, embedding_2d):
-        spec = RenderSpec(style=small_style(grid_resolution=5))
-        cats = ["a", "b"] * 12 + ["a"]
-        svg = render_loess_overlay(embedding_2d, np.linspace(0, 1, 25),
-                                   spec, categories=cats)
-        fills = {el.get("fill") for el in elements(svg, "pt")}
-        assert fills == {"#%02x%02x%02x" % TECHNIQUE_RGB[0],
-                         "#%02x%02x%02x" % TECHNIQUE_RGB[1]}
 
     def test_requires_2d(self):
         c3 = Configuration(np.random.default_rng(5).standard_normal((15, 3)))
