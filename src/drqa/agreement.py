@@ -22,13 +22,19 @@ kernel, :func:`_overlap_counts`, into one vector per pair and keeps
 per-item rates only for the columns asked for.  :func:`agreement_profile`
 runs the pass over row slices of two stored rank structures; the
 pipeline's agree stage runs it over rank blocks as they are computed or
-read from its cache, and never holds an ``n x n`` array.  The counts are
-integers, so every block size gives the same bits.
+read from its cache, and never holds an ``n x n`` array.  That stage runs
+the pass on its worker threads: the sources of a block are ranked side by
+side, then the pairs are counted side by side, and the workers share one
+block budget (:func:`~drqa.geometry._row_blocks`).  The counts are
+integers and each pair's totals belong to that pair alone, so every block
+size and worker count gives the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,18 +275,30 @@ class _OverlapSums:
         return self.sums / (self.k * self.n)
 
 
-def _count_overlaps(sources: dict, pairs: dict, n: int) -> None:
+def _count_overlaps(sources: dict, pairs: dict, n: int,
+                    workers: int = 1) -> None:
     """Feed every compared pair's overlap sums in one pass over row blocks.
 
     ``sources[name](start, stop)`` returns the rank rows of items
     ``start .. stop - 1`` under ``name``; each source is asked once per
     block, in row order.  ``pairs`` maps ``(x, y)`` source names to the
     :class:`_OverlapSums` of that pair.
+
+    With ``workers > 1`` each block's sources, then its pairs, are mapped
+    over a pool of that many threads; the pool has finished every call it
+    began when this returns or raises.  One worker maps with the builtin
+    ``map``.
     """
-    for start, stop in _row_blocks(n):
-        rows = {name: block(start, stop) for name, block in sources.items()}
-        for (x, y), sums in pairs.items():
-            sums.add(start, rows[x], rows[y])
+    with ExitStack() as stack:
+        run = map
+        if workers > 1:
+            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+        for start, stop in _row_blocks(n, workers):
+            rows = dict(zip(sources, run(
+                lambda block: block(start, stop), sources.values())))
+            for _ in run(lambda pair: pairs[pair].add(
+                    start, rows[pair[0]], rows[pair[1]]), pairs):
+                pass
 
 
 def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,

@@ -16,9 +16,11 @@ checked block by block (:func:`_check_rank_rows`), and written in row
 order to a temporary file that is renamed into place once complete.
 :func:`rank_structure` assembles every block into one ``int32`` matrix
 (4·n² bytes); the pipeline's agree stage instead consumes each block as it
-is served and keeps none.  Ranks that come from outside, from callers or
-from a cache file, are checked; ranks computed here are permutations by
-construction and are not.
+is served and keeps none, ranking the blocks of several artifacts side by
+side on its worker threads.  Those workers share one block budget, so the
+rows in flight stay at about ``_BLOCK_CELLS``.  Ranks that come from
+outside, from callers or from a cache file, are checked; ranks computed
+here are permutations by construction and are not.
 """
 
 from __future__ import annotations
@@ -217,10 +219,14 @@ def _check_rank_rows(rows: np.ndarray, start: int) -> None:
         raise ValueError("each row of ranks must hold every rank once")
 
 
-def _row_blocks(n: int) -> list:
-    """``(start, stop)`` of consecutive row blocks of about ``_BLOCK_CELLS``
-    cells each, covering rows ``0 .. n-1``."""
-    step = max(1, _BLOCK_CELLS // n)
+def _row_blocks(n: int, workers: int = 1) -> list:
+    """``(start, stop)`` of consecutive row blocks covering rows ``0 .. n-1``.
+
+    ``workers`` threads that each hold one block at a time share the
+    budget of ``_BLOCK_CELLS`` cells, so each block gets about
+    ``_BLOCK_CELLS // workers`` of them, and at least one row.
+    """
+    step = max(1, _BLOCK_CELLS // workers // n)
     return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -429,14 +435,17 @@ def _stable_order(d: np.ndarray) -> np.ndarray:
     order = np.argsort(d, axis=1)
     ordered = np.take_along_axis(d, order, axis=1)
     tied = ordered[:, 1:] == ordered[:, :-1]
+    # each temporary goes once used: the blocks of several threads add up
+    del ordered
     repair = np.flatnonzero(tied.any(axis=1))
     if repair.size:
         key = np.zeros((repair.size, n), dtype=np.int64)
         np.cumsum(~tied[repair], axis=1, out=key[:, 1:])
+        del tied
         key *= n
         key += order[repair]
         key.sort(axis=1)
-        order[repair] = key % n
+        order[repair] = np.remainder(key, n, out=key)
     return order
 
 

@@ -1,9 +1,10 @@
 """CSV input and output for configurations, profiles, and per-item values.
 
 All writers quote per RFC 4180 and print floats with ``repr``, so values
-round-trip losslessly and repeated runs emit identical bytes.  Every error
-a reader raises on a file's content, including those of the record it
-builds, starts with that file's name.
+round-trip losslessly and repeated runs emit identical bytes.  Each
+distinct float of a written array is formatted once
+(:func:`_float_cells`).  Every error a reader raises on a file's content,
+including those of the record it builds, starts with that file's name.
 """
 
 from __future__ import annotations
@@ -154,29 +155,37 @@ def item_ids(labels, n: int) -> tuple:
     return tuple(str(i) for i in range(n))
 
 
+def _float_cells(values) -> np.ndarray:
+    """``repr(float(v))`` of every entry of a float array, in its shape.
+
+    Each distinct bit pattern is formatted once and mapped back to its
+    cells, so ``-0.0`` and ``0.0`` stay apart.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
 def write_configuration(config: Configuration, path) -> None:
     """Write items as ``id,dim1..dimk`` rows; masked cells stay empty."""
-    path = Path(path)
-    mask = config.mask
-    with path.open("w", newline="") as fh:
+    cells = _float_cells(config.items)
+    if config.mask is not None:
+        cells[~config.mask] = ""
+    with Path(path).open("w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["id"] + [f"dim{j + 1}" for j in range(config.m)])
-        for i, row_id in enumerate(item_ids(config.labels, config.n)):
-            row = [row_id]
-            for j in range(config.m):
-                observed = mask is None or mask[i, j]
-                row.append(repr(float(config.items[i, j])) if observed else "")
-            out.writerow(row)
+        out.writerows([row_id] + row for row_id, row in zip(
+            item_ids(config.labels, config.n), cells.tolist()))
 
 
 def write_profile(profile: AgreementProfile, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    cells = _float_cells(np.column_stack([profile.ar, profile.ar_adjusted]))
+    with Path(path).open("w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["k", "agreement", "adjusted_agreement"])
-        for k, ar, adjusted in zip(range(1, profile.n), profile.ar,
-                                   profile.ar_adjusted):
-            out.writerow([k, repr(float(ar)), repr(float(adjusted))])
+        out.writerows([k] + row for k, row in zip(range(1, profile.n),
+                                                   cells.tolist()))
 
 
 @_names_its_file
@@ -203,12 +212,12 @@ def write_per_item(ks, values, path, labels=None) -> None:
     ks = [int(k) for k in ks]
     if values.ndim != 2 or values.shape[1] != len(ks):
         raise ValueError("values must have one column per k")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    cells = _float_cells(values)
+    with Path(path).open("w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["id"] + [f"k={k}" for k in ks])
-        for row_id, row in zip(item_ids(labels, len(values)), values):
-            out.writerow([row_id] + [repr(float(v)) for v in row])
+        out.writerows([row_id] + row for row_id, row in zip(
+            item_ids(labels, len(values)), cells.tolist()))
 
 
 @_names_its_file
@@ -217,8 +226,11 @@ def read_per_item(path):
     rows = _read_rows(path)
     if not rows or rows[0][:1] != ["id"] or len(rows[0]) < 2:
         raise ValueError("not a per-item value file")
+    heads = rows[0][1:]
+    if not all(c.startswith("k=") for c in heads):
+        raise ValueError("malformed k columns")
     try:
-        ks = tuple(int(c.removeprefix("k=")) for c in rows[0][1:])
+        ks = tuple(int(c[2:]) for c in heads)
     except ValueError:
         raise ValueError("malformed k columns") from None
     if ks[0] < 1 or any(a >= b for a, b in zip(ks, ks[1:])):

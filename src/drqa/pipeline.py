@@ -12,7 +12,9 @@ An agree stage makes one pass over blocks of rows
 (:func:`drqa.agreement._count_overlaps`): for each block it takes the rank
 rows of every artifact it compares once, from
 :class:`drqa.geometry._RankRows`, and adds each compared pair's overlap
-counts into that pair's totals.  With ``cache`` on, each artifact's ranks
+counts into that pair's totals, both on the runner's worker threads.
+``DRQA_THREADS`` bounds those threads and a reduce stage's alike; unset or
+0, there is one per CPU.  With ``cache`` on, each artifact's ranks
 are kept in ``.cache/ranks_<key>.npy``, in the format that
 :mod:`drqa.geometry` defines.
 """
@@ -565,7 +567,9 @@ def load_config(path) -> PipelineConfig:
 # Execution
 
 
-def _worker_count() -> int | None:
+def _worker_count() -> int:
+    """The worker threads ``DRQA_THREADS`` asks for; one per CPU when it is
+    unset or 0."""
     raw = os.environ.get("DRQA_THREADS", "0")
     try:
         value = int(raw)
@@ -573,7 +577,7 @@ def _worker_count() -> int | None:
         raise ValueError("DRQA_THREADS must be an integer") from None
     if value < 0:
         raise ValueError("DRQA_THREADS must be >= 0")
-    return None if value == 0 else value
+    return value or os.cpu_count() or 1
 
 
 class _RankCache:
@@ -619,7 +623,9 @@ class StageRunner:
     Its file ``f`` goes to ``targets[f]`` if given (None skips it), else
     to ``out_dir / f``; each path joins ``written`` before it is written.
     Stages are run through :meth:`run`, which removes those files again
-    when the stage fails.
+    when the stage fails.  ``workers`` bounds the threads of a reduce
+    stage's pool and of an agree stage's pass; it defaults to
+    :func:`_worker_count`.
     """
 
     def __init__(self, out_dir=".", imputation: str = "none",
@@ -627,7 +633,7 @@ class StageRunner:
                  targets: dict | None = None):
         self.out_dir = Path(out_dir)
         self.imputation = imputation
-        self.workers = workers
+        self.workers = _worker_count() if workers is None else workers
         self.targets = targets or {}
         self.rank_cache = _RankCache(cache_dir)
         self.configurations: dict = {}
@@ -711,7 +717,7 @@ class StageRunner:
             sources = {name: stack.enter_context(self.rank_cache.rows(
                 name, self.configurations[name])).block
                 for name in dict.fromkeys(x for pair in pairs for x in pair)}
-            _count_overlaps(sources, pairs, n)
+            _count_overlaps(sources, pairs, n, self.workers)
 
         def profile(x, y):
             return AgreementProfile(pairs[x, y].ar())
@@ -793,8 +799,7 @@ def run_pipeline(config: PipelineConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
     runner = StageRunner(out_dir, config.imputation,
-                         out_dir / ".cache" if config.cache else None,
-                         _worker_count())
+                         out_dir / ".cache" if config.cache else None)
     manifest: list = []
 
     for idx, stage in enumerate(config.stages):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from drqa import pipeline
 from drqa.cli import main
 from drqa.ingest import ingest_csv, read_profile
 from drqa.pipeline import parse_config, run_pipeline
@@ -145,6 +147,42 @@ class TestAgree:
         assert run_cli("agree", "--a", str(dataset), "--b", str(dataset),
                        "--out", str(tmp_path / "p.csv")) == 0
         assert "psi = 1.0" in capsys.readouterr().out
+
+    def test_obeys_drqa_threads(self, dataset, tmp_path, monkeypatch, capsys):
+        """The agree pass runs on the ``DRQA_THREADS`` workers, one per CPU
+        when unset or 0, and every count writes the same bytes; a bad value
+        is one error line."""
+        emb = tmp_path / "emb.csv"
+        run_cli("reduce", "--method", "pca", "--dim", "2",
+                "--in", str(dataset), "--out", str(emb))
+        count_overlaps = pipeline._count_overlaps
+        workers = []
+
+        def recorded(sources, pairs, n, count):
+            workers.append(count)
+            count_overlaps(sources, pairs, n, count)
+
+        monkeypatch.setattr(pipeline, "_count_overlaps", recorded)
+        written = set()
+        for threads in ("1", "2", "3", "0", None):
+            if threads is None:
+                monkeypatch.delenv("DRQA_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("DRQA_THREADS", threads)
+            out = tmp_path / "p.csv"
+            assert run_cli("agree", "--a", str(dataset), "--b", str(emb),
+                           "--out", str(out), "--per-item") == 0
+            written.add((out.read_bytes(),
+                         (tmp_path / "p_items.csv").read_bytes()))
+        assert workers == [1, 2, 3, os.cpu_count(), os.cpu_count()]
+        assert len(written) == 1
+        monkeypatch.setenv("DRQA_THREADS", "soon")
+        capsys.readouterr()
+        assert run_cli("agree", "--a", str(dataset), "--b", str(emb),
+                       "--out", str(tmp_path / "q.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: DRQA_THREADS must be an integer\n")
+        assert not (tmp_path / "q.csv").exists()
 
     @pytest.mark.parametrize("per_item", [False, True])
     def test_failure_leaves_no_files(self, per_item, dataset, tmp_path, capsys):

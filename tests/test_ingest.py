@@ -1,11 +1,14 @@
 """CSV ingestion, imputation, and lossless round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from drqa.agreement import agreement_profile
 from drqa.geometry import Configuration, euclidean_distances, ranks_from_config
 from drqa.ingest import (
+    _float_cells,
     impute_column_mean,
     ingest_csv,
     read_per_item,
@@ -184,7 +187,91 @@ class TestPerItemFiles:
         with pytest.raises(ValueError, match="malformed k columns"):
             read_per_item(p)
 
+    @pytest.mark.parametrize("header", ["id,3,k=4", "id,1,2,3"])
+    def test_k_columns_need_their_prefix(self, tmp_path, header):
+        p = tmp_path / "items.csv"
+        width = header.count(",")
+        p.write_text(header + "\n0" + ",0.5" * width + "\n")
+        with pytest.raises(ValueError,
+                           match="^items.csv: malformed k columns$"):
+            read_per_item(p)
+
     def test_column_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="one column per k"):
             write_per_item([1, 2], np.zeros((3, 3)), tmp_path / "x.csv")
 
+
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 0.1, 1 / 3, -2.5,
+           1e-7, 1.7976931348623157e308, 123456789.125, 3.0]
+
+
+def loop_rows(ids, values, mask=None):
+    """Rows as a cell-by-cell loop writes them: ``repr(float(v))``, masked
+    cells empty."""
+    return [[row_id] + [repr(float(v)) if mask is None or mask[i, j] else ""
+                        for j, v in enumerate(row)]
+            for i, (row_id, row) in enumerate(zip(ids, values))]
+
+
+def csv_bytes(path, header, rows):
+    with path.open("w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
+    return path.read_bytes()
+
+
+class TestFloatCells:
+    """Each written float is exactly ``repr(float(v))``."""
+
+    def test_special_values(self):
+        values = np.array(SPECIAL * 3).reshape(3, -1)
+        assert _float_cells(values).tolist() == [
+            [repr(float(v)) for v in row] for row in values]
+        assert _float_cells(np.array([-0.0, 0.0])).tolist() == ["-0.0", "0.0"]
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(9)
+        base = rng.integers(0, 7, (12, 10)) / rng.integers(1, 5, (12, 10))
+        base[::3, 1] = -0.0
+        for values in (base[::2, 1::3], base.T, base[:, 4]):
+            assert not values.flags.c_contiguous
+            assert _float_cells(values).tolist() == np.vectorize(
+                lambda v: repr(float(v)), otypes=[object])(values).tolist()
+
+    def test_configuration_bytes(self, tmp_path):
+        rng = np.random.default_rng(10)
+        items = rng.choice(SPECIAL, (9, 4))
+        mask = rng.random((9, 4)) > 0.3
+        mask[:, 0] = True
+        labels = ("a,b", 'say "hi"', "plain", "x", "y", "z", "1", "2", "3")
+        config = Configuration(items, labels=labels, mask=mask)
+        write_configuration(config, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == csv_bytes(
+            tmp_path / "want.csv", ["id", "dim1", "dim2", "dim3", "dim4"],
+            loop_rows(labels, items, mask))
+        assert b'"a,b"' in (tmp_path / "c.csv").read_bytes()
+        assert b'"say ""hi"""' in (tmp_path / "c.csv").read_bytes()
+
+    def test_per_item_bytes(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = rng.choice(SPECIAL, (7, 5))
+        labels = ("q,r", '"quoted"', "c", "d", "e", "f", "g")
+        write_per_item([1, 2, 3, 5, 8], values, tmp_path / "i.csv",
+                       labels=labels)
+        assert (tmp_path / "i.csv").read_bytes() == csv_bytes(
+            tmp_path / "want.csv", ["id", "k=1", "k=2", "k=3", "k=5", "k=8"],
+            loop_rows(labels, values))
+
+    def test_profile_bytes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        a = ranks_from_config(Configuration(rng.integers(0, 3, (30, 2))))
+        b = ranks_from_config(Configuration(rng.integers(0, 3, (30, 2))))
+        prof = agreement_profile(a, b)
+        write_profile(prof, tmp_path / "p.csv")
+        rows = [[k, repr(float(x)), repr(float(y))] for k, x, y in zip(
+            range(1, prof.n), prof.ar, prof.ar_adjusted)]
+        assert (tmp_path / "p.csv").read_bytes() == csv_bytes(
+            tmp_path / "want.csv", ["k", "agreement", "adjusted_agreement"],
+            rows)

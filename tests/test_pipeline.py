@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from drqa import agreement, geometry
+from drqa.agreement import AgreementProfile, partial_agreement, psi
 from drqa.cli import main
 from drqa.geometry import Configuration, ranks_from_config
 from drqa.ingest import write_configuration
@@ -362,7 +365,7 @@ class TestExecution:
             return kernel(rows_a, rows_b)
 
         monkeypatch.setattr(agreement, "_overlap_counts", counted)
-        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 5 * 12)  # 5, 5, 2 rows
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 5 * 12)
         rng = np.random.default_rng(6)
         runner = StageRunner(tmp_path)
         for name in ("a", "b1", "b2", "z"):
@@ -371,16 +374,17 @@ class TestExecution:
         ranks = {name: ranks_from_config(c).ranks
                  for name, c in runner.configurations.items()}
         runner.agree(AgreeStage("s", "a", ("b1", "b2"), z="z"))
+        blocks = geometry._row_blocks(12, runner.workers)
 
         def owner(rows):
             return next(name for name, r in ranks.items()
-                        if any(np.array_equal(rows, r[i:i + len(rows)])
-                               for i in range(0, 12, 5)))
+                        if any(np.array_equal(rows, r[start:stop])
+                               for start, stop in blocks))
 
         pairs = Counter((owner(ra), owner(rb)) for ra, rb in calls)
         # once per block each: a-b1, a-b2, a-z, b1-z, b2-z
-        assert pairs == {("a", "b1"): 3, ("a", "b2"): 3, ("a", "z"): 3,
-                         ("b1", "z"): 3, ("b2", "z"): 3}
+        assert pairs == {pair: len(blocks) for pair in (
+            ("a", "b1"), ("a", "b2"), ("a", "z"), ("b1", "z"), ("b2", "z"))}
         assert len(runner.partials) == 2
 
     def test_failing_stage_removes_its_outputs(self, tmp_path):
@@ -670,6 +674,91 @@ class TestStreamedAgree:
             ks, matrix, _ = runner.per_item["s"]
             assert ks == tuple(k)
             assert (matrix == rates).all()
+
+    def test_threaded_pass_matches_serial_and_oracle(self, tmp_path,
+                                                     monkeypatch):
+        """Every worker count and block size gives the rates, partial
+        agreements and cache file bytes of one worker and of the oracle."""
+        n, lo, hi = self.N, 2, 7
+        rng = np.random.default_rng(23)
+        x, coords = survey_and_map("ties", n, rng)
+        configs = {"survey": Configuration(x), "map": Configuration(coords),
+                   "z": Configuration(rng.integers(0, 3, (n, 2)))}
+        nbrs = {name: naive_neighbors(c.items) for name, c in configs.items()}
+        ar, _ = naive_profile(nbrs["survey"], nbrs["map"])
+        k = np.arange(lo, hi + 1)
+        rates = naive_overlap_counts(nbrs["survey"], nbrs["map"])[
+            :, lo - 1:hi] / k
+        psis = [psi(AgreementProfile(naive_profile(nbrs[a], nbrs[b])[0]))
+                for a, b in (("survey", "map"), ("survey", "z"), ("map", "z"))]
+        stage = AgreeStage("s", "survey", ("map",), z="z", per_item=True,
+                           range_k=(lo, hi))
+
+        def agree(workers, block_rows):
+            monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
+            cache = tmp_path / f"cache-{workers}-{block_rows}"
+            runner = StageRunner(tmp_path, cache_dir=cache, workers=workers,
+                                 targets={"s.csv": None, "s_items.csv": None,
+                                          "s_partial.csv": None})
+            runner.configurations.update(configs)
+            runner.agree(stage)
+            files = {p.name: p.read_bytes() for p in cache.iterdir()}
+            return (runner.profiles["s"].ar.tobytes(),
+                    runner.per_item["s"][1].tobytes(),
+                    runner.partials["s"], files)
+
+        serial = agree(1, n)
+        assert serial[:3] == (ar.tobytes(), rates.tobytes(),
+                              (*psis, partial_agreement(*psis)))
+        assert len(serial[3]) == 3
+        assert all(name.endswith(".npy") for name in serial[3])
+        for workers in (1, 2, 3):
+            for block_rows in range(1, n + 1):
+                assert agree(workers, block_rows) == serial
+
+    def test_failed_block_leaves_no_cache_file(self, tmp_path, monkeypatch):
+        """One source raises on its second block while another is still
+        writing its cache: the pass waits for that block, and neither
+        source leaves a ``.npy`` or a ``.tmp``."""
+        n = 12
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 4 * n)
+        block, close = geometry._RankRows.block, geometry._RankRows.close
+        events = []
+        b_ranking = threading.Event()
+
+        def failing_block(self, start, stop):
+            if start > 0 and self.name == "b":
+                b_ranking.set()
+                time.sleep(0.1)  # still ranking when a's block fails
+            if start > 0 and self.name == "a":
+                assert b_ranking.wait(timeout=10)
+                raise OSError("disk full")
+            rows = block(self, start, stop)
+            events.append(("block", self.name, start))
+            return rows
+
+        def recorded_close(self, complete):
+            events.append(("close", self.name, complete))
+            close(self, complete)
+
+        monkeypatch.setattr(geometry._RankRows, "block", failing_block)
+        monkeypatch.setattr(geometry._RankRows, "close", recorded_close)
+        rng = np.random.default_rng(8)
+        cache = tmp_path / ".cache"
+        runner = StageRunner(tmp_path, cache_dir=cache, workers=2)
+        for name in ("a", "b"):
+            runner.configurations[name] = Configuration(
+                rng.standard_normal((n, 2)))
+        with pytest.raises(OSError, match="disk full"):
+            runner.run(AgreeStage("s", "a", ("b",)))
+        assert list(cache.iterdir()) == []
+        assert list(tmp_path.glob("*.csv")) == []
+        closes = [i for i, event in enumerate(events) if event[0] == "close"]
+        assert sorted(events[i][1] for i in closes) == ["a", "b"]
+        assert all(not events[i][2] for i in closes)
+        # b ranked its second block, which ran beside a's failing one,
+        # before any source was closed
+        assert ("block", "b", 2) in events[:closes[0]]
 
     def test_holds_no_dense_array(self, tmp_path, monkeypatch):
         """Blocks of 16 rows at n = 1500: the stage's peak allocation stays
