@@ -81,6 +81,9 @@ config = {
          "range_k": [1, 20]},
         {"kind": "plot", "name": "lift", "type": "lift",
          "profiles": ["quality:map_pca", "quality:map_smacof"]},
+        {"kind": "plot", "name": "loess", "type": "loess",
+         "embeddings": ["map_smacof"],
+         "values": {"agree": "quality:map_smacof", "k": 10}},
     ],
 }
 manifest = run_pipeline(parse_config(config))

@@ -222,25 +222,38 @@ def _check_pair(rank_a: RankStructure, rank_b: RankStructure) -> int:
     return rank_a.n
 
 
-def _overlap_counts(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+def _overlap_counts(rows_a: np.ndarray, rows_b: np.ndarray,
+                    hi: int = 0) -> tuple:
     """Overlaps ``a_ik`` for one block of items, from their rank rows.
 
     ``rows_a`` and ``rows_b`` hold the ranks of the same items under A and
-    B.  Returns an ``int64`` array of shape ``(rows, n - 1)`` whose
-    ``[i, k - 1]`` entry counts the items among the first ``k`` neighbors
-    of item ``i`` in both.
+    B.  Returns ``(sums, head)``: the ``int64`` vector ``sums[k - 1]``, the
+    sum over the block's items of ``a_ik`` for ``k = 1 .. n - 1``, and the
+    ``int64`` array ``head`` of shape ``(rows, hi)`` whose ``[i, k - 1]``
+    entry is ``a_ik`` for ``k <= hi`` (None when ``hi`` is 0).
 
     Item ``j`` is in both k-neighborhoods exactly when
-    ``max(rank_a[i, j], rank_b[i, j]) <= k``, so a row-wise cumulative
-    histogram of that maximum yields every ``a_ik`` in one pass instead of
-    comparing neighbor sets k by k.
+    ``max(rank_a[i, j], rank_b[i, j]) <= k``, so a cumulative histogram of
+    that maximum yields every ``a_ik`` in one pass instead of comparing
+    neighbor sets k by k.  The sums need only one histogram over the whole
+    block, and the head only the cells whose maximum is at most ``hi``.
     """
     b, n = rows_a.shape
     worst = np.maximum(rows_a, rows_b, dtype=np.int64)
-    worst += np.arange(0, b * n, n)[:, None]  # one histogram per row
-    hist = np.bincount(worst.ravel(), minlength=b * n).reshape(b, n)
-    # column 0 holds only the self-pair; overlaps accumulate over ranks 1..n-1
-    return np.cumsum(hist[:, 1:], axis=1)
+    # rank 0 is the self-pair alone; overlaps accumulate over ranks 1..n-1
+    if 2 * hi >= n:
+        # most cells reach the head: one histogram per row
+        worst += np.arange(0, b * n, n)[:, None]
+        hist = np.bincount(worst.ravel(), minlength=b * n).reshape(b, n)
+        return (np.cumsum(hist[:, 1:].sum(axis=0)),
+                np.cumsum(hist[:, 1:hi + 1], axis=1))
+    sums = np.cumsum(np.bincount(worst.ravel(), minlength=n)[1:])
+    if not hi:
+        return sums, None
+    cells = np.flatnonzero(worst <= hi)
+    hist = np.bincount(cells // n * (hi + 1) + worst.ravel()[cells],
+                       minlength=b * (hi + 1)).reshape(b, hi + 1)
+    return sums, np.cumsum(hist[:, 1:], axis=1)
 
 
 class _OverlapSums:
@@ -263,12 +276,12 @@ class _OverlapSums:
 
     def add(self, start: int, rows_a: np.ndarray, rows_b: np.ndarray) -> None:
         """Count the items ``start ..`` whose rank rows are given."""
-        a_ik = _overlap_counts(rows_a, rows_b)
-        self.sums += a_ik.sum(axis=0)
-        if self.per_item is not None:
-            lo, hi = self.columns
-            np.divide(a_ik[:, lo - 1:hi], self.k[lo - 1:hi],
-                      out=self.per_item[start:start + len(a_ik)])
+        lo, hi = self.columns or (1, 0)
+        sums, head = _overlap_counts(rows_a, rows_b, hi)
+        self.sums += sums
+        if head is not None:
+            np.divide(head[:, lo - 1:], self.k[lo - 1:hi],
+                      out=self.per_item[start:start + len(head)])
 
     def ar(self) -> np.ndarray:
         """``AR_k`` for every k, once every item has been added."""

@@ -1,16 +1,19 @@
 """CSV input and output for configurations, profiles, and per-item values.
 
-All writers quote per RFC 4180 and print floats with ``repr``, so values
-round-trip losslessly and repeated runs emit identical bytes.  Each
-distinct float of a written array is formatted once
-(:func:`_float_cells`).  Every error a reader raises on a file's content,
-including those of the record it builds, starts with that file's name.
+All writers print floats with ``repr``, so values round-trip losslessly
+and repeated runs emit identical bytes.  Each distinct float of a written
+array is formatted once (:func:`_float_cells`).  Every CSV file of the
+package is written by :func:`_write_csv`, which joins formatted cells into
+the bytes ``csv.writer`` would write, quoting text cells per RFC 4180.
+Every error a reader raises on a file's content, including those of the
+record it builds, starts with that file's name.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -167,25 +170,47 @@ def _float_cells(values) -> np.ndarray:
     return text[inverse].reshape(values.shape)
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(text: str) -> str:
+    """A text cell as ``csv.writer`` writes it (``QUOTE_MINIMAL``)."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _write_csv(path, header, rows, text: int = 1) -> None:
+    """Write ``header`` and ``rows`` of string cells as ``csv.writer`` would.
+
+    Header cells and the first ``text`` cells of each row are quoted where
+    they hold a comma, a quote, CR or LF; the other cells are formatted
+    numbers or empty, which never need quotes, and are joined as they are.
+    Every row has at least one cell; a row of one empty cell is written as
+    ``""``, as ``csv.writer`` does, so that it reads back as a row.  Rows
+    are written one line at a time, so no copy of the whole file is held.
+    """
+    with Path(path).open("w", newline="") as fh:
+        fh.write((",".join(map(_quoted, header)) or '""') + "\r\n")
+        fh.writelines((",".join([*map(_quoted, row[:text]), *row[text:]])
+                       or '""') + "\r\n" for row in rows)
+
+
 def write_configuration(config: Configuration, path) -> None:
     """Write items as ``id,dim1..dimk`` rows; masked cells stay empty."""
     cells = _float_cells(config.items)
     if config.mask is not None:
         cells[~config.mask] = ""
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["id"] + [f"dim{j + 1}" for j in range(config.m)])
-        out.writerows([row_id] + row for row_id, row in zip(
-            item_ids(config.labels, config.n), cells.tolist()))
+    _write_csv(path, ["id"] + [f"dim{j + 1}" for j in range(config.m)],
+               ([row_id] + row for row_id, row in zip(
+                   item_ids(config.labels, config.n), cells.tolist())))
 
 
 def write_profile(profile: AgreementProfile, path) -> None:
     cells = _float_cells(np.column_stack([profile.ar, profile.ar_adjusted]))
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["k", "agreement", "adjusted_agreement"])
-        out.writerows([k] + row for k, row in zip(range(1, profile.n),
-                                                   cells.tolist()))
+    _write_csv(path, ["k", "agreement", "adjusted_agreement"],
+               ([str(k)] + row for k, row in zip(range(1, profile.n),
+                                                 cells.tolist())), text=0)
 
 
 @_names_its_file
@@ -213,11 +238,9 @@ def write_per_item(ks, values, path, labels=None) -> None:
     if values.ndim != 2 or values.shape[1] != len(ks):
         raise ValueError("values must have one column per k")
     cells = _float_cells(values)
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["id"] + [f"k={k}" for k in ks])
-        out.writerows([row_id] + row for row_id, row in zip(
-            item_ids(labels, len(values)), cells.tolist()))
+    _write_csv(path, ["id"] + [f"k={k}" for k in ks],
+               ([row_id] + row for row_id, row in zip(
+                   item_ids(labels, len(values)), cells.tolist())))
 
 
 @_names_its_file

@@ -13,15 +13,14 @@ An agree stage makes one pass over blocks of rows
 rows of every artifact it compares once, from
 :class:`drqa.geometry._RankRows`, and adds each compared pair's overlap
 counts into that pair's totals, both on the runner's worker threads.
-``DRQA_THREADS`` bounds those threads and a reduce stage's alike; unset or
-0, there is one per CPU.  With ``cache`` on, each artifact's ranks
-are kept in ``.cache/ranks_<key>.npy``, in the format that
-:mod:`drqa.geometry` defines.
+``DRQA_THREADS`` bounds those threads, a reduce stage's and a loess plot's
+alike; unset or 0, there is one per CPU.  With ``cache`` on, each
+artifact's ranks are kept in ``.cache/ranks_<key>.npy``, in the format
+that :mod:`drqa.geometry` defines.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import inspect
 import json
@@ -49,6 +48,7 @@ from .agreement import (
 )
 from .geometry import Configuration, RankStructure, _RankRows
 from .ingest import (
+    _write_csv,
     impute_column_mean,
     ingest_csv,
     item_ids,
@@ -275,16 +275,13 @@ class ScoreTable:
             seen.add(key)
 
     def write(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["technique", "params", "k_range",
-                          "mean_agreement", "psi", "psi_weighted"])
-            for r in self.rows:
-                out.writerow([
-                    r.technique, _params_json(r.params), r.k_range,
-                    repr(float(r.mean_agreement)), repr(float(r.psi)),
-                    "" if r.psi_weighted is None else repr(float(r.psi_weighted)),
-                ])
+        _write_csv(path, ["technique", "params", "k_range",
+                          "mean_agreement", "psi", "psi_weighted"],
+                   ([r.technique, _params_json(r.params), r.k_range,
+                     repr(float(r.mean_agreement)), repr(float(r.psi)),
+                     "" if r.psi_weighted is None
+                     else repr(float(r.psi_weighted))] for r in self.rows),
+                   text=3)
 
 
 def _params_json(params: dict) -> str:
@@ -609,10 +606,8 @@ class _RankCache:
 
 
 def _write_partial(values, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["psi_ab", "psi_az", "psi_bz", "partial_agreement"])
-        out.writerow([repr(v) for v in values])
+    _write_csv(path, ["psi_ab", "psi_az", "psi_bz", "partial_agreement"],
+               [[repr(v) for v in values]], text=0)
 
 
 class StageRunner:
@@ -624,8 +619,8 @@ class StageRunner:
     to ``out_dir / f``; each path joins ``written`` before it is written.
     Stages are run through :meth:`run`, which removes those files again
     when the stage fails.  ``workers`` bounds the threads of a reduce
-    stage's pool and of an agree stage's pass; it defaults to
-    :func:`_worker_count`.
+    stage's pool, of an agree stage's pass and of a loess plot's fit; it
+    defaults to :func:`_worker_count`.
     """
 
     def __init__(self, out_dir=".", imputation: str = "none",
@@ -779,7 +774,8 @@ class StageRunner:
                       else matrix[:, ks.index(k)])
             embeds = [self.configurations[ref] for ref in stage.embeddings]
             if stage.plot_type == "loess":
-                text = render_loess_overlay(embeds[0], values, spec)
+                text = render_loess_overlay(embeds[0], values, spec,
+                                            workers=self.workers)
             else:
                 text = render_scatter(
                     embeds if len(embeds) > 1 else embeds[0], values, spec)

@@ -26,6 +26,8 @@ written here.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
@@ -468,8 +470,8 @@ class LoessSurface:
             raise ValueError("grid shapes are inconsistent")
 
 
-def loess_surface(points, values, span: float = 0.75,
-                  grid: int = 60) -> LoessSurface:
+def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
+                  workers: int = 1) -> LoessSurface:
     """Locally weighted linear fit of a value field over 2D positions.
 
     Each grid node is fit from its ceil(span*n) nearest points under
@@ -477,6 +479,12 @@ def loess_surface(points, values, span: float = 0.75,
     a zero support radius degenerates to uniform weights.  Nodes whose
     local design is rank-deficient (collinear support) fall back to the
     weighted mean and are flagged.
+
+    The grid rows are fit on a pool of ``workers`` threads, worker i
+    taking rows i, i + workers, ... (with one worker, in the calling
+    thread).  Each node's fit depends on nothing but its own support, so
+    every worker count gives the same bits.  A row that raises makes the
+    call raise once the pool has finished.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -488,6 +496,8 @@ def loess_surface(points, values, span: float = 0.75,
         raise ValueError("span must be in (0, 1]")
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     vals = _check_values(values, n)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
@@ -497,49 +507,65 @@ def loess_surface(points, values, span: float = 0.75,
     ys = np.linspace(pts[:, 1].min(), pts[:, 1].max(), grid)
     out = np.empty((grid, grid))
     fell_back = np.zeros((grid, grid), dtype=bool)
-    for row, gy in enumerate(ys):
-        # one grid row at a time: each node's support is its q nearest
-        # points, ties by ascending index; only the solve runs per node
-        dx = pts[None, :, 0] - xs[:, None]
-        dy = pts[:, 1] - gy
-        d = np.hypot(dx, dy[None, :])
-        sel = _stable_order(d)[:, :q]
-        d_sel = np.take_along_axis(d, sel, axis=1)
-        d_max = d_sel[:, -1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(d_max > 0, np.clip(
-                1.0 - (d_sel / d_max) ** 3, 0.0, None) ** 3, 1.0)
-        sw = np.sqrt(w)
-        design = np.stack([sw, np.take_along_axis(dx, sel, axis=1) * sw,
-                           dy[sel] * sw], axis=2)
-        target = vals[sel] * sw
-        for col in range(grid):
-            coef, _, rank, _ = np.linalg.lstsq(design[col], target[col],
-                                               rcond=None)
-            if rank == 3:
-                out[row, col] = coef[0]
-            else:
-                v = vals[sel[col]]
-                out[row, col] = np.average(v, weights=w[col]) \
-                    if w[col].sum() > 0 else v.mean()
-                fell_back[row, col] = True
+    dx = pts[None, :, 0] - xs[:, None]
+
+    def fit_rows(rows):
+        # each node's support is its q nearest points, ties by ascending
+        # index; only the solve runs per node.  A row writes only out[row]
+        # and fell_back[row].  The rows run in one loop, so that a row's
+        # arrays are freed while the next row's are made: freed all at
+        # once, they would go back to the system and be faulted in anew.
+        for row in rows:
+            dy = pts[:, 1] - ys[row]
+            d = np.hypot(dx, dy[None, :])
+            sel = _stable_order(d)[:, :q]
+            d_sel = np.take_along_axis(d, sel, axis=1)
+            d_max = d_sel[:, -1:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(d_max > 0, np.clip(
+                    1.0 - (d_sel / d_max) ** 3, 0.0, None) ** 3, 1.0)
+            sw = np.sqrt(w)
+            design = np.stack([sw, np.take_along_axis(dx, sel, axis=1) * sw,
+                               dy[sel] * sw], axis=2)
+            target = vals[sel] * sw
+            for col in range(grid):
+                coef, _, rank, _ = np.linalg.lstsq(design[col], target[col],
+                                                   rcond=None)
+                if rank == 3:
+                    out[row, col] = coef[0]
+                else:
+                    v = vals[sel[col]]
+                    out[row, col] = np.average(v, weights=w[col]) \
+                        if w[col].sum() > 0 else v.mean()
+                    fell_back[row, col] = True
+
+    workers = min(workers, grid)
+    with ExitStack() as stack:
+        run = map
+        if workers > 1:
+            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+        for _ in run(fit_rows, (range(i, grid, workers)
+                                for i in range(workers))):
+            pass
     return LoessSurface(xs, ys, out, fell_back)
 
 
 def render_loess_overlay(embedding: Configuration, item_values,
-                         spec: RenderSpec | None = None) -> str:
+                         spec: RenderSpec | None = None, *,
+                         workers: int = 1) -> str:
     """Smoothed agreement surface with the items drawn on top.
 
     The points take the surface's colors, each with a black outline so it
-    reads against the surface.
+    reads against the surface.  ``workers`` threads fit the surface
+    (:func:`loess_surface`); every worker count writes the same bytes.
     """
     spec = spec or RenderSpec()
     if embedding.m != 2:
         raise ValueError("loess overlay requires a 2D embedding")
     vals = _check_values(item_values, embedding.n)
     st = spec.style
-    surface = loess_surface(embedding.items, vals,
-                            span=st.loess_span, grid=st.grid_resolution)
+    surface = loess_surface(embedding.items, vals, span=st.loess_span,
+                            grid=st.grid_resolution, workers=workers)
     scale = _scale_for(spec, vals)
 
     rect = (st.margin, st.margin, st.width - 2 * st.margin,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from drqa import geometry
 from drqa.agreement import (
     AgreementProfile,
+    _overlap_counts,
     WeightFunction,
     agreement_profile,
     classify_rank_movements,
@@ -144,6 +145,27 @@ class TestOracleEquivalence:
         assert got.soft_extrusions == want["soft_ex"]
         assert got.unchanged == want["unchanged"]
         assert got.outside == want["outside"]
+
+    def test_overlap_kernel_matches_oracle_for_every_head(self):
+        """Both ways the kernel finds its head (from the cells at most hi,
+        or from one histogram per row) give the oracle's counts, on tied
+        data and on a block of rows from the middle."""
+        rng = np.random.default_rng(31)
+        n = 17
+        a = rng.integers(0, 3, (n, 2)).astype(float)
+        b = rng.standard_normal((n, 2))
+        ra, rb = (ranks_from_config(Configuration(x)).ranks for x in (a, b))
+        counts = naive_overlap_counts(naive_neighbors(a), naive_neighbors(b))
+        for start, stop in ((0, n), (3, 9)):
+            want = counts[start:stop]
+            for hi in range(n):
+                sums, head = _overlap_counts(ra[start:stop], rb[start:stop],
+                                             hi)
+                assert (sums == want.sum(axis=0)).all()
+                if hi == 0:
+                    assert head is None
+                else:
+                    assert (head == want[:, :hi]).all()
 
     def test_block_sums_equal_overlap_totals(self):
         for seed in range(5):

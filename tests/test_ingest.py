@@ -1,14 +1,18 @@
 """CSV ingestion, imputation, and lossless round trips."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from drqa.agreement import agreement_profile
+from drqa.agreement import AgreementProfile, agreement_profile
 from drqa.geometry import Configuration, euclidean_distances, ranks_from_config
 from drqa.ingest import (
     _float_cells,
+    _write_csv,
     impute_column_mean,
     ingest_csv,
     read_per_item,
@@ -17,6 +21,7 @@ from drqa.ingest import (
     write_per_item,
     write_profile,
 )
+from drqa.pipeline import ScoreRow, ScoreTable, _write_partial
 
 
 class TestIngest:
@@ -275,3 +280,108 @@ class TestFloatCells:
         assert (tmp_path / "p.csv").read_bytes() == csv_bytes(
             tmp_path / "want.csv", ["k", "agreement", "adjusted_agreement"],
             rows)
+
+
+# text that csv.writer must quote (comma, quote, CR, LF), and text that it
+# must leave alone (empty, spaces, tabs, non-ASCII)
+CELL_TEXT = st.text(alphabet=st.sampled_from(
+    list(',"\r\n \tab1=é中\u2028')), max_size=6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def writer_bytes(path, rows):
+    """What ``csv.writer`` with its defaults writes for ``rows``."""
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path.read_bytes()
+
+
+def read_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestWriterBytes:
+    """Every writer joins its cells into exactly what ``csv.writer``
+    writes, and the readers get the labels back."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.lists(CELL_TEXT, min_size=1, max_size=4),
+           rows=st.lists(st.lists(CELL_TEXT, min_size=1, max_size=4),
+                         max_size=4))
+    def test_text_cells_are_quoted_as_csv_writer_does(self, tmp_path,
+                                                      header, rows):
+        _write_csv(tmp_path / "got.csv", header, rows, text=4)
+        assert (tmp_path / "got.csv").read_bytes() == writer_bytes(
+            tmp_path / "want.csv", [header, *rows])
+        assert read_rows(tmp_path / "got.csv") == [header, *rows]
+
+    def test_row_of_one_empty_cell(self, tmp_path):
+        _write_csv(tmp_path / "got.csv", [""], [[""], ["x"]])
+        assert (tmp_path / "got.csv").read_bytes() == b'""\r\n""\r\nx\r\n'
+        assert read_rows(tmp_path / "got.csv") == [[""], [""], ["x"]]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(),
+           labels=st.lists(CELL_TEXT, min_size=2, max_size=6, unique=True))
+    def test_five_writers_match_csv_writer(self, tmp_path, data, labels):
+        n = len(labels)
+        items = np.array(data.draw(st.lists(
+            FINITE, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        mask[:, 0] = True
+
+        config = Configuration(items, labels=labels, mask=mask)
+        write_configuration(config, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == writer_bytes(
+            tmp_path / "want.csv",
+            [["id", "dim1", "dim2"], *loop_rows(labels, items, mask)])
+        stripped = tuple(label.strip() for label in labels)
+        if len(set(stripped)) == n:  # the reader strips every cell
+            back = ingest_csv(tmp_path / "c.csv")
+            assert back.labels == stripped
+            assert back.fully_observed == mask.all()
+            assert back.fully_observed or (back.mask == mask).all()
+            assert (back.items[mask] == items[mask]).all()
+
+        write_per_item([1, 3], items, tmp_path / "i.csv", labels=labels)
+        assert (tmp_path / "i.csv").read_bytes() == writer_bytes(
+            tmp_path / "want.csv",
+            [["id", "k=1", "k=3"], *loop_rows(labels, items)])
+        ks, values, back_labels = read_per_item(tmp_path / "i.csv")
+        assert ks == (1, 3) and back_labels == tuple(labels)
+        assert values.tobytes() == items.tobytes()
+
+        prof = AgreementProfile(np.linspace(0.2, 1.0, n + 2))
+        write_profile(prof, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == writer_bytes(
+            tmp_path / "want.csv",
+            [["k", "agreement", "adjusted_agreement"]]
+            + [[k, repr(float(x)), repr(float(y))] for k, x, y in zip(
+                range(1, prof.n), prof.ar, prof.ar_adjusted)])
+
+        rows = [ScoreRow(label, {"embedding": label}, f"1-{i + 1}",
+                         items[i, 0], items[i, 1],
+                         None if i % 2 else items[i, 0])
+                for i, label in enumerate(labels)]
+        ScoreTable(tuple(rows)).write(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == writer_bytes(
+            tmp_path / "want.csv",
+            [["technique", "params", "k_range", "mean_agreement", "psi",
+              "psi_weighted"]]
+            + [[r.technique, json.dumps(r.params, sort_keys=True,
+                                        separators=(",", ":")),
+                r.k_range, repr(float(r.mean_agreement)),
+                repr(float(r.psi)), "" if r.psi_weighted is None
+                else repr(float(r.psi_weighted))] for r in rows])
+        assert [r[0] for r in read_rows(tmp_path / "s.csv")[1:]] == labels
+
+        partial = tuple(float(v) for v in items[0]) + (0.5, -0.25)
+        _write_partial(partial, tmp_path / "z.csv")
+        assert (tmp_path / "z.csv").read_bytes() == writer_bytes(
+            tmp_path / "want.csv",
+            [["psi_ab", "psi_az", "psi_bz", "partial_agreement"],
+             [repr(v) for v in partial]])

@@ -360,9 +360,9 @@ class TestExecution:
         kernel = agreement._overlap_counts
         calls = []
 
-        def counted(rows_a, rows_b):
+        def counted(rows_a, rows_b, hi=0):
             calls.append((rows_a.copy(), rows_b.copy()))
-            return kernel(rows_a, rows_b)
+            return kernel(rows_a, rows_b, hi)
 
         monkeypatch.setattr(agreement, "_overlap_counts", counted)
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", 5 * 12)
@@ -475,6 +475,44 @@ class TestExecution:
         monkeypatch.setenv("DRQA_THREADS", "soon")
         with pytest.raises(ValueError, match="DRQA_THREADS"):
             run(full_config("p"), tmp_path)
+
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, monkeypatch):
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            run(full_config(f"o{threads}"), tmp_path)
+        assert (tmp_path / "o1" / "lo.svg").exists()
+        assert tree_hashes(tmp_path / "o1") == tree_hashes(tmp_path / "o2")
+
+    def test_loess_worker_failure_fails_the_stage(self, tmp_path,
+                                                  monkeypatch):
+        """A loess row that raises on a worker thread fails the plot stage
+        once the pool has finished, and the stage leaves no SVG behind."""
+        lstsq = np.linalg.lstsq
+        lock = threading.Lock()
+        failing = []
+
+        def fail_on_one_worker(*args, **kwargs):
+            me = threading.get_ident()
+            if me != threading.main_thread().ident:
+                with lock:
+                    if not failing:
+                        failing.append(me)
+                if me == failing[0]:
+                    raise np.linalg.LinAlgError("injected")
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail_on_one_worker)
+        monkeypatch.setenv("DRQA_THREADS", "2")
+        before = set(threading.enumerate())
+        with pytest.raises(PipelineError,
+                           match="^stage 'lo' \\(plot\\) failed: injected$"):
+            run(full_config("o"), tmp_path)
+        assert failing
+        # the pool has finished: none of its threads is left running
+        assert set(threading.enumerate()) <= before
+        assert (tmp_path / "o" / "heat.svg").exists()
+        assert not (tmp_path / "o" / "lo.svg").exists()
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 class TestDeterminismAndCache:

@@ -168,3 +168,31 @@ def test_cases_hit_their_edge():
     assert fb.any() and not fb.all()
     assert '<g class="bands" />' in CASES["lift_no_bands"]()
     assert "a &amp; &lt;b&gt; \"c\"" in CASES["lift_six"]()
+
+
+LOESS_CLOUDS = {
+    "loess": (cloud, 0.75, 9),
+    "loess_tied": (tied_cloud, 0.3, 7),
+    "loess_fallback": (partly_collinear_cloud, 0.25, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOESS_CLOUDS))
+def test_loess_bits_do_not_depend_on_workers(case):
+    make, span, grid = LOESS_CLOUDS[case]
+    config, vals = make()
+    serial = loess_surface(config.items, vals, span=span, grid=grid)
+    for workers in (2, 3):
+        surface = loess_surface(config.items, vals, span=span, grid=grid,
+                                workers=workers)
+        assert surface.values.tobytes() == serial.values.tobytes()
+        assert surface.fallback.tobytes() == serial.fallback.tobytes()
+    svg = render_loess_overlay(config, vals, RenderSpec(style=style(
+        loess_span=span, grid_resolution=grid)), workers=3)
+    assert hashlib.sha256(svg.encode()).hexdigest() == DIGESTS[case]
+
+
+def test_loess_needs_a_worker():
+    config, vals = cloud()
+    with pytest.raises(ValueError, match="workers"):
+        loess_surface(config.items, vals, workers=0)
