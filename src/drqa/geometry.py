@@ -18,15 +18,18 @@ order to a temporary file that is renamed into place once complete.
 (4·n² bytes); the pipeline's agree stage instead consumes each block as it
 is served and keeps none, ranking the blocks of several artifacts side by
 side on its worker threads.  Those workers share one block budget, so the
-rows in flight stay at about ``_BLOCK_CELLS``.  Ranks that come from
-outside, from callers or from a cache file, are checked; ranks computed
-here are permutations by construction and are not.
+rows in flight stay at about ``_BLOCK_CELLS``.  The agree pass and the
+loess plot make their threads with :func:`_thread_map`.  Ranks that come
+from outside, from callers or from a cache file, are checked; ranks
+computed here are permutations by construction and are not.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,6 +231,21 @@ def _row_blocks(n: int, workers: int = 1) -> list:
     """
     step = max(1, _BLOCK_CELLS // workers // n)
     return [(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+@contextmanager
+def _thread_map(workers: int):
+    """``map`` over a pool of ``workers`` threads, or the builtin ``map``
+    with one worker.
+
+    The pool has finished every call it began when the ``with`` block is
+    left, also when it is left by an exception.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 def _check_cap(n: int):

@@ -151,10 +151,10 @@ def impute_column_mean(config: Configuration) -> Configuration:
 
 
 def item_ids(labels, n: int) -> tuple:
-    """The ids that a written file gives ``n`` items: their labels, or
-    ``"0" .. "n-1"`` when they have none."""
+    """The ids that a written file gives ``n`` items: their labels as
+    text, or ``"0" .. "n-1"`` when they have none."""
     if labels is not None:
-        return tuple(labels)
+        return tuple(str(s) for s in labels)
     return tuple(str(i) for i in range(n))
 
 

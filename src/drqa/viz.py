@@ -26,15 +26,13 @@ written here.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
 
 from .agreement import AgreementProfile, psi
-from .geometry import Configuration, _readonly, _stable_order
+from .geometry import Configuration, _readonly, _stable_order, _thread_map
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -480,11 +478,12 @@ def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
     local design is rank-deficient (collinear support) fall back to the
     weighted mean and are flagged.
 
-    The grid rows are fit on a pool of ``workers`` threads, worker i
-    taking rows i, i + workers, ... (with one worker, in the calling
-    thread).  Each node's fit depends on nothing but its own support, so
-    every worker count gives the same bits.  A row that raises makes the
-    call raise once the pool has finished.
+    The grid rows are fit on ``workers`` threads
+    (:func:`~drqa.geometry._thread_map`), worker i taking rows i,
+    i + workers, ... (with one worker, in the calling thread).  Each
+    node's fit depends on nothing but its own support, so every worker
+    count gives the same bits.  A row that raises makes the call raise
+    once the pool has finished.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -540,10 +539,7 @@ def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
                     fell_back[row, col] = True
 
     workers = min(workers, grid)
-    with ExitStack() as stack:
-        run = map
-        if workers > 1:
-            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+    with _thread_map(workers) as run:
         for _ in run(fit_rows, (range(i, grid, workers)
                                 for i in range(workers))):
             pass

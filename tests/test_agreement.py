@@ -147,9 +147,10 @@ class TestOracleEquivalence:
         assert got.outside == want["outside"]
 
     def test_overlap_kernel_matches_oracle_for_every_head(self):
-        """Both ways the kernel finds its head (from the cells at most hi,
-        or from one histogram per row) give the oracle's counts, on tied
-        data and on a block of rows from the middle."""
+        """Every head width, none included, gives the oracle's counts and
+        sums, on tied data and on a block of rows from the middle: the
+        widths below n / 4 take the head from the cells at most hi, the
+        others from one histogram per row."""
         rng = np.random.default_rng(31)
         n = 17
         a = rng.integers(0, 3, (n, 2)).astype(float)

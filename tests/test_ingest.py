@@ -322,6 +322,18 @@ class TestWriterBytes:
         assert (tmp_path / "got.csv").read_bytes() == b'""\r\n""\r\nx\r\n'
         assert read_rows(tmp_path / "got.csv") == [[""], [""], ["x"]]
 
+    @pytest.mark.parametrize("labels", [
+        [7, -1, 30], [np.int64(7), np.int32(-1), np.uint8(30)],
+        np.arange(3), [2.5, -0.0, "a,b"]])
+    def test_per_item_labels_that_are_not_text(self, tmp_path, labels):
+        values = np.array([[0.5, 1.0], [0.25, -0.0], [1e-300, 2.0]])
+        write_per_item([1, 2], values, tmp_path / "got.csv", labels=labels)
+        assert (tmp_path / "got.csv").read_bytes() == writer_bytes(
+            tmp_path / "want.csv",
+            [["id", "k=1", "k=2"], *loop_rows(labels, values)])
+        assert read_per_item(tmp_path / "got.csv")[2] == tuple(
+            str(label) for label in labels)
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(),
