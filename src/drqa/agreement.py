@@ -23,11 +23,11 @@ per-item rates only for the columns asked for.  :func:`agreement_profile`
 runs the pass over row slices of two stored rank structures; the
 pipeline's agree stage runs it over rank blocks as they are computed or
 read from its cache, and never holds an ``n x n`` array.  That stage runs
-the pass on its worker threads: the sources of a block are ranked side by
-side, then the pairs are counted side by side, and the workers share one
-block budget (:func:`~drqa.geometry._row_blocks`).  The counts are
-integers and each pair's totals belong to that pair alone, so every block
-size and worker count gives the same bits.
+the pass on the worker threads of its run: the sources of a block are
+ranked side by side, then the pairs are counted side by side, and the
+workers share one block budget (:func:`~drqa.geometry._row_blocks`).  The
+counts are integers and each pair's totals belong to that pair alone, so
+every block size and worker count gives the same bits.
 """
 
 from __future__ import annotations
@@ -299,9 +299,12 @@ def _count_overlaps(sources: dict, pairs: dict, n: int,
     block, in row order.  ``pairs`` maps ``(x, y)`` source names to the
     :class:`_OverlapSums` of that pair.
 
-    Each block's sources, then its pairs, are mapped over ``workers``
-    threads (:func:`~drqa.geometry._thread_map`), which have finished
-    every call they began when this returns or raises.
+    Each block's sources, then its pairs, are handed to the pool of the
+    run that the calling thread works for, which the calling thread helps
+    while it waits (:func:`~drqa.geometry._thread_map`); outside a run, to
+    a pool of ``workers - 1`` threads beside the calling one, for this
+    call.  ``workers`` also sizes the blocks.  Every call begun has
+    finished when this returns or raises.
     """
     with _thread_map(workers) as run:
         for start, stop in _row_blocks(n, workers):

@@ -87,7 +87,7 @@ def _cmd_agree(args) -> None:
     runner.run(AgreeStage("out", args.a, (args.b,), z=args.z,
                           per_item=args.per_item))
     print(f"wrote {args.out}")
-    print(f"psi = {runner.score_rows[0].psi!r}")
+    print(f"psi = {runner.score_rows['out'][0].psi!r}")
     if args.per_item:
         print(f"wrote {items_path}")
     if args.z is not None:

@@ -18,17 +18,22 @@ order to a temporary file that is renamed into place once complete.
 (4·n² bytes); the pipeline's agree stage instead consumes each block as it
 is served and keeps none, ranking the blocks of several artifacts side by
 side on its worker threads.  Those workers share one block budget, so the
-rows in flight stay at about ``_BLOCK_CELLS``.  The agree pass and the
-loess plot make their threads with :func:`_thread_map`.  Ranks that come
-from outside, from callers or from a cache file, are checked; ranks
-computed here are permutations by construction and are not.
+rows in flight stay at about ``_BLOCK_CELLS``.
+
+This module also owns the worker threads.  A run holds one :class:`_Pool`
+(:func:`_run_pool`) for as long as it lasts, and the agree pass and the
+loess plot hand their items to it through :func:`_thread_map`, so pools
+are never nested.  Ranks that come from outside, from callers or from a
+cache file, are checked; ranks computed here are permutations by
+construction and are not.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,19 +238,118 @@ def _row_blocks(n: int, workers: int = 1) -> list:
     return [(start, min(start + step, n)) for start in range(0, n, step)]
 
 
+#: ``pool``: the :class:`_Pool` of the run that the thread works for.  A
+#: pool's threads join it when they start, and the thread that opened it
+#: while it is open (:func:`_run_pool`).
+_runs = threading.local()
+
+
+class _Pool:
+    """The worker threads of one run, or none: then every call runs on the
+    thread that makes it.
+
+    Stages are submitted one job at a time (:meth:`submit`); the items of a
+    stage's loops are mapped (:meth:`map`).
+    """
+
+    def __init__(self, threads: int):
+        self._executor = None
+        if threads:
+            self._executor = ThreadPoolExecutor(threads,
+                                                initializer=self._join)
+
+    def _join(self) -> None:
+        _runs.pool = self
+
+    def submit(self, fn, *args) -> Future:
+        """``fn(*args)`` as a future; without threads it has run when it
+        is returned."""
+        if self._executor is None:
+            return _called(fn, *args)
+        return self._executor.submit(fn, *args)
+
+    def map(self, fn, items) -> list:
+        """``[fn(item) for item in items]``, the items handed to the workers.
+
+        While it waits, the calling thread runs every item that no worker
+        has started, so a worker that maps never waits for an item that
+        cannot start, and no thread is added.  The first exception in item
+        order is raised once every started item has finished.
+        """
+        items = list(items)
+        if self._executor is None or len(items) < 2:
+            return [fn(item) for item in items]
+        # a cancelled job stays queued until a worker drops it, which may
+        # be seconds away: its slot is emptied, so that it holds nothing
+        slots = [[fn, item] for item in items]
+        futures = [self._executor.submit(_run_slot, slot) for slot in slots]
+        try:
+            outcomes = [_called(*slot) if future.cancel() else future
+                        for future, slot in zip(futures, slots)]
+            return [outcome.result() for outcome in outcomes]
+        finally:
+            running = []
+            for future, slot in zip(futures, slots):
+                if future.cancel():
+                    slot.clear()
+                else:
+                    running.append(future)
+            # a cancelled future counts as done only once a worker has
+            # dequeued it, so wait for the others alone
+            wait(running)
+
+    def close(self) -> None:
+        """Drop the jobs not yet started and wait for the running ones."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+
+def _run_slot(slot: list):
+    fn, item = slot
+    return fn(item)
+
+
+def _called(fn, *args) -> Future:
+    """A finished future holding ``fn(*args)`` or the exception it raised."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+@contextmanager
+def _run_pool(threads: int):
+    """A pool of ``threads`` workers (none: the calling thread runs
+    everything) for the ``with`` block, which the calling thread's maps
+    use too.  When the block is left, no job of the pool is running."""
+    pool = _Pool(threads)
+    outer = getattr(_runs, "pool", None)
+    _runs.pool = pool
+    try:
+        yield pool
+    finally:
+        _runs.pool = outer
+        pool.close()
+
+
 @contextmanager
 def _thread_map(workers: int):
-    """``map`` over a pool of ``workers`` threads, or the builtin ``map``
-    with one worker.
+    """The ``map`` of the pool of the run that the calling thread works
+    for (:meth:`_Pool.map`).
 
-    The pool has finished every call it began when the ``with`` block is
-    left, also when it is left by an exception.
+    A thread in no run opens one for the ``with`` block: ``workers - 1``
+    threads beside the calling one, which runs items too, so one worker
+    maps on the calling thread alone.  Either way the pool has finished
+    every item it began when the block is left, also by an exception.
     """
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            yield pool.map
+    pool = getattr(_runs, "pool", None)
+    if pool is not None:
+        yield pool.map
     else:
-        yield map
+        with _run_pool(workers - 1) as pool:
+            yield pool.map
 
 
 def _check_cap(n: int):

@@ -8,15 +8,31 @@ Artifacts paired row by row (an agree stage's ``a`` with each ``b`` and
 ``z``, a plot's per-item rates with each embedding) must list the same item
 ids whenever both have ids.
 
+A run holds one pool of ``DRQA_THREADS`` worker threads (one per CPU
+when unset or 0) from its first stage to its last
+(:func:`drqa.geometry._run_pool`).  Each stage starts once the stages
+that make what it reads have finished, not when the stage listed before
+it has; each job of a reduce stage is a task of its own.  An ingest of a
+file in the output directory, and a stage that rewrites a file an
+earlier stage wrote, start only once every stage listed before them has
+finished, and no stage listed after such an ingest starts before it has
+(:func:`_waits_for`).  The calling thread only schedules; with one
+worker it runs every stage itself, in config order.  The stages' own
+loops (an agree stage's pass over blocks of rows, a loess plot's grid
+rows) hand their items to the same pool.  The manifest, the score rows
+and ``scores.csv`` follow config order, so every thread count, and every
+order in which stages finish, writes the same bytes.  A failure is
+reported as the serial run would report it: the first failing stage in
+config order is named, and what it and every later stage wrote is
+removed.
+
 An agree stage makes one pass over blocks of rows
 (:func:`drqa.agreement._count_overlaps`): for each block it takes the rank
 rows of every artifact it compares once, from
 :class:`drqa.geometry._RankRows`, and adds each compared pair's overlap
-counts into that pair's totals, both on the runner's worker threads.
-``DRQA_THREADS`` bounds those threads, a reduce stage's and a loess plot's
-alike; unset or 0, there is one per CPU.  With ``cache`` on, each
-artifact's ranks are kept in ``.cache/ranks_<key>.npy``, in the format
-that :mod:`drqa.geometry` defines.
+counts into that pair's totals.  With ``cache`` on, each artifact's ranks
+are kept in ``.cache/ranks_<key>.npy``, in the format that
+:mod:`drqa.geometry` defines.
 """
 
 from __future__ import annotations
@@ -26,9 +42,10 @@ import inspect
 import json
 import numbers
 import os
+import functools
 import re
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -46,7 +63,12 @@ from .agreement import (
     psi,
     weighted_psi,
 )
-from .geometry import Configuration, RankStructure, _RankRows
+from .geometry import (
+    Configuration,
+    RankStructure,
+    _RankRows,
+    _run_pool,
+)
 from .ingest import (
     _write_csv,
     impute_column_mean,
@@ -167,6 +189,9 @@ class GenerateStage:
     params: dict = field(default_factory=dict)
     kind: str = "generate"
 
+    def reads(self) -> tuple:
+        return ()
+
 
 @dataclass(frozen=True)
 class IngestStage:
@@ -175,6 +200,9 @@ class IngestStage:
     has_header: bool = True
     missing_token: str = "NA"
     kind: str = "ingest"
+
+    def reads(self) -> tuple:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -185,6 +213,9 @@ class ReduceStage:
     target_dim: int
     param_grid: tuple = ({},)
     kind: str = "reduce"
+
+    def reads(self) -> tuple:
+        return (self.source,)
 
     def jobs(self):
         """Expanded (artifact name, method, params) triples."""
@@ -209,6 +240,9 @@ class AgreeStage:
     range_k: tuple | None = None
     kind: str = "agree"
 
+    def reads(self) -> tuple:
+        return (self.a, *self.b, *filter(None, (self.z,)))
+
     def profile_keys(self):
         if len(self.b) == 1:
             return (self.name,)
@@ -226,6 +260,11 @@ class PlotStage:
     binary: bool = False
     order_by: str | None = None
     kind: str = "plot"
+
+    def reads(self) -> tuple:
+        rates = (self.values["agree"],) if self.values else ()
+        return (*self.profiles, *rates, *self.embeddings,
+                *filter(None, (self.order_by,)))
 
 
 @dataclass(frozen=True)
@@ -605,6 +644,27 @@ class _RankCache:
             return rows.structure()
 
 
+def _files(stage) -> dict:
+    """The artifacts the stage makes, each with the files it is written to.
+
+    This is the one place that names a stage's files: the stage methods
+    write them (:meth:`StageRunner._emit`) and :func:`_waits_for` orders
+    stages by them.  An agree stage writes each profile key's profile,
+    then its per-item rates and its partial agreement if asked for.
+    """
+    if stage.kind == "plot":
+        return {stage.name: (f"{stage.name}.svg",)}
+    if stage.kind != "agree":
+        made = ([name for name, _, _ in stage.jobs()]
+                if stage.kind == "reduce" else [stage.name])
+        return {name: (f"{name}.csv",) for name in made}
+    suffixes = ([".csv"] + ["_items.csv"] * stage.per_item
+                + ["_partial.csv"] * (stage.z is not None))
+    return {key: tuple(key.replace(":", "_") + suffix  # names never hold ":"
+                       for suffix in suffixes)
+            for key in stage.profile_keys()}
+
+
 def _write_partial(values, path) -> None:
     _write_csv(path, ["psi_ab", "psi_az", "psi_bz", "partial_agreement"],
                [[repr(v) for v in values]], text=0)
@@ -616,11 +676,15 @@ class StageRunner:
     A method takes a stage record and its seed (read by generate and
     reduce only), reads its inputs from the store and adds its results.
     Its file ``f`` goes to ``targets[f]`` if given (None skips it), else
-    to ``out_dir / f``; each path joins ``written`` before it is written.
-    Stages are run through :meth:`run`, which removes those files again
-    when the stage fails.  ``workers`` bounds the threads of a reduce
-    stage's pool, of an agree stage's pass and of a loess plot's fit; it
-    defaults to :func:`_worker_count`.
+    to ``out_dir / f``; each path joins ``written[stage.name]`` before it
+    is written, so stages that run side by side keep their files apart,
+    and ``score_rows`` too are kept per stage.  A reduce stage is split
+    into one job per reducer call and a step that stores their results
+    (:meth:`tasks`).  :meth:`run` runs one stage through the pipeline's own
+    scheduler, :func:`_run_stages`, which removes its files when it fails.
+    ``workers`` bounds the threads of the run, which the reduce jobs, an
+    agree stage's pass and a loess plot's fit share; it defaults to
+    :func:`_worker_count`.
     """
 
     def __init__(self, out_dir=".", imputation: str = "none",
@@ -636,59 +700,67 @@ class StageRunner:
         self.profiles: dict = {}
         self.per_item: dict = {}
         self.partials: dict = {}
-        self.score_rows: list = []
-        self.written: list = []
+        self.score_rows: dict = {}
+        self.written: dict = {}
+        #: stage name -> {rank cache path: whether the stage made the file}
+        self.cache_files: dict = {}
+
+    def tasks(self, stage, seed: int | None = None) -> tuple:
+        """The stage's jobs, which may run side by side, and the step that
+        takes their results, in job order, once every job has finished."""
+        if stage.kind != "reduce":
+            return ([functools.partial(getattr(self, stage.kind), stage,
+                                       seed)],
+                    lambda results: None)
+        source = self.configurations[stage.source]
+        jobs = [functools.partial(dimred.run_reduction, method, source,
+                                  stage.target_dim, params, seed)
+                for _, method, params in stage.jobs()]
+        return jobs, functools.partial(self._store_reductions, stage)
 
     def run(self, stage, seed: int | None = None) -> list:
-        """Run one stage and return the paths it wrote.
+        """Run one stage as a pipeline runs its stages (:func:`_run_stages`),
+        on a pool of its own, and return the paths it wrote.
 
-        If the stage raises, every file it had begun to write is removed
-        and the exception propagates.
+        If the stage raises, every file it had begun to write and every
+        rank cache file it made are removed, and the exception propagates.
         """
-        self.written = []
-        try:
-            getattr(self, stage.kind)(stage, seed)
-        except BaseException:
-            for path in self.written:
-                Path(path).unlink(missing_ok=True)
-            raise
-        return self.written
+        with _run_pool(self.workers if self.workers > 1 else 0) as pool:
+            failure = _run_stages(self, (stage,), (seed,), pool)
+        if failure is not None:
+            raise failure[1]
+        return self.written.get(stage.name, [])
 
-    def _emit(self, file_name: str, write, *args, **kwargs) -> None:
+    def discard(self, stage) -> None:
+        """Remove the files the stage wrote."""
+        for path in self.written.pop(stage.name, ()):
+            Path(path).unlink(missing_ok=True)
+
+    def _emit(self, stage, file_name: str, write, *args, **kwargs) -> None:
         path = self.targets.get(file_name, self.out_dir / file_name)
         if path is not None:
-            self.written.append(path)
+            self.written.setdefault(stage.name, []).append(path)
             write(*args, path, **kwargs)
 
-    def _store(self, name: str, data: Configuration) -> None:
+    def _store(self, stage, name: str, data: Configuration) -> None:
         self.configurations[name] = data
-        self._emit(f"{name}.csv", write_configuration, data)
+        self._emit(stage, _files(stage)[name][0], write_configuration, data)
 
     def generate(self, stage: GenerateStage, seed: int) -> None:
         spec = ManifoldSpec(stage.shape, stage.n, seed, stage.params)
-        self._store(stage.name, generate(spec))
+        self._store(stage, stage.name, generate(spec))
 
     def ingest(self, stage: IngestStage, seed=None) -> None:
         data = ingest_csv(stage.path, has_header=stage.has_header,
                           missing_token=stage.missing_token)
         if self.imputation == "column_mean":
             data = impute_column_mean(data)
-        self._store(stage.name, data)
+        self._store(stage, stage.name, data)
 
-    def reduce(self, stage: ReduceStage, seed: int) -> None:
-        source = self.configurations[stage.source]
-        jobs = stage.jobs()
-
-        def run(job):
-            _, method, params = job
-            return dimred.run_reduction(method, source, stage.target_dim,
-                                        params, seed)
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            results = list(pool.map(run, jobs))
-        for (emit_name, method, params), result in zip(jobs, results):
+    def _store_reductions(self, stage: ReduceStage, results) -> None:
+        for (emit_name, method, params), result in zip(stage.jobs(), results):
             self.reduce_meta[emit_name] = (method, params)
-            self._store(emit_name, result.embedding)
+            self._store(stage, emit_name, result.embedding)
 
     def agree(self, stage: AgreeStage, seed=None) -> None:
         n = self.configurations[stage.a].n
@@ -709,40 +781,45 @@ class StageRunner:
             for x in (stage.a, *stage.b):
                 pairs.setdefault((x, stage.z), _OverlapSums(n))
         with ExitStack() as stack:
-            sources = {name: stack.enter_context(self.rank_cache.rows(
-                name, self.configurations[name])).block
+            rows = {name: stack.enter_context(self.rank_cache.rows(
+                name, self.configurations[name]))
                 for name in dict.fromkeys(x for pair in pairs for x in pair)}
-            _count_overlaps(sources, pairs, n, self.workers)
+            _count_overlaps({name: r.block for name, r in rows.items()},
+                            pairs, n, self.workers)
+        self.cache_files[stage.name] = {
+            r.path: not r.cached for r in rows.values() if r.path is not None}
 
         def profile(x, y):
             return AgreementProfile(pairs[x, y].ar())
 
         if stage.z is not None:
             psi_az = psi(profile(stage.a, stage.z))
+        files = _files(stage)
         for b_name, key in zip(stage.b, stage.profile_keys()):
             prof = profile(stage.a, b_name)
-            file_base = key.replace(":", "_")  # names never contain ":"
+            profile_file, *more_files = files[key]
             self.profiles[key] = prof
-            self._emit(f"{file_base}.csv", write_profile, prof)
+            self._emit(stage, profile_file, write_profile, prof)
             if stage.per_item:
                 ks = tuple(range(lo, hi + 1))
                 matrix = pairs[stage.a, b_name].per_item
                 self.per_item[key] = (ks, matrix, ids)
-                self._emit(f"{file_base}_items.csv", write_per_item, ks,
-                           matrix, labels=ids)
+                self._emit(stage, more_files.pop(0), write_per_item,
+                           ks, matrix, labels=ids)
             psi_ab = psi(prof)
             if stage.z is not None:
                 psi_bz = psi(profile(b_name, stage.z))
                 partial = (psi_ab, psi_az, psi_bz,
                            partial_agreement(psi_ab, psi_az, psi_bz))
                 self.partials[key] = partial
-                self._emit(f"{file_base}_partial.csv", _write_partial, partial)
+                self._emit(stage, more_files.pop(0), _write_partial,
+                           partial)
 
             technique, params = self.reduce_meta.get(b_name, (b_name, {}))
             row_params = {"dataset": stage.a, "embedding": b_name, **params}
             psi_f = (weighted_psi(prof, WeightFunction.linear_taper(n))
                      if n >= 4 else None)
-            self.score_rows.append(ScoreRow(
+            self.score_rows.setdefault(stage.name, []).append(ScoreRow(
                 technique, row_params, f"{lo}-{hi}",
                 float(prof.ar[lo - 1:hi].mean()), psi_ab, psi_f,
             ))
@@ -779,37 +856,162 @@ class StageRunner:
             else:
                 text = render_scatter(
                     embeds if len(embeds) > 1 else embeds[0], values, spec)
-        self._emit(f"{stage.name}.svg",
+        self._emit(stage, _files(stage)[stage.name][0],
                    lambda text, path: Path(path).write_text(text), text)
+
+
+def _waits_for(stages, out_dir: Path) -> list:
+    """For each stage, the indices of the earlier stages it waits for.
+
+    A stage waits for the stages that make the artifacts it reads.  Two
+    kinds wait for every earlier stage instead, so that they never run
+    unless the serial run would, and see and leave the files it would: a
+    stage that writes a file an earlier stage writes too, and an ingest of
+    a file in ``out_dir``, which the run's own stages may write.  Every
+    later stage waits for such an ingest, as it may rewrite that file.
+    """
+    # realpath, unlike Path.resolve, does not raise on a symlink loop,
+    # which the ingest itself is left to report
+    out_dir = Path(os.path.realpath(out_dir))
+    makers, files, waits, barrier = {}, set(), [], set()
+    for index, stage in enumerate(stages):
+        made = _files(stage)
+        own = set().union(*made.values())
+        reads_output = (stage.kind == "ingest" and Path(
+            os.path.realpath(stage.path)).is_relative_to(out_dir))
+        if reads_output or files.intersection(own):
+            waits.append(set(range(index)))
+        else:
+            # an artifact no stage makes was put in the store beforehand
+            waits.append(barrier | {makers[name] for name in stage.reads()
+                                    if name in makers})
+        if reads_output:
+            barrier = {index}
+        files.update(own)
+        makers.update(dict.fromkeys(made, index))
+    return waits
+
+
+def _run_stages(runner: StageRunner, stages, seeds, pool) -> tuple | None:
+    """Run every stage on ``pool`` with its seed, each once the stages it
+    waits for have finished, and return the first failure in config order
+    as ``(stage index, exception)``, or None.
+
+    Once a stage has failed, no later stage starts and the queued jobs of
+    later ones are dropped; earlier stages still run, as one of them may
+    fail too.  No job is running when this returns, and what the failing
+    stage and every later one wrote has been removed.
+    """
+    waits = _waits_for(stages, runner.out_dir)
+    running = {}   # future -> (stage index, job index)
+    results = {}   # stage index -> job results, in job order
+    stores = {}    # stage index -> the step that takes them
+    left = {}      # stage index -> jobs yet to succeed
+    finished = set()
+    failures = {}  # (stage index, job index) -> exception
+
+    def first_failed() -> int:
+        return min(failures, default=(len(stages),))[0]
+
+    try:
+        while True:
+            ready = next((i for i in range(first_failed())
+                          if i not in stores and waits[i] <= finished), None)
+            if ready is not None:
+                jobs, stores[ready] = runner.tasks(stages[ready],
+                                                   seeds[ready])
+                results[ready] = [None] * len(jobs)
+                left[ready] = len(jobs)
+                for j, job in enumerate(jobs):
+                    running[pool.submit(job)] = (ready, j)
+                done = [future for future in running if future.done()]
+            elif running:
+                done = wait(running, return_when=FIRST_COMPLETED).done
+            else:
+                break
+            for future in done:
+                i, j = running.pop(future)
+                if future.exception() is not None:
+                    failures[i, j] = future.exception()
+                    # a cancelled job is done only once a worker has
+                    # dequeued it, so stop waiting for it at once
+                    for other in [other for other, key in running.items()
+                                  if key > (i, j) and other.cancel()]:
+                        del running[other]
+                    continue
+                results[i][j] = future.result()
+                left[i] -= 1
+                # a stage after a failure would only be removed again
+                if left[i] == 0 and i < first_failed():
+                    outcome = results.pop(i)
+                    try:
+                        stores[i](outcome)
+                        finished.add(i)
+                    except Exception as exc:
+                        failures[i, len(outcome)] = exc
+    except BaseException:
+        wait([future for future in running if not future.cancel()])
+        for index, stage in enumerate(stages):
+            if index not in finished:
+                runner.discard(stage)
+        raise
+    if not failures:
+        return None
+    key = min(failures)
+    _remove_from(runner, stages, key[0])
+    return key[0], failures[key]
+
+
+def _remove_from(runner: StageRunner, stages, first: int) -> None:
+    """Remove what stages ``first ..`` wrote, rank cache files included,
+    as though the run had stopped at stage ``first``: keep a cache file
+    that stage ``first`` or an earlier one used."""
+    kept = {path for stage in stages[:first + 1]
+            for path in runner.cache_files.get(stage.name, ())}
+    for stage in stages[first:]:
+        runner.discard(stage)
+        for path, made in runner.cache_files.get(stage.name, {}).items():
+            if made and path not in kept:
+                path.unlink(missing_ok=True)
 
 
 def run_pipeline(config: PipelineConfig):
     """Execute all stages and return the manifest entries.
 
     Randomized stages derive their seed from the global seed plus their
-    stage index.  A failing stage removes whatever files it had begun to
-    write and aborts with a PipelineError naming the stage.  The manifest
-    of an earlier run into the same directory is removed first.
+    stage index.  Stages run on one pool of worker threads for the whole
+    run, each once the stages it reads from have finished
+    (:func:`_run_stages`).  A failing stage aborts the run with a
+    PipelineError naming the first failing stage in config order, once
+    the files of that stage and of every later one have been removed.  The
+    manifest of an earlier run into the same directory is removed first.
     """
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").unlink(missing_ok=True)
     runner = StageRunner(out_dir, config.imputation,
                          out_dir / ".cache" if config.cache else None)
-    manifest: list = []
+    # with more than one worker the calling thread only schedules stages;
+    # with one it runs them itself
+    with _run_pool(runner.workers if runner.workers > 1 else 0) as pool:
+        failure = _run_stages(runner, config.stages,
+                              range(config.seed,
+                                    config.seed + len(config.stages)), pool)
+    if failure is not None:
+        stage = config.stages[failure[0]]
+        raise PipelineError(stage.name, stage.kind,
+                            failure[1]) from failure[1]
 
-    for idx, stage in enumerate(config.stages):
-        stage_seed = config.seed + idx
-        try:
-            written = runner.run(stage, stage_seed)
-        except Exception as exc:
-            raise PipelineError(stage.name, stage.kind, exc) from exc
-        seed = stage_seed if stage.kind in ("generate", "reduce") else None
-        manifest += [ManifestEntry(path.relative_to(out_dir).as_posix(),
-                                   stage.name, seed) for path in written]
-
+    manifest = [
+        ManifestEntry(path.relative_to(out_dir).as_posix(), stage.name,
+                      config.seed + idx
+                      if stage.kind in ("generate", "reduce") else None)
+        for idx, stage in enumerate(config.stages)
+        for path in runner.written.get(stage.name, ())]
     if config.scores is not None:
-        table = ScoreTable(tuple(runner.score_rows))
+        table = ScoreTable(tuple(row for stage in config.stages
+                                 for row in runner.score_rows.get(
+                                     stage.name, ())))
         path = out_dir / config.scores
         table.write(path)
         manifest.append(ManifestEntry(

@@ -478,12 +478,14 @@ def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
     local design is rank-deficient (collinear support) fall back to the
     weighted mean and are flagged.
 
-    The grid rows are fit on ``workers`` threads
-    (:func:`~drqa.geometry._thread_map`), worker i taking rows i,
-    i + workers, ... (with one worker, in the calling thread).  Each
-    node's fit depends on nothing but its own support, so every worker
-    count gives the same bits.  A row that raises makes the call raise
-    once the pool has finished.
+    The grid rows are split into ``workers`` shares, share i holding
+    rows i, i + workers, ...  They are fit on the pool of the run that the
+    calling thread works for, a pipeline's, or else on ``workers - 1``
+    threads beside the calling one for this call
+    (:func:`~drqa.geometry._thread_map`); with one worker, everything runs
+    in the calling thread.  Each node's fit depends on nothing but its own
+    support, so every worker count gives the same bits.  A row that raises
+    makes the call raise once every share that started has finished.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:

@@ -1,6 +1,10 @@
 """Configurations, distances, and rank structures."""
 
 import re
+import threading
+import time
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -397,3 +401,68 @@ class TestStableOrder:
         for block_rows in range(1, n + 1):
             monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
             assert (rank_structure(config).ranks == expected).all()
+
+
+class TestRunPool:
+    """The worker threads of a run and the maps that use them."""
+
+    @pytest.mark.parametrize("threads", [0, 1, 2, 3])
+    def test_map_raises_the_first_failure_in_item_order(self, threads):
+        finished = []
+
+        def item(i):
+            if i == 0:
+                time.sleep(0.2)
+                finished.append(i)
+                raise ValueError("first")
+            if i == 2:
+                raise ValueError("third")
+            finished.append(i)
+            return i
+
+        with geometry._run_pool(threads) as pool:
+            assert pool.map(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
+            with pytest.raises(ValueError, match="first"):
+                pool.map(item, range(4))
+            # every item that started has finished
+            assert 0 in finished
+
+    def test_maps_inside_a_run_use_its_pool(self):
+        """A map made on a worker of the run hands its items to the same
+        pool: the run never holds more threads than it was given."""
+        before = len(threading.enumerate())
+        seen = []
+
+        def inner(_):
+            seen.append(len(threading.enumerate()))
+            time.sleep(0.01)
+
+        def outer(_):
+            with geometry._thread_map(5) as run:
+                run(inner, range(6))
+
+        with geometry._run_pool(2) as pool:
+            pool.map(outer, range(4))
+        assert seen and max(seen) <= before + 2
+        assert len(threading.enumerate()) == before
+
+    def test_dropped_job_holds_nothing(self):
+        """The items that the calling thread ran itself stay queued behind
+        a busy worker; they must not keep the map's function alive."""
+        release = threading.Event()
+
+        class Big:
+            pass
+
+        big = Big()
+        alive = weakref.ref(big)
+        fn = partial(lambda held, i: i, big)
+        with geometry._run_pool(1) as pool:
+            busy = pool.submit(release.wait, 10)
+            assert pool.map(fn, range(3)) == [0, 1, 2]
+            del fn, big
+            try:
+                assert alive() is None
+            finally:
+                release.set()
+        assert busy.result() is True

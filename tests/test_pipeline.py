@@ -2,19 +2,21 @@
 
 import hashlib
 import json
+import sys
 import threading
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drqa import agreement, geometry
+from drqa import agreement, dimred, geometry, pipeline
 from drqa.agreement import AgreementProfile, partial_agreement, psi
 from drqa.cli import main
 from drqa.geometry import Configuration, ranks_from_config
-from drqa.ingest import write_configuration
+from drqa.ingest import ingest_csv, write_configuration
 from drqa.pipeline import (
     AgreeStage,
     IngestStage,
@@ -43,6 +45,13 @@ def tree_hashes(root):
             rel = p.relative_to(root).as_posix()
             out[rel] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def file_hashes(root):
+    """Like :func:`tree_hashes`, the rank cache included."""
+    return {p.relative_to(root).as_posix(): hashlib.sha256(
+        p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def full_config(out_dir, seed=11, cache=False):
@@ -513,6 +522,232 @@ class TestExecution:
         assert (tmp_path / "o" / "heat.svg").exists()
         assert not (tmp_path / "o" / "lo.svg").exists()
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+class TestRunPool:
+    """One pool per run; each stage starts once what it reads exists."""
+
+    def test_earlier_slow_failure_is_the_one_reported(self, tmp_path,
+                                                      monkeypatch):
+        """A later, independent stage fails at once and an earlier reduce
+        stage fails afterwards: every thread count names the reduce stage
+        and leaves the tree of one worker, rank cache included, with no
+        manifest and no pool thread running."""
+        pca = dimred.pca
+
+        def slow_failure(config, *args, **kwargs):
+            if config.n == 20:
+                time.sleep(0.3)
+                raise ValueError("slow failure")
+            return pca(config, *args, **kwargs)
+
+        write_profile = pipeline.write_profile
+        profiles = []
+
+        def recorded(profile, path):
+            profiles.append(Path(path).name)
+            write_profile(profile, path)
+
+        monkeypatch.setattr(dimred, "pca", slow_failure)
+        monkeypatch.setattr(pipeline, "write_profile", recorded)
+        trees = {}
+        for threads in ("1", "2", "3"):
+            cfg = {"version": 1, "out_dir": f"o{threads}", "cache": True,
+                   "scores": "scores.csv", "stages": [
+                       {"kind": "generate", "name": "g1",
+                        "shape": "sphere_random", "n": 20},
+                       {"kind": "generate", "name": "g2",
+                        "shape": "sphere_random", "n": 24},
+                       {"kind": "reduce", "name": "r1", "source": "g1",
+                        "method": "pca", "target_dim": 2},
+                       {"kind": "agree", "name": "a2", "a": "g2",
+                        "b": "g2", "per_item": True},
+                       {"kind": "ingest", "name": "i",
+                        "path": "missing.csv"},
+                       {"kind": "reduce", "name": "r2", "source": "g2",
+                        "method": "pca", "target_dim": 2}]}
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            before = set(threading.enumerate())
+            with pytest.raises(PipelineError, match="^stage 'r1' \\(reduce\\) "
+                               "failed: slow failure$"):
+                run(cfg, tmp_path)
+            assert set(threading.enumerate()) <= before
+            trees[threads] = file_hashes(tmp_path / f"o{threads}")
+        assert sorted(trees["1"]) == ["g1.csv", "g2.csv"]
+        assert trees["1"] == trees["2"] == trees["3"]
+        # with more workers a2 ran beside r1, and was undone
+        assert profiles == ["a2.csv", "a2.csv"]
+
+    def test_outputs_do_not_depend_on_the_order_stages_finish(
+            self, tmp_path, monkeypatch):
+        """Earlier reductions sleep longer, so later stages finish first;
+        every thread count writes the same tree, manifest and scores, also
+        with threads switched often and more workers than CPUs."""
+        pca = dimred.pca
+        finished = []
+
+        def slow_early(config, *args, **kwargs):
+            time.sleep((36 - config.n) / 40)
+            result = pca(config, *args, **kwargs)
+            finished.append(config.n)
+            return result
+
+        monkeypatch.setattr(dimred, "pca", slow_early)
+        sizes = (20, 24, 28, 32)
+        stages = []
+        for n in sizes:
+            stages += [
+                {"kind": "generate", "name": f"d{n}",
+                 "shape": "torus_random", "n": n},
+                {"kind": "reduce", "name": f"r{n}", "source": f"d{n}",
+                 "methods": ["pca", "classical_mds"], "target_dim": 2},
+                {"kind": "agree", "name": f"a{n}", "a": f"d{n}",
+                 "b": [f"r{n}_pca", f"r{n}_classical_mds"],
+                 "per_item": True, "range_k": [1, 5]}]
+        stages.append({"kind": "plot", "name": "lift", "type": "lift",
+                       "profiles": ["a32:r32_pca", "a32:r32_classical_mds"]})
+        trees = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("DRQA_THREADS", threads)
+                run({"version": 1, "seed": 5, "out_dir": f"o{threads}",
+                     "scores": "scores.csv", "stages": stages}, tmp_path)
+                trees[threads] = tree_hashes(tmp_path / f"o{threads}")
+        finally:
+            sys.setswitchinterval(interval)
+        assert finished[:4] == list(sizes)
+        assert finished[-4:] != list(sizes)
+        assert {"manifest.json", "scores.csv", "lift.svg"} <= set(trees["1"])
+        assert trees["1"] == trees["2"] == trees["3"]
+
+    def test_run_holds_no_more_threads_than_workers(self, tmp_path,
+                                                    monkeypatch):
+        """Sampled inside reducers and loess rows, a run at three workers
+        never shows more than three threads beside those it started with:
+        the agree pass and the loess plot use the run's pool."""
+        counts = {"reduce": [], "loess": []}
+        pca, lstsq = dimred.pca, np.linalg.lstsq
+
+        def counted_pca(*args, **kwargs):
+            counts["reduce"].append(len(threading.enumerate()))
+            return pca(*args, **kwargs)
+
+        def counted_lstsq(*args, **kwargs):
+            counts["loess"].append(len(threading.enumerate()))
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(dimred, "pca", counted_pca)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setenv("DRQA_THREADS", "3")
+        before = len(threading.enumerate())
+        run(full_config("o"), tmp_path)
+        assert counts["reduce"] and counts["loess"]
+        assert max(counts["reduce"] + counts["loess"]) <= before + 3
+
+    def test_waiting_run_does_not_spin(self, tmp_path, monkeypatch):
+        """While its only reduce job sleeps, a run uses almost no CPU."""
+        pca = dimred.pca
+
+        def sleepy(*args, **kwargs):
+            time.sleep(0.5)
+            return pca(*args, **kwargs)
+
+        cfg = {"version": 1, "stages": [
+            {"kind": "generate", "name": "d", "shape": "sphere_random",
+             "n": 20},
+            {"kind": "reduce", "name": "r", "source": "d", "method": "pca",
+             "target_dim": 2}]}
+        monkeypatch.setenv("DRQA_THREADS", "2")
+        run({**cfg, "out_dir": "warm"}, tmp_path)  # imports, caches
+        monkeypatch.setattr(dimred, "pca", sleepy)
+        wall, cpu = time.monotonic(), time.process_time()
+        run({**cfg, "out_dir": "o"}, tmp_path)
+        assert time.monotonic() - wall >= 0.5
+        assert time.process_time() - cpu < 0.2
+
+    def test_files_lists_what_each_stage_writes(self, tmp_path):
+        cfg = full_config("o")
+        cfg["stages"].append({"kind": "agree", "name": "part", "a": "data",
+                              "b": ["emb_pca"], "z": "emb_smacof"})
+        written = {}
+        for entry in run(cfg, tmp_path):
+            written.setdefault(entry.stage, []).append(entry.path)
+        for stage in parse_config(cfg, tmp_path).stages:
+            assert written[stage.name] == [
+                name for names in pipeline._files(stage).values()
+                for name in names]
+
+    def test_rewritten_file_ends_as_one_worker_leaves_it(self, tmp_path,
+                                                         monkeypatch):
+        """A stage that writes a file an earlier stage wrote waits for
+        every earlier stage, though it reads nothing."""
+        trees = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            run({"version": 1, "out_dir": f"o{threads}", "stages": [
+                {"kind": "generate", "name": "x", "shape": "sphere_random",
+                 "n": 20},
+                {"kind": "generate", "name": "y", "shape": "sphere_random",
+                 "n": 20},
+                {"kind": "agree", "name": "a", "a": "x", "b": ["x", "y"]},
+                {"kind": "generate", "name": "a_x",
+                 "shape": "sphere_random", "n": 24}]}, tmp_path)
+            trees[threads] = tree_hashes(tmp_path / f"o{threads}")
+        assert trees["1"] == trees["2"] == trees["3"]
+        assert ingest_csv(tmp_path / "o3" / "a_x.csv").n == 24
+
+    def test_ingest_of_a_file_the_run_writes_waits_for_it(self, tmp_path,
+                                                          monkeypatch):
+        """An ingest of a CSV that an earlier, slow stage of the same run
+        writes reads the finished file at every thread count."""
+        generate = pipeline.generate
+
+        def slow_generate(spec):
+            time.sleep(0.2)
+            return generate(spec)
+
+        monkeypatch.setattr(pipeline, "generate", slow_generate)
+        trees = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            run({"version": 1, "out_dir": f"o{threads}", "stages": [
+                {"kind": "generate", "name": "g", "shape": "sphere_random",
+                 "n": 20},
+                {"kind": "ingest", "name": "i", "path": f"o{threads}/g.csv"},
+                {"kind": "reduce", "name": "r", "source": "i",
+                 "method": "pca", "target_dim": 2}]}, tmp_path)
+            trees[threads] = tree_hashes(tmp_path / f"o{threads}")
+        assert trees["1"] == trees["2"] == trees["3"]
+        assert trees["1"]["i.csv"] == trees["1"]["g.csv"]
+
+    def test_stage_after_an_ingest_of_its_file_waits_for_it(self, tmp_path,
+                                                           monkeypatch):
+        """Rerun into the same directory, a slow ingest of an earlier run's
+        file reads it before a later stage of the run rewrites it."""
+        read = pipeline.ingest_csv
+
+        def slow_read(*args, **kwargs):
+            time.sleep(0.2)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ingest_csv", slow_read)
+        trees = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            out = f"o{threads}"
+            run({"version": 1, "out_dir": out, "stages": [
+                {"kind": "generate", "name": "g", "shape": "sphere_random",
+                 "n": 20}]}, tmp_path)
+            run({"version": 1, "out_dir": out, "stages": [
+                {"kind": "ingest", "name": "i", "path": f"{out}/g.csv"},
+                {"kind": "generate", "name": "g", "shape": "sphere_random",
+                 "n": 24}]}, tmp_path)
+            trees[threads] = tree_hashes(tmp_path / out)
+        assert trees["1"] == trees["2"] == trees["3"]
+        assert ingest_csv(tmp_path / "o3" / "i.csv").n == 20
+        assert ingest_csv(tmp_path / "o3" / "g.csv").n == 24
 
 
 class TestDeterminismAndCache:
