@@ -22,12 +22,14 @@ kernel, :func:`_overlap_counts`, into one vector per pair and keeps
 per-item rates only for the columns asked for.  :func:`agreement_profile`
 runs the pass over row slices of two stored rank structures; the
 pipeline's agree stage runs it over rank blocks as they are computed or
-read from its cache, and never holds an ``n x n`` array.  That stage runs
-the pass on the worker threads of its run: the sources of a block are
-ranked side by side, then the pairs are counted side by side, and the
-workers share one block budget (:func:`~drqa.geometry._row_blocks`).  The
-counts are integers and each pair's totals belong to that pair alone, so
-every block size and worker count gives the same bits.
+read from its cache, and never holds an ``n x n`` array.  The pass runs
+on the pool of the run that the calling thread works for
+(:func:`~drqa.geometry._pool`), and outside a run on the calling thread:
+the sources of a block are ranked side by side, then the pairs are
+counted side by side, and the pool's workers share one block budget
+(:func:`~drqa.geometry._row_blocks`).  The counts are integers and each
+pair's totals belong to that pair alone, so every block size and worker
+count gives the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RankStructure, _readonly, _row_blocks, _thread_map
+from .geometry import RankStructure, _pool, _readonly, _row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,8 +292,7 @@ class _OverlapSums:
         return self.sums / (self.k * self.n)
 
 
-def _count_overlaps(sources: dict, pairs: dict, n: int,
-                    workers: int = 1) -> None:
+def _count_overlaps(sources: dict, pairs: dict, n: int) -> None:
     """Feed every compared pair's overlap sums in one pass over row blocks.
 
     ``sources[name](start, stop)`` returns the rank rows of items
@@ -301,18 +302,16 @@ def _count_overlaps(sources: dict, pairs: dict, n: int,
 
     Each block's sources, then its pairs, are handed to the pool of the
     run that the calling thread works for, which the calling thread helps
-    while it waits (:func:`~drqa.geometry._thread_map`); outside a run, to
-    a pool of ``workers - 1`` threads beside the calling one, for this
-    call.  ``workers`` also sizes the blocks.  Every call begun has
-    finished when this returns or raises.
+    while it waits (:func:`~drqa.geometry._pool`); the pool's worker count
+    also sizes the blocks.  Every call begun has finished when this
+    returns or raises.
     """
-    with _thread_map(workers) as run:
-        for start, stop in _row_blocks(n, workers):
-            rows = dict(zip(sources, run(
-                lambda block: block(start, stop), sources.values())))
-            for _ in run(lambda pair: pairs[pair].add(
-                    start, rows[pair[0]], rows[pair[1]]), pairs):
-                pass
+    pool = _pool()
+    for start, stop in _row_blocks(n, pool.workers):
+        rows = dict(zip(sources, pool.map(
+            lambda block: block(start, stop), sources.values())))
+        pool.map(lambda pair: pairs[pair].add(
+            start, rows[pair[0]], rows[pair[1]]), pairs)
 
 
 def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,

@@ -21,10 +21,11 @@ side on its worker threads.  Those workers share one block budget, so the
 rows in flight stay at about ``_BLOCK_CELLS``.
 
 This module also owns the worker threads.  A run holds one :class:`_Pool`
-(:func:`_run_pool`) for as long as it lasts, and the agree pass and the
-loess plot hand their items to it through :func:`_thread_map`, so pools
-are never nested.  Ranks that come from outside, from callers or from a
-cache file, are checked; ranks computed here are permutations by
+(:func:`_run_pool`) for as long as it lasts, the only holder of the
+thread count: the agree pass and the loess plot look it up (:func:`_pool`;
+outside a run, a pool with no threads) and size their work by it, so
+pools are never nested.  Ranks that come from outside, from callers or
+from a cache file, are checked; ranks computed here are permutations by
 construction and are not.
 """
 
@@ -249,10 +250,12 @@ class _Pool:
     thread that makes it.
 
     Stages are submitted one job at a time (:meth:`submit`); the items of a
-    stage's loops are mapped (:meth:`map`).
+    stage's loops are mapped (:meth:`map`).  ``workers`` is the number of
+    threads that share its work: its own, or the calling thread alone.
     """
 
     def __init__(self, threads: int):
+        self.workers = threads or 1
         self._executor = None
         if threads:
             self._executor = ThreadPoolExecutor(threads,
@@ -334,22 +337,14 @@ def _run_pool(threads: int):
         pool.close()
 
 
-@contextmanager
-def _thread_map(workers: int):
-    """The ``map`` of the pool of the run that the calling thread works
-    for (:meth:`_Pool.map`).
+def _pool() -> _Pool:
+    """The pool of the run that the calling thread works for, or outside
+    a run one with no threads."""
+    # a run restores the pool it found, which is None outside any run
+    return getattr(_runs, "pool", None) or _NO_THREADS
 
-    A thread in no run opens one for the ``with`` block: ``workers - 1``
-    threads beside the calling one, which runs items too, so one worker
-    maps on the calling thread alone.  Either way the pool has finished
-    every item it began when the block is left, also by an exception.
-    """
-    pool = getattr(_runs, "pool", None)
-    if pool is not None:
-        yield pool.map
-    else:
-        with _run_pool(workers - 1) as pool:
-            yield pool.map
+
+_NO_THREADS = _Pool(0)
 
 
 def _check_cap(n: int):

@@ -3,23 +3,25 @@
 A pipeline is a JSON document with a version, a global seed, and an
 ordered stage list.  Stages publish named artifacts that later stages
 reference; every file lands in the output directory and is listed in a
-manifest.  Identical config and inputs yield byte-identical outputs.
-Artifacts paired row by row (an agree stage's ``a`` with each ``b`` and
-``z``, a plot's per-item rates with each embedding) must list the same item
-ids whenever both have ids.
+manifest.  No two stages write the same file, and neither the score table
+nor a stage writes the manifest (:func:`parse_config`).  Identical config
+and inputs yield byte-identical outputs.  Artifacts paired row by row (an
+agree stage's ``a`` with each ``b`` and ``z``, a plot's per-item rates
+with each embedding) must list the same item ids whenever both have ids.
 
 A run holds one pool of ``DRQA_THREADS`` worker threads (one per CPU
 when unset or 0) from its first stage to its last
-(:func:`drqa.geometry._run_pool`).  Each stage starts once the stages
-that make what it reads have finished, not when the stage listed before
-it has; each job of a reduce stage is a task of its own.  An ingest of a
-file in the output directory, and a stage that rewrites a file an
-earlier stage wrote, start only once every stage listed before them has
-finished, and no stage listed after such an ingest starts before it has
-(:func:`_waits_for`).  The calling thread only schedules; with one
-worker it runs every stage itself, in config order.  The stages' own
-loops (an agree stage's pass over blocks of rows, a loess plot's grid
-rows) hand their items to the same pool.  The manifest, the score rows
+(:func:`drqa.geometry._run_pool`); :func:`_run_stages` opens it, and
+``DRQA_THREADS`` is read nowhere else.  Each stage starts once the
+stages that make what it reads have finished, not when the stage listed
+before it has; each job of a reduce stage is a task of its own.  An
+ingest of a file in the output directory starts only once every stage
+listed before it has finished, and no stage listed after it starts
+before it has (:func:`_waits_for`).  The calling thread only schedules;
+with one worker it runs every stage itself, in config order.  The
+stages' own loops (an agree stage's pass over blocks of rows, a loess
+plot's grid rows) look the pool up and hand their items to it
+(:func:`drqa.geometry._pool`).  The manifest, the score rows
 and ``scores.csv`` follow config order, so every thread count, and every
 order in which stages finish, writes the same bytes.  A failure is
 reported as the serial run would report it: the first failing stage in
@@ -529,8 +531,10 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
     """Validate a raw JSON object into a PipelineConfig.
 
     Unknown keys anywhere in the document are rejected, stage names must
-    be unique, and every cross-stage reference must point at an artifact
-    defined by an earlier stage.
+    be unique, every cross-stage reference must point at an artifact
+    defined by an earlier stage, and no file of the run may have two
+    writers: two stages, a stage and the score table, or the score table
+    and the manifest.
     """
     base_dir = Path(base_dir)
     _reject_unknown(obj, {"version", "seed", "out_dir", "imputation",
@@ -585,6 +589,17 @@ def parse_config(obj: dict, base_dir=".") -> PipelineConfig:
                     f"both score {b!r} against {stage.a!r} over the same "
                     f"range_k")
 
+    writers = {"manifest.json": "the manifest"}  # file -> who writes it
+    claims = [(f"stage {stage.name!r}", name) for stage in stages
+              for files in _files(stage).values() for name in files]
+    if scores is not None:
+        claims.append(("the score table", scores))
+    for writer, name in claims:
+        if name in writers:
+            raise ValueError(f"config: {writers[name]} and {writer} both "
+                             f"write {name!r}")
+        writers[name] = writer
+
     return PipelineConfig(seed=seed, out_dir=base_dir / out_dir,
                           stages=tuple(stages), imputation=imputation,
                           cache=cache, scores=scores)
@@ -603,9 +618,9 @@ def load_config(path) -> PipelineConfig:
 # Execution
 
 
-def _worker_count() -> int:
-    """The worker threads ``DRQA_THREADS`` asks for; one per CPU when it is
-    unset or 0."""
+def _pool_threads() -> int:
+    """The threads of a run's pool: the workers ``DRQA_THREADS`` asks for,
+    one per CPU when it is unset or 0, and none for one worker."""
     raw = os.environ.get("DRQA_THREADS", "0")
     try:
         value = int(raw)
@@ -613,7 +628,8 @@ def _worker_count() -> int:
         raise ValueError("DRQA_THREADS must be an integer") from None
     if value < 0:
         raise ValueError("DRQA_THREADS must be >= 0")
-    return value or os.cpu_count() or 1
+    workers = value or os.cpu_count() or 1
+    return workers if workers > 1 else 0
 
 
 class _RankCache:
@@ -682,17 +698,16 @@ class StageRunner:
     into one job per reducer call and a step that stores their results
     (:meth:`tasks`).  :meth:`run` runs one stage through the pipeline's own
     scheduler, :func:`_run_stages`, which removes its files when it fails.
-    ``workers`` bounds the threads of the run, which the reduce jobs, an
-    agree stage's pass and a loess plot's fit share; it defaults to
-    :func:`_worker_count`.
+    The reduce jobs, an agree stage's pass and a loess plot's fit share
+    the pool of the run; a method called outside a run runs on the
+    calling thread.
     """
 
     def __init__(self, out_dir=".", imputation: str = "none",
-                 cache_dir: Path | None = None, workers: int | None = None,
+                 cache_dir: Path | None = None,
                  targets: dict | None = None):
         self.out_dir = Path(out_dir)
         self.imputation = imputation
-        self.workers = _worker_count() if workers is None else workers
         self.targets = targets or {}
         self.rank_cache = _RankCache(cache_dir)
         self.configurations: dict = {}
@@ -725,8 +740,7 @@ class StageRunner:
         If the stage raises, every file it had begun to write and every
         rank cache file it made are removed, and the exception propagates.
         """
-        with _run_pool(self.workers if self.workers > 1 else 0) as pool:
-            failure = _run_stages(self, (stage,), (seed,), pool)
+        failure = _run_stages(self, (stage,), (seed,))
         if failure is not None:
             raise failure[1]
         return self.written.get(stage.name, [])
@@ -785,7 +799,7 @@ class StageRunner:
                 name, self.configurations[name]))
                 for name in dict.fromkeys(x for pair in pairs for x in pair)}
             _count_overlaps({name: r.block for name, r in rows.items()},
-                            pairs, n, self.workers)
+                            pairs, n)
         self.cache_files[stage.name] = {
             r.path: not r.cached for r in rows.values() if r.path is not None}
 
@@ -851,8 +865,7 @@ class StageRunner:
                       else matrix[:, ks.index(k)])
             embeds = [self.configurations[ref] for ref in stage.embeddings]
             if stage.plot_type == "loess":
-                text = render_loess_overlay(embeds[0], values, spec,
-                                            workers=self.workers)
+                text = render_loess_overlay(embeds[0], values, spec)
             else:
                 text = render_scatter(
                     embeds if len(embeds) > 1 else embeds[0], values, spec)
@@ -863,103 +876,101 @@ class StageRunner:
 def _waits_for(stages, out_dir: Path) -> list:
     """For each stage, the indices of the earlier stages it waits for.
 
-    A stage waits for the stages that make the artifacts it reads.  Two
-    kinds wait for every earlier stage instead, so that they never run
-    unless the serial run would, and see and leave the files it would: a
-    stage that writes a file an earlier stage writes too, and an ingest of
-    a file in ``out_dir``, which the run's own stages may write.  Every
-    later stage waits for such an ingest, as it may rewrite that file.
+    A stage waits for the stages that make the artifacts it reads.  An
+    ingest of a file in ``out_dir``, which the run's own stages may write,
+    waits for every earlier stage instead, so that it reads the file the
+    serial run would, and every later stage waits for it, as it may
+    rewrite that file.  No two stages write the same file
+    (:func:`parse_config`), so no other order is needed.
     """
     # realpath, unlike Path.resolve, does not raise on a symlink loop,
     # which the ingest itself is left to report
     out_dir = Path(os.path.realpath(out_dir))
-    makers, files, waits, barrier = {}, set(), [], set()
+    makers, waits, barrier = {}, [], set()
     for index, stage in enumerate(stages):
-        made = _files(stage)
-        own = set().union(*made.values())
-        reads_output = (stage.kind == "ingest" and Path(
-            os.path.realpath(stage.path)).is_relative_to(out_dir))
-        if reads_output or files.intersection(own):
+        if stage.kind == "ingest" and Path(
+                os.path.realpath(stage.path)).is_relative_to(out_dir):
             waits.append(set(range(index)))
+            barrier = {index}
         else:
             # an artifact no stage makes was put in the store beforehand
             waits.append(barrier | {makers[name] for name in stage.reads()
                                     if name in makers})
-        if reads_output:
-            barrier = {index}
-        files.update(own)
-        makers.update(dict.fromkeys(made, index))
+        makers.update(dict.fromkeys(_files(stage), index))
     return waits
 
 
-def _run_stages(runner: StageRunner, stages, seeds, pool) -> tuple | None:
-    """Run every stage on ``pool`` with its seed, each once the stages it
-    waits for have finished, and return the first failure in config order
-    as ``(stage index, exception)``, or None.
+def _run_stages(runner: StageRunner, stages, seeds) -> tuple | None:
+    """Run every stage with its seed, each once the stages it waits for
+    have finished, and return the first failure in config order as
+    ``(stage index, exception)``, or None.
 
-    Once a stage has failed, no later stage starts and the queued jobs of
-    later ones are dropped; earlier stages still run, as one of them may
-    fail too.  No job is running when this returns, and what the failing
-    stage and every later one wrote has been removed.
+    The stages run on one pool of :func:`_pool_threads` threads for the
+    whole call.  Once a stage has failed, no later stage starts and the
+    queued jobs of later ones are dropped; earlier stages still run, as
+    one of them may fail too.  No job is running when this returns, and
+    what the failing stage and every later one wrote has been removed.
     """
     waits = _waits_for(stages, runner.out_dir)
-    running = {}   # future -> (stage index, job index)
-    results = {}   # stage index -> job results, in job order
-    stores = {}    # stage index -> the step that takes them
-    left = {}      # stage index -> jobs yet to succeed
-    finished = set()
-    failures = {}  # (stage index, job index) -> exception
+    with _run_pool(_pool_threads()) as pool:
+        running = {}   # future -> (stage index, job index)
+        results = {}   # stage index -> job results, in job order
+        stores = {}    # stage index -> the step that takes them
+        left = {}      # stage index -> jobs yet to succeed
+        finished = set()
+        failures = {}  # (stage index, job index) -> exception
 
-    def first_failed() -> int:
-        return min(failures, default=(len(stages),))[0]
+        def first_failed() -> int:
+            return min(failures, default=(len(stages),))[0]
 
-    try:
-        while True:
-            ready = next((i for i in range(first_failed())
-                          if i not in stores and waits[i] <= finished), None)
-            if ready is not None:
-                jobs, stores[ready] = runner.tasks(stages[ready],
-                                                   seeds[ready])
-                results[ready] = [None] * len(jobs)
-                left[ready] = len(jobs)
-                for j, job in enumerate(jobs):
-                    running[pool.submit(job)] = (ready, j)
-                done = [future for future in running if future.done()]
-            elif running:
-                done = wait(running, return_when=FIRST_COMPLETED).done
-            else:
-                break
-            for future in done:
-                i, j = running.pop(future)
-                if future.exception() is not None:
-                    failures[i, j] = future.exception()
-                    # a cancelled job is done only once a worker has
-                    # dequeued it, so stop waiting for it at once
-                    for other in [other for other, key in running.items()
-                                  if key > (i, j) and other.cancel()]:
-                        del running[other]
-                    continue
-                results[i][j] = future.result()
-                left[i] -= 1
-                # a stage after a failure would only be removed again
-                if left[i] == 0 and i < first_failed():
-                    outcome = results.pop(i)
-                    try:
-                        stores[i](outcome)
-                        finished.add(i)
-                    except Exception as exc:
-                        failures[i, len(outcome)] = exc
-    except BaseException:
-        wait([future for future in running if not future.cancel()])
-        for index, stage in enumerate(stages):
-            if index not in finished:
-                runner.discard(stage)
-        raise
-    if not failures:
-        return None
-    key = min(failures)
-    _remove_from(runner, stages, key[0])
-    return key[0], failures[key]
+        try:
+            while True:
+                ready = next((i for i in range(first_failed())
+                              if i not in stores and waits[i] <= finished),
+                             None)
+                if ready is not None:
+                    jobs, stores[ready] = runner.tasks(stages[ready],
+                                                       seeds[ready])
+                    results[ready] = [None] * len(jobs)
+                    left[ready] = len(jobs)
+                    for j, job in enumerate(jobs):
+                        running[pool.submit(job)] = (ready, j)
+                    done = [future for future in running if future.done()]
+                elif running:
+                    done = wait(running, return_when=FIRST_COMPLETED).done
+                else:
+                    break
+                for future in done:
+                    i, j = running.pop(future)
+                    if future.exception() is not None:
+                        failures[i, j] = future.exception()
+                        # a cancelled job is done only once a worker has
+                        # dequeued it, so stop waiting for it at once
+                        for other in [other for other, key in running.items()
+                                      if key > (i, j) and other.cancel()]:
+                            del running[other]
+                        continue
+                    results[i][j] = future.result()
+                    left[i] -= 1
+                    # a stage after a failure would only be removed again
+                    if left[i] == 0 and i < first_failed():
+                        outcome = results.pop(i)
+                        try:
+                            stores[i](outcome)
+                            finished.add(i)
+                        except Exception as exc:
+                            failures[i, len(outcome)] = exc
+        except BaseException:
+            wait([future for future in running if not future.cancel()])
+            for index, stage in enumerate(stages):
+                if index not in finished:
+                    runner.discard(stage)
+            raise
+        if not failures:
+            return None
+        key = min(failures)
+        _remove_from(runner, stages, key[0])
+        return key[0], failures[key]
 
 
 def _remove_from(runner: StageRunner, stages, first: int) -> None:
@@ -991,12 +1002,8 @@ def run_pipeline(config: PipelineConfig):
     (out_dir / "manifest.json").unlink(missing_ok=True)
     runner = StageRunner(out_dir, config.imputation,
                          out_dir / ".cache" if config.cache else None)
-    # with more than one worker the calling thread only schedules stages;
-    # with one it runs them itself
-    with _run_pool(runner.workers if runner.workers > 1 else 0) as pool:
-        failure = _run_stages(runner, config.stages,
-                              range(config.seed,
-                                    config.seed + len(config.stages)), pool)
+    failure = _run_stages(runner, config.stages,
+                          range(config.seed, config.seed + len(config.stages)))
     if failure is not None:
         stage = config.stages[failure[0]]
         raise PipelineError(stage.name, stage.kind,

@@ -32,7 +32,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .agreement import AgreementProfile, psi
-from .geometry import Configuration, _readonly, _stable_order, _thread_map
+from .geometry import Configuration, _pool, _readonly, _stable_order
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -468,8 +468,8 @@ class LoessSurface:
             raise ValueError("grid shapes are inconsistent")
 
 
-def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
-                  workers: int = 1) -> LoessSurface:
+def loess_surface(points, values, span: float = 0.75,
+                  grid: int = 60) -> LoessSurface:
     """Locally weighted linear fit of a value field over 2D positions.
 
     Each grid node is fit from its ceil(span*n) nearest points under
@@ -478,14 +478,13 @@ def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
     local design is rank-deficient (collinear support) fall back to the
     weighted mean and are flagged.
 
-    The grid rows are split into ``workers`` shares, share i holding
-    rows i, i + workers, ...  They are fit on the pool of the run that the
-    calling thread works for, a pipeline's, or else on ``workers - 1``
-    threads beside the calling one for this call
-    (:func:`~drqa.geometry._thread_map`); with one worker, everything runs
-    in the calling thread.  Each node's fit depends on nothing but its own
-    support, so every worker count gives the same bits.  A row that raises
-    makes the call raise once every share that started has finished.
+    The grid rows are fit on the pool of the run that the calling thread
+    works for, a pipeline's (:func:`~drqa.geometry._pool`), split into
+    one share per worker of the pool: of w workers, share i holds rows
+    i, i + w, ...  Outside a run everything runs in the calling thread.
+    Each node's fit depends on nothing but its own support, so every
+    worker count gives the same bits.  A row that raises makes the call
+    raise once every share that started has finished.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -497,8 +496,6 @@ def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
         raise ValueError("span must be in (0, 1]")
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     vals = _check_values(values, n)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
@@ -540,21 +537,18 @@ def loess_surface(points, values, span: float = 0.75, grid: int = 60, *,
                         if w[col].sum() > 0 else v.mean()
                     fell_back[row, col] = True
 
-    workers = min(workers, grid)
-    with _thread_map(workers) as run:
-        for _ in run(fit_rows, (range(i, grid, workers)
-                                for i in range(workers))):
-            pass
+    pool = _pool()
+    shares = min(pool.workers, grid)
+    pool.map(fit_rows, (range(i, grid, shares) for i in range(shares)))
     return LoessSurface(xs, ys, out, fell_back)
 
 
 def render_loess_overlay(embedding: Configuration, item_values,
-                         spec: RenderSpec | None = None, *,
-                         workers: int = 1) -> str:
+                         spec: RenderSpec | None = None) -> str:
     """Smoothed agreement surface with the items drawn on top.
 
     The points take the surface's colors, each with a black outline so it
-    reads against the surface.  ``workers`` threads fit the surface
+    reads against the surface.  The surface is fit on the run's pool
     (:func:`loess_surface`); every worker count writes the same bytes.
     """
     spec = spec or RenderSpec()
@@ -563,7 +557,7 @@ def render_loess_overlay(embedding: Configuration, item_values,
     vals = _check_values(item_values, embedding.n)
     st = spec.style
     surface = loess_surface(embedding.items, vals, span=st.loess_span,
-                            grid=st.grid_resolution, workers=workers)
+                            grid=st.grid_resolution)
     scale = _scale_for(spec, vals)
 
     rect = (st.margin, st.margin, st.width - 2 * st.margin,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from drqa import pipeline
+from drqa import geometry, pipeline
 from drqa.cli import main
 from drqa.ingest import ingest_csv, read_profile
 from drqa.pipeline import parse_config, run_pipeline
@@ -158,9 +158,9 @@ class TestAgree:
         count_overlaps = pipeline._count_overlaps
         workers = []
 
-        def recorded(sources, pairs, n, count):
-            workers.append(count)
-            count_overlaps(sources, pairs, n, count)
+        def recorded(*args):
+            workers.append(geometry._pool().workers)
+            count_overlaps(*args)
 
         monkeypatch.setattr(pipeline, "_count_overlaps", recorded)
         written = set()
@@ -356,6 +356,36 @@ class TestPipelineCommand:
         out = capsys.readouterr().out
         assert "manifest.json" in out
         assert (tmp_path / "res" / "a.csv").exists()
+
+    def test_file_with_two_writers_is_one_error_line(self, tmp_path,
+                                                     capsys):
+        """A config whose later stage would write a file an earlier stage
+        writes fails before any stage runs: the earlier run's tree and
+        manifest are left as they were."""
+        stages = [{"kind": "generate", "name": "x", "shape": "sphere_random",
+                   "n": 20},
+                  {"kind": "generate", "name": "y", "shape": "sphere_random",
+                   "n": 20},
+                  {"kind": "agree", "name": "a", "a": "x", "b": ["x", "y"]}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"version": 1, "out_dir": "res",
+                                   "stages": stages}))
+        assert run_cli("pipeline", "--config", str(cfg)) == 0
+        out = tmp_path / "res"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "manifest.json" in before and "a_x.csv" in before
+        capsys.readouterr()
+        cfg.write_text(json.dumps({"version": 1, "out_dir": "res",
+                                   "stages": stages + [
+            {"kind": "generate", "name": "a_x", "shape": "sphere_random",
+             "n": 24}]}))
+        assert run_cli("pipeline", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: config: stage 'a' and stage 'a_x' both write "
+            "'a_x.csv'"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_string_flag_rejected(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -438,8 +438,7 @@ class TestRunPool:
             time.sleep(0.01)
 
         def outer(_):
-            with geometry._thread_map(5) as run:
-                run(inner, range(6))
+            geometry._pool().map(inner, range(6))
 
         with geometry._run_pool(2) as pool:
             pool.map(outer, range(4))

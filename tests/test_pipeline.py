@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from drqa import agreement, dimred, geometry, pipeline
-from drqa.agreement import AgreementProfile, partial_agreement, psi
+from drqa.agreement import (
+    AgreementProfile,
+    agreement_profile,
+    partial_agreement,
+    psi,
+)
 from drqa.cli import main
 from drqa.geometry import Configuration, ranks_from_config
 from drqa.ingest import ingest_csv, write_configuration
@@ -30,6 +35,7 @@ from drqa.pipeline import (
     parse_config,
     run_pipeline,
 )
+from drqa.viz import loess_surface
 
 from oracles import naive_neighbors, naive_overlap_counts, naive_profile
 
@@ -278,6 +284,34 @@ class TestParsing:
         with pytest.raises(ValueError, match="duplicate artifacts in b"):
             parse_config(cfg, tmp_path)
 
+    TWO_WRITERS = [{"kind": "generate", "name": "x",
+                    "shape": "sphere_random", "n": 20},
+                   {"kind": "generate", "name": "y",
+                    "shape": "sphere_random", "n": 20}]
+
+    def test_stages_that_write_one_file_rejected(self, tmp_path):
+        """An agree stage over two embeddings writes ``a_x.csv``, which a
+        later generate stage named ``a_x`` would write again."""
+        cfg = {"version": 1, "stages": self.TWO_WRITERS + [
+            {"kind": "agree", "name": "a", "a": "x", "b": ["x", "y"]},
+            {"kind": "generate", "name": "a_x", "shape": "sphere_random",
+             "n": 24}]}
+        with pytest.raises(ValueError, match="^config: stage 'a' and stage "
+                           "'a_x' both write 'a_x.csv'$"):
+            parse_config(cfg, tmp_path)
+        cfg["stages"][3]["name"] = "ax"
+        parse_config(cfg, tmp_path)
+
+    @pytest.mark.parametrize("scores, first", [
+        ("x.csv", "stage 'x'"), ("manifest.json", "the manifest")])
+    def test_score_table_over_another_file_rejected(self, tmp_path, scores,
+                                                    first):
+        cfg = {"version": 1, "scores": scores, "stages": self.TWO_WRITERS}
+        with pytest.raises(ValueError, match=(
+                f"^config: {first} and the score table both write "
+                f"'{scores}'$")):
+            parse_config(cfg, tmp_path)
+
 
 class TestExecution:
     def test_stage_expansion_count(self, tmp_path):
@@ -375,6 +409,7 @@ class TestExecution:
 
         monkeypatch.setattr(agreement, "_overlap_counts", counted)
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", 5 * 12)
+        monkeypatch.setenv("DRQA_THREADS", "2")
         rng = np.random.default_rng(6)
         runner = StageRunner(tmp_path)
         for name in ("a", "b1", "b2", "z"):
@@ -382,8 +417,8 @@ class TestExecution:
                 rng.standard_normal((12, 3)))
         ranks = {name: ranks_from_config(c).ranks
                  for name, c in runner.configurations.items()}
-        runner.agree(AgreeStage("s", "a", ("b1", "b2"), z="z"))
-        blocks = geometry._row_blocks(12, runner.workers)
+        runner.run(AgreeStage("s", "a", ("b1", "b2"), z="z"))
+        blocks = geometry._row_blocks(12, 2)
 
         def owner(rows):
             return next(name for name, r in ranks.items()
@@ -679,24 +714,40 @@ class TestRunPool:
                 name for names in pipeline._files(stage).values()
                 for name in names]
 
-    def test_rewritten_file_ends_as_one_worker_leaves_it(self, tmp_path,
-                                                         monkeypatch):
-        """A stage that writes a file an earlier stage wrote waits for
-        every earlier stage, though it reads nothing."""
-        trees = {}
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("DRQA_THREADS", threads)
-            run({"version": 1, "out_dir": f"o{threads}", "stages": [
-                {"kind": "generate", "name": "x", "shape": "sphere_random",
-                 "n": 20},
-                {"kind": "generate", "name": "y", "shape": "sphere_random",
-                 "n": 20},
-                {"kind": "agree", "name": "a", "a": "x", "b": ["x", "y"]},
-                {"kind": "generate", "name": "a_x",
-                 "shape": "sphere_random", "n": 24}]}, tmp_path)
-            trees[threads] = tree_hashes(tmp_path / f"o{threads}")
-        assert trees["1"] == trees["2"] == trees["3"]
-        assert ingest_csv(tmp_path / "o3" / "a_x.csv").n == 24
+    def test_library_calls_after_a_run_use_the_calling_thread(
+            self, tmp_path, monkeypatch):
+        """Once a run has closed its pool, a loess fit and an agreement
+        profile on the same thread start no thread, and give the bits
+        they give on a pool of three."""
+        monkeypatch.setenv("DRQA_THREADS", "2")
+        run(full_config("o"), tmp_path)
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((60, 2))
+        values = rng.random(60)
+        ranks = [ranks_from_config(Configuration(x)) for x in (
+            points, points + rng.standard_normal((60, 2)))]
+
+        def outcome():
+            surface = loess_surface(points, values, span=0.4, grid=7)
+            profile = agreement_profile(*ranks, with_per_item=True)
+            return (surface.values.tobytes(), surface.fallback.tobytes(),
+                    profile.ar.tobytes(), profile.per_item.tobytes())
+
+        start = threading.Thread.start
+        started = []
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        assert geometry._pool().workers == 1
+        alone = outcome()
+        assert started == []
+        with geometry._run_pool(3) as pool:
+            assert geometry._pool() is pool and pool.workers == 3
+            assert outcome() == alone
+        assert started
 
     def test_ingest_of_a_file_the_run_writes_waits_for_it(self, tmp_path,
                                                           monkeypatch):
@@ -967,27 +1018,28 @@ class TestStreamedAgree:
         stage = AgreeStage("s", "survey", ("map",), z="z", per_item=True,
                            range_k=(lo, hi))
 
-        def agree(workers, block_rows):
+        def agree(threads, block_rows):
             monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
-            cache = tmp_path / f"cache-{workers}-{block_rows}"
-            runner = StageRunner(tmp_path, cache_dir=cache, workers=workers,
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            cache = tmp_path / f"cache-{threads}-{block_rows}"
+            runner = StageRunner(tmp_path, cache_dir=cache,
                                  targets={"s.csv": None, "s_items.csv": None,
                                           "s_partial.csv": None})
             runner.configurations.update(configs)
-            runner.agree(stage)
+            runner.run(stage)
             files = {p.name: p.read_bytes() for p in cache.iterdir()}
             return (runner.profiles["s"].ar.tobytes(),
                     runner.per_item["s"][1].tobytes(),
                     runner.partials["s"], files)
 
-        serial = agree(1, n)
+        serial = agree("1", n)
         assert serial[:3] == (ar.tobytes(), rates.tobytes(),
                               (*psis, partial_agreement(*psis)))
         assert len(serial[3]) == 3
         assert all(name.endswith(".npy") for name in serial[3])
-        for workers in (1, 2, 3):
+        for threads in ("1", "2", "3"):
             for block_rows in range(1, n + 1):
-                assert agree(workers, block_rows) == serial
+                assert agree(threads, block_rows) == serial
 
     def test_failed_block_leaves_no_cache_file(self, tmp_path, monkeypatch):
         """One source raises on its second block while another is still
@@ -1017,8 +1069,9 @@ class TestStreamedAgree:
         monkeypatch.setattr(geometry._RankRows, "block", failing_block)
         monkeypatch.setattr(geometry._RankRows, "close", recorded_close)
         rng = np.random.default_rng(8)
+        monkeypatch.setenv("DRQA_THREADS", "2")
         cache = tmp_path / ".cache"
-        runner = StageRunner(tmp_path, cache_dir=cache, workers=2)
+        runner = StageRunner(tmp_path, cache_dir=cache)
         for name in ("a", "b"):
             runner.configurations[name] = Configuration(
                 rng.standard_normal((n, 2)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from drqa.agreement import AgreementProfile, agreement_profile
-from drqa.geometry import Configuration, ranks_from_config
+from drqa.geometry import Configuration, _run_pool, ranks_from_config
 from drqa.viz import (
     PlotStyle,
     RenderSpec,
@@ -182,17 +182,12 @@ def test_loess_bits_do_not_depend_on_workers(case):
     make, span, grid = LOESS_CLOUDS[case]
     config, vals = make()
     serial = loess_surface(config.items, vals, span=span, grid=grid)
-    for workers in (2, 3):
-        surface = loess_surface(config.items, vals, span=span, grid=grid,
-                                workers=workers)
+    for threads in (2, 3):
+        with _run_pool(threads):
+            surface = loess_surface(config.items, vals, span=span, grid=grid)
         assert surface.values.tobytes() == serial.values.tobytes()
         assert surface.fallback.tobytes() == serial.fallback.tobytes()
-    svg = render_loess_overlay(config, vals, RenderSpec(style=style(
-        loess_span=span, grid_resolution=grid)), workers=3)
+    with _run_pool(3):
+        svg = render_loess_overlay(config, vals, RenderSpec(style=style(
+            loess_span=span, grid_resolution=grid)))
     assert hashlib.sha256(svg.encode()).hexdigest() == DIGESTS[case]
-
-
-def test_loess_needs_a_worker():
-    config, vals = cloud()
-    with pytest.raises(ValueError, match="workers"):
-        loess_surface(config.items, vals, workers=0)
