@@ -336,8 +336,13 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         full = _check_weights(weights, n)
         if not (_offdiag(full) == 1.0).all():
             w = _offdiag(full).flatten()
-            factor = cho_factor(np.diag(full.sum(axis=1)) - full
-                                + np.ones((n, n)) / n)
+            # diag(row sums) - full + 1/n, built in one n x n array and
+            # factored in place: it is symmetric, so its transpose is the
+            # same matrix in the column order that LAPACK overwrites
+            system = np.negative(full)
+            np.fill_diagonal(system, full.sum(axis=1))
+            system += 1.0 / n
+            factor = cho_factor(system.T, overwrite_a=True)
             # the factor does not change: check only each right-hand side
             solve = lambda rhs: cho_solve(  # noqa: E731
                 factor, np.asarray_chkfinite(rhs), check_finite=False)

@@ -468,15 +468,61 @@ class LoessSurface:
             raise ValueError("grid shapes are inconsistent")
 
 
+#: A grid node is solved in its row's batch only when its weighted 3 x 3
+#: moment matrix is clearly of full rank; any other node is fit on its own
+#: by least squares.  First, the matrix scaled to a unit diagonal must have
+#: a smallest to largest eigenvalue ratio above this.  That keeps the
+#: batched solve within about 1e-10 of ``np.linalg.lstsq`` on clouds near a
+#: line, whatever the unit of the map's coordinates.
+_WELL_POSED = 1e-4
+#: Second, the lower bound that ratio gives on the unscaled one (the local
+#: design's singular-value ratio, squared) must exceed ``lstsq``'s rank
+#: cutoff, ``(eps * q)**2``, by this factor, so that ``lstsq`` finds every
+#: node solved in a batch of full rank.
+_RANK_MARGIN = 1e6
+
+
+def _fit_node(dx, dy, vals, q):
+    """One node's fit from its q nearest points, ties by ascending index.
+
+    ``dx`` and ``dy`` are the points' offsets from the node.  Returns the
+    fitted value and whether the local design was rank-deficient, in
+    which case the value is the weighted mean of the support.
+    """
+    d = np.hypot(dx, dy)
+    sel = _stable_order(d[None, :])[0, :q]
+    d_sel = d[sel]
+    d_max = d_sel[-1]
+    w = np.clip(1.0 - (d_sel / d_max) ** 3, 0.0, None) ** 3 if d_max > 0 \
+        else np.ones(q)
+    sw = np.sqrt(w)
+    design = np.stack([sw, dx[sel] * sw, dy[sel] * sw], axis=1)
+    coef, _, rank, _ = np.linalg.lstsq(design, vals[sel] * sw, rcond=None)
+    if rank == 3:
+        return coef[0], False
+    v = vals[sel]
+    return (np.average(v, weights=w) if w.sum() > 0 else v.mean()), True
+
+
 def loess_surface(points, values, span: float = 0.75,
                   grid: int = 60) -> LoessSurface:
     """Locally weighted linear fit of a value field over 2D positions.
 
-    Each grid node is fit from its ceil(span*n) nearest points under
-    tri-cube weights, so the furthest support point carries weight zero;
-    a zero support radius degenerates to uniform weights.  Nodes whose
-    local design is rank-deficient (collinear support) fall back to the
-    weighted mean and are flagged.
+    Each grid node is fit under tri-cube weights on the distance scaled by
+    its support radius, the distance to its ceil(span*n)-th nearest point:
+    the support is the points strictly inside that radius, and points at
+    or beyond it weigh zero.  Nodes whose local design is rank-deficient
+    (collinear support) fall back to the weighted mean and are flagged.
+
+    A grid row's nodes are solved together from their weighted moment
+    sums, taken about each node.  Two kinds of node are instead fit one
+    at a time by least squares on their ceil(span*n) nearest points (ties
+    by ascending index): a node with a zero radius, whose support weighs
+    uniformly, and a node whose moment matrix is not clearly of full rank;
+    so is every node of a cloud whose extent or values reach about
+    sqrt(largest float / n), where the moment sums could overflow.  Those
+    nodes take that fit's value and its rank-deficiency flag; the solved
+    nodes match it to about 1e-10, and the flags match exactly.
 
     The grid rows are fit on the pool of the run that the calling thread
     works for, a pipeline's (:func:`~drqa.geometry._pool`), split into
@@ -506,36 +552,65 @@ def loess_surface(points, values, span: float = 0.75,
     out = np.empty((grid, grid))
     fell_back = np.zeros((grid, grid), dtype=bool)
     dx = pts[None, :, 0] - xs[:, None]
+    # products of two offsets, or of an offset and a value, stay below
+    # limit**2, so n of them sum to a finite moment; larger clouds or
+    # values take the per-node fit alone
+    limit = np.sqrt(np.finfo(float).max / n)
+    batched = max(np.hypot(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])),
+                  np.abs(vals).max()) < limit
+    dx2 = dx * dx if batched else None
+    ones = np.ones(n)
+    rank_cutoff = _RANK_MARGIN * (np.finfo(float).eps * q) ** 2
 
     def fit_rows(rows):
-        # each node's support is its q nearest points, ties by ascending
-        # index; only the solve runs per node.  A row writes only out[row]
-        # and fell_back[row].  The rows run in one loop, so that a row's
-        # arrays are freed while the next row's are made: freed all at
-        # once, they would go back to the system and be faulted in anew.
+        # A row writes only out[row] and fell_back[row].  The rows run in
+        # one loop, so that a row's arrays are freed while the next row's
+        # are made: freed all at once, they would go back to the system
+        # and be faulted in anew.
         for row in rows:
             dy = pts[:, 1] - ys[row]
-            d = np.hypot(dx, dy[None, :])
-            sel = _stable_order(d)[:, :q]
-            d_sel = np.take_along_axis(d, sel, axis=1)
-            d_max = d_sel[:, -1:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(d_max > 0, np.clip(
-                    1.0 - (d_sel / d_max) ** 3, 0.0, None) ** 3, 1.0)
-            sw = np.sqrt(w)
-            design = np.stack([sw, np.take_along_axis(dx, sel, axis=1) * sw,
-                               dy[sel] * sw], axis=2)
-            target = vals[sel] * sw
-            for col in range(grid):
-                coef, _, rank, _ = np.linalg.lstsq(design[col], target[col],
-                                                   rcond=None)
-                if rank == 3:
-                    out[row, col] = coef[0]
-                else:
-                    v = vals[sel[col]]
-                    out[row, col] = np.average(v, weights=w[col]) \
-                        if w[col].sum() > 0 else v.mean()
-                    fell_back[row, col] = True
+            solved = np.zeros(grid, dtype=bool)
+            if batched:
+                dy2 = dy * dy
+                d = np.sqrt(np.add(dx2, dy2[None, :]))
+                # a copy, so that the partitioned distances go at once
+                radius = np.partition(d, q - 1, axis=1)[:, q - 1:q].copy()
+                # t = d / radius, capped at 1: points at or beyond the
+                # radius weigh 0.  A zero radius leaves d as it is; its
+                # node is not solved.
+                t = np.divide(d, radius, out=d, where=radius > 0)
+                np.minimum(t, 1.0, out=t)
+                u = t * t
+                u *= t
+                np.subtract(1.0, u, out=u)  # 1 - t**3
+                w = u * u
+                w *= u
+                wdx = w * dx
+                s0, sy, syy, sv, syv = (w @ np.column_stack(
+                    [ones, dy, dy2, vals, dy * vals])).T
+                sx, sxy, sxv = (wdx @ np.column_stack([ones, dy, vals])).T
+                sxx = np.einsum("ij,ij->i", wdx, dx)
+                moments = np.stack([s0, sx, sy, sx, sxx, sxy, sy, sxy, syy],
+                                   axis=1).reshape(grid, 3, 3)
+                # the moments are D S D, with D the root of their diagonal:
+                # the unscaled smallest eigenvalue is at least S's times the
+                # least diagonal entry, and the largest at most the trace.
+                # A zero diagonal entry leaves S a zero row, so its node is
+                # not solved.
+                diag = np.stack([s0, sxx, syy], axis=1)
+                unit = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
+                eig = np.linalg.eigvalsh(
+                    moments * unit[:, :, None] * unit[:, None, :])
+                solved = (radius[:, 0] > 0) & (
+                    eig[:, 0] > _WELL_POSED * eig[:, 2]) & (
+                    eig[:, 0] * diag.min(axis=1)
+                    > rank_cutoff * diag.sum(axis=1))
+                moments[~solved] = np.eye(3)
+                out[row] = np.linalg.solve(moments, np.stack(
+                    [sv, sxv, syv], axis=1)[:, :, None])[:, 0, 0]
+            for col in np.flatnonzero(~solved):
+                out[row, col], fell_back[row, col] = _fit_node(
+                    dx[col], dy, vals, q)
 
     pool = _pool()
     shares = min(pool.workers, grid)

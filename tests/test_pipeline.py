@@ -531,7 +531,7 @@ class TestExecution:
                                                   monkeypatch):
         """A loess row that raises on a worker thread fails the plot stage
         once the pool has finished, and the stage leaves no SVG behind."""
-        lstsq = np.linalg.lstsq
+        solve = np.linalg.solve
         lock = threading.Lock()
         failing = []
 
@@ -543,9 +543,10 @@ class TestExecution:
                         failing.append(me)
                 if me == failing[0]:
                     raise np.linalg.LinAlgError("injected")
-            return lstsq(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "lstsq", fail_on_one_worker)
+        # each loess grid row makes one batched solve
+        monkeypatch.setattr(np.linalg, "solve", fail_on_one_worker)
         monkeypatch.setenv("DRQA_THREADS", "2")
         before = set(threading.enumerate())
         with pytest.raises(PipelineError,
@@ -663,18 +664,19 @@ class TestRunPool:
         never shows more than three threads beside those it started with:
         the agree pass and the loess plot use the run's pool."""
         counts = {"reduce": [], "loess": []}
-        pca, lstsq = dimred.pca, np.linalg.lstsq
+        pca, solve = dimred.pca, np.linalg.solve
 
         def counted_pca(*args, **kwargs):
             counts["reduce"].append(len(threading.enumerate()))
             return pca(*args, **kwargs)
 
-        def counted_lstsq(*args, **kwargs):
+        def counted_solve(*args, **kwargs):
             counts["loess"].append(len(threading.enumerate()))
-            return lstsq(*args, **kwargs)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(dimred, "pca", counted_pca)
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        # each loess grid row makes one batched solve
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
         monkeypatch.setenv("DRQA_THREADS", "3")
         before = len(threading.enumerate())
         run(full_config("o"), tmp_path)

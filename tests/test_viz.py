@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drqa.agreement import agreement_profile
-from drqa.geometry import Configuration, ranks_from_config
+from drqa.geometry import Configuration, _run_pool, ranks_from_config
 from drqa.viz import (
     COLOR_MODES,
     NEGATIVE_RGB,
@@ -276,6 +276,121 @@ class TestLoessSurface:
             loess_surface(pts, vals, span=1.5)
         with pytest.raises(ValueError, match="finite"):
             loess_surface(pts, np.r_[vals[:-1], np.nan])
+
+
+def reference_loess(points, values, span=0.75, grid=60):
+    """The loess grid fit one node at a time, as ``loess_surface`` once ran.
+
+    Each node's support is its ceil(span*n) nearest points by ``hypot``,
+    ties by ascending index, under tri-cube weights on the distance scaled
+    by the furthest of them (uniform weights when that is 0).
+    ``np.linalg.lstsq`` solves the weighted design; a rank below 3 falls
+    back to the weighted mean and flags the node.  ``loess_surface`` must
+    flag the same nodes bit for bit and come within 1e-9 of every value.
+    """
+    pts = np.asarray(points, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    q = int(np.ceil(span * len(pts)))
+    xs = np.linspace(pts[:, 0].min(), pts[:, 0].max(), grid)
+    ys = np.linspace(pts[:, 1].min(), pts[:, 1].max(), grid)
+    out = np.empty((grid, grid))
+    fell_back = np.zeros((grid, grid), dtype=bool)
+    dx = pts[None, :, 0] - xs[:, None]
+    for row in range(grid):
+        dy = pts[:, 1] - ys[row]
+        d = np.hypot(dx, dy[None, :])
+        sel = np.argsort(d, axis=1, kind="stable")[:, :q]
+        d_sel = np.take_along_axis(d, sel, axis=1)
+        d_max = d_sel[:, -1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(d_max > 0, np.clip(
+                1.0 - (d_sel / d_max) ** 3, 0.0, None) ** 3, 1.0)
+        sw = np.sqrt(w)
+        design = np.stack([sw, np.take_along_axis(dx, sel, axis=1) * sw,
+                           dy[sel] * sw], axis=2)
+        target = vals[sel] * sw
+        for col in range(grid):
+            coef, _, rank, _ = np.linalg.lstsq(design[col], target[col],
+                                               rcond=None)
+            if rank == 3:
+                out[row, col] = coef[0]
+            else:
+                v = vals[sel[col]]
+                out[row, col] = np.average(v, weights=w[col]) \
+                    if w[col].sum() > 0 else v.mean()
+                fell_back[row, col] = True
+    return out, fell_back
+
+
+def loess_cloud(name):
+    """80 points with values in [0, 1], shaped to stress one part of the fit."""
+    rng = np.random.default_rng(17)
+    n = 80
+    vals = rng.uniform(0, 1, n)
+    pts = rng.uniform(0, 4, (n, 2))
+    t = rng.uniform(0, 4, n)
+    if name == "tied":
+        pts = rng.integers(0, 4, (n, 2)).astype(float)
+    elif name == "coincident":
+        # 50 points on the grid's corner node: a zero radius up to span 5/8
+        pts[:50] = 0.0
+    elif name == "partly_collinear":
+        pts[:60] = np.column_stack([t[:60], 0.5 * t[:60]])
+    elif name == "near_collinear":
+        pts = np.column_stack([t, 0.5 * t + rng.normal(0, 1e-2, n)])
+    elif name == "scaled_down":
+        pts = pts * 1e-6
+    elif name == "scaled_up":
+        pts = pts * 1e6
+    elif name == "offset":
+        pts = pts + 1e8
+    elif name == "huge":
+        # the squares of these offsets overflow
+        pts = pts * 1e160
+    return pts, vals
+
+
+class TestLoessReference:
+    """``loess_surface`` against the per-node loop in ``reference_loess``."""
+
+    @staticmethod
+    def check(pts, vals, span, grid):
+        want, want_fell_back = reference_loess(pts, vals, span, grid)
+        surf = loess_surface(pts, vals, span=span, grid=grid)
+        assert surf.fallback.tobytes() == want_fell_back.tobytes()
+        assert np.abs(surf.values - want).max() <= 1e-9
+        return surf
+
+    def test_clouds_reach_every_route(self):
+        # the corner node's radius is 0, the near-collinear cloud has full
+        # rank everywhere, and the partly collinear one falls back
+        pts, vals = loess_cloud("coincident")
+        corner = np.hypot(*(pts - pts.min(axis=0)).T)
+        assert np.sort(corner)[int(np.ceil(0.5 * 80)) - 1] == 0
+        assert not reference_loess(*loess_cloud("near_collinear"), 0.25,
+                                   11)[1].any()
+        assert reference_loess(*loess_cloud("partly_collinear"), 0.25,
+                               11)[1].any()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("name", [
+        "random", "tied", "coincident", "partly_collinear", "near_collinear",
+        "scaled_down", "scaled_up", "offset", "huge"])
+    def test_clouds(self, name, threads):
+        pts, vals = loess_cloud(name)
+        with _run_pool(threads):
+            for span in (0.25, 0.5, 0.75, 1.0):
+                self.check(pts, vals, span, 11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(10, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                 min_size=n, max_size=n),
+        st.lists(st.floats(0, 1), min_size=n, max_size=n))),
+        st.floats(0.25, 1.0), st.integers(2, 6))
+    def test_small_tied_sets(self, case, span, grid):
+        pts, vals = case
+        self.check(np.array(pts, dtype=float), np.array(vals), span, grid)
 
 
 @pytest.fixture
