@@ -111,7 +111,16 @@ def _cmd_plot(args) -> None:
     if args.type == "lift":
         profiles = obj.get("profiles")
         if isinstance(profiles, list) and profiles:
-            profiles = {Path(str(p)).stem: p for p in profiles}
+            named = {}
+            for p in profiles:  # each entry is named by its file stem
+                stem = Path(str(p)).stem
+                if stem in named:
+                    raise ValueError(
+                        f"plot spec: profiles {named[stem]!r} and {p!r} are "
+                        f"both named {stem!r}; name them with a mapping "
+                        f'{{"name": "file"}}')
+                named[stem] = p
+            profiles = named
         if not isinstance(profiles, dict):
             raise ValueError("plot spec: profiles must be a list or mapping")
         raw["profiles"] = list(profiles)

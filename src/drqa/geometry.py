@@ -22,11 +22,12 @@ rows in flight stay at about ``_BLOCK_CELLS``.
 
 This module also owns the worker threads.  A run holds one :class:`_Pool`
 (:func:`_run_pool`) for as long as it lasts, the only holder of the
-thread count: the agree pass and the loess plot look it up (:func:`_pool`;
-outside a run, a pool with no threads) and size their work by it, so
-pools are never nested.  Ranks that come from outside, from callers or
-from a cache file, are checked; ranks computed here are permutations by
-construction and are not.
+thread count: a reduce stage, the agree pass and the loess plot look it
+up (:func:`_pool`; outside a run, a pool with no threads) and map their
+work on it, the last two sized by its worker count, so pools are never
+nested.  Ranks that come from outside, from callers or from a cache
+file, are checked; ranks computed here are permutations by construction
+and are not.
 """
 
 from __future__ import annotations
@@ -249,9 +250,11 @@ class _Pool:
     """The worker threads of one run, or none: then every call runs on the
     thread that makes it.
 
-    Stages are submitted one job at a time (:meth:`submit`); the items of a
-    stage's loops are mapped (:meth:`map`).  ``workers`` is the number of
-    threads that share its work: its own, or the calling thread alone.
+    Stages are submitted one at a time (:meth:`submit`); the items of a
+    stage's loops (a reduce stage's reducer calls, the agree pass's
+    blocks of rows, the loess plot's grid rows) are mapped (:meth:`map`).
+    ``workers`` is the number of threads that share its work: its own, or
+    the calling thread alone.
     """
 
     def __init__(self, threads: int):

@@ -12,21 +12,22 @@ with each embedding) must list the same item ids whenever both have ids.
 A run holds one pool of ``DRQA_THREADS`` worker threads (one per CPU
 when unset or 0) from its first stage to its last
 (:func:`drqa.geometry._run_pool`); :func:`_run_stages` opens it, and
-``DRQA_THREADS`` is read nowhere else.  Each stage starts once the
-stages that make what it reads have finished, not when the stage listed
-before it has; each job of a reduce stage is a task of its own.  An
-ingest of a file in the output directory starts only once every stage
-listed before it has finished, and no stage listed after it starts
-before it has (:func:`_waits_for`).  The calling thread only schedules;
-with one worker it runs every stage itself, in config order.  The
-stages' own loops (an agree stage's pass over blocks of rows, a loess
-plot's grid rows) look the pool up and hand their items to it
-(:func:`drqa.geometry._pool`).  The manifest, the score rows
-and ``scores.csv`` follow config order, so every thread count, and every
+``DRQA_THREADS`` is read nowhere else.  A stage is the one task the run
+schedules, and it starts once the stages that make what it reads have
+finished, not when the stage listed before it has.  An ingest of a file
+in the output directory starts only once every stage listed before it
+has finished, and no stage listed after it starts before it has
+(:func:`_waits_for`).  The calling thread only schedules; with one
+worker it runs every stage itself, in config order.  The stages' own
+loops (a reduce stage's reducer calls, an agree stage's pass over blocks
+of rows, a loess plot's grid rows) look the pool up and hand their items
+to it (:func:`drqa.geometry._pool`).  The manifest, the score rows and
+``scores.csv`` follow config order, so every thread count, and every
 order in which stages finish, writes the same bytes.  A failure is
 reported as the serial run would report it: the first failing stage in
-config order is named, and what it and every later stage wrote is
-removed.
+config order is named, and within a reduce stage the first failing
+reducer call in method order; what the failing stage and every later
+stage wrote is removed.
 
 An agree stage makes one pass over blocks of rows
 (:func:`drqa.agreement._count_overlaps`): for each block it takes the rank
@@ -44,7 +45,6 @@ import inspect
 import json
 import numbers
 import os
-import functools
 import re
 import typing
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -69,6 +69,7 @@ from .geometry import (
     Configuration,
     RankStructure,
     _RankRows,
+    _pool,
     _run_pool,
 )
 from .ingest import (
@@ -694,13 +695,11 @@ class StageRunner:
     Its file ``f`` goes to ``targets[f]`` if given (None skips it), else
     to ``out_dir / f``; each path joins ``written[stage.name]`` before it
     is written, so stages that run side by side keep their files apart,
-    and ``score_rows`` too are kept per stage.  A reduce stage is split
-    into one job per reducer call and a step that stores their results
-    (:meth:`tasks`).  :meth:`run` runs one stage through the pipeline's own
-    scheduler, :func:`_run_stages`, which removes its files when it fails.
-    The reduce jobs, an agree stage's pass and a loess plot's fit share
-    the pool of the run; a method called outside a run runs on the
-    calling thread.
+    and ``score_rows`` too are kept per stage.  :meth:`run` runs one
+    stage through the pipeline's own scheduler, :func:`_run_stages`, which
+    removes its files when it fails.  A reduce stage's reducer calls, an
+    agree stage's pass and a loess plot's fit are mapped on the pool of
+    the run; a method called outside a run runs on the calling thread.
     """
 
     def __init__(self, out_dir=".", imputation: str = "none",
@@ -719,19 +718,6 @@ class StageRunner:
         self.written: dict = {}
         #: stage name -> {rank cache path: whether the stage made the file}
         self.cache_files: dict = {}
-
-    def tasks(self, stage, seed: int | None = None) -> tuple:
-        """The stage's jobs, which may run side by side, and the step that
-        takes their results, in job order, once every job has finished."""
-        if stage.kind != "reduce":
-            return ([functools.partial(getattr(self, stage.kind), stage,
-                                       seed)],
-                    lambda results: None)
-        source = self.configurations[stage.source]
-        jobs = [functools.partial(dimred.run_reduction, method, source,
-                                  stage.target_dim, params, seed)
-                for _, method, params in stage.jobs()]
-        return jobs, functools.partial(self._store_reductions, stage)
 
     def run(self, stage, seed: int | None = None) -> list:
         """Run one stage as a pipeline runs its stages (:func:`_run_stages`),
@@ -771,8 +757,13 @@ class StageRunner:
             data = impute_column_mean(data)
         self._store(stage, stage.name, data)
 
-    def _store_reductions(self, stage: ReduceStage, results) -> None:
-        for (emit_name, method, params), result in zip(stage.jobs(), results):
+    def reduce(self, stage: ReduceStage, seed: int) -> None:
+        source = self.configurations[stage.source]
+        jobs = stage.jobs()
+        results = _pool().map(
+            lambda job: dimred.run_reduction(job[1], source, stage.target_dim,
+                                             job[2], seed), jobs)
+        for (emit_name, method, params), result in zip(jobs, results):
             self.reduce_meta[emit_name] = (method, params)
             self._store(stage, emit_name, result.embedding)
 
@@ -906,60 +897,44 @@ def _run_stages(runner: StageRunner, stages, seeds) -> tuple | None:
     ``(stage index, exception)``, or None.
 
     The stages run on one pool of :func:`_pool_threads` threads for the
-    whole call.  Once a stage has failed, no later stage starts and the
-    queued jobs of later ones are dropped; earlier stages still run, as
-    one of them may fail too.  No job is running when this returns, and
+    whole call.  Once a stage has failed, no later stage starts, not
+    even one already queued; earlier stages still run, as one of them may
+    fail too.  No stage is running when this returns, and
     what the failing stage and every later one wrote has been removed.
     """
     waits = _waits_for(stages, runner.out_dir)
     with _run_pool(_pool_threads()) as pool:
-        running = {}   # future -> (stage index, job index)
-        results = {}   # stage index -> job results, in job order
-        stores = {}    # stage index -> the step that takes them
-        left = {}      # stage index -> jobs yet to succeed
-        finished = set()
-        failures = {}  # (stage index, job index) -> exception
-
-        def first_failed() -> int:
-            return min(failures, default=(len(stages),))[0]
-
+        running = {}   # future -> stage index
+        started, finished = set(), set()
+        failures = {}  # stage index -> exception
         try:
             while True:
-                ready = next((i for i in range(first_failed())
-                              if i not in stores and waits[i] <= finished),
+                # a stage after a failure would only be removed again
+                ready = next((i for i in range(min(failures,
+                                                   default=len(stages)))
+                              if i not in started and waits[i] <= finished),
                              None)
                 if ready is not None:
-                    jobs, stores[ready] = runner.tasks(stages[ready],
-                                                       seeds[ready])
-                    results[ready] = [None] * len(jobs)
-                    left[ready] = len(jobs)
-                    for j, job in enumerate(jobs):
-                        running[pool.submit(job)] = (ready, j)
+                    started.add(ready)
+                    stage = stages[ready]
+                    running[pool.submit(getattr(runner, stage.kind), stage,
+                                        seeds[ready])] = ready
                     done = [future for future in running if future.done()]
                 elif running:
                     done = wait(running, return_when=FIRST_COMPLETED).done
                 else:
                     break
                 for future in done:
-                    i, j = running.pop(future)
-                    if future.exception() is not None:
-                        failures[i, j] = future.exception()
-                        # a cancelled job is done only once a worker has
-                        # dequeued it, so stop waiting for it at once
-                        for other in [other for other, key in running.items()
-                                      if key > (i, j) and other.cancel()]:
-                            del running[other]
+                    i = running.pop(future)
+                    if future.exception() is None:
+                        finished.add(i)
                         continue
-                    results[i][j] = future.result()
-                    left[i] -= 1
-                    # a stage after a failure would only be removed again
-                    if left[i] == 0 and i < first_failed():
-                        outcome = results.pop(i)
-                        try:
-                            stores[i](outcome)
-                            finished.add(i)
-                        except Exception as exc:
-                            failures[i, len(outcome)] = exc
+                    failures[i] = future.exception()
+                    # a cancelled stage is done only once a worker has
+                    # dequeued it, so stop waiting for it at once
+                    for other in [other for other, j in running.items()
+                                  if j > i and other.cancel()]:
+                        del running[other]
         except BaseException:
             wait([future for future in running if not future.cancel()])
             for index, stage in enumerate(stages):
@@ -968,9 +943,9 @@ def _run_stages(runner: StageRunner, stages, seeds) -> tuple | None:
             raise
         if not failures:
             return None
-        key = min(failures)
-        _remove_from(runner, stages, key[0])
-        return key[0], failures[key]
+        first = min(failures)
+        _remove_from(runner, stages, first)
+        return first, failures[first]
 
 
 def _remove_from(runner: StageRunner, stages, first: int) -> None:

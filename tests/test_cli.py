@@ -261,6 +261,38 @@ class TestPlot:
                        "--out", str(out)) == 0
         assert out.read_text().startswith("<?xml")
 
+    def test_lift_profiles_sharing_a_stem_fail(self, dataset, tmp_path,
+                                               monkeypatch, capsys):
+        """A list names its profiles by file stem, so two entries with one
+        stem, the same file twice included, are one error line; the
+        mapping form draws a curve for each."""
+        monkeypatch.chdir(tmp_path)
+        for run_dir, dim in (("run1", "1"), ("run2", "2")):
+            Path(run_dir).mkdir()
+            emb = f"{run_dir}/emb.csv"
+            assert run_cli("reduce", "--method", "pca", "--dim", dim,
+                           "--in", str(dataset), "--out", emb) == 0
+            assert run_cli("agree", "--a", str(dataset), "--b", emb,
+                           "--out", f"{run_dir}/fit.csv") == 0
+        capsys.readouterr()
+        for profiles in (["run1/fit.csv", "run2/fit.csv"],
+                         ["run1/fit.csv", "run1/fit.csv"]):
+            Path("spec.json").write_text(json.dumps({"profiles": profiles}))
+            assert run_cli("plot", "--type", "lift", "--spec", "spec.json",
+                           "--out", "x.svg") == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: plot spec: profiles {profiles[0]!r} and "
+                f"{profiles[1]!r} are both named 'fit'; name them with a "
+                f'mapping {{"name": "file"}}']
+            assert not Path("x.svg").exists()
+        Path("spec.json").write_text(json.dumps(
+            {"profiles": {"one": "run1/fit.csv", "two": "run2/fit.csv"}}))
+        assert run_cli("plot", "--type", "lift", "--spec", "spec.json",
+                       "--out", "fig.svg") == 0
+        svg = Path("fig.svg").read_text()
+        assert svg.count('class="curve"') == 2
+        assert "one: all-k" in svg and "two: all-k" in svg
+
     def test_scatter_and_heatmap_and_loess(self, dataset, tmp_path):
         emb = tmp_path / "emb.csv"
         run_cli("reduce", "--method", "pca", "--dim", "2",

@@ -802,6 +802,61 @@ class TestRunPool:
         assert ingest_csv(tmp_path / "o3" / "i.csv").n == 20
         assert ingest_csv(tmp_path / "o3" / "g.csv").n == 24
 
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_jobs_of_a_reduce_stage_run_side_by_side(self, threads, tmp_path,
+                                                     monkeypatch):
+        """The two reducers of one stage each wait for the other at a
+        barrier, which breaks, and fails the stage, unless they run at the
+        same time."""
+        barrier = threading.Barrier(2, timeout=5)
+
+        def meeting(reducer):
+            def met(*args, **kwargs):
+                barrier.wait()
+                return reducer(*args, **kwargs)
+            return met
+
+        for method in ("pca", "classical_mds"):
+            monkeypatch.setattr(dimred, method,
+                                meeting(getattr(dimred, method)))
+        monkeypatch.setenv("DRQA_THREADS", threads)
+        run({"version": 1, "out_dir": "o", "stages": [
+            {"kind": "generate", "name": "g", "shape": "sphere_random",
+             "n": 20},
+            {"kind": "reduce", "name": "r", "source": "g",
+             "methods": ["pca", "classical_mds"], "target_dim": 2}]},
+            tmp_path)
+        assert sorted(tree_hashes(tmp_path / "o")) == [
+            "g.csv", "manifest.json", "r_classical_mds.csv", "r_pca.csv"]
+
+    def test_first_failing_job_of_a_reduce_stage_is_reported(self, tmp_path,
+                                                             monkeypatch):
+        """A slow failure of the stage's first job, not the quick one of
+        its second, is reported at every thread count; the stage leaves no
+        file and the run no thread."""
+        def slow_pca(*args, **kwargs):
+            time.sleep(0.3)
+            raise ValueError("slow pca")
+
+        def fast_mds(*args, **kwargs):
+            raise ValueError("fast mds")
+
+        monkeypatch.setattr(dimred, "pca", slow_pca)
+        monkeypatch.setattr(dimred, "classical_mds", fast_mds)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            before = set(threading.enumerate())
+            with pytest.raises(PipelineError, match="^stage 'r' \\(reduce\\) "
+                               "failed: slow pca$"):
+                run({"version": 1, "out_dir": f"o{threads}", "stages": [
+                    {"kind": "generate", "name": "g",
+                     "shape": "sphere_random", "n": 20},
+                    {"kind": "reduce", "name": "r", "source": "g",
+                     "methods": ["pca", "classical_mds", "smacof"],
+                     "target_dim": 2}]}, tmp_path)
+            assert set(threading.enumerate()) <= before
+            assert sorted(file_hashes(tmp_path / f"o{threads}")) == ["g.csv"]
+
 
 class TestDeterminismAndCache:
     def test_reruns_are_byte_identical(self, tmp_path):
