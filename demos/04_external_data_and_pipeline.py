@@ -65,15 +65,16 @@ print(f"partial agreement of survey/map given the 3D map: "
       f"{partial_agreement(ab, az, bz):.3f}")
 
 # The same analysis as one reproducible pipeline: every output lands in
-# out_dir with a manifest, and reruns are byte-identical.
+# out_dir with a manifest, and reruns are byte-identical.  Paths are
+# relative to the directory the config file is written to.
 config = {
     "version": 1,
     "seed": 30,
-    "out_dir": str(out / "pipeline"),
+    "out_dir": "pipeline",
     "imputation": "column_mean",
     "scores": "scores.csv",
     "stages": [
-        {"kind": "ingest", "name": "survey", "path": str(raw_path)},
+        {"kind": "ingest", "name": "survey", "path": raw_path.name},
         {"kind": "reduce", "name": "map", "source": "survey",
          "methods": ["pca", "smacof"], "target_dim": 2},
         {"kind": "agree", "name": "quality", "a": "survey",
@@ -86,7 +87,7 @@ config = {
          "values": {"agree": "quality:map_smacof", "k": 10}},
     ],
 }
-manifest = run_pipeline(parse_config(config))
+manifest = run_pipeline(parse_config(config, base_dir=out))
 print("pipeline outputs:")
 for entry in manifest:
     print(f"  {entry.path} (stage {entry.stage})")

@@ -369,7 +369,11 @@ def _parse_range_k(raw, where: str):
 def _parse_render_spec(raw, where: str) -> RenderSpec:
     kw = _reject_unknown(raw, _SPEC_KEYS, where)
     style = _reject_unknown(kw.pop("style", {}), _STYLE_KEYS, f"{where}: style")
-    return RenderSpec(style=PlotStyle(**style), **kw)
+    try:
+        style = PlotStyle(**style)
+    except ValueError as exc:
+        raise ValueError(f"{where}: style: {exc}") from None
+    return RenderSpec(style=style, **kw)
 
 
 def _parse_stage(raw: dict, where: str, scope: _Scope):

@@ -17,14 +17,19 @@ The renderers write that text directly, from numpy arrays, with one small
 writer (``_tag``) that produces what ElementTree would serialize: attributes
 in insertion order, ``" />"`` closing an element without content, ``&``,
 ``<`` and ``>`` escaped in text, and additionally ``"``, CR, LF and TAB
-escaped in attribute values.  Bulk elements (cells, points, bands) are
-filled into a ``%`` template made by the same writer.  Colors come from one
-array kernel, ``ColorScale.rgb_array``.  ``_tag`` is the only way SVG is
-written here.
+escaped in attribute values.  Bulk elements (points, loess tiles, bands)
+are filled into a ``%`` template made by the same writer.  A heatmap's
+cells are not elements: they are the pixels of one PNG, embedded as a data
+URI in a single ``<image>``.  Colors come from one array kernel,
+``ColorScale.rgb_array``.  ``_tag`` is the only way SVG is written here.
 """
 
 from __future__ import annotations
 
+import base64
+import math
+import struct
+import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -35,6 +40,7 @@ from .agreement import AgreementProfile, psi
 from .geometry import Configuration, _pool, _readonly, _stable_order
 
 SVG_NS = "http://www.w3.org/2000/svg"
+XLINK_NS = "http://www.w3.org/1999/xlink"
 
 # diverging anchors: negative, neutral midpoint, positive
 NEGATIVE_RGB = (255, 59, 48)
@@ -105,6 +111,16 @@ class PlotStyle:
             if isinstance(value, bool) or not isinstance(
                     value, Integral if f.type == "int" else Real):
                 raise ValueError(f"{f.name} must be of type {f.type}")
+            if f.type == "float":
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int too large for a float
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{f.name} must be finite")
+        for name in ("margin", "point_radius"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
             raise ValueError("canvas too small for its margin")
         if self.grid_resolution < 2:
@@ -231,8 +247,8 @@ def _tag(name: str, attrs: Mapping[str, str], content: str = "") -> str:
 def _template(name: str, attrs: Mapping[str, str | None]) -> str:
     """``_tag(name, attrs)`` as a ``%`` format with a ``%s`` slot per ``None``.
 
-    Slots take numbers formatted by ``_f`` or hex colors, which need no
-    escaping.
+    Slots take numbers formatted by ``_f``, hex colors or base64 data
+    URIs, which need no escaping.
     """
     marked = {k: "\0" if v is None else v for k, v in attrs.items()}
     return _tag(name, marked).replace("%", "%%").replace("\0", "%s")
@@ -383,6 +399,40 @@ def order_by_first_coordinate(config: Configuration) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argsort(config.items[:, 0], kind="stable"))
 
 
+#: The most bytes one stored deflate block holds (RFC 1951, 3.2.4).
+_STORED_BLOCK = 65535
+
+
+def _png(rgb: np.ndarray) -> bytes:
+    """An 8-bit RGB PNG of an ``h x w x 3`` array of channels in 0..255.
+
+    Every row has filter type 0, and the zlib stream holds stored
+    (uncompressed) deflate blocks, so the bytes are a function of the
+    pixels alone, whatever the zlib build.
+    """
+    h, w = rgb.shape[:2]
+    rows = np.zeros((h, 1 + 3 * w), dtype=np.uint8)  # filter byte 0 first
+    rows[:, 1:] = rgb.reshape(h, 3 * w)
+    raw = rows.tobytes()
+    last = (len(raw) - 1) // _STORED_BLOCK
+    blocks = []
+    for i in range(last + 1):
+        data = raw[i * _STORED_BLOCK:(i + 1) * _STORED_BLOCK]
+        blocks += [struct.pack("<BHH", i == last, len(data),
+                               len(data) ^ 0xFFFF), data]
+    # 0x78 0x01: deflate with a 32 KiB window, check bits for FLEVEL 0
+    stream = b"".join([b"\x78\x01", *blocks,
+                       struct.pack(">I", zlib.adler32(raw))])
+
+    def chunk(kind: bytes, data: bytes) -> bytes:
+        return (struct.pack(">I", len(data)) + kind + data
+                + struct.pack(">I", zlib.crc32(kind + data)))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", stream) + chunk(b"IEND", b""))
+
+
 def render_heatmap(per_item_by_k, item_order=None,
                    spec: RenderSpec | None = None, binary: bool = False,
                    ks=None) -> str:
@@ -393,6 +443,15 @@ def render_heatmap(per_item_by_k, item_order=None,
     ``binary`` replaces each cell by the sign of its value before
     coloring: blue when the first technique wins, red when the second
     does, neutral on ties.
+
+    The cells are one embedded PNG with a pixel per cell, rows in item
+    order from the top and k rising to the right, stretched over the plot
+    area; ``image-rendering`` asks the viewer not to smooth it.  Where the
+    plot area has fewer screen pixels than the image has rows (or
+    columns), a screen pixel covers several cells and shows one of them,
+    or a blend, as the viewer chooses, so a single cell can be hidden; a
+    view zoomed until each cell covers at least one screen pixel shows
+    every cell.
     """
     spec = spec or RenderSpec()
     vals = np.asarray(per_item_by_k, dtype=float)
@@ -423,22 +482,20 @@ def render_heatmap(per_item_by_k, item_order=None,
     st = spec.style
     plot_w = st.width - 2 * st.margin
     plot_h = st.height - 2 * st.margin
-    cw = plot_w / n_cols
-    ch = plot_h / n
-    cell = _template("rect", {"class": "cell", "x": None, "y": None,
-                              "width": _f(cw), "height": _f(ch), "fill": None})
-    xs = _fs(st.margin + np.arange(n_cols) * cw)
-    ys = _fs(st.margin + np.arange(n) * ch)
-    cells = "".join(cell % (x, y, fill)
-                    for y, row_fills in zip(ys, scale.css_array(vals[order]))
-                    for x, fill in zip(xs, row_fills))
+    png = _png(scale.rgb_array(vals[order]).astype(np.uint8))
+    cells = _template("image", {
+        "class": "cells", "xmlns:xlink": XLINK_NS,
+        "x": _f(st.margin), "y": _f(st.margin),
+        "width": _f(plot_w), "height": _f(plot_h),
+        "preserveAspectRatio": "none", "image-rendering": "optimizeSpeed",
+        "xlink:href": None,
+    }) % ("data:image/png;base64," + base64.b64encode(png).decode("ascii"))
     legend = _tag("g", {"class": "legend"}, _text(
         st.margin + plot_w / 2.0, st.height - st.margin / 4.0,
         f"k = {ks[0]}..{ks[-1]}", "axis", anchor="middle") + _text(
         st.margin + plot_w / 2.0, st.margin * 0.6,
         f"mean = {_f(vals.mean())}", "caption", anchor="middle"))
-    return _svg(st.width, st.height,
-                _tag("g", {"class": "cells"}, cells) + legend)
+    return _svg(st.width, st.height, cells + legend)
 
 
 # ---------------------------------------------------------------------------

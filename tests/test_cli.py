@@ -220,6 +220,15 @@ class TestAgree:
             "d.csv", "e.csv", "r.csv"]
 
 
+BAD_STYLES = [
+    ({"width": float("nan")}, "width must be finite"),
+    ({"height": float("inf")}, "height must be finite"),
+    ({"azimuth": float("-inf")}, "azimuth must be finite"),
+    ({"margin": -50}, "margin must not be negative"),
+    ({"point_radius": -3}, "point_radius must not be negative"),
+]
+
+
 class TestPlot:
     @pytest.mark.parametrize("plot_type, spec", [
         ("scatter", {"embeddings": ["emb.csv"]}),
@@ -365,6 +374,26 @@ class TestPlot:
             "error: plot spec: values: unknown keys ['k']"]
         assert not Path("x.svg").exists()
 
+    @pytest.mark.parametrize("style, message", BAD_STYLES,
+                             ids=[m for _, m in BAD_STYLES])
+    def test_bad_style_is_one_error_line(self, style, message, good_files,
+                                         tmp_path, monkeypatch, capsys):
+        """JSON's NaN and Infinity, a negative margin and a negative point
+        radius are refused before anything is drawn."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in good_files.items():
+            Path(name).write_text(text)
+        Path("spec.json").write_text(json.dumps(
+            {"values": {"per_item": "p_items.csv"},
+             "spec": {"style": style}}))
+        assert run_cli("plot", "--type", "heatmap", "--spec", "spec.json",
+                       "--out", "x.svg") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: plot spec: style: {message}"]
+        assert not Path("x.svg").exists()
+
     def test_unknown_spec_key_fails(self, tmp_path, capsys):
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"profiles": [], "zingers": 1}))
@@ -466,6 +495,26 @@ class TestPipelineCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: stage 1 (reduce): params for smacof: seed has the wrong "
             "type: None"]
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("style, message", BAD_STYLES,
+                             ids=[m for _, m in BAD_STYLES])
+    def test_bad_style_is_one_error_line(self, style, message, tmp_path,
+                                         capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "out_dir": "res", "stages": [
+                {"kind": "generate", "name": "d", "shape": "swiss_roll",
+                 "n": 30},
+                {"kind": "agree", "name": "a", "a": "d", "b": "d",
+                 "per_item": True, "range_k": [1, 3]},
+                {"kind": "plot", "name": "h", "type": "heatmap",
+                 "values": {"agree": "a"}, "spec": {"style": style}}]}))
+        assert run_cli("pipeline", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: stage 2 (plot): style: {message}"]
         assert not (tmp_path / "res").exists()
 
     def test_heatmap_labels_its_columns_from_the_per_item_data(self, tmp_path,

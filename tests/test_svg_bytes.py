@@ -1,11 +1,15 @@
 """Golden bytes: every renderer's SVG on fixed small inputs, by SHA-256.
 
 The digests were recorded from the ElementTree renderers that the string
-writer replaced.  Any byte change in any case fails; rendering details
-such as attribute order, float formatting, color rounding, tie order in
-the loess support or escaping all show up here.
+writer replaced, except the heatmap ones: those were recorded when the
+heatmap's cells became one embedded PNG, whose pixels are checked here
+against the rects of ``test_viz.reference_heatmap``.  Any byte change in
+any case fails; rendering details such as attribute order, float
+formatting, color rounding, tie order in the loess support or escaping
+all show up here.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -22,6 +26,8 @@ from drqa.viz import (
     render_loess_overlay,
     render_scatter,
 )
+
+from test_viz import heatmap_pixels, reference_fills, reference_heatmap
 
 
 def style(**kw):
@@ -91,17 +97,22 @@ def scatter_panel():
     return render_scatter(config, vals, RenderSpec(style=style()))
 
 
-CASES = {
-    "heatmap_absolute": lambda: render_heatmap(
+HEATMAPS = {
+    "heatmap_absolute": lambda draw: draw(
         heat_values(), spec=RenderSpec(style=style())),
-    "heatmap_compare": lambda: render_heatmap(
+    "heatmap_compare": lambda draw: draw(
         diff_values(), spec=RenderSpec(comparison="compare", style=style())),
-    "heatmap_binary": lambda: render_heatmap(
+    "heatmap_binary": lambda draw: draw(
         diff_values(), spec=RenderSpec(comparison="compare", style=style()),
         binary=True),
-    "heatmap_order": lambda: render_heatmap(
+    "heatmap_order": lambda draw: draw(
         heat_values(), item_order=[4, 0, 8, 2, 6, 1, 7, 3, 5],
         ks=(2, 3, 5, 8, 13)),
+}
+
+CASES = {
+    **{case: functools.partial(make, render_heatmap)
+       for case, make in HEATMAPS.items()},
     "loess": lambda: render_loess_overlay(
         *cloud(), RenderSpec(style=style())),
     "loess_tied": lambda: render_loess_overlay(
@@ -127,13 +138,13 @@ CASES = {
 
 DIGESTS = {
     "heatmap_absolute":
-        "374cf8c13b72a5e7120b6f398affa876087933fae221f8f6dd933c91e23a349e",
+        "b808571ffccaec1aad616dd1ffd66765a6cb288e6ea39e9fe103cba6f3474c27",
     "heatmap_binary":
-        "5ffc06b2e8bdf17e44972815f4cd8b7edee2ebc0405b808c00d325c6b718db83",
+        "0ef375abf83a8338dd982e6c3a613cd934f6448539a0c5d75238e5b522c52d5c",
     "heatmap_compare":
-        "cbda9078ce013a7c4568f7caeeb64e9bed978d642141c146e8355416401a6eaa",
+        "531fb760d32097e45c7b5a9f2f85ca2d9051f02f08265334f0b6d9f3dd4f356d",
     "heatmap_order":
-        "86d1c2101b8373b2f68934074b917bc63ebdd7b1612f0eb96c3b2469d2ae6330",
+        "bf67d8e558c6c2fe5bf71ceb45891b18d5d59d063234785c24c1a31c924d9dad",
     "lift_no_bands":
         "fa65bdf9306fcc0640035d8e7a64c887d8fa03d72faa494ce80057e5683691be",
     "lift_one":
@@ -159,6 +170,12 @@ DIGESTS = {
 def test_svg_bytes_match_golden(case):
     svg = CASES[case]()
     assert hashlib.sha256(svg.encode()).hexdigest() == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(HEATMAPS))
+def test_heatmap_pixels_are_the_reference_fills(case):
+    assert np.array_equal(heatmap_pixels(CASES[case]()),
+                          reference_fills(HEATMAPS[case](reference_heatmap)))
 
 
 def test_cases_hit_their_edge():

@@ -1,6 +1,10 @@
 """SVG renderers: color mapping, structure counts, loess math, determinism."""
 
+import base64
+import re
+import struct
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from drqa.viz import (
     NEGATIVE_RGB,
     NEUTRAL_RGB,
     POSITIVE_RGB,
+    SVG_NS,
+    XLINK_NS,
     ColorScale,
     PlotStyle,
     RenderSpec,
@@ -27,6 +33,7 @@ from drqa.viz import (
     render_loess_overlay,
     render_scatter,
 )
+from drqa.viz import _f, _fs, _scale_for, _svg, _tag, _template, _text
 
 from oracles import naive_weighted_loess_fit
 
@@ -203,6 +210,16 @@ class TestRenderSpec:
             PlotStyle(azimuth="x")
         with pytest.raises(ValueError, match="grid_resolution must be of type int"):
             PlotStyle(grid_resolution=2.5)
+        for name in ("width", "height", "margin", "point_radius",
+                     "loess_span", "azimuth", "elevation"):
+            for bad in (np.nan, np.inf, -np.inf, 10 ** 400):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    PlotStyle(**{name: bad})
+        for name in ("margin", "point_radius"):
+            with pytest.raises(ValueError, match=f"{name} must not be negative"):
+                PlotStyle(**{name: -3.0})
+        # zero is allowed, and an int is a float
+        assert PlotStyle(margin=0, point_radius=0.0).margin == 0
 
 
 @pytest.fixture
@@ -448,26 +465,149 @@ class TestScatter:
             render_scatter(embedding_2d, vals, spec)
 
 
+def reference_heatmap(per_item_by_k, item_order=None, spec=None,
+                      binary=False, ks=None):
+    """The heatmap with one ``<rect class="cell">`` per (item, k) pair.
+
+    This is how ``render_heatmap`` drew its cells before they became one
+    image: every pixel of its image must have the fill of this renderer's
+    rect for that cell, and everything but the cells must be the same
+    text.  Inputs are assumed valid; ``render_heatmap`` checks them.
+    """
+    spec = spec or RenderSpec()
+    vals = np.asarray(per_item_by_k, dtype=float)
+    n, n_cols = vals.shape
+    ks = tuple(range(1, n_cols + 1) if ks is None else ks)
+    order = np.arange(n) if item_order is None else np.asarray(item_order)
+    if binary:
+        vals = np.sign(vals)
+    scale = _scale_for(spec, vals, binary=binary)
+
+    st = spec.style
+    plot_w = st.width - 2 * st.margin
+    plot_h = st.height - 2 * st.margin
+    cw = plot_w / n_cols
+    ch = plot_h / n
+    cell = _template("rect", {"class": "cell", "x": None, "y": None,
+                              "width": _f(cw), "height": _f(ch), "fill": None})
+    xs = _fs(st.margin + np.arange(n_cols) * cw)
+    ys = _fs(st.margin + np.arange(n) * ch)
+    cells = "".join(cell % (x, y, fill)
+                    for y, row_fills in zip(ys, scale.css_array(vals[order]))
+                    for x, fill in zip(xs, row_fills))
+    legend = _tag("g", {"class": "legend"}, _text(
+        st.margin + plot_w / 2.0, st.height - st.margin / 4.0,
+        f"k = {ks[0]}..{ks[-1]}", "axis", anchor="middle") + _text(
+        st.margin + plot_w / 2.0, st.margin * 0.6,
+        f"mean = {_f(vals.mean())}", "caption", anchor="middle"))
+    return _svg(st.width, st.height,
+                _tag("g", {"class": "cells"}, cells) + legend)
+
+
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+PNG_PREFIX = "data:image/png;base64,"
+
+
+def png_chunks(png):
+    """``(type, data)`` of every chunk, checking the signature and CRCs."""
+    assert png[:8] == PNG_SIGNATURE
+    chunks, at = [], 8
+    while at < len(png):
+        size, kind = struct.unpack(">I4s", png[at:at + 8])
+        data = png[at + 8:at + 8 + size]
+        (crc,) = struct.unpack(">I", png[at + 8 + size:at + 12 + size])
+        assert crc == zlib.crc32(kind + data), kind
+        chunks.append((kind, data))
+        at += 12 + size
+    assert at == len(png)
+    return chunks
+
+
+def stored_blocks(stream):
+    """The payloads of a zlib stream made of stored deflate blocks.
+
+    Checks the zlib header, each block's LEN against NLEN, that only the
+    last block is final, and the Adler-32 of the data.
+    """
+    assert stream[:2] == b"\x78\x01"
+    blocks, at, final = [], 2, 0
+    while not final:
+        final, size, nsize = struct.unpack("<BHH", stream[at:at + 5])
+        assert final in (0, 1) and nsize == size ^ 0xFFFF
+        blocks.append(stream[at + 5:at + 5 + size])
+        at += 5 + size
+    raw = b"".join(blocks)
+    assert stream[at:] == struct.pack(">I", zlib.adler32(raw))
+    assert zlib.decompress(stream) == raw
+    return blocks
+
+
+def heatmap_image(svg):
+    """The heatmap's one ``<image>`` element."""
+    images = list(parse(svg).iter(f"{{{SVG_NS}}}image"))
+    assert len(images) == 1
+    return images[0]
+
+
+def heatmap_blocks(svg):
+    """The stored blocks of the heatmap's PNG, and its width and height."""
+    href = heatmap_image(svg).get(f"{{{XLINK_NS}}}href")
+    assert href.startswith(PNG_PREFIX)
+    chunks = png_chunks(base64.b64decode(href[len(PNG_PREFIX):],
+                                         validate=True))
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    w, h, *rest = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert rest == [8, 2, 0, 0, 0]  # 8-bit RGB, deflate, no interlace
+    return stored_blocks(chunks[1][1]), w, h
+
+
+def heatmap_pixels(svg):
+    """The decoded pixels of the heatmap's image, ``items x ks x 3``."""
+    blocks, w, h = heatmap_blocks(svg)
+    rows = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(
+        h, 1 + 3 * w)
+    assert (rows[:, 0] == 0).all()  # filter type None on every row
+    return rows[:, 1:].reshape(h, w, 3)
+
+
+def pixel_hexes(svg):
+    return {"#%02x%02x%02x" % tuple(p)
+            for p in heatmap_pixels(svg).reshape(-1, 3).tolist()}
+
+
+def reference_fills(svg):
+    """The reference rects' fills as ``items x ks x 3``, placed by y and x."""
+    rects = elements(svg, "cell")
+    ys = sorted({float(r.get("y")) for r in rects})
+    xs = sorted({float(r.get("x")) for r in rects})
+    fills = np.full((len(ys), len(xs), 3), -1)
+    for r in rects:
+        fill = r.get("fill")
+        fills[ys.index(float(r.get("y"))), xs.index(float(r.get("x")))] = [
+            int(fill[i:i + 2], 16) for i in (1, 3, 5)]
+    assert len(rects) == fills.shape[0] * fills.shape[1]
+    return fills
+
+
 class TestHeatmap:
     def test_cell_count(self):
         vals = np.random.default_rng(4).uniform(0, 1, (12, 7))
         svg = render_heatmap(vals, spec=RenderSpec(style=small_style()))
-        assert len(elements(svg, "cell")) == 12 * 7
+        assert heatmap_pixels(svg).shape == (12, 7, 3)
 
     def test_identical_techniques_uniformly_neutral(self):
         diff = np.zeros((10, 5))
         spec = RenderSpec(comparison="compare", style=small_style())
         svg = render_heatmap(diff, spec=spec)
-        assert {el.get("fill") for el in elements(svg, "cell")} == {"#ffffff"}
+        assert pixel_hexes(svg) == {"#ffffff"}
         svg_bin = render_heatmap(diff, spec=spec, binary=True)
-        assert {el.get("fill") for el in elements(svg_bin, "cell")} == {"#ffffff"}
+        assert pixel_hexes(svg_bin) == {"#ffffff"}
 
     def test_binary_mode_uses_three_colors(self):
         diff = np.array([[0.4, -0.01, 0.0]] * 4)
         spec = RenderSpec(comparison="compare", style=small_style())
         svg = render_heatmap(diff, spec=spec, binary=True)
-        fills = {el.get("fill") for el in elements(svg, "cell")}
-        assert fills == {"#007aff", "#ff3b30", "#ffffff"}
+        assert pixel_hexes(svg) == {"#007aff", "#ff3b30", "#ffffff"}
 
     def test_item_order_permutes_rows(self):
         vals = np.arange(6, dtype=float).reshape(3, 2)
@@ -500,6 +640,91 @@ class TestHeatmap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             render_heatmap(np.zeros((0, 0)))
+
+
+def _heat(shape, seed=0):
+    return np.random.default_rng(seed).uniform(0, 1, shape)
+
+
+def _diff(shape, seed=0):
+    vals = np.random.default_rng(seed).normal(0, 0.2, shape)
+    vals[0, 0] = 0.0
+    vals[-1, :] = 0.0
+    return vals
+
+
+HEATMAP_CASES = {
+    "absolute": lambda: (_heat((9, 5)), {}),
+    "absolute_default_style": lambda: (_heat((30, 12)), {"spec": None}),
+    "compare": lambda: (_diff((9, 5)), {"spec": RenderSpec(
+        comparison="compare", style=small_style())}),
+    "binary": lambda: (_diff((9, 5)), {"binary": True, "spec": RenderSpec(
+        comparison="compare", style=small_style())}),
+    "item_order": lambda: (_heat((9, 5)), {
+        "item_order": [4, 0, 8, 2, 6, 1, 7, 3, 5]}),
+    "ks": lambda: (_heat((6, 4)), {"ks": (2, 3, 5, 8)}),
+    "compare_order_ks": lambda: (_diff((7, 3)), {
+        "spec": RenderSpec(comparison="compare", style=small_style()),
+        "item_order": [6, 5, 4, 3, 2, 1, 0], "ks": (4, 9, 10)}),
+    # raw PNG data of one row, exactly one stored block, and just over it
+    "one_row": lambda: (_heat((1, 7)), {}),
+    "one_full_block": lambda: (_heat((771, 28)), {}),
+    "two_blocks": lambda: (_heat((772, 28)), {}),
+}
+
+
+class TestHeatmapRaster:
+    """The image holds exactly the cells that ``reference_heatmap`` draws."""
+
+    @staticmethod
+    def render(case, draw):
+        vals, kwargs = HEATMAP_CASES[case]()
+        kwargs.setdefault("spec", RenderSpec(style=small_style()))
+        return vals, draw(vals, **kwargs)
+
+    @pytest.mark.parametrize("case", sorted(HEATMAP_CASES))
+    def test_pixels_are_the_reference_fills(self, case):
+        vals, svg = self.render(case, render_heatmap)
+        _, ref = self.render(case, reference_heatmap)
+        pixels = heatmap_pixels(svg)
+        assert pixels.shape == vals.shape + (3,)
+        assert np.array_equal(pixels, reference_fills(ref))
+        # the legend, the axis text and the caption are unchanged
+        assert re.sub(r"<image [^>]*/>", "", svg) == \
+            re.sub(r'<g class="cells">.*?</g>', "", ref)
+
+    def test_image_covers_the_plot_area(self):
+        _, svg = self.render("absolute", render_heatmap)
+        _, ref = self.render("absolute", reference_heatmap)
+        rects = elements(ref, "cell")
+        image = heatmap_image(svg)
+        st = small_style()
+        assert image.get("class") == "cells"
+        assert [image.get(k) for k in ("x", "y", "width", "height")] == [
+            _f(st.margin), _f(st.margin),
+            _f(st.width - 2 * st.margin), _f(st.height - 2 * st.margin)]
+        for key in ("x", "y"):
+            assert float(image.get(key)) == min(float(r.get(key))
+                                                for r in rects)
+        assert image.get("preserveAspectRatio") == "none"
+        assert image.get("image-rendering") == "optimizeSpeed"
+        # SVG 1.1 needs the xlink namespace; it is declared on the image
+        assert f'<image class="cells" xmlns:xlink="{XLINK_NS}" ' in svg
+        assert "xmlns:xlink" not in svg[:svg.index("<image")]
+
+    @pytest.mark.parametrize("case, sizes", [
+        ("one_row", [22]),
+        ("one_full_block", [65535]),
+        ("two_blocks", [65535, 85]),
+    ])
+    def test_stored_block_sizes(self, case, sizes):
+        _, svg = self.render(case, render_heatmap)
+        assert [len(b) for b in heatmap_blocks(svg)[0]] == sizes
+
+    @pytest.mark.parametrize("case", ["compare_order_ks", "two_blocks"])
+    def test_byte_identical_reruns(self, case):
+        assert self.render(case, render_heatmap)[1] == \
+            self.render(case, render_heatmap)[1]
 
 
 class TestLoessOverlay:
