@@ -15,7 +15,6 @@ from .agreement import (
     agreement_profile,
     classify_rank_movements,
     co_ranking,
-    item_agreement,
     partial_agreement,
     psi,
     weighted_psi,
@@ -67,7 +66,6 @@ from .viz import (
     LoessSurface,
     PlotStyle,
     RenderSpec,
-    full_lift_area,
     lift_area,
     loess_surface,
     order_by_first_coordinate,
@@ -106,13 +104,11 @@ __all__ = [
     "classify_rank_movements",
     "co_ranking",
     "euclidean_distances",
-    "full_lift_area",
     "generate",
     "geodesic_distances",
     "impute_column_mean",
     "ingest_csv",
     "isomap",
-    "item_agreement",
     "laplacian_eigenmaps",
     "lift_area",
     "lle",

@@ -24,7 +24,7 @@ runs the pass over row slices of two stored rank structures; the
 pipeline's agree stage runs it over rank blocks as they are computed or
 read from its cache, and never holds an ``n x n`` array.  The pass runs
 on the pool of the run that the calling thread works for
-(:func:`~drqa.geometry._pool`), and outside a run on the calling thread:
+(:func:`~drqa._workers._pool`), and outside a run on the calling thread:
 the sources of a block are ranked side by side, then the pairs are
 counted side by side, and the pool's workers share one block budget
 (:func:`~drqa.geometry._row_blocks`).  The counts are integers and each
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RankStructure, _pool, _readonly, _row_blocks
+from ._workers import _pool
+from .geometry import RankStructure, _readonly, _row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +303,7 @@ def _count_overlaps(sources: dict, pairs: dict, n: int) -> None:
 
     Each block's sources, then its pairs, are handed to the pool of the
     run that the calling thread works for, which the calling thread helps
-    while it waits (:func:`~drqa.geometry._pool`); the pool's worker count
+    while it waits (:func:`~drqa._workers._pool`); the pool's worker count
     also sizes the blocks.  Every call begun has finished when this
     returns or raises.
     """
@@ -373,36 +374,6 @@ def weighted_psi(profile: AgreementProfile, f: WeightFunction) -> float:
     if denom <= 0:
         raise ValueError("weight function has zero mass below k = n - 1")
     return float((f.values * profile.ar_adjusted).sum() / denom)
-
-
-def item_agreement(profile: AgreementProfile, range_k, adjusted: bool = False) -> np.ndarray:
-    """Per-item agreement averaged over a set of neighborhood sizes.
-
-    Parameters
-    ----------
-    profile : AgreementProfile
-        Must carry ``per_item`` rates.
-    range_k : iterable of int
-        Neighborhood sizes to average, each in ``1 .. n-1``.
-    adjusted : bool
-        Subtract the random expectation ``k / (n - 1)`` from each term.
-
-    Returns
-    -------
-    ndarray of shape (n,)
-    """
-    if profile.per_item is None:
-        raise ValueError("profile was computed without per-item rates")
-    ks = np.asarray(list(range_k), dtype=int)
-    if ks.size == 0:
-        raise ValueError("range_k must not be empty")
-    n = profile.n
-    if ks.min() < 1 or ks.max() > n - 1:
-        raise ValueError(f"range_k entries must lie in 1 .. {n - 1}")
-    terms = profile.per_item[:, ks - 1]
-    if adjusted:
-        terms = terms - ks / (n - 1)
-    return terms.mean(axis=1)
 
 
 def partial_agreement(ab: float, az: float, bz: float) -> float:

@@ -231,6 +231,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # the interpreter's own carries no message
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,26 +17,17 @@ order to a temporary file that is renamed into place once complete.
 :func:`rank_structure` assembles every block into one ``int32`` matrix
 (4·n² bytes); the pipeline's agree stage instead consumes each block as it
 is served and keeps none, ranking the blocks of several artifacts side by
-side on its worker threads.  Those workers share one block budget, so the
-rows in flight stay at about ``_BLOCK_CELLS``.
-
-This module also owns the worker threads.  A run holds one :class:`_Pool`
-(:func:`_run_pool`) for as long as it lasts, the only holder of the
-thread count: a reduce stage, the agree pass and the loess plot look it
-up (:func:`_pool`; outside a run, a pool with no threads) and map their
-work on it, the last two sized by its worker count, so pools are never
-nested.  Ranks that come from outside, from callers or from a cache
-file, are checked; ranks computed here are permutations by construction
-and are not.
+side on the run's workers (:mod:`drqa._workers`).  Those workers share
+one block budget, so the rows in flight stay at about ``_BLOCK_CELLS``.
+Ranks that come from outside, from callers or from a cache file, are
+checked; ranks computed here are permutations by construction and are
+not.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,116 +229,6 @@ def _row_blocks(n: int, workers: int = 1) -> list:
     """
     step = max(1, _BLOCK_CELLS // workers // n)
     return [(start, min(start + step, n)) for start in range(0, n, step)]
-
-
-#: ``pool``: the :class:`_Pool` of the run that the thread works for.  A
-#: pool's threads join it when they start, and the thread that opened it
-#: while it is open (:func:`_run_pool`).
-_runs = threading.local()
-
-
-class _Pool:
-    """The worker threads of one run, or none: then every call runs on the
-    thread that makes it.
-
-    Stages are submitted one at a time (:meth:`submit`); the items of a
-    stage's loops (a reduce stage's reducer calls, the agree pass's
-    blocks of rows, the loess plot's grid rows) are mapped (:meth:`map`).
-    ``workers`` is the number of threads that share its work: its own, or
-    the calling thread alone.
-    """
-
-    def __init__(self, threads: int):
-        self.workers = threads or 1
-        self._executor = None
-        if threads:
-            self._executor = ThreadPoolExecutor(threads,
-                                                initializer=self._join)
-
-    def _join(self) -> None:
-        _runs.pool = self
-
-    def submit(self, fn, *args) -> Future:
-        """``fn(*args)`` as a future; without threads it has run when it
-        is returned."""
-        if self._executor is None:
-            return _called(fn, *args)
-        return self._executor.submit(fn, *args)
-
-    def map(self, fn, items) -> list:
-        """``[fn(item) for item in items]``, the items handed to the workers.
-
-        While it waits, the calling thread runs every item that no worker
-        has started, so a worker that maps never waits for an item that
-        cannot start, and no thread is added.  The first exception in item
-        order is raised once every started item has finished.
-        """
-        items = list(items)
-        if self._executor is None or len(items) < 2:
-            return [fn(item) for item in items]
-        # a cancelled job stays queued until a worker drops it, which may
-        # be seconds away: its slot is emptied, so that it holds nothing
-        slots = [[fn, item] for item in items]
-        futures = [self._executor.submit(_run_slot, slot) for slot in slots]
-        try:
-            outcomes = [_called(*slot) if future.cancel() else future
-                        for future, slot in zip(futures, slots)]
-            return [outcome.result() for outcome in outcomes]
-        finally:
-            running = []
-            for future, slot in zip(futures, slots):
-                if future.cancel():
-                    slot.clear()
-                else:
-                    running.append(future)
-            # a cancelled future counts as done only once a worker has
-            # dequeued it, so wait for the others alone
-            wait(running)
-
-    def close(self) -> None:
-        """Drop the jobs not yet started and wait for the running ones."""
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-
-
-def _run_slot(slot: list):
-    fn, item = slot
-    return fn(item)
-
-
-def _called(fn, *args) -> Future:
-    """A finished future holding ``fn(*args)`` or the exception it raised."""
-    future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
-@contextmanager
-def _run_pool(threads: int):
-    """A pool of ``threads`` workers (none: the calling thread runs
-    everything) for the ``with`` block, which the calling thread's maps
-    use too.  When the block is left, no job of the pool is running."""
-    pool = _Pool(threads)
-    outer = getattr(_runs, "pool", None)
-    _runs.pool = pool
-    try:
-        yield pool
-    finally:
-        _runs.pool = outer
-        pool.close()
-
-
-def _pool() -> _Pool:
-    """The pool of the run that the calling thread works for, or outside
-    a run one with no threads."""
-    # a run restores the pool it found, which is None outside any run
-    return getattr(_runs, "pool", None) or _NO_THREADS
-
-
-_NO_THREADS = _Pool(0)
 
 
 def _check_cap(n: int):

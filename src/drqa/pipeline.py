@@ -9,19 +9,18 @@ and inputs yield byte-identical outputs.  Artifacts paired row by row (an
 agree stage's ``a`` with each ``b`` and ``z``, a plot's per-item rates
 with each embedding) must list the same item ids whenever both have ids.
 
-A run holds one pool of ``DRQA_THREADS`` worker threads (one per CPU
-when unset or 0) from its first stage to its last
-(:func:`drqa.geometry._run_pool`); :func:`_run_stages` opens it, and
-``DRQA_THREADS`` is read nowhere else.  A stage is the one task the run
-schedules, and it starts once the stages that make what it reads have
-finished, not when the stage listed before it has.  An ingest of a file
-in the output directory starts only once every stage listed before it
-has finished, and no stage listed after it starts before it has
-(:func:`_waits_for`).  The calling thread only schedules; with one
+A run holds one pool of ``DRQA_THREADS`` workers (one per CPU when
+unset or 0) from its first stage to its last
+(:func:`drqa._workers._run_pool`); :func:`_run_stages` opens it.  A
+stage is the one task the run schedules, and it starts once the stages
+that make what it reads have finished, not when the stage listed before
+it has.  An ingest of a file in the output directory starts only once
+every stage listed before it has finished, and no stage listed after it
+starts before it has (:func:`_waits_for`).  The calling thread only schedules; with one
 worker it runs every stage itself, in config order.  The stages' own
 loops (a reduce stage's reducer calls, an agree stage's pass over blocks
 of rows, a loess plot's grid rows) look the pool up and hand their items
-to it (:func:`drqa.geometry._pool`).  The manifest, the score rows and
+to it (:func:`drqa._workers._pool`).  The manifest, the score rows and
 ``scores.csv`` follow config order, so every thread count, and every
 order in which stages finish, writes the same bytes.  A failure is
 reported as the serial run would report it: the first failing stage in
@@ -65,13 +64,8 @@ from .agreement import (
     psi,
     weighted_psi,
 )
-from .geometry import (
-    Configuration,
-    RankStructure,
-    _RankRows,
-    _pool,
-    _run_pool,
-)
+from ._workers import _pool, _pool_workers, _run_pool
+from .geometry import Configuration, RankStructure, _RankRows
 from .ingest import (
     _write_csv,
     impute_column_mean,
@@ -623,20 +617,6 @@ def load_config(path) -> PipelineConfig:
 # Execution
 
 
-def _pool_threads() -> int:
-    """The threads of a run's pool: the workers ``DRQA_THREADS`` asks for,
-    one per CPU when it is unset or 0, and none for one worker."""
-    raw = os.environ.get("DRQA_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError("DRQA_THREADS must be an integer") from None
-    if value < 0:
-        raise ValueError("DRQA_THREADS must be >= 0")
-    workers = value or os.cpu_count() or 1
-    return workers if workers > 1 else 0
-
-
 class _RankCache:
     """Rank rows per artifact, optionally persisted on disk as ``.npy``.
 
@@ -900,14 +880,14 @@ def _run_stages(runner: StageRunner, stages, seeds) -> tuple | None:
     have finished, and return the first failure in config order as
     ``(stage index, exception)``, or None.
 
-    The stages run on one pool of :func:`_pool_threads` threads for the
-    whole call.  Once a stage has failed, no later stage starts, not
-    even one already queued; earlier stages still run, as one of them may
-    fail too.  No stage is running when this returns, and
+    The stages run on one pool of :func:`~drqa._workers._pool_workers`
+    workers for the whole call.  Once a stage has failed, no later stage
+    starts, not even one already queued; earlier stages still run, as one
+    of them may fail too.  No stage is running when this returns, and
     what the failing stage and every later one wrote has been removed.
     """
     waits = _waits_for(stages, runner.out_dir)
-    with _run_pool(_pool_threads()) as pool:
+    with _run_pool(_pool_workers()) as pool:
         running = {}   # future -> stage index
         started, finished = set(), set()
         failures = {}  # stage index -> exception

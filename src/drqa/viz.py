@@ -36,8 +36,9 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from ._workers import _pool
 from .agreement import AgreementProfile, psi
-from .geometry import Configuration, _pool, _readonly, _stable_order
+from .geometry import Configuration, _readonly, _stable_order
 
 SVG_NS = "http://www.w3.org/2000/svg"
 XLINK_NS = "http://www.w3.org/1999/xlink"
@@ -58,6 +59,10 @@ TECHNIQUE_RGB = (
 )
 
 FILL_OPACITY = 0.45
+
+#: Largest ``PlotStyle.grid_resolution``: a loess grid of 1000 x 1000 nodes
+#: is drawn as a million tiles.
+MAX_GRID_RESOLUTION = 1000
 
 COLOR_MODES = ("absolute", "comparative")
 COMPARISONS = ("simple", "compare")
@@ -125,6 +130,9 @@ class PlotStyle:
             raise ValueError("canvas too small for its margin")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be at least 2")
+        if self.grid_resolution > MAX_GRID_RESOLUTION:
+            raise ValueError(
+                f"grid_resolution must be at most {MAX_GRID_RESOLUTION}")
         if not 0 < self.loess_span <= 1:
             raise ValueError("loess_span must be in (0, 1]")
 
@@ -204,9 +212,6 @@ class ColorScale:
         a = np.where(neg[..., None], NEGATIVE_RGB, NEUTRAL_RGB)
         b = np.where(neg[..., None], NEUTRAL_RGB, POSITIVE_RGB)
         return np.rint(a + t[..., None] * (b - a)).astype(np.int64)
-
-    def rgb(self, value: float) -> tuple[int, int, int]:
-        return tuple(int(c) for c in self.rgb_array(float(value)))
 
     def css_array(self, values) -> list:
         """Hex colors of every value, as nested lists shaped like ``values``."""
@@ -582,7 +587,7 @@ def loess_surface(points, values, span: float = 0.75,
     nodes match it to about 1e-10, and the flags match exactly.
 
     The grid rows are fit on the pool of the run that the calling thread
-    works for, a pipeline's (:func:`~drqa.geometry._pool`), split into
+    works for, a pipeline's (:func:`~drqa._workers._pool`), split into
     one share per worker of the pool: of w workers, share i holds rows
     i, i + w, ...  Outside a run everything runs in the calling thread.
     Each node's fit depends on nothing but its own support, so every
@@ -731,11 +736,6 @@ def lift_area(profile: AgreementProfile) -> float:
     """
     gain = np.maximum(profile.ar_adjusted, 0.0)
     return float((gain[:-1] + gain[1:]).sum() / 2.0)
-
-
-def full_lift_area(n: int) -> float:
-    """Lift area of a perfect profile, the ceiling for any technique."""
-    return lift_area(AgreementProfile(np.ones(n - 1)))
 
 
 def render_lift(profiles, spec: RenderSpec | None = None) -> str:

@@ -16,7 +16,6 @@ from drqa.agreement import (
     agreement_profile,
     classify_rank_movements,
     co_ranking,
-    item_agreement,
     partial_agreement,
     psi,
     weighted_psi,
@@ -65,8 +64,8 @@ class TestProfileFixture:
 
     def test_per_item_k1(self, fixture_ranks):
         prof = agreement_profile(*fixture_ranks, with_per_item=True)
-        vals = item_agreement(prof, [1])
-        assert vals == pytest.approx([1.0, 0.0, 1.0, 1.0], abs=0)
+        assert prof.per_item[:, 0] == pytest.approx([1.0, 0.0, 1.0, 1.0],
+                                                    abs=0)
 
     def test_weighted_indicator_k1(self, fixture_ranks):
         prof = agreement_profile(*fixture_ranks)
@@ -405,45 +404,6 @@ class TestWeights:
         )
         with pytest.raises(ValueError):
             weighted_psi(prof, WeightFunction.uniform(prof.n + 1))
-
-
-class TestItemAgreement:
-    def test_requires_per_item(self):
-        a, b = random_pair(21)
-        prof = agreement_profile(
-            ranks_from_config(Configuration(a)),
-            ranks_from_config(Configuration(b)),
-        )
-        with pytest.raises(ValueError):
-            item_agreement(prof, [1, 2])
-
-    def test_adjusted_shift(self):
-        a, b = random_pair(22)
-        prof = agreement_profile(
-            ranks_from_config(Configuration(a)),
-            ranks_from_config(Configuration(b)),
-            with_per_item=True,
-        )
-        n = prof.n
-        ks = [1, 2, 3]
-        raw = item_agreement(prof, ks)
-        adj = item_agreement(prof, ks, adjusted=True)
-        shift = np.mean([k / (n - 1) for k in ks])
-        assert adj == pytest.approx(raw - shift, abs=1e-12)
-
-    def test_range_validation(self):
-        a, b = random_pair(23)
-        prof = agreement_profile(
-            ranks_from_config(Configuration(a)),
-            ranks_from_config(Configuration(b)),
-            with_per_item=True,
-        )
-        with pytest.raises(ValueError):
-            item_agreement(prof, [])
-        with pytest.raises(ValueError):
-            item_agreement(prof, [0])
-        with pytest.raises(ValueError):
-            item_agreement(prof, [prof.n])
 
 
 class TestPartialAgreement:

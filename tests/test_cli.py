@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from drqa import geometry, pipeline
+from drqa import _workers, pipeline
 from drqa.cli import main
 from drqa.ingest import ingest_csv, read_profile
 from drqa.pipeline import parse_config, run_pipeline
@@ -53,6 +53,25 @@ class TestGenerate:
             run_cli("generate", "--shape", "torus_random", "--n", "25",
                     "--seed", "9", "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 TiB", "error: out of memory: Unable to "
+         "allocate 7.28 TiB"),
+        ("", "error: out of memory")], ids=["message", "bare"])
+    def test_out_of_memory_is_one_error_line(self, message, line, tmp_path,
+                                             monkeypatch, capsys):
+        """A single-step command re-raises a stage's MemoryError, which
+        the console entry point reports as one line."""
+        def exhausted(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pipeline, "generate", exhausted)
+        out = tmp_path / "x.csv"
+        assert run_cli("generate", "--shape", "swiss_roll", "--n", "20",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [line]
+        assert not out.exists()
 
 
 class TestIngestCommand:
@@ -159,7 +178,7 @@ class TestAgree:
         workers = []
 
         def recorded(*args):
-            workers.append(geometry._pool().workers)
+            workers.append(_workers._pool().workers)
             count_overlaps(*args)
 
         monkeypatch.setattr(pipeline, "_count_overlaps", recorded)
@@ -176,13 +195,15 @@ class TestAgree:
                          (tmp_path / "p_items.csv").read_bytes()))
         assert workers == [1, 2, 3, os.cpu_count(), os.cpu_count()]
         assert len(written) == 1
-        monkeypatch.setenv("DRQA_THREADS", "soon")
         capsys.readouterr()
-        assert run_cli("agree", "--a", str(dataset), "--b", str(emb),
-                       "--out", str(tmp_path / "q.csv")) == 1
-        assert capsys.readouterr().err == (
-            "error: DRQA_THREADS must be an integer\n")
-        assert not (tmp_path / "q.csv").exists()
+        for threads, message in (("soon", "must be an integer"),
+                                 ("-1", "must be >= 0")):
+            monkeypatch.setenv("DRQA_THREADS", threads)
+            assert run_cli("agree", "--a", str(dataset), "--b", str(emb),
+                           "--out", str(tmp_path / "q.csv")) == 1
+            assert capsys.readouterr().err == (
+                f"error: DRQA_THREADS {message}\n")
+            assert not (tmp_path / "q.csv").exists()
 
     @pytest.mark.parametrize("per_item", [False, True])
     def test_failure_leaves_no_files(self, per_item, dataset, tmp_path, capsys):
@@ -226,6 +247,7 @@ BAD_STYLES = [
     ({"azimuth": float("-inf")}, "azimuth must be finite"),
     ({"margin": -50}, "margin must not be negative"),
     ({"point_radius": -3}, "point_radius must not be negative"),
+    ({"grid_resolution": 10 ** 6}, "grid_resolution must be at most 1000"),
 ]
 
 
@@ -378,8 +400,9 @@ class TestPlot:
                              ids=[m for _, m in BAD_STYLES])
     def test_bad_style_is_one_error_line(self, style, message, good_files,
                                          tmp_path, monkeypatch, capsys):
-        """JSON's NaN and Infinity, a negative margin and a negative point
-        radius are refused before anything is drawn."""
+        """JSON's NaN and Infinity, a negative margin, a negative point
+        radius and a loess grid too large to allocate are refused before
+        anything is drawn."""
         monkeypatch.chdir(tmp_path)
         for name, text in good_files.items():
             Path(name).write_text(text)

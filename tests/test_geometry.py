@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drqa import geometry
+from drqa._workers import _pool, _run_pool
 from drqa.geometry import (
     Configuration,
     ProximityMatrix,
@@ -406,8 +407,8 @@ class TestStableOrder:
 class TestRunPool:
     """The worker threads of a run and the maps that use them."""
 
-    @pytest.mark.parametrize("threads", [0, 1, 2, 3])
-    def test_map_raises_the_first_failure_in_item_order(self, threads):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_map_raises_the_first_failure_in_item_order(self, workers):
         finished = []
 
         def item(i):
@@ -420,12 +421,24 @@ class TestRunPool:
             finished.append(i)
             return i
 
-        with geometry._run_pool(threads) as pool:
+        with _run_pool(workers) as pool:
             assert pool.map(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
             with pytest.raises(ValueError, match="first"):
                 pool.map(item, range(4))
             # every item that started has finished
             assert 0 in finished
+
+    def test_one_worker_is_the_calling_thread(self):
+        """A pool is sized by its worker count: one worker has no thread
+        of its own, inside a run or outside one."""
+        caller = threading.get_ident()
+        with _run_pool(1) as pool:
+            assert pool.workers == 1 and _pool() is pool
+            assert pool.map(lambda _: threading.get_ident(),
+                            range(3)) == [caller] * 3
+            assert pool.submit(threading.get_ident).result() == caller
+        assert _pool().workers == 1
+        assert _pool().submit(threading.get_ident).result() == caller
 
     def test_maps_inside_a_run_use_its_pool(self):
         """A map made on a worker of the run hands its items to the same
@@ -438,16 +451,16 @@ class TestRunPool:
             time.sleep(0.01)
 
         def outer(_):
-            geometry._pool().map(inner, range(6))
+            _pool().map(inner, range(6))
 
-        with geometry._run_pool(2) as pool:
+        with _run_pool(2) as pool:
             pool.map(outer, range(4))
         assert seen and max(seen) <= before + 2
         assert len(threading.enumerate()) == before
 
     def test_dropped_job_holds_nothing(self):
         """The items that the calling thread ran itself stay queued behind
-        a busy worker; they must not keep the map's function alive."""
+        busy workers; they must not keep the map's function alive."""
         release = threading.Event()
 
         class Big:
@@ -456,12 +469,12 @@ class TestRunPool:
         big = Big()
         alive = weakref.ref(big)
         fn = partial(lambda held, i: i, big)
-        with geometry._run_pool(1) as pool:
-            busy = pool.submit(release.wait, 10)
+        with _run_pool(2) as pool:
+            busy = [pool.submit(release.wait, 10) for _ in range(2)]
             assert pool.map(fn, range(3)) == [0, 1, 2]
             del fn, big
             try:
                 assert alive() is None
             finally:
                 release.set()
-        assert busy.result() is True
+        assert [job.result() for job in busy] == [True, True]

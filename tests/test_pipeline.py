@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drqa import agreement, dimred, geometry, pipeline
+from drqa import _workers, agreement, dimred, geometry, pipeline
 from drqa.agreement import (
     AgreementProfile,
     agreement_profile,
@@ -743,11 +743,11 @@ class TestRunPool:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
-        assert geometry._pool().workers == 1
+        assert _workers._pool().workers == 1
         alone = outcome()
         assert started == []
-        with geometry._run_pool(3) as pool:
-            assert geometry._pool() is pool and pool.workers == 3
+        with _workers._run_pool(3) as pool:
+            assert _workers._pool() is pool and pool.workers == 3
             assert outcome() == alone
         assert started
 

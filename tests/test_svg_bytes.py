@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from drqa.agreement import AgreementProfile, agreement_profile
-from drqa.geometry import Configuration, _run_pool, ranks_from_config
+from drqa._workers import _run_pool
+from drqa.geometry import Configuration, ranks_from_config
 from drqa.viz import (
     PlotStyle,
     RenderSpec,

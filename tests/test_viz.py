@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drqa.agreement import agreement_profile
-from drqa.geometry import Configuration, _run_pool, ranks_from_config
+from drqa.agreement import AgreementProfile, agreement_profile
+from drqa._workers import _run_pool
+from drqa.geometry import Configuration, ranks_from_config
 from drqa.viz import (
     COLOR_MODES,
+    MAX_GRID_RESOLUTION,
     NEGATIVE_RGB,
     NEUTRAL_RGB,
     POSITIVE_RGB,
@@ -24,7 +26,6 @@ from drqa.viz import (
     PlotStyle,
     RenderSpec,
     TECHNIQUE_RGB,
-    full_lift_area,
     lift_area,
     loess_surface,
     order_by_first_coordinate,
@@ -62,17 +63,22 @@ def profile_between(a_pts, b_pts):
     )
 
 
+def rgb(scale, value):
+    """One value's color, as a tuple of ints."""
+    return tuple(scale.rgb_array(value).tolist())
+
+
 class TestColorScale:
     def test_absolute_endpoints(self):
         s = ColorScale("absolute", (0.0, 1.0))
-        assert s.rgb(0.0) == (255, 255, 255)
-        assert s.rgb(1.0) == (0, 122, 255)
+        assert rgb(s, 0.0) == (255, 255, 255)
+        assert rgb(s, 1.0) == (0, 122, 255)
 
     def test_comparative_zero_is_neutral(self):
         s = ColorScale("comparative", (-2.0, 2.0))
-        assert s.rgb(0.0) == (255, 255, 255)
-        assert s.rgb(-2.0) == (255, 59, 48)
-        assert s.rgb(2.0) == (0, 122, 255)
+        assert rgb(s, 0.0) == (255, 255, 255)
+        assert rgb(s, -2.0) == (255, 59, 48)
+        assert rgb(s, 2.0) == (0, 122, 255)
 
     @pytest.mark.parametrize("mode,domain", [
         ("absolute", (0.0, 1.0)),
@@ -81,19 +87,19 @@ class TestColorScale:
     def test_red_never_rises_blue_never_falls(self, mode, domain):
         s = ColorScale(mode, domain)
         vs = np.linspace(domain[0] - 0.5, domain[1] + 0.5, 301)
-        reds = [s.rgb(v)[0] for v in vs]
-        blues = [s.rgb(v)[2] for v in vs]
+        reds = [rgb(s, v)[0] for v in vs]
+        blues = [rgb(s, v)[2] for v in vs]
         assert all(a >= b for a, b in zip(reds, reds[1:]))
         assert all(a <= b for a, b in zip(blues, blues[1:]))
 
     def test_values_outside_domain_are_clipped(self):
         s = ColorScale("comparative", (-1.0, 1.0))
-        assert s.rgb(50.0) == s.rgb(1.0)
-        assert s.rgb(-50.0) == s.rgb(-1.0)
+        assert rgb(s, 50.0) == rgb(s, 1.0)
+        assert rgb(s, -50.0) == rgb(s, -1.0)
 
     def test_degenerate_field_maps_to_neutral(self):
         s = ColorScale.for_values("comparative", np.zeros(10))
-        assert s.rgb(0.0) == (255, 255, 255)
+        assert rgb(s, 0.0) == (255, 255, 255)
 
     def test_outlier_resistant_domain(self):
         vals = np.concatenate([np.full(99, 0.1), [100.0]])
@@ -158,7 +164,7 @@ class TestColorKernel:
         got = scale.rgb_array(np.array(values))
         assert got.tolist() == [list(rgb) for rgb in want]
         assert scale.css_array(values) == ["#%02x%02x%02x" % rgb for rgb in want]
-        assert [scale.rgb(v) for v in values] == want
+        assert [rgb(scale, v) for v in values] == want
 
     @pytest.mark.parametrize("mode,domain,value,want", [
         # 255 - 127.5, 255 - 66.5, 255: .5 rounds to even
@@ -171,7 +177,7 @@ class TestColorKernel:
     def test_halfway_and_clipped_values(self, mode, domain, value, want):
         scale = ColorScale(mode, domain)
         assert reference_rgb(mode, domain, value) == want
-        assert scale.rgb(value) == want
+        assert rgb(scale, value) == want
         assert scale.rgb_array(np.full((2, 3), value)).tolist() == [[list(want)] * 3] * 2
 
     def test_nan_rejected(self):
@@ -210,6 +216,12 @@ class TestRenderSpec:
             PlotStyle(azimuth="x")
         with pytest.raises(ValueError, match="grid_resolution must be of type int"):
             PlotStyle(grid_resolution=2.5)
+        for bad in (MAX_GRID_RESOLUTION + 1, 10 ** 6, 10 ** 30):
+            with pytest.raises(ValueError, match="grid_resolution must be "
+                               f"at most {MAX_GRID_RESOLUTION}$"):
+                PlotStyle(grid_resolution=bad)
+        assert PlotStyle(grid_resolution=MAX_GRID_RESOLUTION).grid_resolution \
+            == MAX_GRID_RESOLUTION
         for name in ("width", "height", "margin", "point_radius",
                      "loess_span", "azimuth", "elevation"):
             for bad in (np.nan, np.inf, -np.inf, 10 ** 400):
@@ -762,13 +774,13 @@ class TestLift:
         assert len(bands) == 38  # one per unit interval of k
         fills = {el.get("fill") for el in bands}
         assert fills == {"#%02x%02x%02x" % TECHNIQUE_RGB[0]}
-        assert lift_area(prof) == pytest.approx(full_lift_area(40))
+        assert lift_area(prof) == pytest.approx(lift_area(AgreementProfile(np.ones(39))))
 
     def test_random_profile_has_almost_no_area(self):
         rng = np.random.default_rng(7)
         prof = profile_between(rng.standard_normal((200, 3)),
                                rng.standard_normal((200, 3)))
-        assert lift_area(prof) < 0.05 * full_lift_area(200)
+        assert lift_area(prof) < 0.05 * lift_area(AgreementProfile(np.ones(199)))
 
     def test_area_matches_positive_gain_sum(self):
         # trapezoid area vs the plain sum of above-chance terms
