@@ -471,10 +471,9 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
 def _neighbor_lists(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the n_neighbors nearest items per row, stable ties."""
     d = cdist(x, x)
-    np.fill_diagonal(d, np.inf)
-    order = geometry._stable_order(d)
-    np.fill_diagonal(d, 0.0)
-    return order[:, :n_neighbors], d
+    work = d.copy()  # ordering overwrites its input
+    np.fill_diagonal(work, np.inf)
+    return geometry._stable_order(work)[:, :n_neighbors], d
 
 
 def _knn_union_graph(x: np.ndarray, n_neighbors: int) -> csr_matrix:

@@ -22,6 +22,24 @@ one block budget, so the rows in flight stay at about ``_BLOCK_CELLS``.
 Ranks that come from outside, from callers or from a cache file, are
 checked; ranks computed here are permutations by construction and are
 not.
+
+A block's rows are ordered by one in-place sort of ``int64`` keys in the
+block's own distance buffer (:func:`_stable_order`).  A key is the
+distance's bits, which order non-negative floats as integers, with the
+low ``s = (n - 1).bit_length()`` bits replaced by the column index; the
+keys are unique, so a plain sort gives the stable order wherever no two
+neighbors in it share their kept bits.  A row where two do, because they
+are equal or differ only in the dropped bits, is sorted once more by
+``(run of equal kept bits, dropped bits, index)``, 3·s bits in all.
+Rows of maps with continuous coordinates almost never need that second
+sort.  Nearly every row of an integer survey does: its answers tie, and
+imputed column means make distances that are equal up to their last
+bits.  Besides its ``8·b·n`` bytes of distances and ``4·b·n`` of ranks,
+a block of b rows holds ``2·b·n`` bytes of dropped bits and about 2 MB
+of temporaries while tied rows are re-sorted.  Rows of more than 2²¹
+columns, whose second keys would not fit 63 bits, are ordered by
+``np.argsort`` instead; only a loess fit of over two million points
+(:func:`drqa.viz.loess_surface`) has them.
 """
 
 from __future__ import annotations
@@ -39,6 +57,10 @@ DENSE_CAP = 20_000
 
 #: Distances held by one block of rows on the rank path (8 MB as float64).
 _BLOCK_CELLS = 1 << 20
+
+#: Sorted keys checked, and re-sorted where rows hold ties, at a time by
+#: ``_stable_order`` (about 2 MB of temporaries).
+_CHUNK_CELLS = 1 << 16
 
 
 def _readonly(a: np.ndarray, dtype) -> np.ndarray:
@@ -426,28 +448,59 @@ def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:
 
 
 def _stable_order(d: np.ndarray) -> np.ndarray:
-    """``np.argsort(d, axis=1, kind="stable")`` for a 2-d array without NaN.
+    """``np.argsort(d, axis=1, kind="stable")`` for a 2-d float64 array
+    without NaN, ±inf allowed.
 
-    The default sort is faster but not stable, so rows that hold equal
-    values are re-sorted by ``(run of equal values, index)``: that is
-    exactly the stable order, ties by ascending index.
+    ``d`` is overwritten, and the result is an ``int64`` view of its
+    buffer.  Each value's bits, read as an ``int64`` (``-0.0`` made
+    ``+0.0`` and a negative value's bits below the sign flipped), order
+    the values; replacing the low ``s = (n - 1).bit_length()`` of them by
+    the column index gives unique keys, sorted in place by one plain
+    ``ndarray.sort``.  Where no two neighbors in that order share their
+    kept bits, it is the stable order.  A row where some do (ties, or
+    values that differ only in the dropped bits) is sorted once more, by
+    ``(run of equal kept bits, dropped bits, index)`` packed into 3·s
+    bits, so ties fall in ascending index order.  The dropped bits wait
+    in a copy of 2 bytes per value (4 above 2¹⁶ columns), and rows are
+    checked and re-sorted ``_CHUNK_CELLS`` values at a time, so beyond
+    ``d`` the call holds ``2 * d.size`` bytes and about 2 MB.  Rows of
+    more than 2²¹ columns, where 3·s exceeds 63 bits, are ordered by a
+    stable ``np.argsort`` instead, into a new array.
     """
-    n = d.shape[1]
-    order = np.argsort(d, axis=1)
-    ordered = np.take_along_axis(d, order, axis=1)
-    tied = ordered[:, 1:] == ordered[:, :-1]
-    # each temporary goes once used: the blocks of several threads add up
-    del ordered
-    repair = np.flatnonzero(tied.any(axis=1))
-    if repair.size:
-        key = np.zeros((repair.size, n), dtype=np.int64)
-        np.cumsum(~tied[repair], axis=1, out=key[:, 1:])
-        del tied
-        key *= n
-        key += order[repair]
-        key.sort(axis=1)
-        order[repair] = np.remainder(key, n, out=key)
-    return order
+    b, n = d.shape
+    s = (n - 1).bit_length()
+    if 3 * s > 63:
+        return np.argsort(d, axis=1, kind="stable")
+    key = d.view(np.int64)
+    if key.size and key.min() < 0:  # a sign bit: -0.0 or a negative value
+        d += 0.0
+        np.bitwise_xor(key, np.iinfo(np.int64).max, out=key, where=key < 0)
+    low = (1 << s) - 1
+    # the low s bits that the keys drop; wider types keep a few more
+    dropped = key.astype(np.uint16 if s <= 16 else np.uint32)
+    key &= ~low
+    key |= np.arange(n)
+    key.sort(axis=1)
+    step = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, b, step):
+        part = key[lo:lo + step]
+        # where a key's kept bits differ from those of the key before it
+        new = np.bitwise_xor(part[:, 1:], part[:, :-1]).view(np.uint64) > low
+        tied = np.flatnonzero(~new.all(axis=1))
+        if not tied.size:
+            continue
+        rows = part[tied]  # becomes (run, dropped bits, index)
+        index = rows & low
+        rows[:, 0] = 0
+        np.cumsum(new[tied], axis=1, out=rows[:, 1:])
+        rows <<= s
+        rows |= dropped[lo + tied[:, None], index] & low
+        rows <<= s
+        rows |= index
+        rows.sort(axis=1)
+        part[tied] = rows
+    key &= low
+    return key
 
 
 def ranks_from_config(config: Configuration, p: float = 2.0) -> RankStructure:

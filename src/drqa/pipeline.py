@@ -99,10 +99,16 @@ _STYLE_KEYS = {f.name for f in fields(PlotStyle)}
 
 
 class PipelineError(RuntimeError):
-    """A stage failed; the stage's partial outputs have been removed."""
+    """A stage failed; the stage's partial outputs have been removed.
+
+    An exception without a message, such as the interpreter's own
+    ``MemoryError``, is named by its kind.
+    """
 
     def __init__(self, stage_name: str, kind: str, cause: Exception):
-        super().__init__(f"stage {stage_name!r} ({kind}) failed: {cause}")
+        reason = str(cause) or ("out of memory" if isinstance(cause, MemoryError)
+                                else type(cause).__name__)
+        super().__init__(f"stage {stage_name!r} ({kind}) failed: {reason}")
 
 
 def _reject_unknown(obj, allowed: set | None, where: str) -> dict:

@@ -552,7 +552,7 @@ def _fit_node(dx, dy, vals, q):
     which case the value is the weighted mean of the support.
     """
     d = np.hypot(dx, dy)
-    sel = _stable_order(d[None, :])[0, :q]
+    sel = _stable_order(d[None, :].copy())[0, :q]  # overwrites its input
     d_sel = d[sel]
     d_max = d_sel[-1]
     w = np.clip(1.0 - (d_sel / d_max) ** 3, 0.0, None) ** 3 if d_max > 0 \

@@ -441,6 +441,29 @@ class TestPipelineCommand:
         assert "manifest.json" in out
         assert (tmp_path / "res" / "a.csv").exists()
 
+    @pytest.mark.parametrize("error, reason", [
+        (MemoryError(), "out of memory"), (KeyError(), "KeyError"),
+        (MemoryError("Unable to allocate 7.28 TiB"),
+         "Unable to allocate 7.28 TiB")], ids=["memory", "bare", "message"])
+    def test_failed_stage_names_a_reason(self, error, reason, tmp_path,
+                                         monkeypatch, capsys):
+        """A stage that raises an exception without a message, as the
+        interpreter raises ``MemoryError``, still ends its one error line
+        with a reason."""
+        def fails(spec):
+            raise error
+
+        monkeypatch.setattr(pipeline, "generate", fails)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "version": 1, "out_dir": "res", "stages": [
+                {"kind": "generate", "name": "d", "shape": "swiss_roll",
+                 "n": 20}]}))
+        assert run_cli("pipeline", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"error: stage 'd' (generate) failed: {reason}"]
+
     def test_file_with_two_writers_is_one_error_line(self, tmp_path,
                                                      capsys):
         """A config whose later stage would write a file an earlier stage

@@ -522,8 +522,10 @@ class TestIsomapAndGeodesics:
                 x[n // 2:] = x[:n - n // 2]
             want = np.array(naive_neighbors(x))
             for k in sorted({1, n // 2, n - 1}):
-                got, _ = dimred._neighbor_lists(x, k)
+                got, d = dimred._neighbor_lists(x, k)
                 assert np.array_equal(got, want[:, :k]), (n, k)
+                assert np.array_equal(d, cdist(x, x))
+                assert not np.diag(d).any()
 
     def test_collinear_geodesic_goes_through_middle(self):
         pts = Configuration(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))

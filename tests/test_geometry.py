@@ -21,6 +21,7 @@ from drqa.geometry import (
     rank_structure,
     ranks_from_config,
 )
+from drqa.ingest import impute_column_mean
 from drqa.pipeline import _RankCache
 
 from oracles import naive_neighbors, naive_ranks
@@ -353,6 +354,29 @@ class TestBlockedRanks:
         prox = euclidean_distances(Configuration(x))
         assert (rank_structure(prox).ranks == dense_reference_ranks(prox)).all()
 
+    def test_imputed_survey_at_full_width(self):
+        """An integer survey with imputed cells, as ``score_external`` scores
+        it, at n = 3000: the index field is 12 bits wide, and distances that
+        are equal up to rounding differ only in those bits."""
+        n, columns = 3000, 12
+        rng = np.random.default_rng(3000)
+        angles = np.arange(columns) * np.pi / columns
+        loadings = np.vstack([np.cos(angles), np.sin(angles)])
+        raw = 3.0 + rng.standard_normal((n, 2)) @ loadings \
+            + 0.6 * rng.standard_normal((n, columns))
+        x = np.clip(np.rint(raw), 1, 5)
+        mask = rng.random(x.shape) >= 0.03
+        x[~mask] = np.nan
+        config = impute_column_mean(Configuration(x, mask=mask))
+        prox = euclidean_distances(config)
+        bits = np.sort(prox.values[:300].view(np.int64), axis=1)
+        near = (bits[:, 1:] >> 12 == bits[:, :-1] >> 12) \
+            & (bits[:, 1:] != bits[:, :-1])
+        assert near.any(axis=1).mean() > 0.5
+        expected = dense_reference_ranks(prox)
+        del prox
+        assert (rank_structure(config).ranks == expected).all()
+
     def test_cap_and_exponent_checked(self, monkeypatch):
         monkeypatch.setattr(geometry, "DENSE_CAP", 4)
         with pytest.raises(ValueError, match="cap"):
@@ -374,18 +398,55 @@ class TestBlockedRanks:
             assert (ranks_from_config(config, p=p).ranks == expected).all()
 
 
+#: Row widths at which the index field of the sort keys widens by one bit.
+INDEX_WIDTHS = [2 ** s + e for s in (4, 5, 6) for e in (-1, 0, 1)]
+
+#: A smallest subnormal, a larger one and the smallest normal, both signs.
+TINY = [5e-324, 1e-310, 2.2250738585072014e-308]
+
+
+def nudged(values, steps):
+    """``values`` moved ``steps`` representable floats up (or down)."""
+    out = np.array(values, dtype=float)
+    steps = np.asarray(steps)
+    with np.errstate(over="ignore"):  # the largest floats step to inf
+        for k in range(1, int(np.abs(steps).max(initial=0)) + 1):
+            out = np.where(steps >= k, np.nextafter(out, np.inf), out)
+            out = np.where(steps <= -k, np.nextafter(out, -np.inf), out)
+    return out
+
+
 class TestStableOrder:
-    """The unstable sort plus tie repair equals a stable argsort exactly."""
+    """The packed-key sort equals a stable argsort exactly."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 25), st.data())
+    @given(st.integers(1, 8), st.integers(1, 25) | st.sampled_from(INDEX_WIDTHS),
+           st.data())
     def test_matches_stable_argsort(self, rows, n, data):
-        cells = st.sampled_from([0.0, -0.0, 1.5, 2.0, np.inf, -np.inf]) | \
+        """Rows drawn from a pool of values, each moved a few floats: ties,
+        and values that agree in all but their lowest bits."""
+        cells = st.sampled_from([0.0, -0.0, 1.5, 2.0, np.inf, -np.inf]
+                                + TINY + [-t for t in TINY]) | \
             st.floats(-3, 3, allow_nan=False)
-        d = np.array(data.draw(st.lists(cells, min_size=rows * n,
-                                        max_size=rows * n))).reshape(rows, n)
+        pool = data.draw(st.lists(cells, min_size=1, max_size=rows * n))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=rows * n, max_size=rows * n))
+        steps = data.draw(st.lists(st.integers(-3, 3), min_size=rows * n,
+                                   max_size=rows * n))
+        d = nudged(np.array(pool)[picks], steps).reshape(rows, n)
         expected = np.argsort(d, axis=1, kind="stable")
         assert (geometry._stable_order(d) == expected).all()
+
+    @pytest.mark.parametrize("n", [2 ** 21, 2 ** 21 + 1])
+    def test_widest_rows(self, n):
+        """The widest row whose second sort keys fit 63 bits, and one
+        column more, which takes the stable argsort instead.  The row
+        holds ties and near-ties in close to a million runs, so every
+        field of the second keys is filled."""
+        rng = np.random.default_rng(n)
+        d = nudged(rng.integers(0, n // 2, n), rng.integers(-2, 3, n))
+        expected = np.argsort(d, kind="stable")
+        assert (geometry._stable_order(d[None, :])[0] == expected).all()
 
     def test_duplicate_rows_and_inf(self):
         row = np.array([2.0, np.inf, 1.0, 2.0, np.inf, 1.0, 0.0, 2.0])
