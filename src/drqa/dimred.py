@@ -38,6 +38,9 @@ METHODS = (
 #: Methods consuming coordinates; the others consume a distance matrix.
 COORDINATE_METHODS = ("pca", "lle", "isomap", "laplacian_eigenmaps")
 
+#: Entries of the temporary block that :func:`_symmetrize` works in.
+_SYMMETRIZE_CELLS = 1 << 14
+
 
 class DisconnectedGraphError(ValueError):
     """A neighborhood or weight graph fell apart into several components."""
@@ -64,6 +67,24 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
         if lead < 0:
             v[:, j] = -col
     return v
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """Replace square ``m`` by ``(m + m.T) / 2`` in place and return it.
+
+    Each entry is ``(m[i, j] + m[j, i]) / 2.0``, the same operations as
+    in that expression, so the same bits, made a block of rows at a time
+    instead of in two n x n temporaries.
+    """
+    n = m.shape[0]
+    step = max(1, _SYMMETRIZE_CELLS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = m[lo:hi, lo:] + m[lo:, lo:hi].T
+        block /= 2.0
+        m[lo:hi, lo:] = block
+        m[lo:, lo:hi] = block.T
+    return m
 
 
 def _result(x: np.ndarray, source: Configuration | None,
@@ -140,12 +161,17 @@ def classical_mds(dist: ProximityMatrix, target_dim: int) -> ReductionResult:
     embeds to all zeros.
     """
     _require_distance(dist, "classical_mds", target_dim)
-    n = dist.n
-    b = -0.5 * dist.values**2
-    b = b - b.mean(axis=1, keepdims=True)
-    b = b - b.mean(axis=0, keepdims=True)
-    b = (b + b.T) / 2.0
-    evals, evecs = np.linalg.eigh(b)
+    return _classical_scaling(dist.values**2, target_dim)
+
+
+def _classical_scaling(b: np.ndarray, target_dim: int) -> ReductionResult:
+    """:func:`classical_mds` of the squared distances ``b``, which it
+    overwrites; beside ``b`` it holds only the n x n eigenvectors."""
+    n = b.shape[0]
+    b *= -0.5
+    b -= b.mean(axis=1, keepdims=True)
+    b -= b.mean(axis=0, keepdims=True)
+    evals, evecs = np.linalg.eigh(_symmetrize(b))
     evals, evecs = evals[::-1], evecs[:, ::-1]
     scale = float(np.abs(evals).max(initial=0.0))
     tol = max(n * np.finfo(float).eps * scale, 1e-12)
@@ -188,8 +214,8 @@ def _offdiag(m: np.ndarray) -> np.ndarray:
 
 
 def _stress(d, d_hat, w, work):
-    """Normalized Stress of off-diagonal vectors; ``work`` is scratch and
-    may hold ``d_hat``."""
+    """Normalized Stress of off-diagonal grids; ``work`` is contiguous
+    scratch and may hold ``d_hat``."""
     np.subtract(d, d_hat, out=work)
     np.square(work, out=work)
     if w is not None:
@@ -207,21 +233,23 @@ def _stress(d, d_hat, w, work):
 class _RatioFit:
     """The least-squares scale factor ``b`` of the dissimilarities.
 
-    ``update`` refits ``b`` to embedded distances; ``values`` writes the
-    fitted ``b * delta`` into ``work`` and returns it.
+    ``update`` refits ``b`` to the embedded distance matrix; ``values``
+    writes the fitted ``b * delta`` into ``work`` and returns it.  The
+    denominator is summed in ``work`` too.
     """
 
-    def __init__(self, delta, w):
+    def __init__(self, delta, w, work):
         self.delta, self.w = delta, w
-        sq = np.square(delta)
+        np.square(delta, out=work)
         if w is not None:
-            np.multiply(w, sq, out=sq)
-        self.den = sq.sum()
+            np.multiply(w, work, out=work)
+        self.den = work.sum()
         self.b = 0.0  # 0.0 * delta is +0.0, so a zero denominator fits zeros
 
-    def update(self, d, work):
+    def update(self, mat, work):
         if self.den <= 0:
             return
+        d = _offdiag(mat)
         if self.w is None:
             np.multiply(d, self.delta, out=work)
         else:
@@ -239,47 +267,66 @@ class _OrdinalFit:
     Pairs are ordered once by ascending dissimilarity (ties by index, the
     primary approach: tied inputs may receive different fitted values).  Each
     ``update`` pools the current embedded distances over that order and
-    writes the fit to both entries of each pair; zero-weight pairs get zero.
+    writes the fit to both entries of each pair of an n x n matrix;
+    zero-weight pairs get zero.  Pairs are flat indices of n x n matrices.
     """
 
-    def __init__(self, delta, w, n):
-        iu, ju = np.triu_indices(n, k=1)
-        upper = iu * (n - 1) + ju - 1  # (i, j) in the off-diagonal vector
-        lower = ju * (n - 1) + iu      # (j, i)
-        if w is not None:
-            keep = w[upper] > 0
-            upper, lower = upper[keep], lower[keep]
-        order = np.argsort(delta[upper], kind="stable")  # ties by (i, j)
-        self.upper, self.lower = upper[order], lower[order]
-        self.w = np.ones(upper.size) if w is None else w[self.upper]
-        self.fit = np.zeros_like(delta)
+    def __init__(self, dissimilarities, w, n):
+        def grid(pairs):  # (i, j) in the off-diagonal grid
+            return pairs - pairs // n - 1
 
-    def update(self, d, work):
-        fit = isotonic_regression(d[self.upper], weights=self.w).x
-        self.fit[self.upper] = fit
-        self.fit[self.lower] = fit
+        upper = np.flatnonzero(~np.tri(n, dtype=bool))  # (i, j), i < j
+        if w is not None:
+            upper = upper[w.reshape(-1)[grid(upper)] > 0]
+        order = np.argsort(dissimilarities.reshape(-1)[upper],
+                           kind="stable")  # ties by (i, j)
+        upper = upper[order]
+        del order
+        # unit weights are isotonic_regression's default
+        self.w = None if w is None else w.reshape(-1)[grid(upper)]
+        i, lower = np.divmod(upper, n)
+        lower *= n
+        lower += i  # (j, i)
+        self.upper, self.lower = upper, lower
+        self.fit = np.zeros((n, n))
+        self.off = _offdiag(self.fit)
+
+    def update(self, mat, work):
+        fit = isotonic_regression(mat.reshape(-1)[self.upper], weights=self.w).x
+        flat = self.fit.reshape(-1)
+        flat[self.upper] = fit
+        flat[self.lower] = fit
 
     def values(self, work):
-        return self.fit
+        return self.off
 
 
 def _check_weights(weights, n):
+    """The symmetrized weights with a zero diagonal, in a new array.
+
+    Beyond ``weights`` (converted to float if need be), the check holds
+    one n x n float array, the result, and the graph of positive pairs.
+    """
     w = np.asarray(weights, dtype=float)
     if w.shape != (n, n):
         raise ValueError(f"weights must have shape ({n}, {n})")
-    if (w < 0).any() or not np.isfinite(w).all():
+    # min and max see any negative, NaN or inf without an n x n mask
+    if not (w.min() >= 0 and np.isfinite(w.max())):
         raise ValueError("weights must be finite and non-negative")
-    if np.abs(w - w.T).max() > 1e-12:
+    sym = np.subtract(w, w.T)
+    if np.abs(sym, out=sym).max() > 1e-12:
         raise ValueError("weights must be symmetric")
-    w = (w + w.T) / 2.0
-    np.fill_diagonal(w, 0.0)
-    if w.max() <= 0:
+    np.add(w, w.T, out=sym)
+    sym /= 2.0
+    del w
+    np.fill_diagonal(sym, 0.0)
+    if sym.max() <= 0:
         raise ValueError("all weights are zero")
-    n_comp, labels = connected_components(csr_matrix(w > 0), directed=False)
+    n_comp, labels = connected_components(csr_matrix(sym > 0), directed=False)
     if n_comp > 1:
         raise DisconnectedGraphError("weight graph is disconnected",
                                      np.bincount(labels))
-    return w
+    return sym
 
 
 def smacof(dist: ProximityMatrix, target_dim: int,
@@ -297,10 +344,23 @@ def smacof(dist: ProximityMatrix, target_dim: int,
     iteration stops, so the Stress history is non-increasing by construction.
 
     Iterations run on the off-diagonal entries of ``d``, ``dhat``, the
-    dissimilarities and the weights, each held as one contiguous vector in
-    row-major pair order (``m[~np.eye(n, dtype=bool)]``), in buffers that
-    the call reuses.  Every sum runs over such a vector, so that order fixes
-    the summation, and with it every bit of the result.
+    dissimilarities and the weights, each read as an ``(n - 1, n)`` grid
+    in row-major pair order (``m[~np.eye(n, dtype=bool)]``): the
+    dissimilarities and the embedded distances through views of their
+    n x n matrices, the weights from one contiguous copy (a bool mask for
+    bool weights).  Every sum runs over one contiguous scratch grid, so
+    that order fixes the summation, and with it every bit of the result.
+
+    Memory: besides ``dist`` and the caller's ``weights``, a call holds
+    two n x n float arrays while it iterates: the embedded distances,
+    which each update overwrites with its matrix B, and the scratch grid.
+    Weights other than all ones add the Cholesky factor of the update
+    system, made in place in the buffer of the checked weights, and
+    their off-diagonal copy, an n x n float array or, for bool weights,
+    a bool one.  The ordinal transform adds its n x n fit and the pair
+    order, two int64 arrays of half that size.  The classical start and
+    the weight check run, and free their arrays, before any of these
+    exist.
 
     Parameters
     ----------
@@ -329,24 +389,6 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         raise ValueError("max_iter must be positive")
     if init not in ("classical", "random"):
         raise ValueError(f"init must be 'classical' or 'random', got {init!r}")
-    delta = _offdiag(dist.values).flatten()
-    # w stays None for unit weights: 1.0 * x == x, so skipping it keeps the bits
-    w = solve = None
-    if weights is not None:
-        full = _check_weights(weights, n)
-        if not (_offdiag(full) == 1.0).all():
-            w = _offdiag(full).flatten()
-            # diag(row sums) - full + 1/n, built in one n x n array and
-            # factored in place: it is symmetric, so its transpose is the
-            # same matrix in the column order that LAPACK overwrites
-            system = np.negative(full)
-            np.fill_diagonal(system, full.sum(axis=1))
-            system += 1.0 / n
-            factor = cho_factor(system.T, overwrite_a=True)
-            # the factor does not change: check only each right-hand side
-            solve = lambda rhs: cho_solve(  # noqa: E731
-                factor, np.asarray_chkfinite(rhs), check_finite=False)
-        del full
 
     init_used = init
     x = None
@@ -355,48 +397,73 @@ def smacof(dist: ProximityMatrix, target_dim: int,
             x = classical_mds(dist, target_dim).embedding.items.copy()
         except ValueError:
             init_used = "random-fallback"
+
+    # w stays None for unit weights: 1.0 * x == x, so skipping it keeps the bits
+    w = solve = None
+    if weights is not None:
+        # symmetric bool weights are checked into exact zeros and ones,
+        # which act the same as the bool mask, at an eighth of the memory
+        zero_one = np.asarray(weights).dtype == bool
+        full = _check_weights(weights, n)
+        del weights
+        off = _offdiag(full)
+        if not off.min() == 1.0 == off.max():
+            w = off > 0 if zero_one else off.copy()
+            # diag(row sums) - full + 1/n, made in full's buffer and
+            # factored in place: it is symmetric, so its transpose is the
+            # same matrix in the column order that LAPACK overwrites
+            rowsum = full.sum(axis=1)
+            system = np.negative(full, out=full)
+            np.fill_diagonal(system, rowsum)
+            system += 1.0 / n
+            factor = cho_factor(system.T, overwrite_a=True)
+            # the factor does not change: check only each right-hand side
+            solve = lambda rhs: cho_solve(  # noqa: E731
+                factor, np.asarray_chkfinite(rhs), check_finite=False)
+        del full, off
+
+    delta = _offdiag(dist.values)
+    work = np.empty((n - 1, n))  # scratch: every sum runs over it
     if x is None:
         rng = np.random.default_rng(seed)
-        scale = delta.mean() if delta.max() > 0 else 1.0
+        np.copyto(work, delta)
+        scale = work.mean() if work.max() > 0 else 1.0
         x = rng.standard_normal((n, target_dim)) * scale
 
-    fit = (_RatioFit(delta, w) if transform == "ratio"
-           else _OrdinalFit(delta, w, n))
+    fit = (_RatioFit(delta, w, work) if transform == "ratio"
+           else _OrdinalFit(dist.values, w, n))
     mat = np.empty((n, n))  # the embedded distances, then the matrix B
-    mat_off = _offdiag(mat)
-    d = np.empty_like(delta)  # the embedded distances of x
-    work = np.empty_like(delta)
-    positive = np.empty((n - 1, n), dtype=bool)
-
-    def grid(v):
-        return v.reshape(n - 1, n)
+    d = _offdiag(mat)
 
     def measure(x_cur):
-        """Put the distances of ``x_cur`` into ``d``, refit the transform
+        """Put the distances of ``x_cur`` into ``mat``, refit the transform
         to them, and return the Stress."""
         cdist(x_cur, x_cur, out=mat)
-        np.copyto(grid(d), mat_off)
-        fit.update(d, work)
+        fit.update(mat, work)
         return _stress(d, fit.values(work), w, work)
 
     def guttman(x_cur):
-        # B = diag(rowsum(R)) - R with R = w * d_hat / d where d > 0, else 0
+        # B = diag(rowsum(R)) - R with R = w * d_hat / d where d > 0, else 0,
+        # made over the distances
+        coincident = None
+        if not d.min() > 0:  # coincident items; a masked divide is slow
+            coincident = np.greater(d, 0.0)
+            np.logical_not(coincident, out=coincident)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(grid(fit.values(work)), grid(d), out=mat_off)
-        np.greater(grid(d), 0.0, out=positive)
-        if not positive.all():  # coincident items; a masked divide is slow
-            mat_off[~positive] = 0.0
+            np.divide(fit.values(work), d, out=d)
+        if coincident is not None:
+            d[coincident] = 0.0
         mat.reshape(-1)[:: n + 1] = 0.0
         if w is not None:
-            np.multiply(mat_off, grid(w), out=mat_off)
+            np.multiply(d, w, out=d)
         rowsum = mat.sum(axis=1)
         np.negative(mat, out=mat)
         mat.reshape(-1)[:: n + 1] = rowsum
         rhs = mat @ x_cur
         return rhs / n if solve is None else solve(rhs)
 
-    # d and the fit always belong to the last measured x; a rejected update
-    # ends the loop, so nothing reads them after that
+    # mat and the fit always belong to the last measured x; a rejected
+    # update ends the loop, so nothing reads them after that
     history = [measure(x)]
     converged = False
     reason = "max_iter"
@@ -440,15 +507,23 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
     Emphasizing short distances preserves local neighborhoods at the expense
     of the global layout.  If the selected pairs do not connect all items the
     call is rejected; raise the quantile to reconnect them.
+
+    Memory: while :func:`smacof` runs, this call holds only the selected
+    pairs, as one n x n bool matrix, and ``smacof`` holds them as a
+    second one.  With the ratio transform, its iterations hold three
+    n x n float arrays beyond ``dist``: the Cholesky factor, the embedded
+    distances and a scratch grid.
     """
     _require_distance(dist, "local_smacof")
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
     threshold = float(np.quantile(_offdiag(dist.values), quantile))
-    w = (dist.values <= threshold).astype(float)
-    np.fill_diagonal(w, 0.0)
+    selected = dist.values <= threshold
+    np.fill_diagonal(selected, False)
+    # a mean of zeros and ones is exact in any summation order
+    active = float(_offdiag(selected).mean())
     try:
-        result = smacof(dist, target_dim, weights=w, **smacof_kwargs)
+        result = smacof(dist, target_dim, weights=selected, **smacof_kwargs)
     except DisconnectedGraphError as err:
         raise DisconnectedGraphError(
             f"distance quantile {quantile} keeps too few pairs; raise it",
@@ -459,7 +534,7 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
         "method": "local_smacof",
         "quantile": quantile,
         "threshold": threshold,
-        "active_pair_fraction": float(_offdiag(w).mean()),
+        "active_pair_fraction": active,
     })
     return _result(result.embedding.items, None, diagnostics)
 
@@ -473,7 +548,8 @@ def _neighbor_lists(x: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.nda
     d = cdist(x, x)
     work = d.copy()  # ordering overwrites its input
     np.fill_diagonal(work, np.inf)
-    return geometry._stable_order(work)[:, :n_neighbors], d
+    # a copy, so that no view pins the n x n order
+    return geometry._stable_order(work)[:, :n_neighbors].copy(), d
 
 
 def _knn_union_graph(x: np.ndarray, n_neighbors: int) -> csr_matrix:
@@ -510,14 +586,18 @@ def isomap(config: Configuration, target_dim: int, n_neighbors: int) -> Reductio
     """Classical scaling of graph geodesic distances."""
     _require_coordinates(config, "isomap", target_dim)
     geo = geodesic_distances(config, n_neighbors)
-    inner = classical_mds(geo, target_dim)
+    _require_distance(geo, "classical_mds", target_dim)
+    geodesic_max = float(geo.values.max())
+    squared = geo.values**2
+    del geo  # classical scaling reads only the squares, in place
+    inner = _classical_scaling(squared, target_dim)
     diagnostics = dict(inner.diagnostics)
     diagnostics.update({
         "method": "isomap",
         "n_neighbors": n_neighbors,
         "n_components": 1,
         "component_sizes": [config.n],
-        "geodesic_max": float(geo.values.max()),
+        "geodesic_max": geodesic_max,
     })
     return _result(inner.embedding.items, config, diagnostics)
 
@@ -540,15 +620,22 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
     if math.isinf(t):
         w = (adj > 0).astype(float)
     else:
-        w = np.where(adj > 0, np.exp(-(adj**2) / t), 0.0)
+        w = adj**2
+        np.negative(w, out=w)
+        w /= t
+        np.exp(w, out=w)
+        w[adj <= 0] = 0.0  # distances are never NaN
+    del adj
     w = np.maximum(w, w.T)
     degrees = w.sum(axis=1)
     d_isqrt = 1.0 / np.sqrt(degrees)
-    sym = np.eye(config.n) - (w * d_isqrt[:, None]) * d_isqrt[None, :]
-    sym = (sym + sym.T) / 2.0
-    evals, evecs = np.linalg.eigh(sym)
-    f = evecs * d_isqrt[:, None]
-    x = _fix_signs(f[:, 1 : target_dim + 1])
+    w *= d_isqrt[:, None]
+    w *= d_isqrt[None, :]
+    sym = np.eye(config.n)
+    sym -= w
+    del w
+    evals, evecs = np.linalg.eigh(_symmetrize(sym))
+    x = _fix_signs(evecs[:, 1 : target_dim + 1] * d_isqrt[:, None])
     diagnostics = {
         "method": "laplacian_eigenmaps",
         "eigenvalues": evals[1 : target_dim + 1],
@@ -578,7 +665,7 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
             f"n_neighbors must lie in {target_dim + 1} .. {n - 1}, got {n_neighbors}"
         )
     x = config.items
-    nbrs, _ = _neighbor_lists(x, n_neighbors)
+    nbrs = _neighbor_lists(x, n_neighbors)[0]
     w = np.zeros((n, n))
     ones = np.ones(n_neighbors)
     regularized = 0
@@ -599,11 +686,13 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
         total = coef.sum()
         coef = coef / total if abs(total) > 1e-300 else ones / n_neighbors
         w[i, nbrs[i]] = coef
-    m_embed = np.eye(n) - w
+    row_sum_error = float(np.abs(w.sum(axis=1) - 1.0).max())
+    m_embed = np.eye(n)
+    m_embed -= w
+    del w
     m_embed = m_embed.T @ m_embed
-    m_embed = (m_embed + m_embed.T) / 2.0
     try:
-        evals, evecs = np.linalg.eigh(m_embed)
+        evals, evecs = np.linalg.eigh(_symmetrize(m_embed))
     except np.linalg.LinAlgError as err:
         raise ValueError(f"eigen-solver failed: {err}") from err
     x_out = _fix_signs(evecs[:, 1 : target_dim + 1])
@@ -613,7 +702,7 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
         "n_neighbors": n_neighbors,
         "regularization": reg,
         "regularized_items": regularized,
-        "weight_row_sum_error": float(np.abs(w.sum(axis=1) - 1.0).max()),
+        "weight_row_sum_error": row_sum_error,
     }
     return _result(x_out, config, diagnostics)
 

@@ -228,7 +228,10 @@ def _check_rank_rows(rows: np.ndarray, start: int) -> None:
     """Raise unless ``rows`` are valid rank rows of items ``start ..``.
 
     Each row must hold 0 at its own item and every rank ``0 .. n-1``
-    exactly once.
+    exactly once.  The last check marks each row's ranks, offset by the
+    row's start in a flat bool buffer, with one scatter per chunk of rows
+    as large as a rank block, so its ``intp`` index is one block's size,
+    not ``b * n``.
     """
     b, n = rows.shape
     local = np.arange(b)
@@ -236,10 +239,17 @@ def _check_rank_rows(rows: np.ndarray, start: int) -> None:
         raise ValueError("rank diagonal must be zero")
     if rows.min() < 0 or rows.max() > n - 1:
         raise ValueError(f"ranks must lie in 0 .. {n - 1}")
-    seen = np.zeros((b, n), dtype=bool)
-    seen[local[:, None], rows] = True
-    if not seen.all():
-        raise ValueError("each row of ranks must hold every rank once")
+    step = max(1, _BLOCK_CELLS // n)
+    seen = np.empty(min(step, b) * n, dtype=bool)
+    offsets = np.arange(0, seen.size, n, dtype=np.intp)[:, None]
+    for lo in range(0, b, step):
+        part = rows[lo:lo + step]
+        index = np.add(part, offsets[:len(part)], dtype=np.intp)
+        marks = seen[:index.size]
+        marks.fill(False)
+        marks[index.reshape(-1)] = True
+        if not marks.all():
+            raise ValueError("each row of ranks must hold every rank once")
 
 
 def _row_blocks(n: int, workers: int = 1) -> list:

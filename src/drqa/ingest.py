@@ -114,14 +114,15 @@ def ingest_csv(path, has_header: bool = True,
         for c, cell in enumerate(row):
             if is_missing(cell):
                 mask[r, c] = False
-            elif _is_number(cell):
+                continue
+            try:
                 items[r, c] = float(cell)
-            else:
+            except ValueError:
                 col = c + 2 if first_is_label else c + 1
                 raise ValueError(
                     f"non-numeric cell {cell!r} at "
                     f"row {r + 1}, column {col}"
-                )
+                ) from None
     return Configuration(items, labels=labels, mask=mask)
 
 

@@ -1,6 +1,7 @@
 """Reduction methods: recovery contracts, Stress behavior, graph handling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +440,69 @@ class TestSmacofBits:
         kwargs = {"transform": transform, "seed": 2, **kwargs}
         want = _bits(reference_smacof, dist, dim, **kwargs)
         assert _bits(smacof, dist, dim, **kwargs) == want
+
+#: Item count of the memory bounds below
+MEMORY_N = 300
+
+
+@pytest.fixture(scope="module")
+def memory_inputs():
+    config = generate(ManifoldSpec("swiss_roll", MEMORY_N, seed=3))
+    return config, euclidean_distances(config)
+
+
+def _memory_calls(config, dist):
+    return {
+        "smacof": lambda: smacof(dist, 2, max_iter=20),
+        "smacof_ordinal": lambda: smacof(dist, 2, transform="ordinal",
+                                         max_iter=20),
+        "local_smacof": lambda: local_smacof(dist, 2, max_iter=20),
+        "local_smacof_ordinal": lambda: local_smacof(
+            dist, 2, transform="ordinal", max_iter=20),
+        "classical_mds": lambda: classical_mds(dist, 2),
+        "lle": lambda: lle(config, 2, 10),
+        "laplacian_eigenmaps": lambda: laplacian_eigenmaps(config, 2, 10),
+        "laplacian_eigenmaps_heat": lambda: laplacian_eigenmaps(
+            config, 2, 10, t=1.0),
+        "isomap": lambda: isomap(config, 2, 10),
+    }
+
+
+class TestMemoryBounds:
+    """The traced peak of one call, in n x n float64 arrays (8·n² bytes).
+
+    Each bound is the peak measured when it was set plus a quarter of an
+    array, so a change that holds one more n x n array at the peak of a
+    call fails.  Inputs are made before tracing starts, so they do not
+    count; LAPACK's own work arrays are not traced.  The row ordering of
+    the neighbor methods works in chunks of ``_CHUNK_CELLS`` values,
+    which are shrunk here so that their fixed size does not hide an
+    n x n array at this n.
+    """
+
+    @pytest.mark.parametrize("method, bound", [
+        ("smacof", 2.45),
+        ("smacof_ordinal", 6.26),
+        ("local_smacof", 3.8),
+        ("local_smacof_ordinal", 4.9),
+        ("classical_mds", 2.3),
+        ("lle", 2.6),
+        ("laplacian_eigenmaps", 2.6),
+        ("laplacian_eigenmaps_heat", 2.6),
+        ("isomap", 2.6),
+    ])
+    def test_peak_per_call(self, memory_inputs, monkeypatch, method, bound):
+        monkeypatch.setattr(geometry, "_CHUNK_CELLS", 4 * MEMORY_N)
+        call = _memory_calls(*memory_inputs)[method]
+        call()  # imports and caches of a first call are not the reducer's
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8.0 * MEMORY_N**2) < bound
+
 
 class TestLocalSmacof:
     def test_full_quantile_equals_plain(self):

@@ -282,6 +282,26 @@ class TestRankStructure:
         with pytest.raises(ValueError, match=message):
             RankStructure(np.array(ranks))
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16,
+                                       np.uint64])
+    def test_check_runs_in_chunks_of_a_block(self, monkeypatch, dtype):
+        """Rows are checked a block's worth at a time: a fault in any
+        chunk, the last and partial one included, is found, and the
+        diagonal and range checks still come first over all rows."""
+        n = 40
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", 3 * n)
+        good = ranks_from_config(Configuration(
+            np.random.default_rng(3).standard_normal((n, 2)))).ranks
+        assert np.array_equal(RankStructure(good.astype(dtype)).ranks, good)
+        for row in (0, 2, 3, 20, n - 1):
+            bad = good.astype(dtype)
+            bad[row, bad[row] == 2] = 1
+            with pytest.raises(ValueError, match="every rank once"):
+                RankStructure(bad)
+            bad[n - 1 - row, n - 1 - row] = n  # both faults: diagonal first
+            with pytest.raises(ValueError, match="diagonal"):
+                RankStructure(bad)
+
 
 def dense_reference_ranks(prox):
     """Ranks by a stable argsort of the full matrix, ties by ascending index."""

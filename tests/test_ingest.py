@@ -72,6 +72,32 @@ class TestIngest:
         with pytest.raises(ValueError, match="'oops' at row 2, column 2"):
             ingest_csv(p)
 
+    def test_non_numeric_cell_after_labels_counts_the_label_column(
+            self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("id,x,y\na,1,2\nb,3,4\nc,5,x7\n")
+        with pytest.raises(ValueError, match="'x7' at row 3, column 3"):
+            ingest_csv(p)
+
+    def test_each_numeric_cell_is_parsed_once(self, tmp_path, monkeypatch):
+        import drqa.ingest
+
+        parsed = []
+
+        def counting_float(cell):
+            parsed.append(cell)
+            return float(cell)
+
+        monkeypatch.setattr(drqa.ingest, "float", counting_float,
+                            raising=False)
+        p = tmp_path / "d.csv"
+        p.write_text("a,b,c\n1,2,NA\n4,,6\n7,8,9e1\n")
+        c = ingest_csv(p)
+        assert c.items[2].tolist() == [7.0, 8.0, 90.0]
+        # the first column's label test stops at its first number
+        assert sorted(parsed) == sorted(["1", "1", "2", "4", "6", "7", "8",
+                                         "9e1"])
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")

@@ -967,6 +967,40 @@ class TestDeterminismAndCache:
         assert entry.name in err[0] and "every rank once" in err[0]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    @pytest.mark.parametrize("fault, message", [
+        ("out_of_range", "ranks must lie in 0 .. 59"),
+        ("diagonal", "rank diagonal must be zero"),
+        ("repeated", "every rank once"),
+    ])
+    def test_corrupt_later_block_is_one_error_line(self, tmp_path, capsys,
+                                                   monkeypatch, block_rows,
+                                                   fault, message):
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * 60)
+        cfg = full_config("o", cache=True)
+        cfg["stages"] = cfg["stages"][:3]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 0
+        entry = sorted((tmp_path / "o" / ".cache").glob("ranks_*.npy"))[-1]
+        ranks = np.load(entry)
+        row = 52  # past the first block at either size
+        if fault == "out_of_range":
+            ranks[row, ranks[row] == 59] = 60
+        elif fault == "diagonal":
+            ranks[row, ranks[row] == 1] = 0
+            ranks[row, row] = 1
+        else:
+            ranks[row, ranks[row] == 2] = 1
+        np.save(entry, ranks)
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert entry.name in err[0] and message in err[0], err[0]
+        assert "Traceback" not in captured.err
+
     def test_warm_run_reads_every_rank_from_the_cache(self, tmp_path,
                                                       monkeypatch):
         cfg = full_config("o", cache=True)
