@@ -38,9 +38,6 @@ METHODS = (
 #: Methods consuming coordinates; the others consume a distance matrix.
 COORDINATE_METHODS = ("pca", "lle", "isomap", "laplacian_eigenmaps")
 
-#: Entries of the temporary block that :func:`_symmetrize` works in.
-_SYMMETRIZE_CELLS = 1 << 14
-
 
 class DisconnectedGraphError(ValueError):
     """A neighborhood or weight graph fell apart into several components."""
@@ -67,24 +64,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
         if lead < 0:
             v[:, j] = -col
     return v
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """Replace square ``m`` by ``(m + m.T) / 2`` in place and return it.
-
-    Each entry is ``(m[i, j] + m[j, i]) / 2.0``, the same operations as
-    in that expression, so the same bits, made a block of rows at a time
-    instead of in two n x n temporaries.
-    """
-    n = m.shape[0]
-    step = max(1, _SYMMETRIZE_CELLS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        block = m[lo:hi, lo:] + m[lo:, lo:hi].T
-        block /= 2.0
-        m[lo:hi, lo:] = block
-        m[lo:, lo:hi] = block.T
-    return m
 
 
 def _result(x: np.ndarray, source: Configuration | None,
@@ -171,7 +150,8 @@ def _classical_scaling(b: np.ndarray, target_dim: int) -> ReductionResult:
     b *= -0.5
     b -= b.mean(axis=1, keepdims=True)
     b -= b.mean(axis=0, keepdims=True)
-    evals, evecs = np.linalg.eigh(_symmetrize(b))
+    geometry._symmetrize(b)
+    evals, evecs = np.linalg.eigh(b)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     scale = float(np.abs(evals).max(initial=0.0))
     tol = max(n * np.finfo(float).eps * scale, 1e-12)
@@ -313,11 +293,9 @@ def _check_weights(weights, n):
     # min and max see any negative, NaN or inf without an n x n mask
     if not (w.min() >= 0 and np.isfinite(w.max())):
         raise ValueError("weights must be finite and non-negative")
-    sym = np.subtract(w, w.T)
-    if np.abs(sym, out=sym).max() > 1e-12:
+    sym = np.empty((n, n))
+    if geometry._symmetrize(w, sym) > 1e-12:
         raise ValueError("weights must be symmetric")
-    np.add(w, w.T, out=sym)
-    sym /= 2.0
     del w
     np.fill_diagonal(sym, 0.0)
     if sym.max() <= 0:
@@ -611,6 +589,8 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
     ``L f = lambda D f`` through the symmetric normalized Laplacian.  The
     constant eigenvector at eigenvalue zero is discarded; the next
     ``target_dim`` eigenvectors, scaled so ``f' D f = 1``, form the embedding.
+    A ``t`` so small that kernel weights round to zero and the graph falls
+    apart is rejected.
     """
     _require_coordinates(config, "laplacian_eigenmaps", target_dim)
     if not t > 0:
@@ -627,6 +607,12 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
         w[adj <= 0] = 0.0  # distances are never NaN
     del adj
     w = np.maximum(w, w.T)
+    if not math.isinf(t):
+        n_comp, labels = connected_components(csr_matrix(w > 0), directed=False)
+        if n_comp > 1:
+            raise DisconnectedGraphError(
+                f"heat kernel t = {t} disconnects the neighborhood graph; "
+                "raise t", np.bincount(labels))
     degrees = w.sum(axis=1)
     d_isqrt = 1.0 / np.sqrt(degrees)
     w *= d_isqrt[:, None]
@@ -634,7 +620,8 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
     sym = np.eye(config.n)
     sym -= w
     del w
-    evals, evecs = np.linalg.eigh(_symmetrize(sym))
+    geometry._symmetrize(sym)
+    evals, evecs = np.linalg.eigh(sym)
     x = _fix_signs(evecs[:, 1 : target_dim + 1] * d_isqrt[:, None])
     diagnostics = {
         "method": "laplacian_eigenmaps",
@@ -691,8 +678,9 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
     m_embed -= w
     del w
     m_embed = m_embed.T @ m_embed
+    geometry._symmetrize(m_embed)
     try:
-        evals, evecs = np.linalg.eigh(_symmetrize(m_embed))
+        evals, evecs = np.linalg.eigh(m_embed)
     except np.linalg.LinAlgError as err:
         raise ValueError(f"eigen-solver failed: {err}") from err
     x_out = _fix_signs(evecs[:, 1 : target_dim + 1])

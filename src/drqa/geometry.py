@@ -1,11 +1,12 @@
 """Coordinate configurations, pairwise distances, and neighbor rank structures.
 
 A configuration is an ``n x m`` matrix of item coordinates; source data and
-embeddings share the representation.  A proximity matrix holds dense
-``n x n`` distances; a caller who has similarities ``s`` passes ``1 - s``.
-A rank structure holds, for every item, the ascending distance rank of
-each other item.  Rank structures are the only input the agreement metrics
-need.
+embeddings share the representation, and are ranked by their Euclidean
+distances.  A proximity matrix holds dense ``n x n`` distances: a caller
+who has similarities ``s`` passes ``1 - s``, and one who ranks by another
+metric passes its distances.  A rank structure holds, for every item, the
+ascending distance rank of each other item.  Rank structures are the only
+input the agreement metrics need.
 
 This module owns rank rows.  One block source, :class:`_RankRows`, ranks
 one block of rows at a time (:func:`_row_blocks`), straight from a
@@ -29,17 +30,15 @@ distance's bits, which order non-negative floats as integers, with the
 low ``s = (n - 1).bit_length()`` bits replaced by the column index; the
 keys are unique, so a plain sort gives the stable order wherever no two
 neighbors in it share their kept bits.  A row where two do, because they
-are equal or differ only in the dropped bits, is sorted once more by
-``(run of equal kept bits, dropped bits, index)``, 3·s bits in all.
-Rows of maps with continuous coordinates almost never need that second
-sort.  Nearly every row of an integer survey does: its answers tie, and
-imputed column means make distances that are equal up to their last
-bits.  Besides its ``8·b·n`` bytes of distances and ``4·b·n`` of ranks,
-a block of b rows holds ``2·b·n`` bytes of dropped bits and about 2 MB
-of temporaries while tied rows are re-sorted.  Rows of more than 2²¹
-columns, whose second keys would not fit 63 bits, are ordered by
-``np.argsort`` instead; only a loess fit of over two million points
-(:func:`drqa.viz.loess_surface`) has them.
+are equal or differ only in the dropped bits, is sorted once more, by a
+stable ``argsort`` of its distances' full bits in the order of the first
+sort, so that its tied runs are runs of equal full bits in ascending
+index order.  Rows of maps with continuous coordinates almost never need
+that second sort.  Nearly every row of an integer survey does: its
+answers tie, and imputed column means make distances that are equal up
+to their last bits.  Besides its ``8·b·n`` bytes of distances and
+``4·b·n`` of ranks, a block of b rows holds ``2·b·n`` bytes of dropped
+bits and about 1.6 MB of temporaries while tied rows are re-sorted.
 """
 
 from __future__ import annotations
@@ -59,14 +58,42 @@ DENSE_CAP = 20_000
 _BLOCK_CELLS = 1 << 20
 
 #: Sorted keys checked, and re-sorted where rows hold ties, at a time by
-#: ``_stable_order`` (about 2 MB of temporaries).
+#: ``_stable_order``.
 _CHUNK_CELLS = 1 << 16
+
+#: Entries of the temporary block that :func:`_symmetrize` works in.
+_SYMMETRIZE_CELLS = 1 << 12
 
 
 def _readonly(a: np.ndarray, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _symmetrize(m: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Write ``(m + m.T) / 2`` into ``out``, or into ``m`` itself, and
+    return the largest ``|m[i, j] - m[j, i]|``.
+
+    Each entry is ``(m[i, j] + m[j, i]) / 2.0``, the same operations as
+    in that expression, so the same bits, made a block of rows at a time
+    instead of in n x n temporaries.  ``m`` must be free of NaN.
+    """
+    if out is None:
+        out = m
+    n = m.shape[0]
+    step = max(1, _SYMMETRIZE_CELLS // n)
+    worst = 0.0
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        upper, lower = m[lo:hi, lo:], m[lo:, lo:hi].T
+        block = np.subtract(upper, lower)
+        worst = max(worst, float(np.abs(block, out=block).max()))
+        np.add(upper, lower, out=block)
+        block /= 2.0
+        out[lo:hi, lo:] = block
+        out[lo:, lo:hi] = block.T
+    return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +184,13 @@ class ProximityMatrix:
         if v.shape[0] < 2:
             raise ValueError("need at least 2 items")
         # min and max see any NaN or inf without an n x n mask, and one
-        # n x n buffer holds |v - v.T|, then the average, then the result:
-        # extra temporaries raise the peak memory of threaded reduce stages
+        # n x n buffer holds the average, then the result: extra
+        # temporaries raise the peak memory of threaded reduce stages
         if not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise ValueError("proximity values must be finite")
-        out = np.subtract(v, v.T)
-        if np.abs(out, out=out).max() > self._SYM_TOL:
+        out = np.empty(v.shape)
+        if _symmetrize(v, out) > self._SYM_TOL:
             raise ValueError("proximity matrix is not symmetric")
-        np.add(v, v.T, out=out)
-        out /= 2.0
         if np.abs(np.diag(out)).max() > self._SYM_TOL:
             raise ValueError("distance diagonal must be zero")
         if out.min() < -self._SYM_TOL:
@@ -268,14 +293,12 @@ def _check_cap(n: int):
         raise ValueError(f"n = {n} exceeds the dense proximity cap of {DENSE_CAP}")
 
 
-def euclidean_distances(config: Configuration, p: float = 2.0) -> ProximityMatrix:
-    """Minkowski distances between all item pairs of a configuration.
+def euclidean_distances(config: Configuration) -> ProximityMatrix:
+    """Euclidean distances between all item pairs of a configuration.
 
     Parameters
     ----------
     config : Configuration
-    p : float
-        Minkowski exponent, ``p >= 1``; ``p = 2`` is the Euclidean default.
 
     Returns
     -------
@@ -286,30 +309,22 @@ def euclidean_distances(config: Configuration, p: float = 2.0) -> ProximityMatri
     Partially observed configurations are handled by summing over the columns
     a pair of rows both observe (no rescaling); every pair must share at least
     one observed column.  Core paths expect fully observed input and pipelines
-    impute first.  More than :data:`DENSE_CAP` items are rejected.
+    impute first.  More than :data:`DENSE_CAP` items are rejected.  Another
+    metric enters as a :class:`ProximityMatrix` of its distances.
     """
-    p = _exponent(p)
     _check_cap(config.n)
-    return ProximityMatrix(_distance_rows(config, 0, config.n, p))
+    return ProximityMatrix(_distance_rows(config, 0, config.n))
 
 
-def _exponent(p: float) -> float:
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"Minkowski exponent must be >= 1, got {p}")
-    return p
-
-
-def _distance_rows(config: Configuration, start: int, stop: int,
-                   p: float) -> np.ndarray:
-    """Minkowski distances from items ``start .. stop - 1`` to every item.
+def _distance_rows(config: Configuration, start: int, stop: int) -> np.ndarray:
+    """Euclidean distances from items ``start .. stop - 1`` to every item.
 
     Each pair's value does not depend on the block it is computed in, and
     ``d(i, j)`` equals ``d(j, i)`` bit for bit.
     """
     x = config.items
     if config.fully_observed:
-        return cdist(x[start:stop], x, "minkowski", p=p)
+        return cdist(x[start:stop], x, "minkowski", p=2.0)
     mask = config.mask
     d = np.empty((stop - start, x.shape[0]))
     filled = np.where(mask, x, 0.0)
@@ -321,28 +336,26 @@ def _distance_rows(config: Configuration, start: int, stop: int,
             j = int(np.argmin(ok))
             raise ValueError(f"items {i} and {j} share no observed dimension")
         diff = np.where(shared, np.abs(filled[i] - filled), 0.0)
-        d[i - start] = np.power(np.power(diff, p).sum(axis=1), 1.0 / p)
+        d[i - start] = np.power(np.power(diff, 2.0).sum(axis=1), 0.5)
     return d
 
 
-def rank_structure(source: ProximityMatrix | Configuration,
-                   p: float = 2.0) -> RankStructure:
+def rank_structure(source: ProximityMatrix | Configuration) -> RankStructure:
     """Neighbor ranks of every item under a distance matrix or a configuration.
 
     Parameters
     ----------
     source : ProximityMatrix or Configuration
-        A configuration is ranked by its Minkowski distances, as
-        :func:`euclidean_distances` computes them.
-    p : float
-        Minkowski exponent for a configuration; unused for a distance matrix.
+        A configuration is ranked by its Euclidean distances, as
+        :func:`euclidean_distances` computes them; another metric enters
+        as a distance matrix.
 
     Ties are broken by ascending item index, so every row is the stable
     ascending order of its distances and the result is deterministic for any
     input.  Rows are computed in blocks of about ``_BLOCK_CELLS`` distances;
     no ``n x n`` float matrix is built.
     """
-    return _RankRows(source, p).structure()
+    return _RankRows(source).structure()
 
 
 class _RankRows:
@@ -359,14 +372,10 @@ class _RankRows:
     """
 
     def __init__(self, source: ProximityMatrix | Configuration,
-                 p: float = 2.0, path: Path | None = None,
-                 name: str | None = None):
+                 path: Path | None = None, name: str | None = None):
         self.from_config = isinstance(source, Configuration)
-        if self.from_config:
-            p = _exponent(p)
         _check_cap(source.n)
         self.source = source
-        self.p = p
         self.path = path
         self.name = name
         self._file = None
@@ -412,7 +421,7 @@ class _RankRows:
                                  f"{self.name!r}: {exc}") from None
             return rows
         if self.from_config:
-            d = _distance_rows(self.source, start, stop, self.p)
+            d = _distance_rows(self.source, start, stop)
         else:
             d = self.source.values[start:stop].copy()
         rows = np.empty(d.shape, dtype=np.int32)
@@ -468,55 +477,51 @@ def _stable_order(d: np.ndarray) -> np.ndarray:
     the column index gives unique keys, sorted in place by one plain
     ``ndarray.sort``.  Where no two neighbors in that order share their
     kept bits, it is the stable order.  A row where some do (ties, or
-    values that differ only in the dropped bits) is sorted once more, by
-    ``(run of equal kept bits, dropped bits, index)`` packed into 3·s
-    bits, so ties fall in ascending index order.  The dropped bits wait
+    values that differ only in the dropped bits) is sorted once more: a
+    stable ``argsort`` of its values' full bits, taken in the first
+    sort's order, where equal values already stand by ascending index.
+    The same two sorts serve rows of every width.  The dropped bits wait
     in a copy of 2 bytes per value (4 above 2¹⁶ columns), and rows are
-    checked and re-sorted ``_CHUNK_CELLS`` values at a time, so beyond
-    ``d`` the call holds ``2 * d.size`` bytes and about 2 MB.  Rows of
-    more than 2²¹ columns, where 3·s exceeds 63 bits, are ordered by a
-    stable ``np.argsort`` instead, into a new array.
+    checked and re-sorted ``_CHUNK_CELLS`` values at a time, in three
+    ``int64`` arrays of a chunk, so beyond ``d`` the call holds
+    ``2 * d.size`` bytes and about 1.6 MB.
     """
     b, n = d.shape
-    s = (n - 1).bit_length()
-    if 3 * s > 63:
-        return np.argsort(d, axis=1, kind="stable")
     key = d.view(np.int64)
     if key.size and key.min() < 0:  # a sign bit: -0.0 or a negative value
         d += 0.0
         np.bitwise_xor(key, np.iinfo(np.int64).max, out=key, where=key < 0)
-    low = (1 << s) - 1
-    # the low s bits that the keys drop; wider types keep a few more
-    dropped = key.astype(np.uint16 if s <= 16 else np.uint32)
+    low = (1 << (n - 1).bit_length()) - 1
+    # the low bits that the keys drop; wider types keep a few more
+    dropped = key.astype(np.uint16 if low <= 0xFFFF else np.uint32)
     key &= ~low
     key |= np.arange(n)
     key.sort(axis=1)
     step = max(1, _CHUNK_CELLS // n)
     for lo in range(0, b, step):
         part = key[lo:lo + step]
-        # where a key's kept bits differ from those of the key before it
-        new = np.bitwise_xor(part[:, 1:], part[:, :-1]).view(np.uint64) > low
-        tied = np.flatnonzero(~new.all(axis=1))
+        # rows where some key's kept bits equal those of the key before it
+        same = np.bitwise_xor(part[:, 1:], part[:, :-1]).view(np.uint64) <= low
+        tied = np.flatnonzero(same.any(axis=1))
         if not tied.size:
             continue
-        rows = part[tied]  # becomes (run, dropped bits, index)
-        index = rows & low
-        rows[:, 0] = 0
-        np.cumsum(new[tied], axis=1, out=rows[:, 1:])
-        rows <<= s
-        rows |= dropped[lo + tied[:, None], index] & low
-        rows <<= s
-        rows |= index
-        rows.sort(axis=1)
-        part[tied] = rows
+        full = part[tied]  # the values' full bits, in the order of the sort
+        index = full & low
+        full &= ~low
+        full |= dropped[lo + tied[:, None], index] & low
+        # equal values stand by ascending index already, and stay so
+        order = np.argsort(full, axis=1, kind="stable")
+        del full  # at most three chunk arrays at once, none kept past its chunk
+        part[tied] = np.take_along_axis(index, order, axis=1)
+        del index, order
     key &= low
     return key
 
 
-def ranks_from_config(config: Configuration, p: float = 2.0) -> RankStructure:
-    """Neighbor ranks of a configuration under Minkowski distances.
+def ranks_from_config(config: Configuration) -> RankStructure:
+    """Neighbor ranks of a configuration under Euclidean distances.
 
-    The same as ``rank_structure(euclidean_distances(config, p))``, ties by
+    The same as ``rank_structure(euclidean_distances(config))``, ties by
     ascending index included, without building the distance matrix.
     """
-    return rank_structure(config, p)
+    return rank_structure(config)

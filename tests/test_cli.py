@@ -94,6 +94,17 @@ class TestIngestCommand:
         assert ingest_csv(out).n == 2
 
 
+#: Laplacian eigenmaps parameters that the unit square's four corners
+#: cannot be embedded with, and the error each gives.
+BAD_SQUARE_REDUCTIONS = [
+    ({"n_neighbors": 2, "t": 1e-300},
+     "heat kernel t = 1e-300 disconnects the neighborhood graph; raise t: "
+     "4 components of sizes [1, 1, 1, 1]"),
+    ({"n_neighbors": 2, "t": 0}, "kernel parameter t must be positive, got 0"),
+    ({"n_neighbors": 4}, "n_neighbors must lie in 1 .. 3, got 4"),
+]
+
+
 class TestReduce:
     def test_pca(self, dataset, tmp_path):
         out = tmp_path / "emb.csv"
@@ -132,6 +143,24 @@ class TestReduce:
         assert code == 1 and len(err) == 1, err
         assert err[0] == (f"error: reduce: params for {method}: "
                           "missing required key 'n_neighbors'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params, message", BAD_SQUARE_REDUCTIONS,
+                             ids=["underflowing_kernel", "zero_t",
+                                  "too_many_neighbors"])
+    def test_bad_input_is_one_error_line(self, params, message, tmp_path,
+                                         capsys):
+        """Laplacian eigenmaps of the unit square's corners, with inputs
+        it cannot embed: status 1, one ``error:`` line and no output."""
+        square = tmp_path / "square.csv"
+        square.write_text("x,y\n0,0\n1,0\n0,1\n1,1\n")
+        out = tmp_path / "emb.csv"
+        code = run_cli("reduce", "--method", "laplacian_eigenmaps", "--dim",
+                       "1", "--params", json.dumps(params),
+                       "--in", str(square), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
 

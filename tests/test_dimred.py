@@ -667,6 +667,17 @@ class TestLaplacianEigenmaps:
         with pytest.raises(DisconnectedGraphError):
             laplacian_eigenmaps(Configuration(pts), 2, n_neighbors=2)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-3])
+    def test_underflowing_kernel_names_t(self, t):
+        """Heat-kernel weights that round to zero cut edges out of the
+        graph before any degree is divided by."""
+        square = Configuration(np.array([[0, 0], [1, 0], [0, 1], [1, 1]], float))
+        with pytest.raises(DisconnectedGraphError,
+                           match=rf"t = {t} .*raise t: 4 components"):
+            laplacian_eigenmaps(square, 1, n_neighbors=2, t=t)
+        res = laplacian_eigenmaps(square, 1, n_neighbors=2, t=1.0)
+        assert np.isfinite(res.embedding.items).all()
+
     def test_sphere_local_structure_beats_random(self):
         sphere = generate(ManifoldSpec("sphere_regular", 400, seed=0))
         res = laplacian_eigenmaps(sphere, 2, n_neighbors=10)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from drqa import geometry
 from drqa._workers import _pool, _run_pool
@@ -73,17 +74,6 @@ class TestEuclideanDistances:
         assert d[0, 3] == pytest.approx(np.sqrt(2))
         assert (np.diag(d) == 0).all()
 
-    def test_manhattan_vs_euclidean(self):
-        pts = np.array([[0, 0], [3, 4]], float)
-        c = Configuration(pts)
-        assert euclidean_distances(c, p=1).values[0, 1] == pytest.approx(7.0)
-        assert euclidean_distances(c, p=2).values[0, 1] == pytest.approx(5.0)
-
-    def test_invalid_exponent(self):
-        c = Configuration(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            euclidean_distances(c, p=0.5)
-
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(geometry, "DENSE_CAP", 4)
         c = Configuration(np.zeros((5, 1)))
@@ -105,11 +95,11 @@ class TestEuclideanDistances:
             euclidean_distances(Configuration(x, mask=mask))
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(1.0, 4.0))
-    def test_triangle_inequality(self, seed, p):
+    @given(st.integers(0, 10_000))
+    def test_triangle_inequality(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
-        d = euclidean_distances(Configuration(rng.standard_normal((n, 3))), p=p).values
+        d = euclidean_distances(Configuration(rng.standard_normal((n, 3)))).values
         lhs = d[:, :, None]
         rhs = d[:, None, :] + d[None, :, :]
         assert (lhs <= rhs + 1e-9).all()
@@ -330,11 +320,26 @@ def blocked_inputs(kind, n, rng):
     return x, mask
 
 
+def minkowski_distances(x, mask, p):
+    """Minkowski distances over the columns both items of a pair observe."""
+    if mask is None:
+        return cdist(x, x, "minkowski", p=p)
+    shared = mask[:, None, :] & mask[None, :, :]
+    filled = np.where(mask, x, 0.0)
+    diff = np.where(shared, np.abs(filled[:, None, :] - filled[None, :, :]), 0.0)
+    return ((diff ** p).sum(axis=2)) ** (1.0 / p)
+
+
 BLOCK_ROWS = 8
 
 
 class TestBlockedRanks:
-    """Row-blocked ranks equal the dense stable-argsort reference exactly."""
+    """Row-blocked ranks equal the dense stable-argsort reference exactly.
+
+    A configuration is ranked by Euclidean distances; the cases at other
+    Minkowski exponents rank the distance matrix they give, the way any
+    other metric enters.
+    """
 
     @pytest.mark.parametrize("n", [2, 3, BLOCK_ROWS - 1, BLOCK_ROWS,
                                    BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
@@ -345,16 +350,18 @@ class TestBlockedRanks:
                                                    n, kind, p):
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", BLOCK_ROWS * n)
         x, mask = blocked_inputs(kind, n, np.random.default_rng(n))
+        if p != 2.0:
+            prox = ProximityMatrix(minkowski_distances(x, mask, p))
+            assert (rank_structure(prox).ranks == dense_reference_ranks(prox)).all()
+            return
         config = Configuration(x, mask=mask)
-        expected = dense_reference_ranks(euclidean_distances(config, p=p))
-        rs = ranks_from_config(config, p=p)
+        expected = dense_reference_ranks(euclidean_distances(config))
+        rs = ranks_from_config(config)
         assert rs.ranks.dtype == np.int32
         assert (rs.ranks == expected).all()
-        assert (rank_structure(config, p=p).ranks == expected).all()
-        if mask is None and p == 2.0:
+        assert (rank_structure(config).ranks == expected).all()
+        if mask is None:
             assert (rs.ranks == naive_ranks(naive_neighbors(x))).all()
-        if p != 2.0:
-            return
         # the rank cache serves the same rows, ranked and written (cold) or
         # read back (warm), at every block size
         for block_rows in range(1, n + 1):
@@ -397,12 +404,10 @@ class TestBlockedRanks:
         del prox
         assert (rank_structure(config).ranks == expected).all()
 
-    def test_cap_and_exponent_checked(self, monkeypatch):
+    def test_cap_checked(self, monkeypatch):
         monkeypatch.setattr(geometry, "DENSE_CAP", 4)
         with pytest.raises(ValueError, match="cap"):
             ranks_from_config(Configuration(np.zeros((5, 1))))
-        with pytest.raises(ValueError, match="exponent"):
-            rank_structure(Configuration(np.zeros((3, 1))), p=0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 24), st.integers(1, 3), st.integers(1, 10),
@@ -411,11 +416,15 @@ class TestBlockedRanks:
         cells = st.integers(-2, 2)
         x = np.array(data.draw(st.lists(st.lists(cells, min_size=m, max_size=m),
                                         min_size=n, max_size=n)), dtype=float)
-        config = Configuration(x)
-        expected = dense_reference_ranks(euclidean_distances(config, p=p))
+        if p == 2.0:
+            source = Configuration(x)
+            prox = euclidean_distances(source)
+        else:
+            source = prox = ProximityMatrix(cdist(x, x, "minkowski", p=p))
+        expected = dense_reference_ranks(prox)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
-            assert (ranks_from_config(config, p=p).ranks == expected).all()
+            assert (rank_structure(source).ranks == expected).all()
 
 
 #: Row widths at which the index field of the sort keys widens by one bit.
@@ -459,10 +468,10 @@ class TestStableOrder:
 
     @pytest.mark.parametrize("n", [2 ** 21, 2 ** 21 + 1])
     def test_widest_rows(self, n):
-        """The widest row whose second sort keys fit 63 bits, and one
-        column more, which takes the stable argsort instead.  The row
-        holds ties and near-ties in close to a million runs, so every
-        field of the second keys is filled."""
+        """Rows of 2²¹ and 2²¹ + 1 columns, whose index fields are 21
+        and 22 bits wide, take the same two sorts as narrow rows.  The
+        row holds ties and near-ties in close to a million runs, all of
+        which the second sort orders by their full bits."""
         rng = np.random.default_rng(n)
         d = nudged(rng.integers(0, n // 2, n), rng.integers(-2, 3, n))
         expected = np.argsort(d, kind="stable")
@@ -483,6 +492,31 @@ class TestStableOrder:
         for block_rows in range(1, n + 1):
             monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
             assert (rank_structure(config).ranks == expected).all()
+
+
+class TestSymmetrize:
+    """``_symmetrize`` gives the bits of ``(m + m.T) / 2`` and the largest
+    ``|m - m.T|`` at every block size, in place and into a new array."""
+
+    @pytest.mark.parametrize("into", ["place", "new"])
+    def test_every_block_size(self, monkeypatch, into):
+        n = 13
+        m = np.random.default_rng(13).standard_normal((n, n))
+        m[0, 1], m[1, 0] = -0.0, 0.0
+        m[2, 4], m[4, 2] = 5e-324, -5e-324
+        m[6, 6] = -0.0
+        m[np.tril_indices(n, -3)] = m.T[np.tril_indices(n, -3)]
+        expected = (m + m.T) / 2.0
+        gap = np.abs(m - m.T).max()
+        for block_rows in range(1, n + 1):
+            monkeypatch.setattr(geometry, "_SYMMETRIZE_CELLS", block_rows * n)
+            work = m.copy()
+            out = work if into == "place" else np.full((n, n), np.nan)
+            assert geometry._symmetrize(
+                work, None if into == "place" else out) == gap
+            assert out.tobytes() == expected.tobytes()
+            if into == "new":
+                assert work.tobytes() == m.tobytes()
 
 
 class TestRunPool:
