@@ -49,6 +49,14 @@ class DisconnectedGraphError(ValueError):
         self.component_sizes = sizes
 
 
+def _require_connected(graph, message: str) -> None:
+    """Raise :class:`DisconnectedGraphError` with ``message`` unless the
+    undirected graph of the non-zero entries of ``graph`` is connected."""
+    n_comp, labels = connected_components(graph, directed=False)
+    if n_comp > 1:
+        raise DisconnectedGraphError(message, np.bincount(labels))
+
+
 @dataclass(frozen=True, eq=False)
 class ReductionResult:
     embedding: Configuration
@@ -300,10 +308,7 @@ def _check_weights(weights, n):
     np.fill_diagonal(sym, 0.0)
     if sym.max() <= 0:
         raise ValueError("all weights are zero")
-    n_comp, labels = connected_components(csr_matrix(sym > 0), directed=False)
-    if n_comp > 1:
-        raise DisconnectedGraphError("weight graph is disconnected",
-                                     np.bincount(labels))
+    _require_connected(csr_matrix(sym > 0), "weight graph is disconnected")
     return sym
 
 
@@ -540,10 +545,7 @@ def _knn_union_graph(x: np.ndarray, n_neighbors: int) -> csr_matrix:
     cols = nbrs.ravel()
     graph = csr_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
     graph = graph.maximum(graph.T)
-    n_comp, labels = connected_components(graph, directed=False)
-    if n_comp > 1:
-        raise DisconnectedGraphError("neighborhood graph is disconnected",
-                                     np.bincount(labels))
+    _require_connected(graph, "neighborhood graph is disconnected")
     return graph
 
 
@@ -608,11 +610,8 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
     del adj
     w = np.maximum(w, w.T)
     if not math.isinf(t):
-        n_comp, labels = connected_components(csr_matrix(w > 0), directed=False)
-        if n_comp > 1:
-            raise DisconnectedGraphError(
-                f"heat kernel t = {t} disconnects the neighborhood graph; "
-                "raise t", np.bincount(labels))
+        _require_connected(csr_matrix(w > 0), f"heat kernel t = {t} "
+                           "disconnects the neighborhood graph; raise t")
     degrees = w.sum(axis=1)
     d_isqrt = 1.0 / np.sqrt(degrees)
     w *= d_isqrt[:, None]
