@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from drqa import _workers, pipeline
 from drqa.cli import main
+from drqa.dimred import local_smacof
+from drqa.geometry import euclidean_distances
 from drqa.ingest import ingest_csv, read_profile
 from drqa.pipeline import parse_config, run_pipeline
 
@@ -119,6 +121,37 @@ class TestReduce:
                        "--in", str(dataset), "--out", str(out),
                        "--transform", "ordinal") == 0
         assert ingest_csv(out).m == 2
+
+    def test_local_smacof_takes_the_smacof_options(self, dataset, tmp_path):
+        out = tmp_path / "emb.csv"
+        params = {"quantile": 0.5, "transform": "ordinal", "max_iter": 3,
+                  "tol": 0.001, "seed": 3, "init": "random"}
+        assert run_cli("reduce", "--method", "local_smacof", "--dim", "2",
+                       "--in", str(dataset), "--out", str(out),
+                       "--params", json.dumps(params)) == 0
+        want = local_smacof(euclidean_distances(ingest_csv(dataset)), 2,
+                            **params)
+        assert want.diagnostics["init"] == "random"
+        assert (ingest_csv(out).items == want.embedding.items).all()
+
+    @pytest.mark.parametrize("params, message", [
+        ({"max_iter": "5"}, "max_iter has the wrong type: '5'"),
+        ({"tol": [1]}, "tol has the wrong type: [1]"),
+        ({"transform": 1}, "transform has the wrong type: 1"),
+        ({"init": None}, "init has the wrong type: None"),
+        ({"seed": None}, "seed has the wrong type: None"),
+        ({"seed": 1.5}, "seed has the wrong type: 1.5"),
+    ])
+    def test_bad_local_smacof_option_is_one_error_line(self, dataset, tmp_path,
+                                                       capsys, params,
+                                                       message):
+        out = tmp_path / "emb.csv"
+        assert run_cli("reduce", "--method", "local_smacof", "--dim", "2",
+                       "--in", str(dataset), "--out", str(out),
+                       "--params", json.dumps(params)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: reduce: params for local_smacof: {message}"]
+        assert not out.exists()
 
     def test_transform_rejected_for_pca(self, dataset, tmp_path, capsys):
         code = run_cli("reduce", "--method", "pca", "--dim", "2",

@@ -353,11 +353,31 @@ def _bit_weights(kind, d):
     if kind == "positive":
         w = np.random.default_rng(n).uniform(0.25, 4.0, (n, n))
         return (w + w.T) / 2.0
+    if kind == "sparse":  # positive weights on the shortest 30 %
+        return _bit_weights("positive", d) * _bit_weights("binary", d)
     # local_smacof's 0/1 weights: the shortest 30 % of the pairs
-    off = ~np.eye(n, dtype=bool)
-    w = (d.values <= np.quantile(d.values[off], 0.3)).astype(float)
-    np.fill_diagonal(w, 0.0)
+    return _shortest(d, 0.3).astype(float)
+
+
+def _shortest(d, share):
+    """The bool weights of local_smacof at quantile ``share``."""
+    off = ~np.eye(d.n, dtype=bool)
+    w = d.values <= np.quantile(d.values[off], share)
+    np.fill_diagonal(w, False)
     return w
+
+
+def _pair_path_calls(monkeypatch):
+    """A list that gains an entry each time smacof takes its pair path."""
+    calls = []
+    pairs = dimred._Pairs
+
+    def recorded(*args):
+        calls.append(args)
+        return pairs(*args)
+
+    monkeypatch.setattr(dimred, "_Pairs", recorded)
+    return calls
 
 
 #: n = 64 puts coincident items into the classical start of the small
@@ -373,6 +393,13 @@ def bit_shapes():
                           "swiss_roll")}
 
 
+@pytest.fixture(scope="module")
+def bit_shapes_150():
+    return {shape: euclidean_distances(generate(ManifoldSpec(shape, 150,
+                                                             seed=4)))
+            for shape in ("sphere_random", "swiss_roll")}
+
+
 class TestSmacofBits:
     """``smacof`` keeps every bit of the n x n loop in ``reference_smacof``."""
 
@@ -382,7 +409,8 @@ class TestSmacofBits:
         assert (d[~np.eye(BIT_N, dtype=bool)] == 0).any()
 
     @pytest.mark.parametrize("init", ["classical", "random"])
-    @pytest.mark.parametrize("weights", ["none", "ones", "positive", "binary"])
+    @pytest.mark.parametrize("weights", ["none", "ones", "positive", "binary",
+                                         "sparse"])
     @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
     @pytest.mark.parametrize("shape", ["sphere_regular", "torus_small_regular",
                                        "swiss_roll"])
@@ -401,6 +429,74 @@ class TestSmacofBits:
         want = _bits(reference_smacof, d, 2, weights=w, transform=transform)
         assert _bits(local_smacof, d, 2, quantile=0.3,
                      transform=transform) == want
+
+    @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
+    @pytest.mark.parametrize("shape", ["sphere_random", "swiss_roll"])
+    def test_local_smacof_default_quantile(self, bit_shapes_150, shape,
+                                           transform, monkeypatch):
+        d = bit_shapes_150[shape]
+        want = _bits(reference_smacof, d, 2, weights=_shortest(d, 0.1),
+                     transform=transform, max_iter=200)
+        calls = _pair_path_calls(monkeypatch)
+        assert _bits(local_smacof, d, 2, transform=transform,
+                     max_iter=200) == want
+        assert len(calls) == 1
+        assert want[2] > 20  # the loop ran
+
+    @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
+    @pytest.mark.parametrize("share, pair_path", [(0.45, True), (0.55, False)])
+    @pytest.mark.parametrize("kind", ["binary", "positive"])
+    def test_either_side_of_the_routing_share(self, bit_shapes, kind, share,
+                                              pair_path, transform,
+                                              monkeypatch):
+        """Weights with positive weight on a share of the pairs just below
+        ``_PAIR_SHARE`` take the pair path, just above it the grid loop,
+        and both keep the reference bits."""
+        assert 0.45 < dimred._PAIR_SHARE < 0.55
+        d = bit_shapes["swiss_roll"]
+        w = _shortest(d, share)
+        if kind == "positive":
+            w = w * _bit_weights("positive", d)
+        kwargs = dict(weights=w, transform=transform, max_iter=100)
+        want = _bits(reference_smacof, d, 2, **kwargs)
+        calls = _pair_path_calls(monkeypatch)
+        assert _bits(smacof, d, 2, **kwargs) == want
+        assert len(calls) == pair_path
+
+    @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
+    def test_active_coincident_pair(self, bit_shapes, transform, monkeypatch):
+        """The pair path meets a zero distance between two items that a
+        positive weight binds, as the torus start has them."""
+        d = bit_shapes["torus_small_regular"]
+        x = classical_mds(d, 2).embedding.items
+        start = cdist(x, x)
+        np.fill_diagonal(start, np.inf)
+        coincident = start == 0
+        w = _shortest(d, 0.1) | coincident
+        assert (w & coincident).any()
+        kwargs = dict(weights=w, transform=transform, max_iter=150)
+        want = _bits(reference_smacof, d, 2, **kwargs)
+        assert isinstance(want[0], bytes), want
+        calls = _pair_path_calls(monkeypatch)
+        assert _bits(smacof, d, 2, **kwargs) == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1.0, 1e150, 1e200])
+    @pytest.mark.parametrize("target_dim", [1, 2, 3, 4])
+    def test_pair_distances_are_cdist(self, target_dim, scale):
+        """Bit for bit, through underflow, overflow and coincident items."""
+        rng = np.random.default_rng(target_dim)
+        x = rng.standard_normal((40, target_dim)) * scale
+        x[3] = x[5]
+        x[7] = x[9] * (1 + 2**-52)
+        full = rng.uniform(0.5, 2.0, (40, 40)) * (rng.random((40, 40)) < 0.3)
+        full = np.maximum(full, full.T)
+        pairs = dimred._Pairs(full, full, False)
+        got = np.empty(pairs.i.size)
+        pairs.distances(x, got)
+        want = cdist(x, x)
+        assert got.tobytes() == want[pairs.i, pairs.j].tobytes()
+        assert got.tobytes() == want[pairs.j, pairs.i].tobytes()
 
 
     @pytest.mark.parametrize("case", [
@@ -452,10 +548,13 @@ def memory_inputs():
 
 
 def _memory_calls(config, dist):
+    weights = _bit_weights("positive", dist)
     return {
         "smacof": lambda: smacof(dist, 2, max_iter=20),
         "smacof_ordinal": lambda: smacof(dist, 2, transform="ordinal",
                                          max_iter=20),
+        "smacof_weighted": lambda: smacof(dist, 2, weights=weights,
+                                          max_iter=20),
         "local_smacof": lambda: local_smacof(dist, 2, max_iter=20),
         "local_smacof_ordinal": lambda: local_smacof(
             dist, 2, transform="ordinal", max_iter=20),
@@ -483,8 +582,9 @@ class TestMemoryBounds:
     @pytest.mark.parametrize("method, bound", [
         ("smacof", 2.45),
         ("smacof_ordinal", 6.26),
+        ("smacof_weighted", 4.88),
         ("local_smacof", 3.8),
-        ("local_smacof_ordinal", 4.9),
+        ("local_smacof_ordinal", 4.0),
         ("classical_mds", 2.3),
         ("lle", 2.6),
         ("laplacian_eigenmaps", 2.6),

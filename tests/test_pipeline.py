@@ -174,7 +174,7 @@ class TestParsing:
         cfg["stages"][1]["method"] = "pca"
         with pytest.raises(ValueError, match="transform"):
             parse_config(cfg, tmp_path)
-        # the reducer's input and its **kwargs are not parameters
+        # the reducer's input is not a parameter, nor is a name it lacks
         for method, key in (("smacof", "dist"),
                             ("local_smacof", "smacof_kwargs")):
             cfg["stages"][1].update(method=method, params={key: 1})
@@ -212,6 +212,31 @@ class TestParsing:
             cfg["stages"][1]["params"] = {}
             with pytest.raises(ValueError, match="missing required key"):
                 parse_config(cfg, tmp_path)
+
+
+    def test_local_smacof_takes_the_smacof_options(self, tmp_path):
+        """Each of smacof's options is a keyword of local_smacof, checked
+        against smacof's annotation; its weights are the quantile's."""
+        cfg = {"version": 1, "stages": [
+            {"kind": "generate", "name": "d", "shape": "sphere_random", "n": 30},
+            {"kind": "reduce", "name": "r", "source": "d",
+             "method": "local_smacof", "target_dim": 2}]}
+        for key, value in (("transform", "ordinal"), ("max_iter", 5),
+                           ("tol", 1e-3), ("tol", 0), ("seed", 3),
+                           ("init", "random")):
+            cfg["stages"][1]["params"] = {key: value}
+            stage = parse_config(cfg, tmp_path).stages[1]
+            assert stage.param_grid == ({key: value},)
+        for key, value in (("transform", 1), ("max_iter", 1.5),
+                           ("max_iter", True), ("tol", "x"), ("seed", None),
+                           ("seed", 2.5), ("init", False)):
+            cfg["stages"][1]["params"] = {key: value}
+            with pytest.raises(ValueError, match=f"params for local_smacof: "
+                               f"{key} has the wrong type"):
+                parse_config(cfg, tmp_path)
+        cfg["stages"][1]["params"] = {"weights": [[0, 1], [1, 0]]}
+        with pytest.raises(ValueError, match="unknown keys .*weights"):
+            parse_config(cfg, tmp_path)
 
     def test_references_must_resolve(self, tmp_path):
         with pytest.raises(ValueError, match="unknown source"):
