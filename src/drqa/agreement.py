@@ -176,12 +176,6 @@ class CoRankingMatrix:
     def n(self) -> int:
         return self.omega.shape[0] + 1
 
-    def block_sum(self, k: int) -> int:
-        """Sum of the leading ``k x k`` block."""
-        if not 1 <= k <= self.n - 1:
-            raise ValueError(f"k must lie in 1 .. {self.n - 1}")
-        return int(self.omega[:k, :k].sum())
-
 
 @dataclass(frozen=True)
 class RankMovementTally:
@@ -392,14 +386,17 @@ def partial_agreement(ab: float, az: float, bz: float) -> float:
 
 
 def co_ranking(rank_a: RankStructure, rank_b: RankStructure) -> CoRankingMatrix:
-    """Joint histogram of A-ranks against B-ranks over all ordered pairs."""
+    """Joint histogram of A-ranks against B-ranks over all ordered pairs.
+
+    One ``bincount`` of ``rank_a * n + rank_b``, whose row and column 0
+    hold only the self-pairs (rank 0 under both) and are sliced off.
+    """
     n = _check_pair(rank_a, rank_b)
-    off = ~np.eye(n, dtype=bool)
-    ra = rank_a.ranks[off] - 1
-    rb = rank_b.ranks[off] - 1
-    flat = ra * (n - 1) + rb
-    omega = np.bincount(flat, minlength=(n - 1) * (n - 1)).reshape(n - 1, n - 1)
-    return CoRankingMatrix(omega)
+    codes = np.multiply(rank_a.ranks, n, dtype=np.int64)
+    codes += rank_b.ranks
+    hist = np.bincount(codes.ravel(), minlength=n * n).reshape(n, n)
+    del codes
+    return CoRankingMatrix(hist[1:, 1:])
 
 
 def classify_rank_movements(rank_a: RankStructure, rank_b: RankStructure,
@@ -408,16 +405,14 @@ def classify_rank_movements(rank_a: RankStructure, rank_b: RankStructure,
     n = _check_pair(rank_a, rank_b)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in 1 .. {n - 1}")
-    off = ~np.eye(n, dtype=bool)
-    a = rank_a.ranks[off]
-    b = rank_b.ranks[off]
+    a, b = rank_a.ranks, rank_b.ranks  # the n self-pairs are all unchanged
     return RankMovementTally(
         k=k,
         n=n,
-        hard_intrusions=int(((b <= k) & (k < a)).sum()),
-        soft_intrusions=int(((b < a) & (a <= k)).sum()),
-        hard_extrusions=int(((a <= k) & (k < b)).sum()),
-        soft_extrusions=int(((a < b) & (b <= k)).sum()),
-        unchanged=int(((a == b) & (a <= k)).sum()),
-        outside=int(((a > k) & (b > k)).sum()),
+        hard_intrusions=int(np.count_nonzero((b <= k) & (k < a))),
+        soft_intrusions=int(np.count_nonzero((b < a) & (a <= k))),
+        hard_extrusions=int(np.count_nonzero((a <= k) & (k < b))),
+        soft_extrusions=int(np.count_nonzero((a < b) & (b <= k))),
+        unchanged=int(np.count_nonzero((a == b) & (a <= k))) - n,
+        outside=int(np.count_nonzero((a > k) & (b > k))),
     )

@@ -74,6 +74,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
+def _eigh(m: np.ndarray) -> tuple:
+    """``np.linalg.eigh`` of ``m``, symmetrized in place first; a LAPACK
+    failure is a ``ValueError``."""
+    geometry._symmetrize(m)
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"eigen-solver failed: {err}") from err
+
+
 def _result(x: np.ndarray, source: Configuration | None,
             diagnostics: dict) -> ReductionResult:
     labels = source.labels if source is not None else None
@@ -158,8 +168,7 @@ def _classical_scaling(b: np.ndarray, target_dim: int) -> ReductionResult:
     b *= -0.5
     b -= b.mean(axis=1, keepdims=True)
     b -= b.mean(axis=0, keepdims=True)
-    geometry._symmetrize(b)
-    evals, evecs = np.linalg.eigh(b)
+    evals, evecs = _eigh(b)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     scale = float(np.abs(evals).max(initial=0.0))
     tol = max(n * np.finfo(float).eps * scale, 1e-12)
@@ -390,6 +399,8 @@ def smacof(dist: ProximityMatrix, target_dim: int,
     transform and applies one majorization update of the coordinates; if an
     update ever fails to decrease the recorded Stress it is rolled back and
     iteration stops, so the Stress history is non-increasing by construction.
+    That stop (``"no_decrease"``) counts as converged, unless the first
+    update is rejected: then the start returns, unconverged.
 
     Each update forms the n x n matrix B = diag(rowsum R) - R, with
     R = w * dhat / d (zero where d = 0), and solves for the next
@@ -459,7 +470,7 @@ def smacof(dist: ProximityMatrix, target_dim: int,
     x = None
     if init == "classical":
         try:
-            x = classical_mds(dist, target_dim).embedding.items.copy()
+            x = _classical_scaling(dist.values**2, target_dim).embedding.items
         except ValueError:
             init_used = "random-fallback"
 
@@ -570,7 +581,7 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         x_new = guttman(x)
         s_new = measure(x_new)
         if s_new > history[-1]:
-            converged = True
+            converged = len(history) > 1
             reason = "no_decrease"
             break
         x = x_new
@@ -729,8 +740,7 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
         w /= t
         np.exp(w, out=w)
         w[adj <= 0] = 0.0  # distances are never NaN
-    del adj
-    w = np.maximum(w, w.T)
+    del adj  # w is bitwise symmetric, as the graph is
     if not math.isinf(t):
         _require_connected(csr_matrix(w > 0), f"heat kernel t = {t} "
                            "disconnects the neighborhood graph; raise t")
@@ -741,8 +751,7 @@ def laplacian_eigenmaps(config: Configuration, target_dim: int, n_neighbors: int
     sym = np.eye(config.n)
     sym -= w
     del w
-    geometry._symmetrize(sym)
-    evals, evecs = np.linalg.eigh(sym)
+    evals, evecs = _eigh(sym)
     x = _fix_signs(evecs[:, 1 : target_dim + 1] * d_isqrt[:, None])
     diagnostics = {
         "method": "laplacian_eigenmaps",
@@ -799,11 +808,7 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
     m_embed -= w
     del w
     m_embed = m_embed.T @ m_embed
-    geometry._symmetrize(m_embed)
-    try:
-        evals, evecs = np.linalg.eigh(m_embed)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"eigen-solver failed: {err}") from err
+    evals, evecs = _eigh(m_embed)
     x_out = _fix_signs(evecs[:, 1 : target_dim + 1])
     diagnostics = {
         "method": "lle",

@@ -335,7 +335,7 @@ def _distance_rows(config: Configuration, start: int, stop: int) -> np.ndarray:
         if not ok.all():
             j = int(np.argmin(ok))
             raise ValueError(f"items {i} and {j} share no observed dimension")
-        diff = np.where(shared, np.abs(filled[i] - filled), 0.0)
+        diff = np.where(shared, filled[i] - filled, 0.0)
         d[i - start] = np.power(np.power(diff, 2.0).sum(axis=1), 0.5)
     return d
 

@@ -748,12 +748,10 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
     each technique's all-k agreement summary.
     """
     spec = spec or RenderSpec()
-    if isinstance(profiles, Mapping):
-        named = list(profiles.items())
-    elif isinstance(profiles, AgreementProfile):
-        named = [("technique 1", profiles)]
-    else:
-        named = list(profiles)
+    if not isinstance(profiles, Mapping):
+        raise TypeError("profiles must be a mapping of technique names to "
+                        f"profiles, got {type(profiles).__name__}")
+    named = list(profiles.items())
     if not named:
         raise ValueError("at least one profile is required")
     n = named[0][1].n

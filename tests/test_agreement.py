@@ -2,6 +2,7 @@
 
 import contextlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,33 @@ def oracle_cases(count):
             pytest.param(count, (300, 300), id="n300")]
 
 
+def tied_pair(seed, n=30):
+    """Integer points on small grids: many tied distances, and items that
+    coincide with others."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 5, (n, 3)).astype(float),
+            rng.integers(0, 3, (n, 2)).astype(float))
+
+
+def duplicated_pair(seed):
+    """24 items: 8 points thrice in A, 6 points four times in B, each
+    repeated in its own order."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, 3))[rng.permutation(np.arange(24) % 8)]
+    b = rng.standard_normal((6, 2))[rng.permutation(np.arange(24) % 6)]
+    return a, b
+
+
+def rank_pair_cases(offset):
+    """The pairs of ``oracle_cases(10)``, drawn at seeds ``offset ..``,
+    then a tied pair and a pair of duplicated items."""
+    return [*(pytest.param(random_pair(offset + case.values[0],
+                                       *case.values[1]), id=case.id)
+              for case in oracle_cases(10)),
+            pytest.param(tied_pair(offset), id="tied"),
+            pytest.param(duplicated_pair(offset), id="duplicated")]
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed, sizes", oracle_cases(25))
     def test_profile_matches_oracle_exactly(self, seed, sizes):
@@ -119,31 +147,34 @@ class TestOracleEquivalence:
         k = np.arange(1, prof.n)
         assert (prof.per_item == counts / k).all()
 
-    @pytest.mark.parametrize("seed, sizes", oracle_cases(10))
-    def test_co_ranking_matches_oracle(self, seed, sizes):
-        a, b = random_pair(seed + 100, *sizes)
+    @pytest.mark.parametrize("pair", rank_pair_cases(100))
+    def test_co_ranking_matches_oracle(self, pair):
+        a, b = pair
         cm = co_ranking(
             ranks_from_config(Configuration(a)),
             ranks_from_config(Configuration(b)),
         )
         assert (cm.omega == naive_co_ranking(naive_neighbors(a), naive_neighbors(b))).all()
 
-    @pytest.mark.parametrize("seed, sizes", oracle_cases(10))
-    def test_movements_match_oracle(self, seed, sizes):
-        a, b = random_pair(seed + 200, *sizes)
+    @pytest.mark.parametrize("pair", rank_pair_cases(200))
+    def test_movements_match_oracle(self, pair):
+        """Every k, except at n = 300, where the oracle's pair loop takes
+        0.06 s per k: there the ends and a few k between them."""
+        a, b = pair
         ra = ranks_from_config(Configuration(a))
         rb = ranks_from_config(Configuration(b))
+        na, nb = naive_neighbors(a), naive_neighbors(b)
         n = ra.n
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, n))
-        got = classify_rank_movements(ra, rb, k)
-        want = naive_movements(naive_neighbors(a), naive_neighbors(b), k)
-        assert got.hard_intrusions == want["hard_in"]
-        assert got.soft_intrusions == want["soft_in"]
-        assert got.hard_extrusions == want["hard_ex"]
-        assert got.soft_extrusions == want["soft_ex"]
-        assert got.unchanged == want["unchanged"]
-        assert got.outside == want["outside"]
+        ks = range(1, n) if n <= 30 else (1, 2, 10, n // 2, n - 2, n - 1)
+        for k in ks:
+            got = classify_rank_movements(ra, rb, k)
+            want = naive_movements(na, nb, k)
+            assert got.hard_intrusions == want["hard_in"]
+            assert got.soft_intrusions == want["soft_in"]
+            assert got.hard_extrusions == want["hard_ex"]
+            assert got.soft_extrusions == want["soft_ex"]
+            assert got.unchanged == want["unchanged"]
+            assert got.outside == want["outside"]
 
     def test_overlap_kernel_matches_oracle_for_every_head(self):
         """Every head width, none included, gives the oracle's counts and
@@ -178,7 +209,7 @@ class TestOracleEquivalence:
             )
             n = cm.n
             for k in range(1, n):
-                assert cm.block_sum(k) == counts[:, k - 1].sum()
+                assert cm.omega[:k, :k].sum() == counts[:, k - 1].sum()
 
 
 def dense_profile(rank_a, rank_b):
@@ -443,7 +474,34 @@ class TestCoRankingStructure:
         cm = co_ranking(ra, rb)
         n = cm.n
         for k in (1, 2, n // 2, n - 1):
-            assert cm.block_sum(k) == pytest.approx(k * n * prof.ar[k - 1], abs=1e-9)
+            assert cm.omega[:k, :k].sum() == pytest.approx(k * n * prof.ar[k - 1],
+                                                           abs=1e-9)
+
+
+class TestPeakMemory:
+    """The traced peak of one call at n = 300, in bytes per n² cell.
+
+    Each bound is the peak measured when it was set plus half a byte, so
+    one more n x n bool temporary fails.  The rank structures are made before tracing starts.
+    """
+
+    @pytest.mark.parametrize("call, bound", [
+        (co_ranking, 16.5),  # the int64 codes and histogram, then the copy
+        (lambda ra, rb: classify_rank_movements(ra, rb, 10), 3.5),
+    ], ids=["co_ranking", "classify_rank_movements"])
+    def test_peak_per_call(self, call, bound):
+        n = 300
+        a, b = tied_pair(33, n)
+        ra = ranks_from_config(Configuration(a))
+        rb = ranks_from_config(Configuration(b))
+        call(ra, rb)  # imports and caches of a first call are not the call's
+        tracemalloc.start()
+        try:
+            call(ra, rb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n**2 < bound
 
 
 class TestProfileType:

@@ -223,6 +223,29 @@ class TestSmacof:
         with pytest.raises(ValueError, match="transform"):
             smacof(d, 2, transform="interval")
 
+    @pytest.mark.parametrize("transform", ["ratio", "ordinal"])
+    def test_rejected_first_update_is_not_converged(self, metric_problem,
+                                                    transform, monkeypatch):
+        """Every Stress after the first is made higher, so the first update
+        is rejected whatever the arithmetic: the start comes back after 0
+        iterations, and the call has not converged."""
+        _, d = metric_problem
+        stress, measured = dimred._stress, []
+
+        def rising(*args):
+            measured.append(stress(*args))
+            return measured[0] + len(measured) - 1
+
+        monkeypatch.setattr(dimred, "_stress", rising)
+        res = smacof(d, 2, transform=transform)
+        diag = res.diagnostics
+        assert diag["converged"] is False
+        assert diag["stop_reason"] == "no_decrease"
+        assert diag["n_iterations"] == 0
+        assert len(measured) == 2
+        start = classical_mds(d, 2).embedding.items
+        assert res.embedding.items.tobytes() == start.tobytes()
+
     @pytest.mark.parametrize("reducer", [smacof, local_smacof])
     def test_default_seed_repeats_the_random_start(self, reducer):
         """Collinear points have no 2-d classical start, so the random

@@ -822,6 +822,12 @@ class TestLift:
         with pytest.raises(ValueError, match="expected 30"):
             render_lift({"a": a, "b": b})
 
+    def test_only_a_mapping_is_taken(self):
+        prof = self.identity_profile(25)
+        for profiles in (prof, [("t", prof)], None):
+            with pytest.raises(TypeError, match="must be a mapping"):
+                render_lift(profiles)
+
     def test_byte_identical_reruns(self):
         prof = self.identity_profile(25)
         spec = RenderSpec(style=small_style())
