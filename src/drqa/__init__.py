@@ -5,6 +5,10 @@ each item's neighbors: build rank structures from configurations or
 distance matrices, compare them with agreement profiles and summary
 coefficients, reduce with a set of classic methods, and render the
 results as deterministic SVG.
+
+The reducers' names are loaded from :mod:`drqa.dimred`, and with it
+SciPy, on first use, so that scoring maps made elsewhere needs numpy
+only.
 """
 
 from .agreement import (
@@ -18,20 +22,6 @@ from .agreement import (
     partial_agreement,
     psi,
     weighted_psi,
-)
-from .dimred import (
-    METHODS,
-    DisconnectedGraphError,
-    ReductionResult,
-    classical_mds,
-    geodesic_distances,
-    isomap,
-    laplacian_eigenmaps,
-    lle,
-    local_smacof,
-    pca,
-    run_reduction,
-    smacof,
 )
 from .geometry import (
     Configuration,
@@ -136,3 +126,16 @@ __all__ = [
     "write_per_item",
     "write_profile",
 ]
+
+
+def __getattr__(name):
+    # every public name not bound above is a reducer's, from drqa.dimred
+    if name in __all__:
+        from . import dimred
+
+        return getattr(dimred, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -42,6 +42,9 @@ import numpy as np
 from ._workers import _pool
 from .geometry import RankStructure, _readonly, _row_blocks
 
+#: Pair codes counted at a time by :func:`co_ranking` (16 KB as ``int64``).
+_CODE_CELLS = 1 << 11
+
 
 @dataclass(frozen=True, eq=False)
 class AgreementProfile:
@@ -171,6 +174,15 @@ class CoRankingMatrix:
         if not (om.sum(axis=0) == n).all() or not (om.sum(axis=1) == n).all():
             raise ValueError("every row and column must sum to n")
         object.__setattr__(self, "omega", _readonly(om, np.int64))
+
+    @classmethod
+    def _trusted(cls, omega: np.ndarray) -> "CoRankingMatrix":
+        """Adopt an ``int64`` histogram built here, without a copy or a
+        check; the array is made read-only in place."""
+        matrix = object.__new__(cls)
+        omega.setflags(write=False)
+        object.__setattr__(matrix, "omega", omega)
+        return matrix
 
     @property
     def n(self) -> int:
@@ -388,15 +400,22 @@ def partial_agreement(ab: float, az: float, bz: float) -> float:
 def co_ranking(rank_a: RankStructure, rank_b: RankStructure) -> CoRankingMatrix:
     """Joint histogram of A-ranks against B-ranks over all ordered pairs.
 
-    One ``bincount`` of ``rank_a * n + rank_b``, whose row and column 0
-    hold only the self-pairs (rank 0 under both) and are sliced off.
+    The codes ``rank_a * n + rank_b`` are counted into one ``n x n``
+    histogram by ``np.add.at``, ``_CODE_CELLS`` of them at a time, so the
+    call holds little besides the histogram.  Its row and column 0 hold
+    only the self-pairs (rank 0 under both); the result adopts the view
+    without them.
     """
     n = _check_pair(rank_a, rank_b)
-    codes = np.multiply(rank_a.ranks, n, dtype=np.int64)
-    codes += rank_b.ranks
-    hist = np.bincount(codes.ravel(), minlength=n * n).reshape(n, n)
-    del codes
-    return CoRankingMatrix(hist[1:, 1:])
+    hist = np.zeros(n * n, dtype=np.int64)
+    step = max(1, _CODE_CELLS // n)
+    codes = np.empty((min(step, n), n), dtype=np.int64)
+    for lo in range(0, n, step):
+        part = codes[:min(step, n - lo)]
+        np.multiply(rank_a.ranks[lo:lo + step], n, out=part, dtype=np.int64)
+        part += rank_b.ranks[lo:lo + step]
+        np.add.at(hist, part.reshape(-1), 1)
+    return CoRankingMatrix._trusted(hist.reshape(n, n)[1:, 1:])
 
 
 def classify_rank_movements(rank_a: RankStructure, rank_b: RankStructure,

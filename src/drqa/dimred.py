@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import isotonic_regression
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import cdist
@@ -263,6 +262,14 @@ class _RatioFit:
         return np.multiply(self.b, self.delta, out=work)
 
 
+def _isotonic(d, w):
+    """The weighted monotone regression of ``d``; only the ordinal fits
+    use it, so only they import ``scipy.optimize``."""
+    from scipy.optimize import isotonic_regression
+
+    return isotonic_regression(d, weights=w).x
+
+
 class _OrdinalFit:
     """Monotone regression of embedded distances on the dissimilarity order.
 
@@ -296,8 +303,7 @@ class _OrdinalFit:
         self.off = _offdiag(self.fit)
 
     def update(self, d, work):
-        fit = isotonic_regression(self.mat.reshape(-1)[self.upper],
-                                  weights=self.w).x
+        fit = _isotonic(self.mat.reshape(-1)[self.upper], self.w)
         flat = self.fit.reshape(-1)
         flat[self.upper] = fit
         flat[self.lower] = fit
@@ -314,7 +320,7 @@ class _PairOrdinalFit:
         self.w = w
 
     def update(self, d, work):
-        self.fit = isotonic_regression(d, weights=self.w).x
+        self.fit = _isotonic(d, self.w)
 
     def values(self, work):
         return self.fit

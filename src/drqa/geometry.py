@@ -39,6 +39,8 @@ answers tie, and imputed column means make distances that are equal up
 to their last bits.  Besides its ``8·b·n`` bytes of distances and
 ``4·b·n`` of ranks, a block of b rows holds ``2·b·n`` bytes of dropped
 bits and about 1.6 MB of temporaries while tied rows are re-sorted.
+The distances of a configuration are summed with numpy alone, so a run
+that ranks and scores but reduces nothing never loads SciPy.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 #: Largest item count of a dense proximity matrix or rank structure.
 DENSE_CAP = 20_000
@@ -58,7 +59,7 @@ DENSE_CAP = 20_000
 _BLOCK_CELLS = 1 << 20
 
 #: Sorted keys checked, and re-sorted where rows hold ties, at a time by
-#: ``_stable_order``.
+#: ``_stable_order``, and distances summed at a time by ``_distance_rows``.
 _CHUNK_CELLS = 1 << 16
 
 #: Entries of the temporary block that :func:`_symmetrize` works in.
@@ -324,7 +325,7 @@ def _distance_rows(config: Configuration, start: int, stop: int) -> np.ndarray:
     """
     x = config.items
     if config.fully_observed:
-        return cdist(x[start:stop], x, "minkowski", p=2.0)
+        return _full_distance_rows(x, start, stop)
     mask = config.mask
     d = np.empty((stop - start, x.shape[0]))
     filled = np.where(mask, x, 0.0)
@@ -338,6 +339,32 @@ def _distance_rows(config: Configuration, start: int, stop: int) -> np.ndarray:
         diff = np.where(shared, filled[i] - filled, 0.0)
         d[i - start] = np.power(np.power(diff, 2.0).sum(axis=1), 0.5)
     return d
+
+
+def _full_distance_rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Euclidean distances from rows ``start .. stop - 1`` of ``x`` to every
+    row, with ``cdist``'s arithmetic, bit for bit: the squared coordinate
+    differences summed in dimension order, then the root.
+
+    Rows are summed ``_CHUNK_CELLS`` distances at a time, one dimension
+    after another, from a contiguous copy of ``x.T``.
+    """
+    n = x.shape[0]
+    cols = np.ascontiguousarray(x.T)
+    d = np.empty((stop - start, n))
+    step = max(1, _CHUNK_CELLS // n)
+    square = np.empty(min(step, stop - start) * n)
+    with np.errstate(over="ignore"):  # cdist overflows to inf silently
+        for lo in range(start, stop, step):
+            part = d[lo - start:lo - start + step]
+            term = square[:part.size].reshape(part.shape)
+            for k, col in enumerate(cols):
+                diff = part if k == 0 else term
+                np.subtract(col[lo:lo + len(part), None], col, out=diff)
+                np.square(diff, out=diff)
+                if k:
+                    part += term
+    return np.sqrt(d, out=d)
 
 
 def rank_structure(source: ProximityMatrix | Configuration) -> RankStructure:
@@ -461,8 +488,10 @@ def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:
     b, n = d.shape
     local = np.arange(b)
     d[local, start + local] = np.inf
-    np.put_along_axis(out, _stable_order(d),
-                      np.arange(1, n + 1, dtype=np.int32)[None, :], axis=1)
+    ranks = np.arange(1, n + 1, dtype=np.int32)
+    # one 1-d scatter per row costs less than put_along_axis' 2-d one
+    for row, order in zip(out, _stable_order(d)):
+        row[order] = ranks
     out[local, start + local] = 0
 
 

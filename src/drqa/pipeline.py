@@ -53,7 +53,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dimred
 from .agreement import (
     AgreementProfile,
     WeightFunction,
@@ -412,6 +411,8 @@ def _parse_stage(raw: dict, where: str, scope: _Scope):
                            missing_token=missing_token)
 
     if kind == "reduce":
+        from . import dimred  # SciPy loads where a config names a reducer
+
         _reject_unknown(raw, {"kind", "name", "source", "method", "methods",
                               "target_dim", "params", "param_grid"}, where)
         source = _ref(_require(raw, "source", where), scope.configurations,
@@ -748,6 +749,8 @@ class StageRunner:
         self._store(stage, stage.name, data)
 
     def reduce(self, stage: ReduceStage, seed: int) -> None:
+        from . import dimred
+
         source = self.configurations[stage.source]
         jobs = stage.jobs()
         results = _pool().map(

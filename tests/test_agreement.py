@@ -486,7 +486,7 @@ class TestPeakMemory:
     """
 
     @pytest.mark.parametrize("call, bound", [
-        (co_ranking, 16.5),  # the int64 codes and histogram, then the copy
+        (co_ranking, 8.5),  # the int64 histogram and one chunk of codes
         (lambda ra, rb: classify_rank_movements(ra, rb, 10), 3.5),
     ], ids=["co_ranking", "classify_rank_movements"])
     def test_peak_per_call(self, call, bound):

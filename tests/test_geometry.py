@@ -94,6 +94,31 @@ class TestEuclideanDistances:
         with pytest.raises(ValueError, match="share no observed"):
             euclidean_distances(Configuration(x, mask=mask))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1.0, 1e150, 1e200])
+    @pytest.mark.parametrize("m", [1, 2, 3, 12, 20])
+    def test_rows_are_cdist(self, monkeypatch, m, scale):
+        """Bit for bit, through underflow, overflow, coincident items and
+        items one float apart, in blocks that start mid-array and cross
+        the edges of the chunks the rows are summed in."""
+        n = 45
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((n, m)) * scale
+        x[3] = x[5]
+        x[7] = np.nextafter(x[9], np.inf)
+        config = Configuration(x)
+        want = cdist(x, x, "minkowski", p=2.0)
+        for chunk_rows in (1, 4, n):
+            monkeypatch.setattr(geometry, "_CHUNK_CELLS", chunk_rows * n)
+            for start, stop in ((0, n), (7, 30), (13, 14), (29, n)):
+                got = geometry._distance_rows(config, start, stop)
+                assert got.tobytes() == want[start:stop].tobytes()
+        if np.isfinite(want).all():
+            got = euclidean_distances(config).values
+            assert got.tobytes() == want.tobytes()
+        else:  # the squares overflow, in cdist as here
+            with pytest.raises(ValueError, match="must be finite"):
+                euclidean_distances(config)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_triangle_inequality(self, seed):
