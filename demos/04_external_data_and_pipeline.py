@@ -53,6 +53,12 @@ profile = agreement_profile(ranks_from_config(survey),
                             ranks_from_config(embedding))
 print(f"external map psi = {psi(profile):.3f}")
 
+# Without imputation, two respondents are compared over the questions both
+# answered, without rescaling.
+raw_profile = agreement_profile(ranks_from_config(ingest_csv(raw_path)),
+                                ranks_from_config(embedding))
+print(f"external map psi against the raw survey = {psi(raw_profile):.3f}")
+
 # Partial agreement: how much two maps agree beyond what both share with a
 # third configuration.
 other = pca(survey, 3).embedding

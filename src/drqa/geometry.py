@@ -39,8 +39,10 @@ answers tie, and imputed column means make distances that are equal up
 to their last bits.  Besides its ``8·b·n`` bytes of distances and
 ``4·b·n`` of ranks, a block of b rows holds ``2·b·n`` bytes of dropped
 bits and about 1.6 MB of temporaries while tied rows are re-sorted.
-The distances of a configuration are summed with numpy alone, so a run
-that ranks and scores but reduces nothing never loads SciPy.
+One numpy kernel sums the distances of fully and partially observed
+configurations, so a run that reduces nothing never loads SciPy; a pair
+is measured over the columns both items observe, without rescaling, so
+its distance depends on its two rows alone.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def _symmetrize(m: np.ndarray, out: np.ndarray | None = None) -> float:
 
     Each entry is ``(m[i, j] + m[j, i]) / 2.0``, the same operations as
     in that expression, so the same bits, made a block of rows at a time
-    instead of in n x n temporaries.  ``m`` must be free of NaN.
+    instead of in n x n temporaries, or ``m[i, j] / 2 + m[j, i] / 2``
+    where the sum overflows.  ``m`` must be free of NaN.
     """
     if out is None:
         out = m
@@ -88,10 +91,14 @@ def _symmetrize(m: np.ndarray, out: np.ndarray | None = None) -> float:
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         upper, lower = m[lo:hi, lo:], m[lo:, lo:hi].T
-        block = np.subtract(upper, lower)
-        worst = max(worst, float(np.abs(block, out=block).max()))
-        np.add(upper, lower, out=block)
+        with np.errstate(over="ignore"):  # an inf gap is not symmetric
+            block = np.subtract(upper, lower)
+            worst = max(worst, float(np.abs(block, out=block).max()))
+            np.add(upper, lower, out=block)
         block /= 2.0
+        over = np.isinf(block)
+        if over.any():
+            block[over] = upper[over] / 2.0 + lower[over] / 2.0
         out[lo:hi, lo:] = block
         out[lo:, lo:hi] = block.T
     return worst
@@ -297,59 +304,32 @@ def _check_cap(n: int):
 def euclidean_distances(config: Configuration) -> ProximityMatrix:
     """Euclidean distances between all item pairs of a configuration.
 
-    Parameters
-    ----------
-    config : Configuration
-
-    Returns
-    -------
-    ProximityMatrix
-
-    Notes
-    -----
-    Partially observed configurations are handled by summing over the columns
-    a pair of rows both observe (no rescaling); every pair must share at least
-    one observed column.  Core paths expect fully observed input and pipelines
-    impute first.  More than :data:`DENSE_CAP` items are rejected.  Another
-    metric enters as a :class:`ProximityMatrix` of its distances.
+    A pair of rows is measured over the columns both observe, without
+    rescaling, so its distance depends on its two rows alone; every pair
+    must share an observed column.  More than :data:`DENSE_CAP` items are
+    rejected.  Another metric enters as a :class:`ProximityMatrix`.
     """
     _check_cap(config.n)
     return ProximityMatrix(_distance_rows(config, 0, config.n))
 
 
 def _distance_rows(config: Configuration, start: int, stop: int) -> np.ndarray:
-    """Euclidean distances from items ``start .. stop - 1`` to every item.
-
-    Each pair's value does not depend on the block it is computed in, and
-    ``d(i, j)`` equals ``d(j, i)`` bit for bit.
-    """
-    x = config.items
-    if config.fully_observed:
-        return _full_distance_rows(x, start, stop)
-    mask = config.mask
-    d = np.empty((stop - start, x.shape[0]))
-    filled = np.where(mask, x, 0.0)
-    for i in range(start, stop):
-        shared = mask[i] & mask
-        ok = shared.any(axis=1)
-        ok[i] = True
-        if not ok.all():
-            j = int(np.argmin(ok))
-            raise ValueError(f"items {i} and {j} share no observed dimension")
-        diff = np.where(shared, filled[i] - filled, 0.0)
-        d[i - start] = np.power(np.power(diff, 2.0).sum(axis=1), 0.5)
-    return d
-
-
-def _full_distance_rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Euclidean distances from rows ``start .. stop - 1`` of ``x`` to every
-    row, with ``cdist``'s arithmetic, bit for bit: the squared coordinate
+    """Euclidean distances from items ``start .. stop - 1`` to every item,
+    with ``cdist``'s arithmetic, bit for bit: the squared coordinate
     differences summed in dimension order, then the root.
 
     Rows are summed ``_CHUNK_CELLS`` distances at a time, one dimension
-    after another, from a contiguous copy of ``x.T``.
+    after another, from a contiguous copy of the transposed items.  A
+    masked cell counts as 0, and the square of a dimension that a pair
+    does not share is set to 0, so a pair sums its shared dimensions only.
+    A pair's value does not depend on its block, and ``d(i, j)`` equals
+    ``d(j, i)`` bit for bit.
     """
+    x, mask = config.items, config.mask
     n = x.shape[0]
+    if mask is not None:
+        x = np.where(mask, x, 0.0)
+        absent = np.ascontiguousarray(~mask.T)
     cols = np.ascontiguousarray(x.T)
     d = np.empty((stop - start, n))
     step = max(1, _CHUNK_CELLS // n)
@@ -357,13 +337,28 @@ def _full_distance_rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # cdist overflows to inf silently
         for lo in range(start, stop, step):
             part = d[lo - start:lo - start + step]
+            hi = lo + len(part)
             term = square[:part.size].reshape(part.shape)
+            if mask is not None:  # pairs missing one dimension, and all so far
+                gap, alone = np.empty((2, *part.shape), dtype=bool)
             for k, col in enumerate(cols):
                 diff = part if k == 0 else term
-                np.subtract(col[lo:lo + len(part), None], col, out=diff)
+                np.subtract(col[lo:hi, None], col, out=diff)
                 np.square(diff, out=diff)
+                if mask is not None:  # set, not multiplied: inf * 0 is NaN
+                    unshared = np.logical_or(absent[k, lo:hi, None], absent[k],
+                                             out=alone if k == 0 else gap)
+                    np.copyto(diff, 0.0, where=unshared)
+                    alone &= unshared
                 if k:
                     part += term
+            if mask is not None:
+                alone[np.arange(len(part)), np.arange(lo, hi)] = False
+                if alone.any():
+                    i, j = divmod(int(alone.argmax()), n)
+                    ids = config.labels or range(n)
+                    raise ValueError(f"items {ids[lo + i]!r} and {ids[j]!r} "
+                                     "share no observed dimension")
     return np.sqrt(d, out=d)
 
 
@@ -395,7 +390,7 @@ class _RankRows:
     before use.  With a ``path`` that does not exist yet, ranked blocks are
     also appended to a temporary file that ``close`` renames into place
     once every row is in it; use the object as a context manager then.
-    ``name`` names the ranked artifact in errors about the file.
+    ``name`` names the ranked artifact in errors.
     """
 
     def __init__(self, source: ProximityMatrix | Configuration,
@@ -448,7 +443,11 @@ class _RankRows:
                                  f"{self.name!r}: {exc}") from None
             return rows
         if self.from_config:
-            d = _distance_rows(self.source, start, stop)
+            try:
+                d = _distance_rows(self.source, start, stop)
+            except ValueError as exc:  # two items share no dimension
+                raise (ValueError(f"{self.name}: {exc}") if self.name
+                       else exc) from None
         else:
             d = self.source.values[start:stop].copy()
         rows = np.empty(d.shape, dtype=np.int32)

@@ -279,6 +279,21 @@ class TestAgree:
         assert code == 1 and len(err) == 1 and err[0].startswith("error:"), err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["data.csv"]
 
+    def test_no_shared_column_names_the_file(self, tmp_path, capsys):
+        """Two items of a raw export that answer no item in common are
+        named with the file that holds them."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("id,x,y\na,1,NA\nb,NA,2\n")
+        b.write_text("id,x,y\na,1,3\nb,2,2\n")
+        code = run_cli("agree", "--a", str(a), "--b", str(b),
+                       "--out", str(tmp_path / "p.csv"))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {a}: items 'a' and 'b' share no observed dimension"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv",
+                                                               "b.csv"]
+
     @pytest.mark.parametrize("option", ["--b", "--z"])
     def test_mismatched_item_ids_fail(self, option, tmp_path, capsys):
         """A map whose rows list the items in another order is not scored

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,13 @@ class TestSmacof:
         with pytest.raises(DisconnectedGraphError) as err:
             smacof(d, 1, weights=w)
         assert err.value.n_components == 3
+
+    def test_largest_finite_weights_stay_finite(self):
+        w = np.full((3, 3), 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dimred._check_weights(w, 3)
+        assert got.tolist() == (w - np.diag(np.diag(w))).tolist()
 
     def test_zero_weights_rejected(self):
         d = ProximityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -1,8 +1,10 @@
 """Configurations, distances, and rank structures."""
 
+import math
 import re
 import threading
 import time
+import warnings
 import weakref
 from functools import partial
 
@@ -99,25 +101,81 @@ class TestEuclideanDistances:
     def test_rows_are_cdist(self, monkeypatch, m, scale):
         """Bit for bit, through underflow, overflow, coincident items and
         items one float apart, in blocks that start mid-array and cross
-        the edges of the chunks the rows are summed in."""
+        the edges of the chunks the rows are summed in.  With missing
+        cells (above one column), a pair's distance is the root of its
+        squared differences over the columns both items observe, summed
+        in column order."""
         n = 45
         rng = np.random.default_rng(m)
         x = rng.standard_normal((n, m)) * scale
         x[3] = x[5]
         x[7] = np.nextafter(x[9], np.inf)
-        config = Configuration(x)
-        want = cdist(x, x, "minkowski", p=2.0)
-        for chunk_rows in (1, 4, n):
+        cases = [(Configuration(x), cdist(x, x, "minkowski", p=2.0))]
+        if m > 1:  # column 0 stays observed, so every pair shares one
+            mask = rng.random((n, m)) < 0.7
+            mask[:, 0] = True
+            mask[::3] = True
+            mask[3] = mask[5]
+            holes = np.where(mask, x, np.nan)
+            cases.append((Configuration(holes, mask=mask),
+                          masked_distance_oracle(x, mask)))
+        for config, want in cases:
+            for chunk_rows in (1, 4, n):
+                monkeypatch.setattr(geometry, "_CHUNK_CELLS", chunk_rows * n)
+                for start, stop in ((0, n), (7, 30), (13, 14), (29, n)):
+                    got = geometry._distance_rows(config, start, stop)
+                    assert got.tobytes() == want[start:stop].tobytes()
+            if np.isfinite(want).all():
+                got = euclidean_distances(config).values
+                assert got.tobytes() == want.tobytes()
+            else:  # the squares overflow, in cdist as here
+                with pytest.raises(ValueError, match="must be finite"):
+                    euclidean_distances(config)
+
+    @pytest.mark.parametrize("m", [8, 12])
+    def test_missing_cell_changes_its_own_row_only(self, m):
+        """Dropping one cell of an item changes no distance between two
+        other items, not even in its last bit."""
+        n = 50
+        x = np.random.default_rng(m).standard_normal((n, m))
+        before = euclidean_distances(Configuration(x)).values
+        mask = np.ones((n, m), dtype=bool)
+        mask[n - 1, 3] = False
+        x[n - 1, 3] = np.nan
+        after = euclidean_distances(Configuration(x, mask=mask)).values
+        others = slice(0, n - 1)
+        assert after[others, others].tobytes() == (
+            before[others, others].tobytes())
+        assert (after[n - 1, others] != before[n - 1, others]).any()
+
+    @pytest.mark.parametrize("labels", [None, tuple("abcdefghij")])
+    def test_no_shared_columns_names_the_first_pair(self, monkeypatch,
+                                                    labels):
+        """The first pair in row order that shares no column is named,
+        by index or by label, at every chunk size and block start."""
+        n = 10
+        mask = np.ones((n, 3), dtype=bool)
+        mask[[2, 4], 0:2] = False      # 2 and 4 observe column 2 only
+        mask[[6, 7], 2] = False        # 6 and 7 miss column 2
+        mask[8, 1:] = False            # 8 observes column 0 only
+        x = np.where(mask, 1.0, np.nan)
+        config = Configuration(x, labels=labels, mask=mask)
+
+        def named(i, j):
+            if labels is not None:
+                i, j = repr(labels[i]), repr(labels[j])
+            return f"^items {i} and {j} share no observed dimension$"
+
+        for chunk_rows in range(1, n + 1):
             monkeypatch.setattr(geometry, "_CHUNK_CELLS", chunk_rows * n)
-            for start, stop in ((0, n), (7, 30), (13, 14), (29, n)):
-                got = geometry._distance_rows(config, start, stop)
-                assert got.tobytes() == want[start:stop].tobytes()
-        if np.isfinite(want).all():
-            got = euclidean_distances(config).values
-            assert got.tobytes() == want.tobytes()
-        else:  # the squares overflow, in cdist as here
-            with pytest.raises(ValueError, match="must be finite"):
+            for start, first in ((0, (2, 6)), (3, (4, 6)), (5, (6, 2)),
+                                 (8, (8, 2))):
+                with pytest.raises(ValueError, match=named(*first)):
+                    geometry._distance_rows(config, start, n)
+            with pytest.raises(ValueError, match=named(2, 6)):
                 euclidean_distances(config)
+            with pytest.raises(ValueError, match=named(2, 6)):
+                rank_structure(config)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -139,15 +197,34 @@ class TestEuclideanDistances:
         assert (np.diag(d) == 0).all()
 
 
+def masked_distance_oracle(x, mask):
+    """Each pair's root of ``(x_ik - x_jk) * (x_ik - x_jk)`` summed over
+    the columns k both rows observe, in column order, in Python floats."""
+    n, m = x.shape
+    rows = x.tolist()
+    d = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            total = 0.0
+            for k in range(m):
+                if mask[i, k] and mask[j, k]:
+                    diff = rows[i][k] - rows[j][k]
+                    total += diff * diff
+            d[i, j] = math.sqrt(total)
+    return d
+
+
 def reference_proximity_values(values, tol=1e-9):
     """The distance constructor's values, spelled out: check, average with
-    the transpose, clamp, fill the diagonal and copy."""
+    the transpose (halves first where the sum overflows), clamp, fill the
+    diagonal and copy."""
     v = np.asarray(values, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("proximity values must be finite")
     if np.abs(v - v.T).max() > tol:
         raise ValueError("proximity matrix is not symmetric")
-    v = (v + v.T) / 2.0
+    average = (v + v.T) / 2.0
+    v = np.where(np.isinf(average), v / 2.0 + v.T / 2.0, average)
     if np.abs(np.diag(v)).max() > tol:
         raise ValueError("distance diagonal must be zero")
     if v.min() < -tol:
@@ -210,6 +287,12 @@ class TestProximityMatrix:
         v[0, 2], v[2, 0] = upper, lower
         np.fill_diagonal(v, diagonal)
         check_against_reference(v)
+
+    def test_largest_finite_distances_stay_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ProximityMatrix([[0.0, 1e308], [1e308, 0.0]]).values
+        assert got.tolist() == [[0.0, 1e308], [1e308, 0.0]]
 
     def test_asymmetry_rejected(self):
         v = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -542,6 +625,33 @@ class TestSymmetrize:
             assert out.tobytes() == expected.tobytes()
             if into == "new":
                 assert work.tobytes() == m.tobytes()
+
+
+    @pytest.mark.parametrize("into", ["place", "new"])
+    def test_overflowing_sums_are_halved_first(self, monkeypatch, into):
+        """Where ``m[i, j] + m[j, i]`` overflows, the entry is
+        ``m[i, j] / 2 + m[j, i] / 2``, finite, and nothing warns."""
+        n = 5
+        m = np.full((n, n), 0.5)
+        big = np.finfo(float).max
+        m[0, 3], m[3, 0] = 1e308, 1e308
+        m[1, 4], m[4, 1] = 1.5e308, big
+        m[0, 4], m[4, 0] = -big, -big
+        m[2, 2] = big
+        m[1, 3], m[3, 1] = big, -big   # the gap overflows: inf
+        expected = m / 2.0 + m.T / 2.0  # (m + m.T) / 2 where that is finite
+        for block_rows in range(1, n + 1):
+            monkeypatch.setattr(geometry, "_SYMMETRIZE_CELLS", block_rows * n)
+            work = m.copy()
+            out = work if into == "place" else np.empty((n, n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gap = geometry._symmetrize(
+                    work, None if into == "place" else out)
+            assert gap == np.inf
+            assert out.tobytes() == expected.tobytes()
+            assert out[0, 3] == 1e308 and out[2, 2] == big
+            assert out[1, 3] == 0.0
 
 
 class TestRunPool:

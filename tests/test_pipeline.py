@@ -505,6 +505,18 @@ class TestExecution:
             run(cfg, tmp_path)
         assert not list((tmp_path / "o").glob("agr*"))
 
+    def test_agree_names_the_artifact_without_a_shared_column(self,
+                                                              tmp_path):
+        (tmp_path / "s.csv").write_text("id,q1,q2\nr0,1,NA\nr1,2,3\n"
+                                        "r2,NA,4\n")
+        cfg = {"version": 1, "out_dir": "o", "stages": [
+            {"kind": "ingest", "name": "survey", "path": "s.csv"},
+            {"kind": "agree", "name": "agr", "a": "survey", "b": "survey"}]}
+        with pytest.raises(PipelineError, match="^stage 'agr' \\(agree\\) "
+                           "failed: survey: items 'r0' and 'r2' share no "
+                           "observed dimension$"):
+            run(cfg, tmp_path)
+
     @pytest.mark.parametrize("plot_type, key", [
         ("scatter", "embeddings"), ("loess", "embeddings"),
         ("heatmap", "order_by"),
