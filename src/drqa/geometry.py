@@ -12,9 +12,12 @@ This module owns rank rows.  One block source, :class:`_RankRows`, ranks
 one block of rows at a time (:func:`_row_blocks`), straight from a
 configuration or a distance matrix, so the rank path never holds an
 ``n x n`` float matrix.  It also owns the rank cache file format: one
-``int32`` ``.npy`` array of shape ``(n, n)``, read through ``mmap`` and
-checked block by block (:func:`_check_rank_rows`), and written in row
-order to a temporary file that is renamed into place once complete.
+C-order ``int32`` ``.npy`` array of shape ``(n, n)``, written in row order
+after its header to a temporary file that is renamed into place once
+complete.  A reader checks once that an entry starts with that header,
+built as the writer builds it, and holds ``4·n²`` bytes after it, then
+maps and checks one block of rows at a time (:func:`_check_rank_rows`);
+no header is parsed.
 :func:`rank_structure` assembles every block into one ``int32`` matrix
 (4·n² bytes); the pipeline's agree stage instead consumes each block as it
 is served and keeps none, ranking the blocks of several artifacts side by
@@ -47,6 +50,7 @@ its distance depends on its two rows alone.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -385,11 +389,14 @@ class _RankRows:
     by block, in row order.
 
     Without a ``path``, each block is ranked when it is asked for.  With a
-    cache file at ``path``, each block is read from it through its own
-    ``mmap``, so the pages of earlier blocks are released, and checked
-    before use.  With a ``path`` that does not exist yet, ranked blocks are
-    also appended to a temporary file that ``close`` renames into place
-    once every row is in it; use the object as a context manager then.
+    cache file at ``path``, its header and size are checked once, on
+    construction, and each block maps only its own rows through its own
+    ``mmap``, so the pages of earlier blocks are released, and is checked
+    before use.
+    With a ``path`` that does not exist yet, the same header and then the
+    ranked blocks are written to a temporary file that ``close`` renames
+    into place once every row is in it; use the object as a context
+    manager then.
     ``name`` names the ranked artifact in errors.
     """
 
@@ -403,18 +410,31 @@ class _RankRows:
         self._file = None
         self._written = 0
         self.cached = path is not None and path.exists()
-        if self.cached:
-            self._load()  # a wrong shape or type fails before any work
-        elif path is not None:
-            fd, self._tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            self._file = os.fdopen(fd, "wb")
-            try:
-                np.lib.format.write_array_header_1_0(self._file, {
-                    "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
-                    "fortran_order": False, "shape": (source.n, source.n)})
-            except BaseException:
-                self.close(complete=False)
-                raise
+        if path is None:
+            return
+        n = source.n
+        buffer = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buffer, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
+            "fortran_order": False, "shape": (n, n)})
+        header = buffer.getvalue()
+        self._offset = len(header)
+        if self.cached:  # a wrong shape or type fails before any work
+            with path.open("rb") as f:
+                whole = (f.read(len(header)) == header and os.fstat(
+                    f.fileno()).st_size == len(header) + 4 * n * n)
+            if not whole:
+                raise ValueError(
+                    f"rank cache entry {path.name} for {name!r} is not a "
+                    f"C-order int32 .npy array of shape {(n, n)}")
+            return
+        fd, self._tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        self._file = os.fdopen(fd, "wb")
+        try:
+            self._file.write(header)
+        except BaseException:
+            self.close(complete=False)
+            raise
 
     def __enter__(self):
         return self
@@ -422,20 +442,12 @@ class _RankRows:
     def __exit__(self, exc_type, exc, tb):
         self.close(complete=exc_type is None)
 
-    def _load(self) -> np.ndarray:
-        """The cache file, mapped read-only."""
-        stored = np.load(self.path, mmap_mode="r")
-        n = self.source.n
-        if stored.dtype != np.int32 or stored.shape != (n, n):
-            raise ValueError(
-                f"rank cache entry {self.path.name} for {self.name!r} holds "
-                f"{stored.dtype} {stored.shape}, not int32 {(n, n)}")
-        return stored
-
     def block(self, start: int, stop: int) -> np.ndarray:
         """The ``int32`` rank rows of items ``start .. stop - 1``."""
         if self.cached:
-            rows = self._load()[start:stop]
+            n = self.source.n
+            rows = np.memmap(self.path, np.int32, "r",
+                             self._offset + 4 * start * n, (stop - start, n))
             try:
                 _check_rank_rows(rows, start)
             except ValueError as exc:

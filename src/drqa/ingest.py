@@ -35,9 +35,10 @@ def _names_its_file(read):
 
 
 def _read_rows(path: Path) -> list:
-    """The rows of a CSV text file; undecodable bytes are a ValueError."""
+    """The rows of a UTF-8 CSV file, a leading byte-order mark dropped;
+    undecodable bytes are a ValueError."""
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ValueError(f"not {exc.encoding} text") from None
@@ -191,7 +192,7 @@ def _write_csv(path, header, rows, text: int = 1) -> None:
     ``""``, as ``csv.writer`` does, so that it reads back as a row.  Rows
     are written one line at a time, so no copy of the whole file is held.
     """
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write((",".join(map(_quoted, header)) or '""') + "\r\n")
         fh.writelines((",".join([*map(_quoted, row[:text]), *row[text:]])
                        or '""') + "\r\n" for row in rows)

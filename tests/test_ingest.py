@@ -98,6 +98,18 @@ class TestIngest:
         assert sorted(parsed) == sorted(["1", "1", "2", "4", "6", "7", "8",
                                          "9e1"])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a BOM; the id column
+        must still hold the labels."""
+        text = "id,q1,q2\n1,3,5\n2,4,4\n3,1,2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        a, b = ingest_csv(plain), ingest_csv(marked)
+        assert a.labels == b.labels == ("1", "2", "3")
+        assert a.items.tobytes() == b.items.tobytes() and b.m == 2
+        assert a.mask is b.mask is None
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
@@ -317,13 +329,13 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 def writer_bytes(path, rows):
     """What ``csv.writer`` with its defaults writes for ``rows``."""
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     return path.read_bytes()
 
 
 def read_rows(path):
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
 
 

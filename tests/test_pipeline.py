@@ -1,7 +1,9 @@
 """Pipeline: strict config parsing, staged execution, determinism, caching."""
 
+import ast
 import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -967,6 +969,30 @@ class TestDeterminismAndCache:
             _RankCache(tmp_path).ranks_for("d", config)
         assert list(tmp_path.iterdir()) == []
 
+    def test_cache_header_write_that_raises_leaves_no_file(self, tmp_path,
+                                                           monkeypatch):
+        fdopen = os.fdopen
+        opened = []
+
+        def fdopen_then_fail_writes(fd, mode):
+            file = fdopen(fd, mode)
+            write = file.write
+
+            def write_then_fail(data):
+                write(data)
+                raise OSError("disk full")
+
+            file.write = write_then_fail
+            opened.append(mode)
+            return file
+
+        monkeypatch.setattr(os, "fdopen", fdopen_then_fail_writes)
+        config = Configuration(np.arange(10, dtype=float).reshape(5, 2))
+        with pytest.raises(OSError, match="disk full"):
+            _RankCache(tmp_path).ranks_for("d", config)
+        assert opened == ["wb"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_miss_failing_midway_leaves_no_file(self, tmp_path,
                                                       monkeypatch):
         rank_rows = geometry._rank_rows
@@ -986,7 +1012,13 @@ class TestDeterminismAndCache:
         assert blocks == [0, 2]
         assert list(tmp_path.iterdir()) == []
 
-    def test_corrupt_cache_entry_is_one_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fault", [
+        "repeated_rank", "rows_cut_short", "empty", "not_npy", "int64",
+        "wrong_n", "fortran_order"])
+    def test_corrupt_cache_entry_is_one_error_line(self, tmp_path, capsys,
+                                                   fault):
+        message = ("every rank once" if fault == "repeated_rank" else
+                   "is not a C-order int32 .npy array of shape (60, 60)")
         cfg = full_config("o", cache=True)
         cfg["stages"] = cfg["stages"][:3]
         path = tmp_path / "cfg.json"
@@ -994,14 +1026,27 @@ class TestDeterminismAndCache:
         assert main(["pipeline", "--config", str(path)]) == 0
         entry = sorted((tmp_path / "o" / ".cache").glob("ranks_*.npy"))[0]
         ranks = np.load(entry)
-        ranks[37, ranks[37] == 2] = 1  # rank 1 twice, rank 2 missing
-        np.save(entry, ranks)
+        if fault == "repeated_rank":
+            ranks[37, ranks[37] == 2] = 1  # rank 1 twice, rank 2 missing
+            np.save(entry, ranks)
+        elif fault == "rows_cut_short":  # the header intact, the last row gone
+            entry.write_bytes(entry.read_bytes()[:-4 * 60])
+        elif fault == "empty":
+            entry.write_bytes(b"")
+        elif fault == "not_npy":
+            entry.write_bytes(b"id,dim1,dim2\n" * 100)
+        elif fault == "int64":
+            np.save(entry, ranks.astype(np.int64))
+        elif fault == "wrong_n":
+            np.save(entry, ranks[:59, :59])
+        else:
+            np.save(entry, np.asfortranarray(ranks))
         capsys.readouterr()
         assert main(["pipeline", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert entry.name in err[0] and "every rank once" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert entry.name in err[0] and message in err[0], err[0]
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("block_rows", [1, 7])
@@ -1050,6 +1095,26 @@ class TestDeterminismAndCache:
         monkeypatch.setattr(geometry, "_rank_rows", no_ranking)
         run(cfg, tmp_path)
         assert tree_hashes(tmp_path / "o") == cold
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_warm_run_parses_no_header(self, tmp_path, monkeypatch, threads):
+        """A warm run reads its cache entries without parsing a ``.npy``
+        header, which numpy does with ``ast.literal_eval``."""
+        monkeypatch.setenv("DRQA_THREADS", threads)
+        cfg = full_config("o", cache=True)
+        run(cfg, tmp_path)
+        cold = tree_hashes(tmp_path / "o")
+        entries = {p.name: p.read_bytes()
+                   for p in (tmp_path / "o" / ".cache").iterdir()}
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a warm run parsed a header")
+
+        monkeypatch.setattr(ast, "literal_eval", no_parse)
+        run(cfg, tmp_path)
+        assert tree_hashes(tmp_path / "o") == cold
+        assert {p.name: p.read_bytes()
+                for p in (tmp_path / "o" / ".cache").iterdir()} == entries
 
     def test_different_seed_changes_outputs(self, tmp_path):
         run(full_config("a", seed=1), tmp_path)
