@@ -19,7 +19,8 @@ This module owns the single pass that every overlap count comes from.
 source for its rank rows of the block, and feeds every compared pair's
 :class:`_OverlapSums`, which adds the block's integer counts from one
 kernel, :func:`_overlap_counts`, into one vector per pair and keeps
-per-item rates only for the columns asked for.  :func:`agreement_profile`
+the per-item counts, as ``int32``, only for the columns asked for; a
+per-item rate is one count divided by its k.  :func:`agreement_profile`
 runs the pass over row slices of two stored rank structures; the
 pipeline's agree stage runs it over rank blocks as they are computed or
 read from its cache, and never holds an ``n x n`` array.  The pass runs
@@ -271,8 +272,9 @@ class _OverlapSums:
     """Overlap totals of one compared pair, added one block of rows at a time.
 
     ``sums[k - 1]`` is the sum over the items seen so far of ``a_ik``.  With
-    ``columns = (lo, hi)``, ``per_item`` is an ``n x (hi - lo + 1)`` matrix
-    whose rows receive the rates ``a_ik / k`` for ``k = lo .. hi``.
+    ``columns = (lo, hi)``, ``head`` is an ``int32`` matrix of shape
+    ``(n, hi - lo + 1)`` whose rows receive the overlaps ``a_ik`` for
+    ``k = lo .. hi``; :meth:`rates` divides them by ``k``.
     """
 
     def __init__(self, n: int, columns: tuple | None = None):
@@ -280,10 +282,10 @@ class _OverlapSums:
         self.k = np.arange(1, n)
         self.sums = np.zeros(n - 1, dtype=np.int64)
         self.columns = columns
-        self.per_item = None
+        self.head = None
         if columns is not None:
             lo, hi = columns
-            self.per_item = np.empty((n, hi - lo + 1))
+            self.head = np.empty((n, hi - lo + 1), dtype=np.int32)
 
     def add(self, start: int, rows_a: np.ndarray, rows_b: np.ndarray) -> None:
         """Count the items ``start ..`` whose rank rows are given."""
@@ -291,12 +293,16 @@ class _OverlapSums:
         sums, head = _overlap_counts(rows_a, rows_b, hi)
         self.sums += sums
         if head is not None:
-            np.divide(head[:, lo - 1:], self.k[lo - 1:hi],
-                      out=self.per_item[start:start + len(head)])
+            self.head[start:start + len(head)] = head[:, lo - 1:]
 
     def ar(self) -> np.ndarray:
         """``AR_k`` for every k, once every item has been added."""
         return self.sums / (self.k * self.n)
+
+    def rates(self) -> np.ndarray:
+        """The per-item rates ``a_ik / k`` of the kept columns."""
+        lo, hi = self.columns
+        return self.head / self.k[lo - 1:hi]
 
 
 def _count_overlaps(sources: dict, pairs: dict, n: int) -> None:
@@ -347,7 +353,8 @@ def agreement_profile(rank_a: RankStructure, rank_b: RankStructure,
     _count_overlaps({"a": lambda start, stop: rank_a.ranks[start:stop],
                      "b": lambda start, stop: rank_b.ranks[start:stop]},
                     {("a", "b"): counts}, n)
-    return AgreementProfile(counts.ar(), counts.per_item)
+    return AgreementProfile(counts.ar(),
+                            counts.rates() if with_per_item else None)
 
 
 def psi(profile: AgreementProfile) -> float:

@@ -2,17 +2,24 @@
 
 All writers print floats with ``repr``, so values round-trip losslessly
 and repeated runs emit identical bytes.  Each distinct float of a written
-array is formatted once (:func:`_float_cells`).  Every CSV file of the
-package is written by :func:`_write_csv`, which joins formatted cells into
-the bytes ``csv.writer`` would write, quoting text cells per RFC 4180.
-Every error a reader raises on a file's content, including those of the
-record it builds, starts with that file's name.
+array is formatted once (:func:`_float_cells`); a profile's values are
+all distinct, so its rows are formatted directly.  The agree stage's
+per-item cells come from integer overlap counts ``a`` instead: each is
+``repr(a / k)``, formatted once per ``(k, a)`` that occurs in the stage
+(:func:`_write_overlaps`).  Every CSV file of the package is written by
+:func:`_write_csv`, which joins each row once into the bytes
+``csv.writer`` would write, quoting text cells per RFC 4180; rows are
+still written one line at a time.  The readers parse the numeric cells of
+a file, or of a column, with one ``map(float, ...)``.  Every error a
+reader raises on a file's content, including those of the record it
+builds, starts with that file's name.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import re
 from pathlib import Path
 
@@ -44,6 +51,12 @@ def _read_rows(path: Path) -> list:
         raise ValueError(f"not {exc.encoding} text") from None
     except csv.Error as exc:
         raise ValueError(str(exc)) from None
+
+
+def _floats(cells) -> np.ndarray:
+    """``float`` of every cell, in one pass; the first cell that is not a
+    number raises ``float``'s ValueError."""
+    return np.fromiter(map(float, cells), np.float64)
 
 
 def _is_number(cell: str) -> bool:
@@ -88,42 +101,37 @@ def ingest_csv(path, has_header: bool = True,
             f"data rows have {width}"
         )
 
-    cells = [[c.strip() for c in row] for row in rows]
-
-    def is_missing(cell: str) -> bool:
-        return cell == "" or cell == missing_token
+    cells = [c.strip() for row in rows for c in row]
+    missing = ("", missing_token)
 
     first_is_label = False
     if width > 1:
         if header is not None and header[0].lower() in ("id", "label"):
             first_is_label = True
-        elif all(not is_missing(row[0]) and not _is_number(row[0])
-                 for row in cells):
+        elif all(cell not in missing and not _is_number(cell)
+                 for cell in cells[::width]):
             first_is_label = True
 
     labels = None
     if first_is_label:
-        labels = tuple(row[0] for row in cells)
-        cells = [row[1:] for row in cells]
+        labels = tuple(cells[::width])
+        del cells[::width]
         width -= 1
     if width == 0:
         raise ValueError("no data columns")
 
-    items = np.zeros((len(cells), width))
-    mask = np.ones((len(cells), width), dtype=bool)
-    for r, row in enumerate(cells):
-        for c, cell in enumerate(row):
-            if is_missing(cell):
-                mask[r, c] = False
-                continue
-            try:
-                items[r, c] = float(cell)
-            except ValueError:
-                col = c + 2 if first_is_label else c + 1
-                raise ValueError(
-                    f"non-numeric cell {cell!r} at "
-                    f"row {r + 1}, column {col}"
-                ) from None
+    observed = [cell not in missing for cell in cells]
+    mask = np.array(observed).reshape(len(rows), width)
+    items = np.zeros(mask.shape)
+    try:
+        items[mask] = _floats(itertools.compress(cells, observed))
+    except ValueError:
+        at = next(i for i, cell in enumerate(cells)
+                  if observed[i] and not _is_number(cell))
+        r, c = divmod(at, width)
+        col = c + 2 if first_is_label else c + 1
+        raise ValueError(f"non-numeric cell {cells[at]!r} at "
+                         f"row {r + 1}, column {col}") from None
     return Configuration(items, labels=labels, mask=mask)
 
 
@@ -155,9 +163,7 @@ def impute_column_mean(config: Configuration) -> Configuration:
 def item_ids(labels, n: int) -> tuple:
     """The ids that a written file gives ``n`` items: their labels as
     text, or ``"0" .. "n-1"`` when they have none."""
-    if labels is not None:
-        return tuple(str(s) for s in labels)
-    return tuple(str(i) for i in range(n))
+    return tuple(map(str, range(n) if labels is None else labels))
 
 
 def _float_cells(values) -> np.ndarray:
@@ -182,37 +188,60 @@ def _quoted(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _line(cells) -> str:
+    return (",".join(cells) or '""') + "\r\n"
+
+
 def _write_csv(path, header, rows, text: int = 1) -> None:
     """Write ``header`` and ``rows`` of string cells as ``csv.writer`` would.
 
     Header cells and the first ``text`` cells of each row are quoted where
     they hold a comma, a quote, CR or LF; the other cells are formatted
-    numbers or empty, which never need quotes, and are joined as they are.
+    numbers, empty, or ids quoted already (:func:`_item_rows`), and each
+    row is joined once as it is.  The numbers are ``repr`` of floats
+    (:func:`_float_cells`), or, in the agree stage's per-item files,
+    ``repr(a / k)`` of integer overlap counts (:func:`_write_overlaps`).
     Every row has at least one cell; a row of one empty cell is written as
     ``""``, as ``csv.writer`` does, so that it reads back as a row.  Rows
-    are written one line at a time, so no copy of the whole file is held.
+    are still written one line at a time, so no copy of the whole file is
+    held.
     """
+    if text:
+        rows = ([*map(_quoted, row[:text]), *row[text:]] for row in rows)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write((",".join(map(_quoted, header)) or '""') + "\r\n")
-        fh.writelines((",".join([*map(_quoted, row[:text]), *row[text:]])
-                       or '""') + "\r\n" for row in rows)
+        fh.write(_line(map(_quoted, header)))
+        fh.writelines(map(_line, rows))
+
+
+def _item_rows(labels, n: int, width: int) -> np.ndarray:
+    """The cells of a file of one row per item, as an ``n x (width + 1)``
+    object matrix whose column 0 holds the items' ids (:func:`item_ids`);
+    the caller fills the other columns with formatted numbers or empty
+    strings.  One search over all ids finds whether any needs quotes."""
+    ids = item_ids(labels, n)
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} labels for {n} items")
+    rows = np.empty((n, width + 1), dtype=object)
+    rows[:, 0] = (ids if _NEEDS_QUOTES.search("".join(ids)) is None
+                  else list(map(_quoted, ids)))
+    return rows
 
 
 def write_configuration(config: Configuration, path) -> None:
     """Write items as ``id,dim1..dimk`` rows; masked cells stay empty."""
-    cells = _float_cells(config.items)
+    rows = _item_rows(config.labels, config.n, config.m)
+    rows[:, 1:] = _float_cells(config.items)
     if config.mask is not None:
-        cells[~config.mask] = ""
+        rows[:, 1:][~config.mask] = ""
     _write_csv(path, ["id"] + [f"dim{j + 1}" for j in range(config.m)],
-               ([row_id] + row for row_id, row in zip(
-                   item_ids(config.labels, config.n), cells.tolist())))
+               rows.tolist(), text=0)
 
 
 def write_profile(profile: AgreementProfile, path) -> None:
-    cells = _float_cells(np.column_stack([profile.ar, profile.ar_adjusted]))
     _write_csv(path, ["k", "agreement", "adjusted_agreement"],
-               ([str(k)] + row for k, row in zip(range(1, profile.n),
-                                                 cells.tolist())), text=0)
+               zip(map(str, range(1, profile.n)),
+                   map(repr, profile.ar.tolist()),
+                   map(repr, profile.ar_adjusted.tolist())), text=0)
 
 
 @_names_its_file
@@ -226,8 +255,8 @@ def read_profile(path) -> AgreementProfile:
     ks = [int(r[0]) for r in body]
     if ks != list(range(1, len(ks) + 1)):
         raise ValueError("profile rows must cover k = 1..n-1")
-    profile = AgreementProfile([float(r[1]) for r in body])
-    adjusted = np.array([float(r[2]) for r in body])
+    profile = AgreementProfile(_floats(r[1] for r in body))
+    adjusted = _floats(r[2] for r in body)
     if np.abs(adjusted - profile.ar_adjusted).max() > 1e-9:
         raise ValueError("adjusted_agreement does not match")
     return profile
@@ -239,10 +268,31 @@ def write_per_item(ks, values, path, labels=None) -> None:
     ks = [int(k) for k in ks]
     if values.ndim != 2 or values.shape[1] != len(ks):
         raise ValueError("values must have one column per k")
-    cells = _float_cells(values)
-    _write_csv(path, ["id"] + [f"k={k}" for k in ks],
-               ([row_id] + row for row_id, row in zip(
-                   item_ids(labels, len(values)), cells.tolist())))
+    rows = _item_rows(labels, len(values), len(ks))
+    rows[:, 1:] = _float_cells(values)
+    _write_csv(path, ["id"] + [f"k={k}" for k in ks], rows.tolist(), text=0)
+
+
+def _write_overlaps(ks, counts, texts: dict, path, labels=None) -> None:
+    """Write the per-item rates ``a / k`` of an items-by-k matrix of
+    non-negative integer overlaps ``a``, column ``j`` for ``k = ks[j]``:
+    the bytes of ``write_per_item(ks, counts / ks, path, labels)``.
+
+    ``texts`` maps each ``(k, a)`` formatted so far to ``repr(a / k)``, so
+    the writes that share it format each pair once.  A column's cells come
+    from a lookup table indexed by the count, which gets the texts of the
+    counts that occur in the column only.
+    """
+    rows = _item_rows(labels, len(counts), len(ks))
+    for j, (k, column) in enumerate(zip(ks, counts.T), 1):
+        table = np.empty(k + 1, dtype=object)
+        for a in np.flatnonzero(np.bincount(column, minlength=k + 1)).tolist():
+            text = texts.get((k, a))
+            if text is None:
+                text = texts[k, a] = repr(a / k)
+            table[a] = text
+        rows[:, j] = table[column]
+    _write_csv(path, ["id"] + [f"k={k}" for k in ks], rows.tolist(), text=0)
 
 
 @_names_its_file
@@ -267,7 +317,8 @@ def read_per_item(path):
         raise ValueError("no item rows")
     if len(set(labels)) != len(labels):
         raise ValueError("item ids must be unique")
-    values = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+    values = _floats(itertools.chain.from_iterable(
+        r[1:] for r in rows[1:])).reshape(len(labels), len(ks))
     if not np.isfinite(values).all():
         raise ValueError("item values must be finite")
     return ks, values, labels

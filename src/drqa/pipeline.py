@@ -32,9 +32,12 @@ An agree stage makes one pass over blocks of rows
 (:func:`drqa.agreement._count_overlaps`): for each block it takes the rank
 rows of every artifact it compares once, from
 :class:`drqa.geometry._RankRows`, and adds each compared pair's overlap
-counts into that pair's totals.  With ``cache`` on, each artifact's ranks
-are kept in ``.cache/ranks_<key>.npy``, in the format that
-:mod:`drqa.geometry` defines.
+counts into that pair's totals; with ``per_item`` on, a pair keeps its
+items' integer overlap counts, and each per-item file is written from
+them, each ``(k, a)`` of the stage formatted once
+(:func:`drqa.ingest._write_overlaps`).  With ``cache`` on, each
+artifact's ranks are kept in ``.cache/ranks_<key>.npy``, in the format
+that :mod:`drqa.geometry` defines.
 """
 
 from __future__ import annotations
@@ -67,11 +70,12 @@ from ._workers import _pool, _pool_workers, _run_pool
 from .geometry import Configuration, RankStructure, _RankRows
 from .ingest import (
     _write_csv,
+    _write_overlaps,
     impute_column_mean,
     ingest_csv,
     item_ids,
     write_configuration,
-    write_per_item,
+    write_per_item,  # noqa: F401  perfbench/tracing.py wraps it here
     write_profile,
 )
 from .manifolds import ManifoldSpec, generate
@@ -793,17 +797,18 @@ class StageRunner:
         if stage.z is not None:
             psi_az = psi(profile(stage.a, stage.z))
         files = _files(stage)
+        ks = tuple(range(lo, hi + 1))
+        texts: dict = {}  # (k, a) -> repr(a / k), shared by the stage's maps
         for b_name, key in zip(stage.b, stage.profile_keys()):
             prof = profile(stage.a, b_name)
             profile_file, *more_files = files[key]
             self.profiles[key] = prof
             self._emit(stage, profile_file, write_profile, prof)
             if stage.per_item:
-                ks = tuple(range(lo, hi + 1))
-                matrix = pairs[stage.a, b_name].per_item
-                self.per_item[key] = (ks, matrix, ids)
-                self._emit(stage, more_files.pop(0), write_per_item,
-                           ks, matrix, labels=ids)
+                counts = pairs[stage.a, b_name]
+                self.per_item[key] = (ks, counts.rates(), ids)
+                self._emit(stage, more_files.pop(0), _write_overlaps,
+                           ks, counts.head, texts, labels=ids)
             psi_ab = psi(prof)
             if stage.z is not None:
                 psi_bz = psi(profile(b_name, stage.z))

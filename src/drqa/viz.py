@@ -27,6 +27,7 @@ URI in a single ``<image>``.  Colors come from one array kernel,
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 import struct
 import zlib
@@ -277,8 +278,9 @@ def _text(x, y, content, cls, anchor="start", size=12.0) -> str:
     }, _escape_text(content))
 
 
-def _points_attr(xs, ys) -> str:
-    return " ".join(f"{x},{y}" for x, y in zip(_fs(xs), _fs(ys)))
+def _points_attr(x_text, ys) -> str:
+    """Polyline points from x coordinates formatted already and y values."""
+    return " ".join(f"{x},{y}" for x, y in zip(x_text, _fs(ys)))
 
 
 def _circles(xy, fills, radius: float, extra=None) -> str:
@@ -700,19 +702,19 @@ def render_loess_overlay(embedding: Configuration, item_values,
     rect = (st.margin, st.margin, st.width - 2 * st.margin,
             st.height - 2 * st.margin)
     to_screen = _data_transform(embedding.items, rect)
-    g = surface.xs.size
-    nodes = np.column_stack([np.tile(surface.xs, g),
-                             np.repeat(surface.ys, g)])
-    centers = to_screen(nodes)
+    # a node's screen x depends on its grid column alone and its y on its
+    # row, so the diagonal nodes give every column's x and every row's y
+    centers = to_screen(np.column_stack([surface.xs, surface.ys]))
     # cell size from the first grid step (a grid has at least 2 nodes a
     # side), clamped for degenerate clouds
-    step = centers.reshape(g, g, 2)
-    cw = abs(float(step[0, 1, 0] - step[0, 0, 0])) or 1.0
-    ch = abs(float(step[1, 0, 1] - step[0, 0, 1])) or 1.0
+    cw = abs(float(centers[1, 0] - centers[0, 0])) or 1.0
+    ch = abs(float(centers[1, 1] - centers[0, 1])) or 1.0
     tile = _template("rect", {"class": "surf", "x": None, "y": None,
                               "width": _f(cw), "height": _f(ch), "fill": None})
-    tiles = "".join(tile % cell for cell in zip(
-        _fs(centers[:, 0] - cw / 2.0), _fs(centers[:, 1] - ch / 2.0),
+    # tiles row by row, each column's x and each row's y formatted once
+    tiles = "".join(tile % (x, y, fill) for (y, x), fill in zip(
+        itertools.product(_fs(centers[:, 1] - ch / 2.0),
+                          _fs(centers[:, 0] - cw / 2.0)),
         scale.css_array(surface.values.reshape(-1))))
     marks = _circles(to_screen(embedding.items), scale.css_array(vals),
                      st.point_radius,
@@ -771,6 +773,7 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
     ks = np.arange(1, n)
     base = ks / (n - 1)
     sx = x0 + (ks - 1) / (n - 2) * plot_w
+    x_text = np.array(_fs(sx), dtype=object)  # each k's screen x, once
 
     def sy(v):
         return y0 + (1.0 - v) * plot_h
@@ -790,11 +793,12 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
     blends = np.cumsum(colors[order], axis=0) / depth
     keep = ((left[:-1] - left[1:] > 0) | (right[:-1] - right[1:] > 0)).T
     col, dep = np.nonzero(keep)
-    xl, xr = sx[col], sx[col + 1]
+    xl, xr = x_text[col].tolist(), x_text[col + 1].tolist()
     bl, br = base[col], base[col + 1]
-    corners = zip(*map(_fs, (
-        xl, sy(bl + left[dep, col]), xr, sy(br + right[dep, col]),
-        xr, sy(br + right[dep + 1, col]), xl, sy(bl + left[dep + 1, col]))))
+    corners = zip(xl, _fs(sy(bl + left[dep, col])),
+                  xr, _fs(sy(br + right[dep, col])),
+                  xr, _fs(sy(br + right[dep + 1, col])),
+                  xl, _fs(sy(bl + left[dep + 1, col])))
     band = _template("polygon", {"class": "band", "points": None,
                                  "fill": None, "fill-opacity": _f(FILL_OPACITY)})
     bands = "".join(
@@ -804,7 +808,7 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
 
     body = [_tag("g", {"class": "bands"}, bands), _tag("polyline", {
         "class": "baseline",
-        "points": _points_attr(sx, sy(base)),
+        "points": _points_attr(x_text, sy(base)),
         "fill": "none",
         "stroke": "#777777",
         "stroke-dasharray": "4 3",
@@ -813,7 +817,7 @@ def render_lift(profiles, spec: RenderSpec | None = None) -> str:
     for idx, ((name, prof), rgb) in enumerate(zip(named, colors)):
         body.append(_tag("polyline", {
             "class": "curve",
-            "points": _points_attr(sx, sy(prof.ar)),
+            "points": _points_attr(x_text, sy(prof.ar)),
             "fill": "none",
             "stroke": _hex(rgb),
             "stroke-width": _f(1.5),

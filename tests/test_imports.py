@@ -81,6 +81,25 @@ class TestScipyLoads:
         assert {"scores.csv", "lift.svg", "heatmap.svg", "scatter.svg",
                 "loess.svg"} <= written
 
+    def test_warm_cached_rerun_loads_numpy_only(self, tmp_path):
+        """A rescore against a filled rank cache, in a fresh interpreter
+        as the benchmark times it, reads every rank from disk and loads
+        no SciPy module."""
+        config = write_scoring_inputs(tmp_path)
+        config["cache"] = True
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        script = """
+            from drqa.pipeline import load_config, run_pipeline
+            run_pipeline(load_config("config.json"))
+        """
+        assert loaded_after(script, tmp_path) == []  # fills the cache
+        cache = {p: p.stat().st_mtime_ns
+                 for p in (tmp_path / "out" / ".cache").iterdir()}
+        assert len(cache) == 3  # the survey and both maps
+        assert loaded_after(script, tmp_path) == []
+        assert {p: p.stat().st_mtime_ns
+                for p in (tmp_path / "out" / ".cache").iterdir()} == cache
+
     def test_a_reducer_loads_scipy_in_parse_config(self, tmp_path):
         loaded = loaded_after("""
             from drqa.pipeline import parse_config

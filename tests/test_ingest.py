@@ -2,17 +2,20 @@
 
 import csv
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drqa.agreement import AgreementProfile, agreement_profile
+from drqa.agreement import AgreementProfile, _OverlapSums, agreement_profile
 from drqa.geometry import Configuration, euclidean_distances, ranks_from_config
 from drqa.ingest import (
     _float_cells,
     _write_csv,
+    _write_overlaps,
     impute_column_mean,
     ingest_csv,
     read_per_item,
@@ -78,6 +81,31 @@ class TestIngest:
         p.write_text("id,x,y\na,1,2\nb,3,4\nc,5,x7\n")
         with pytest.raises(ValueError, match="'x7' at row 3, column 3"):
             ingest_csv(p)
+
+    def test_first_bad_cell_deep_in_a_file_is_reported(self, tmp_path):
+        """All cells are parsed in one pass; the message names the first
+        bad cell in row-major order, the label column counted."""
+        rows = [["id", "q1", "q2", "q3", "q4"]]
+        rows += [[f"r{i}", "1", "NA" if i % 7 else "", "3.5", "4"]
+                 for i in range(60)]
+        rows[45][2] = "two"  # row 45, column 3: later in row-major order
+        rows[37][4] = "4,0"  # row 37, column 5
+        p = tmp_path / "d.csv"
+        with p.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(ValueError,
+                           match="^d.csv: non-numeric cell '4,0' at row 37, "
+                                 "column 5$"):
+            ingest_csv(p)
+
+    def test_na_and_empty_cells_in_one_column_both_mask(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x,y,z\n1,NA,3\n4,,6\n7, NA ,9\n10,11,12\n")
+        c = ingest_csv(p)
+        assert c.mask[:, 1].tolist() == [False, False, False, True]
+        assert c.mask[:, [0, 2]].all()
+        assert c.items[3].tolist() == [10.0, 11.0, 12.0]
+        assert c.items[:, 1][:3].tolist() == [0.0, 0.0, 0.0]
 
     def test_each_numeric_cell_is_parsed_once(self, tmp_path, monkeypatch):
         import drqa.ingest
@@ -206,6 +234,19 @@ class TestProfileFiles:
         with pytest.raises(ValueError, match="k = 1..n-1"):
             read_profile(p)
 
+    @pytest.mark.parametrize("body, bad", [
+        ("1,0.5,x\n2,1.0,0.0\n", "x"),
+        ("1,0.5,0.25\n2,one,0.0\n", "one"),
+        # every agreement is parsed before any adjusted value
+        ("1,0.5,bad\n2,,0.0\n", ""),
+    ])
+    def test_bad_number_names_the_file(self, tmp_path, body, bad):
+        p = tmp_path / "prof.csv"
+        p.write_text("k,agreement,adjusted_agreement\n" + body)
+        with pytest.raises(ValueError, match=re.escape(
+                f"prof.csv: could not convert string to float: {bad!r}")):
+            read_profile(p)
+
     def test_inconsistent_adjusted_rejected(self, tmp_path):
         p = tmp_path / "prof.csv"
         p.write_text("k,agreement,adjusted_agreement\n1,0.5,0.3\n2,1.0,0.7\n")
@@ -242,6 +283,55 @@ class TestPerItemFiles:
     def test_column_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="one column per k"):
             write_per_item([1, 2], np.zeros((3, 3)), tmp_path / "x.csv")
+
+    def test_label_count_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^2 labels for 3 items$"):
+            write_per_item([1], np.zeros((3, 1)), tmp_path / "x.csv",
+                           labels=["a", "b"])
+
+    def test_first_bad_cell_names_the_file(self, tmp_path):
+        p = tmp_path / "items.csv"
+        rows = ["id,k=1,k=2"] + [f"i{i},0.5,1.0" for i in range(40)]
+        rows[31] = "i30,0.5,nan?"
+        rows[33] = "i32,?,1.0"
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "items.csv: could not convert string to float: 'nan?'")):
+            read_per_item(p)
+
+    @pytest.mark.parametrize("kind", ["distinct", "ties"])
+    def test_counts_writer_formats_only_the_counts_that_occur(
+            self, tmp_path, kind):
+        """A full-range write at n = 300 formats each (k, a) that occurs
+        once, and builds no table of all k + 1 texts of a column."""
+        n = 300
+        rng = np.random.default_rng(5)
+        if kind == "ties":
+            a, b = (rng.integers(0, 4, (n, 2)).astype(float)
+                    for _ in range(2))
+        else:
+            a, b = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        sums = _OverlapSums(n, (1, n - 1))
+        sums.add(0, ranks_from_config(Configuration(a)).ranks,
+                 ranks_from_config(Configuration(b)).ranks)
+        ks = tuple(range(1, n))
+        texts = {}
+        tracemalloc.start()
+        try:
+            _write_overlaps(ks, sums.head, texts, tmp_path / "got.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(texts) == {(k, c) for j, k in enumerate(ks)
+                              for c in np.unique(sums.head[:, j]).tolist()}
+        assert all(text == repr(c / k) for (k, c), text in texts.items())
+        # the n x n cells and their rows as lists take about 2 * 8 n^2
+        # bytes (1.4 MB); the texts of all k + 1 counts of every column
+        # alone would take 3.4 MB
+        assert peak < 3_000_000
+        write_per_item(ks, sums.rates(), tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (
+            tmp_path / "want.csv").read_bytes()
 
 
 

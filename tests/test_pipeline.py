@@ -23,7 +23,7 @@ from drqa.agreement import (
 )
 from drqa.cli import main
 from drqa.geometry import Configuration, ranks_from_config
-from drqa.ingest import ingest_csv, write_configuration
+from drqa.ingest import ingest_csv, write_configuration, write_per_item
 from drqa.pipeline import (
     AgreeStage,
     IngestStage,
@@ -1302,6 +1302,56 @@ class TestStreamedAgree:
             tracemalloc.stop()
         assert peak < 4 * n * n
         assert runner.per_item["fit:m2"][1].shape == (n, 10)
+
+
+class TestPerItemFromCounts:
+    """The agree stage writes its per-item files from integer overlap
+    counts: the bytes the float writer gives for ``counts / k``."""
+
+    N = 19
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("kind, range_k", [
+        ("distinct", (3, 11)),  # starts above k = 1
+        ("ties", None),         # the full range 1 .. n - 1
+    ])
+    def test_files_equal_the_float_writer(self, tmp_path, monkeypatch,
+                                          threads, kind, range_k):
+        monkeypatch.setenv("DRQA_THREADS", threads)
+        n = self.N
+        rng = np.random.default_rng(41)
+        if kind == "ties":
+            survey = rng.integers(1, 4, (n, 3)).astype(float)
+            maps = [rng.integers(0, 3, (n, 2)).astype(float)
+                    for _ in range(3)]
+        else:
+            survey = rng.standard_normal((n, 4))
+            maps = [survey[:, :2] + s * rng.standard_normal((n, 2))
+                    for s in (0.1, 0.5, 2.0)]
+        # ids that csv quoting must handle, and a few that need none
+        labels = tuple(f'r{i},"{i}"' if i % 4 else f"r{i}" for i in range(n))
+        out = tmp_path / "out"
+        out.mkdir()
+        runner = StageRunner(out)
+        names = tuple(f"m{j}" for j in range(len(maps)))
+        runner.configurations["survey"] = Configuration(survey, labels=labels)
+        for name, coords in zip(names, maps):
+            runner.configurations[name] = Configuration(coords, labels=labels)
+        lo, hi = range_k or (1, n - 1)
+        runner.run(AgreeStage("fit", "survey", names, per_item=True,
+                              range_k=range_k))
+
+        ks = tuple(range(lo, hi + 1))
+        nbrs_a = naive_neighbors(survey)
+        for name in names:
+            counts = naive_overlap_counts(
+                nbrs_a, naive_neighbors(runner.configurations[name].items))
+            rates = counts[:, lo - 1:hi] / np.array(ks)
+            write_per_item(ks, rates, tmp_path / "want.csv", labels=labels)
+            got = (out / f"fit_{name}_items.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            assert runner.per_item[f"fit:{name}"][1].tobytes() == (
+                rates.tobytes())
 
 
 class TestScores:
