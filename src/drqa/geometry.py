@@ -11,13 +11,19 @@ input the agreement metrics need.
 This module owns rank rows.  One block source, :class:`_RankRows`, ranks
 one block of rows at a time (:func:`_row_blocks`), straight from a
 configuration or a distance matrix, so the rank path never holds an
-``n x n`` float matrix.  It also owns the rank cache file format: one
-C-order ``int32`` ``.npy`` array of shape ``(n, n)``, written in row order
-after its header to a temporary file that is renamed into place once
-complete.  A reader checks once that an entry starts with that header,
-built as the writer builds it, and holds ``4·n²`` bytes after it, then
-maps and checks one block of rows at a time (:func:`_check_rank_rows`);
-no header is parsed.
+``n x n`` float matrix.  It also owns the format of both kinds of cache
+entry, and :data:`_RANK_BITS`, the name of the rank bits it computes,
+which the cache puts in the key and the file name of every entry.  An
+entry (:class:`_Entry`) is C-order arrays one after another, each after
+its own ``.npy`` header, written to a temporary file that is renamed into
+place once complete.  A reader compares once each header, built in memory
+as the writer builds it, and the exact file size; no header is parsed.  A
+rank entry is one ``int32`` array of shape ``(n, n)``, written in row
+order, whose reader then maps and checks one block of rows at a time
+(:func:`_check_rank_rows`).  A pair entry is the overlap state of one
+compared pair: its ``n - 1`` ``int64`` sums, then, where per-item rates
+are kept, its ``int32`` per-item counts of shape ``(n, hi - lo + 1)``
+(:func:`_read_counts`, :func:`_write_counts`), checked whole when read.
 :func:`rank_structure` assembles every block into one ``int32`` matrix
 (4·n² bytes); the pipeline's agree stage instead consumes each block as it
 is served and keeps none, ranking the blocks of several artifacts side by
@@ -51,6 +57,7 @@ its distance depends on its two rows alone.
 from __future__ import annotations
 
 import io
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -70,6 +77,12 @@ _CHUNK_CELLS = 1 << 16
 
 #: Entries of the temporary block that :func:`_symmetrize` works in.
 _SYMMETRIZE_CELLS = 1 << 12
+
+#: Names the rank bits that this module computes: its distance kernel and
+#: tie rule.  A change that moves any rank bit changes it, together with
+#: the digests pinned by the golden rank test, so that no cache entry made
+#: by other code is read.
+_RANK_BITS = 2
 
 
 def _readonly(a: np.ndarray, dtype) -> np.ndarray:
@@ -384,19 +397,96 @@ def rank_structure(source: ProximityMatrix | Configuration) -> RankStructure:
     return _RankRows(source).structure()
 
 
+class _Entry:
+    """One cache entry: C-order arrays one after another, each after its
+    own ``.npy`` header.
+
+    ``layout`` gives each array's dtype and shape.  Every header is built
+    once, in memory, as numpy writes it.  :meth:`fits` compares an open
+    entry with those bytes and with its exact size.  :meth:`create` opens
+    a temporary file beside ``path``, :meth:`append` adds the arrays in
+    layout order, each header written before its array, and :meth:`close`
+    renames the file into place once it holds every byte, or removes it.
+    """
+
+    def __init__(self, path: Path, layout):
+        self.path = path
+        self.parts = []  # (header, dtype, shape, where its data starts)
+        end = 0
+        for dtype, shape in layout:
+            buffer = io.BytesIO()
+            np.lib.format.write_array_header_1_0(buffer, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                "fortran_order": False, "shape": shape})
+            header = buffer.getvalue()
+            end += len(header)
+            self.parts.append((header, np.dtype(dtype), shape, end))
+            end += np.dtype(dtype).itemsize * math.prod(shape)
+        self.size = end
+        self._file = None
+
+    def fits(self, f) -> bool:
+        """Whether the open entry ``f`` holds every header in its place and
+        is exactly as long as the layout."""
+        for header, _, _, start in self.parts:
+            f.seek(start - len(header))
+            if f.read(len(header)) != header:
+                return False
+        return os.fstat(f.fileno()).st_size == self.size
+
+    def read(self, f, part: int) -> np.ndarray:
+        """Array ``part`` of the open entry ``f``, read-only."""
+        _, dtype, shape, start = self.parts[part]
+        f.seek(start)
+        data = f.read(dtype.itemsize * math.prod(shape))
+        return np.frombuffer(data, dtype).reshape(shape)
+
+    def create(self) -> None:
+        fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+        self._file = os.fdopen(fd, "wb")
+        self._at = 0
+        try:
+            self._headers()
+        except BaseException:
+            self.close(complete=False)
+            raise
+
+    def append(self, data: np.ndarray) -> None:
+        data.tofile(self._file)
+        self._at += data.nbytes
+        self._headers()
+
+    def _headers(self) -> None:
+        """Write the header of each array that starts where the file ends."""
+        for header, _, _, start in self.parts:
+            if self._at == start - len(header):
+                self._file.write(header)
+                self._at = start
+
+    def close(self, complete: bool) -> None:
+        """Rename a fully written entry into place, or remove it."""
+        if self._file is None:
+            return
+        self._file.close()
+        self._file = None
+        if complete and self._at == self.size:
+            os.replace(self._tmp, self.path)
+        else:
+            os.unlink(self._tmp)
+
+
 class _RankRows:
     """The rank rows of a configuration or a distance matrix, served block
     by block, in row order.
 
     Without a ``path``, each block is ranked when it is asked for.  With a
-    cache file at ``path``, its header and size are checked once, on
+    rank entry at ``path``, its header and size are checked once, on
     construction, and each block maps only its own rows through its own
     ``mmap``, so the pages of earlier blocks are released, and is checked
     before use.
-    With a ``path`` that does not exist yet, the same header and then the
-    ranked blocks are written to a temporary file that ``close`` renames
-    into place once every row is in it; use the object as a context
-    manager then.
+    With a ``path`` that does not exist yet, the ranked blocks are written
+    to a new entry that ``close`` renames into place once every row is in
+    it; use the object as a context manager then.
     ``name`` names the ranked artifact in errors.
     """
 
@@ -407,34 +497,23 @@ class _RankRows:
         self.source = source
         self.path = path
         self.name = name
-        self._file = None
+        self._entry = None
         self._written = 0
         self.cached = path is not None and path.exists()
         if path is None:
             return
         n = source.n
-        buffer = io.BytesIO()
-        np.lib.format.write_array_header_1_0(buffer, {
-            "descr": np.lib.format.dtype_to_descr(np.dtype(np.int32)),
-            "fortran_order": False, "shape": (n, n)})
-        header = buffer.getvalue()
-        self._offset = len(header)
+        self._entry = _Entry(path, ((np.int32, (n, n)),))
+        self._offset = self._entry.parts[0][3]
         if self.cached:  # a wrong shape or type fails before any work
             with path.open("rb") as f:
-                whole = (f.read(len(header)) == header and os.fstat(
-                    f.fileno()).st_size == len(header) + 4 * n * n)
+                whole = self._entry.fits(f)
             if not whole:
                 raise ValueError(
                     f"rank cache entry {path.name} for {name!r} is not a "
                     f"C-order int32 .npy array of shape {(n, n)}")
             return
-        fd, self._tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        self._file = os.fdopen(fd, "wb")
-        try:
-            self._file.write(header)
-        except BaseException:
-            self.close(complete=False)
-            raise
+        self._entry.create()
 
     def __enter__(self):
         return self
@@ -464,10 +543,10 @@ class _RankRows:
             d = self.source.values[start:stop].copy()
         rows = np.empty(d.shape, dtype=np.int32)
         _rank_rows(d, rows, start)
-        if self._file is not None:
+        if self._entry is not None:
             if start != self._written:
                 raise ValueError("rank rows must be written in order")
-            rows.tofile(self._file)
+            self._entry.append(rows)
             self._written = stop
         return rows
 
@@ -480,15 +559,68 @@ class _RankRows:
         return RankStructure._trusted(ranks)
 
     def close(self, complete: bool) -> None:
-        """Rename a fully written cache file into place, or remove it."""
-        if self._file is None:
-            return
-        self._file.close()
-        self._file = None
-        if complete and self._written == self.source.n:
-            os.replace(self._tmp, self.path)
-        else:
-            os.unlink(self._tmp)
+        """Rename a fully written rank entry into place, or remove it."""
+        if self._entry is not None:
+            self._entry.close(complete)
+
+
+def _read_counts(path: Path, n: int, columns: tuple | None,
+                 what: str) -> tuple | None:
+    """``(sums, head)`` from the pair entry at ``path``, or None if there is
+    no entry; ``head`` is None where ``columns`` is.
+
+    The entry must hold exactly the ``int64`` sums of every k, then, for
+    ``columns = (lo, hi)``, the ``int32`` per-item counts of k = lo .. hi,
+    and what every overlap count of ``n`` items satisfies: the last sum
+    is ``n(n - 1)``, every per-item count of ``k`` lies in ``0 .. k``, and
+    each kept column sums to the total of its ``k``.  ``what`` names the
+    compared pair in errors.
+    """
+    layout = [(np.int64, (n - 1,))]
+    if columns is not None:
+        lo, hi = columns
+        layout.append((np.int32, (n, hi - lo + 1)))
+    entry = _Entry(path, layout)
+    try:
+        f = path.open("rb")
+    except FileNotFoundError:
+        return None
+    with f:
+        if not entry.fits(f):
+            head = ("" if columns is None else " and an int32 .npy array "
+                    f"of shape {layout[1][1]}")
+            raise ValueError(f"pair cache entry {path.name} for {what} is "
+                             f"not an int64 .npy vector of length {n - 1}"
+                             f"{head}")
+        sums = entry.read(f, 0)
+        head = None if columns is None else entry.read(f, 1)
+    problem = None
+    if sums[-1] != n * (n - 1):
+        problem = f"the last sum is not n(n - 1) = {n * (n - 1)}"
+    elif head is not None:
+        if head.min() < 0 or (head > np.arange(lo, hi + 1)).any():
+            problem = "a per-item count of k lies outside 0 .. k"
+        elif not np.array_equal(head.sum(axis=0, dtype=np.int64),
+                                sums[lo - 1:hi]):
+            problem = "a per-item column does not sum to the total of its k"
+    if problem is not None:
+        raise ValueError(f"pair cache entry {path.name} for {what}: {problem}")
+    return sums, head
+
+
+def _write_counts(path: Path, sums: np.ndarray,
+                  head: np.ndarray | None) -> None:
+    """Write a pair entry of ``sums`` and, if given, ``head``."""
+    arrays = (sums,) if head is None else (sums, head)
+    entry = _Entry(path, [(a.dtype, a.shape) for a in arrays])
+    entry.create()
+    try:
+        for a in arrays:
+            entry.append(a)
+    except BaseException:
+        entry.close(complete=False)
+        raise
+    entry.close(complete=True)
 
 
 def _rank_rows(d: np.ndarray, out: np.ndarray, start: int) -> None:

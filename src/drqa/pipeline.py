@@ -35,9 +35,15 @@ rows of every artifact it compares once, from
 counts into that pair's totals; with ``per_item`` on, a pair keeps its
 items' integer overlap counts, and each per-item file is written from
 them, each ``(k, a)`` of the stage formatted once
-(:func:`drqa.ingest._write_overlaps`).  With ``cache`` on, each
-artifact's ranks are kept in ``.cache/ranks_<key>.npy``, in the format
-that :mod:`drqa.geometry` defines.
+(:func:`drqa.ingest._write_overlaps`).  With ``cache`` on, the stage
+keeps two kinds of entry in ``.cache``, in the format that
+:mod:`drqa.geometry` defines, both named after the rank bits
+(:data:`drqa.geometry._RANK_BITS`): each artifact's ranks in
+``ranks_v<bits>_<key>.npy``, and each compared pair's overlap totals,
+with its per-item counts where kept, in ``pair_v<bits>_<key>.npy``
+(:meth:`_RankCache.count`).  Pair entries are read first: the pass
+covers only the pairs without one, and ranks, or reads from their rank
+entries, only those pairs' artifacts.
 """
 
 from __future__ import annotations
@@ -67,7 +73,14 @@ from .agreement import (
     weighted_psi,
 )
 from ._workers import _pool, _pool_workers, _run_pool
-from .geometry import Configuration, RankStructure, _RankRows
+from .geometry import (
+    _RANK_BITS,
+    Configuration,
+    RankStructure,
+    _RankRows,
+    _read_counts,
+    _write_counts,
+)
 from .ingest import (
     _write_csv,
     _write_overlaps,
@@ -629,9 +642,15 @@ def load_config(path) -> PipelineConfig:
 
 
 class _RankCache:
-    """Rank rows per artifact, optionally persisted on disk as ``.npy``.
+    """Rank rows per artifact and overlap counts per compared pair, kept
+    on disk as cache entries (:mod:`drqa.geometry`) when given a directory.
 
-    Disk entries are keyed by shape, items and mask.
+    A rank entry is keyed by the rank bits' name
+    (:data:`~drqa.geometry._RANK_BITS`) and the artifact's shape, items
+    and mask.  A pair entry is keyed by the rank bits' name, the rank keys
+    of both artifacts, unordered since each overlap is symmetric in them,
+    and the per-item columns kept, so a pair counted for another range or
+    without per-item rates is not read.
     """
 
     def __init__(self, directory: Path | None):
@@ -639,21 +658,75 @@ class _RankCache:
         if directory is not None:
             directory.mkdir(parents=True, exist_ok=True)
 
+    @staticmethod
+    def _key(config: Configuration) -> str:
+        digest = hashlib.sha256(
+            f"ranks v{_RANK_BITS} {config.items.shape}".encode())
+        digest.update(config.items.tobytes())
+        if config.mask is not None:
+            digest.update(config.mask.tobytes())
+        return digest.hexdigest()
+
     def rows(self, name: str, config: Configuration) -> _RankRows:
         """The rank rows of one artifact; a context manager."""
         path = None
         if self.directory is not None:
-            digest = hashlib.sha256(repr(config.items.shape).encode())
-            digest.update(config.items.tobytes())
-            if config.mask is not None:
-                digest.update(config.mask.tobytes())
-            path = self.directory / f"ranks_{digest.hexdigest()[:24]}.npy"
+            path = (self.directory
+                    / f"ranks_v{_RANK_BITS}_{self._key(config)[:24]}.npy")
         return _RankRows(config, path=path, name=name)
 
     def ranks_for(self, name: str, config: Configuration) -> RankStructure:
         """The whole rank structure of one artifact, through the cache."""
         with self.rows(name, config) as rows:
             return rows.structure()
+
+    def _pair_path(self, x: Configuration, y: Configuration,
+                   columns: tuple | None) -> Path:
+        keys = sorted((self._key(x), self._key(y)))
+        digest = hashlib.sha256(
+            f"pair v{_RANK_BITS} {keys} {columns}".encode())
+        return (self.directory
+                / f"pair_v{_RANK_BITS}_{digest.hexdigest()[:24]}.npy")
+
+    def count(self, pairs: dict, configurations: dict, n: int,
+              used: dict) -> None:
+        """Fill the :class:`~drqa.agreement._OverlapSums` of every
+        compared pair of artifacts, keyed ``(x, y)``.
+
+        A pair with an entry is read from it.  The others are counted in
+        one pass (:func:`~drqa.agreement._count_overlaps`) over the rank
+        rows of their own artifacts alone, and their entries are written;
+        so a stage whose pairs are all cached opens no rank entry.  Each
+        entry read or written joins ``used``, mapped to whether this call
+        made it.
+        """
+        missing, paths = {}, {}
+        for (x, y), counts in pairs.items():
+            stored = None
+            if self.directory is not None:
+                path = paths[x, y] = self._pair_path(
+                    configurations[x], configurations[y], counts.columns)
+                stored = _read_counts(path, n, counts.columns,
+                                      f"{x!r} and {y!r}")
+            if stored is None:
+                missing[x, y] = counts
+            else:
+                counts.sums, counts.head = stored
+                used[path] = False
+        if not missing:
+            return
+        with ExitStack() as stack:
+            rows = {name: stack.enter_context(self.rows(
+                name, configurations[name]))
+                for name in dict.fromkeys(x for pair in missing for x in pair)}
+            _count_overlaps({name: r.block for name, r in rows.items()},
+                            missing, n)
+        used.update({r.path: not r.cached for r in rows.values()
+                     if r.path is not None})
+        for pair, counts in missing.items():
+            if pair in paths:
+                _write_counts(paths[pair], counts.sums, counts.head)
+                used[paths[pair]] = True
 
 
 def _files(stage) -> dict:
@@ -711,7 +784,7 @@ class StageRunner:
         self.partials: dict = {}
         self.score_rows: dict = {}
         self.written: dict = {}
-        #: stage name -> {rank cache path: whether the stage made the file}
+        #: stage name -> {cache entry path: whether the stage made it}
         self.cache_files: dict = {}
 
     def run(self, stage, seed: int | None = None) -> list:
@@ -719,7 +792,8 @@ class StageRunner:
         on a pool of its own, and return the paths it wrote.
 
         If the stage raises, every file it had begun to write and every
-        rank cache file it made are removed, and the exception propagates.
+        cache entry it left incomplete are removed, and the exception
+        propagates.
         """
         failure = _run_stages(self, (stage,), (seed,))
         if failure is not None:
@@ -782,14 +856,9 @@ class StageRunner:
         if stage.z is not None:
             for x in (stage.a, *stage.b):
                 pairs.setdefault((x, stage.z), _OverlapSums(n))
-        with ExitStack() as stack:
-            rows = {name: stack.enter_context(self.rank_cache.rows(
-                name, self.configurations[name]))
-                for name in dict.fromkeys(x for pair in pairs for x in pair)}
-            _count_overlaps({name: r.block for name, r in rows.items()},
-                            pairs, n)
-        self.cache_files[stage.name] = {
-            r.path: not r.cached for r in rows.values() if r.path is not None}
+        self.cache_files[stage.name] = {}
+        self.rank_cache.count(pairs, self.configurations, n,
+                              self.cache_files[stage.name])
 
         def profile(x, y):
             return AgreementProfile(pairs[x, y].ar())
@@ -947,9 +1016,9 @@ def _run_stages(runner: StageRunner, stages, seeds) -> tuple | None:
 
 
 def _remove_from(runner: StageRunner, stages, first: int) -> None:
-    """Remove what stages ``first ..`` wrote, rank cache files included,
-    as though the run had stopped at stage ``first``: keep a cache file
-    that stage ``first`` or an earlier one used."""
+    """Remove what stages ``first ..`` wrote, cache entries included, as
+    though the run had stopped at stage ``first``: keep an entry that
+    stage ``first`` or an earlier one used."""
     kept = {path for stage in stages[:first + 1]
             for path in runner.cache_files.get(stage.name, ())}
     for stage in stages[first:]:

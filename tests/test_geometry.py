@@ -1,5 +1,6 @@
 """Configurations, distances, and rank structures."""
 
+import hashlib
 import math
 import re
 import threading
@@ -600,6 +601,105 @@ class TestStableOrder:
         for block_rows in range(1, n + 1):
             monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * n)
             assert (rank_structure(config).ranks == expected).all()
+
+
+def scramble(count, mod, salt=0):
+    """``count`` fixed values in ``0 .. mod - 1``, made by integer
+    arithmetic alone, so the same on every platform and numpy version."""
+    i = np.arange(salt, salt + count, dtype=np.uint64)
+    return ((i * np.uint64(2654435761)) % np.uint64(1 << 32)
+            >> np.uint64(11)) % np.uint64(mod)
+
+
+GOLDEN_N = 40
+
+
+def golden_sources():
+    """Fixed inputs that reach every rule of the rank path: exact ties,
+    the masked distance kernel at 8 and 12 columns, duplicated items,
+    signed zeros, subnormal squares and distances, distances equal up to
+    their dropped bits, and distinct distances that need no second sort."""
+    n = GOLDEN_N
+
+    def symmetric(values):
+        upper = np.triu(values.reshape(n, n), 1)
+        return upper + upper.T
+
+    decimals = np.array([0.1, 0.3, 0.7, 1.1, 1.9])
+    out = {"tied_integers": Configuration(
+        scramble(n * 3, 4).reshape(n, 3).astype(float))}
+    for m in (8, 12):
+        mask = scramble(n * m, 10, 2 * m).reshape(n, m) != 0
+        mask[:, 0] = True
+        out[f"masked_decimals_{m}"] = Configuration(
+            decimals[scramble(n * m, 5, m).astype(np.intp)].reshape(n, m),
+            mask=mask)
+    out["duplicated_items"] = Configuration(np.repeat(
+        scramble(14 * 3, 6, 3).reshape(14, 3), 3, axis=0)[:n].astype(float))
+    x = scramble(n * 2, 3, 4).reshape(n, 2).astype(float) - 1.0
+    x[(x == 0) & (np.arange(n * 2).reshape(n, 2) % 2 == 1)] = -0.0
+    out["signed_zeros"] = Configuration(x)
+    out["subnormal_squares"] = Configuration(
+        scramble(n * 2, 9, 5).reshape(n, 2) * 1e-160)
+    out["subnormal_distances"] = ProximityMatrix(symmetric(
+        scramble(n * n, 7, 6).astype(float) * 5e-324))
+    out["near_ties"] = ProximityMatrix(symmetric(
+        1.0 + scramble(n * n, 60, 7) * np.finfo(float).eps))
+    out["distinct"] = Configuration(
+        np.sqrt(scramble(n * 2, 100003, 8).reshape(n, 2) + 2.0))
+    return out
+
+
+#: SHA-256 of the little-endian ``int32`` ranks of each golden source, by
+#: the name of the rank bits that made them (``geometry._RANK_BITS``).
+GOLDEN_RANKS = {2: {
+    "tied_integers":
+        "29075ca6d8d9c325fcca537335aaab85bbe2cd99732c37635362388275c19296",
+    "masked_decimals_8":
+        "c5ceaf69807f32bc6f444086d2dd3d295f441c6a9fbddc7034bb3c39aea86713",
+    "masked_decimals_12":
+        "64795b4ed6ecb350909c27a84017e3f059c9a25b2384e7602a6d9a3e35a3eb89",
+    "duplicated_items":
+        "1dfad8c1712d1ce4e193b33c802120a17a1438b26f85b2cf5078f9f8b0a99d72",
+    "signed_zeros":
+        "f2a2013c6216569cf4161cac3823fe257cac5482d994d75717364fd1508dd405",
+    "subnormal_squares":
+        "ca001ef89c22ef31b89f09353b26d88b556129a192ea38656ce9e0eb8be50ce8",
+    "subnormal_distances":
+        "aa97d7328460d82bb875b73330c66363d86e16d566cbff5086b0226b351076c1",
+    "near_ties":
+        "81b0f2666cd6eb64d1cf5c349b18b03c8e77e060698cda89d7223df3cc48ee7b",
+    "distinct":
+        "14bbf493a74905ed31b407f2782741c45e4f1ed2a60806a8c903389063a1bb77",
+}}
+
+
+class TestGoldenRanks:
+    """The rank bits that ``geometry._RANK_BITS`` names, pinned.  Cache
+    entries carry that name, so a change that moves one of these digests
+    must change the name with them, and no entry made before it is read."""
+
+    @pytest.mark.parametrize("block_rows", [1, 7, GOLDEN_N])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RANKS[2]))
+    def test_rank_bits_match_their_name(self, monkeypatch, name, block_rows):
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", block_rows * GOLDEN_N)
+        ranks = rank_structure(golden_sources()[name]).ranks
+        digest = hashlib.sha256(ranks.astype("<i4").tobytes()).hexdigest()
+        assert digest == GOLDEN_RANKS[geometry._RANK_BITS][name]
+
+    def test_sources_reach_both_sorts(self, monkeypatch):
+        """Every source but ``distinct`` takes the second, stable sort."""
+        argsort, second = np.argsort, []
+
+        def counted(*args, **kwargs):
+            second.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        for name, source in golden_sources().items():
+            second.clear()
+            rank_structure(source)
+            assert bool(second) == (name != "distinct"), name
 
 
 class TestSymmetrize:

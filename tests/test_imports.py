@@ -82,9 +82,9 @@ class TestScipyLoads:
                 "loess.svg"} <= written
 
     def test_warm_cached_rerun_loads_numpy_only(self, tmp_path):
-        """A rescore against a filled rank cache, in a fresh interpreter
-        as the benchmark times it, reads every rank from disk and loads
-        no SciPy module."""
+        """A rescore against a filled cache, in a fresh interpreter as the
+        benchmark times it, reads every pair's counts from disk, rewrites
+        no entry and loads no SciPy module."""
         config = write_scoring_inputs(tmp_path)
         config["cache"] = True
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -95,7 +95,9 @@ class TestScipyLoads:
         assert loaded_after(script, tmp_path) == []  # fills the cache
         cache = {p: p.stat().st_mtime_ns
                  for p in (tmp_path / "out" / ".cache").iterdir()}
-        assert len(cache) == 3  # the survey and both maps
+        # the ranks of the survey and both maps, the counts of both pairs
+        assert sorted(p.name.split("_")[0] for p in cache) == (
+            ["pair"] * 2 + ["ranks"] * 3)
         assert loaded_after(script, tmp_path) == []
         assert {p: p.stat().st_mtime_ns
                 for p in (tmp_path / "out" / ".cache").iterdir()} == cache

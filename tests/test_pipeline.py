@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import shutil
 import sys
 import threading
 import time
@@ -1024,6 +1025,9 @@ class TestDeterminismAndCache:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["pipeline", "--config", str(path)]) == 0
+        # without its pair entries the rerun reads the rank entries
+        for pair in (tmp_path / "o" / ".cache").glob("pair_*.npy"):
+            pair.unlink()
         entry = sorted((tmp_path / "o" / ".cache").glob("ranks_*.npy"))[0]
         ranks = np.load(entry)
         if fault == "repeated_rank":
@@ -1064,6 +1068,8 @@ class TestDeterminismAndCache:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["pipeline", "--config", str(path)]) == 0
+        for pair in (tmp_path / "o" / ".cache").glob("pair_*.npy"):
+            pair.unlink()
         entry = sorted((tmp_path / "o" / ".cache").glob("ranks_*.npy"))[-1]
         ranks = np.load(entry)
         row = 52  # past the first block at either size
@@ -1122,6 +1128,254 @@ class TestDeterminismAndCache:
         ha = tree_hashes(tmp_path / "a")
         hb = tree_hashes(tmp_path / "b")
         assert ha != hb
+
+
+def entry_stats(cache):
+    """Name -> (bytes, st_mtime_ns) of every cache entry."""
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(cache.iterdir())}
+
+
+def agree_config(out_dir, b=("emb_pca",), **agree):
+    """One generated artifact, two embeddings of it, one agree stage."""
+    return {"version": 1, "seed": 11, "out_dir": out_dir, "cache": True,
+            "scores": "scores.csv", "stages": [
+                {"kind": "generate", "name": "data",
+                 "shape": "sphere_random", "n": 60},
+                {"kind": "reduce", "name": "emb", "source": "data",
+                 "methods": ["pca", "smacof"], "target_dim": 2},
+                {"kind": "agree", "name": "agr", "a": "data", "b": list(b),
+                 "per_item": True, "range_k": [1, 20], **agree}]}
+
+
+def read_pair_entry(path):
+    """The sums and the per-item counts of a pair entry."""
+    with path.open("rb") as f:
+        return np.lib.format.read_array(f), np.lib.format.read_array(f)
+
+
+def write_pair_entry(path, *arrays):
+    with path.open("wb") as f:
+        for a in arrays:
+            np.lib.format.write_array(f, a)
+
+
+class TestPairCache:
+    """With ``cache`` on, each compared pair's overlap counts are kept in
+    a pair entry that later runs read before any rank."""
+
+    def count_spy(self, monkeypatch):
+        """The pairs and rank sources of every counting pass, and the
+        artifacts whose rank blocks came from an entry or were ranked."""
+        seen = {"pairs": [], "sources": [], "blocks": set()}
+        count, block = pipeline._count_overlaps, geometry._RankRows.block
+
+        def spied_count(sources, pairs, n):
+            seen["pairs"].append(sorted(pairs))
+            seen["sources"].append(sorted(sources))
+            count(sources, pairs, n)
+
+        def spied_block(self, start, stop):
+            seen["blocks"].add((self.name, self.cached))
+            return block(self, start, stop)
+
+        monkeypatch.setattr(pipeline, "_count_overlaps", spied_count)
+        monkeypatch.setattr(geometry._RankRows, "block", spied_block)
+        return seen
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_warm_rerun_reads_no_rank_row(self, tmp_path, monkeypatch,
+                                          threads):
+        monkeypatch.setenv("DRQA_THREADS", threads)
+        cfg = full_config("o", cache=True)
+        run(cfg, tmp_path)
+        cold = tree_hashes(tmp_path / "o")
+        cache = tmp_path / "o" / ".cache"
+        entries = entry_stats(cache)
+        assert sorted(name.split("_")[0] for name in entries) == (
+            ["pair"] * 2 + ["ranks"] * 3)
+        opened = []
+
+        def no_rank_entry(self, *args, **kwargs):
+            opened.append(args)
+            raise AssertionError("a rank entry was opened")
+
+        def no_rows(self, start, stop):
+            raise AssertionError("a rank row was read")
+
+        monkeypatch.setattr(geometry._RankRows, "__init__", no_rank_entry)
+        monkeypatch.setattr(geometry._RankRows, "block", no_rows)
+        run(cfg, tmp_path)
+        assert opened == []
+        assert tree_hashes(tmp_path / "o") == cold
+        assert entry_stats(cache) == entries
+
+    def test_added_map_counts_only_the_new_pair(self, tmp_path,
+                                                monkeypatch):
+        run(agree_config("first"), tmp_path)
+        cache = tmp_path / "o" / ".cache"
+        shutil.copytree(tmp_path / "first" / ".cache", cache)
+        before = entry_stats(cache)
+        assert sorted(name.split("_")[0] for name in before) == [
+            "pair", "ranks", "ranks"]
+        seen = self.count_spy(monkeypatch)
+        cfg = agree_config("o", b=("emb_pca", "emb_smacof"))
+        run(cfg, tmp_path)
+        assert seen["pairs"] == [[("data", "emb_smacof")]]
+        assert seen["sources"] == [["data", "emb_smacof"]]
+        # the survey's ranks come from its entry; the new map is ranked
+        assert seen["blocks"] == {("data", True), ("emb_smacof", False)}
+        after = entry_stats(cache)
+        assert {name: after[name] for name in before} == before
+        assert sorted(name.split("_")[0] for name in set(after) - set(
+            before)) == ["pair", "ranks"]
+        run({**cfg, "out_dir": "cold", "cache": False}, tmp_path)
+        assert tree_hashes(tmp_path / "o") == tree_hashes(tmp_path / "cold")
+
+    @pytest.mark.parametrize("change", [{"range_k": [1, 10]},
+                                        {"range_k": [2, 20]},
+                                        {"per_item": False}])
+    def test_changed_columns_miss(self, tmp_path, monkeypatch, change):
+        run(agree_config("first"), tmp_path)
+        cache = tmp_path / "o" / ".cache"
+        shutil.copytree(tmp_path / "first" / ".cache", cache)
+        before = entry_stats(cache)
+        seen = self.count_spy(monkeypatch)
+        cfg = agree_config("o", **change)
+        run(cfg, tmp_path)
+        assert seen["pairs"] == [[("data", "emb_pca")]]
+        # both artifacts' ranks come from their entries
+        assert seen["blocks"] == {("data", True), ("emb_pca", True)}
+        after = entry_stats(cache)
+        assert {name: after[name] for name in before} == before
+        new = set(after) - set(before)
+        assert len(new) == 1 and new.pop().startswith("pair_")
+        run({**cfg, "out_dir": "cold", "cache": False}, tmp_path)
+        assert tree_hashes(tmp_path / "o") == tree_hashes(tmp_path / "cold")
+
+    def test_pairs_with_z_are_cached(self, tmp_path, monkeypatch):
+        cfg = agree_config("o", z="emb_smacof")
+        run(cfg, tmp_path)
+        cold = tree_hashes(tmp_path / "o")
+        assert "agr_partial.csv" in cold
+        cache = tmp_path / "o" / ".cache"
+        entries = entry_stats(cache)
+        # (data, emb_pca) with per-item counts, (data, z) and (emb_pca, z)
+        assert sorted(name.split("_")[0] for name in entries) == (
+            ["pair"] * 3 + ["ranks"] * 3)
+        seen = self.count_spy(monkeypatch)
+        run(cfg, tmp_path)
+        assert seen == {"pairs": [], "sources": [], "blocks": set()}
+        assert tree_hashes(tmp_path / "o") == cold
+        assert entry_stats(cache) == entries
+
+    def test_entries_under_another_rank_name_are_not_read(self, tmp_path,
+                                                          monkeypatch):
+        """Entries made by code whose rank bits have another name, or none,
+        are misses: the run writes what an uncached run writes and new
+        entries, and leaves the foreign ones as they are."""
+        n = 30
+        rng = np.random.default_rng(5)
+        values = np.array([0.1, 0.3, 0.7, 1.1, 1.9])
+        mask = rng.random((n, 12)) > 0.1
+        mask[:, 0] = True
+        configs = {"survey": Configuration(
+            values[rng.integers(0, 5, (n, 12))], mask=mask),
+            "map": Configuration(rng.standard_normal((n, 2)))}
+        stage = AgreeStage("fit", "survey", ("map",), per_item=True,
+                           range_k=(1, 5))
+
+        def agree(cache):
+            runner = StageRunner(tmp_path, cache_dir=cache, targets={
+                "fit.csv": None, "fit_items.csv": None})
+            runner.configurations.update(configs)
+            runner.run(stage)
+            return (runner.profiles["fit"].ar.tobytes(),
+                    runner.per_item["fit"][1].tobytes())
+
+        uncached = agree(None)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        # entries named as before the rank bits had a name, holding valid
+        # ranks of other items
+        other = ranks_from_config(Configuration(
+            rng.standard_normal((n, 3)))).ranks
+        for config in configs.values():
+            digest = hashlib.sha256(repr(config.items.shape).encode())
+            digest.update(config.items.tobytes())
+            if config.mask is not None:
+                digest.update(config.mask.tobytes())
+            np.save(cache / f"ranks_{digest.hexdigest()[:24]}.npy", other)
+        # and entries under rank bits named 1, none of them readable
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_RANK_BITS", 1)
+            assert agree(cache) == uncached
+        for path in cache.glob("*_v1_*.npy"):
+            path.write_bytes(b"not an entry")
+        foreign = entry_stats(cache)
+        assert len(foreign) == 5
+        assert agree(cache) == uncached
+        after = entry_stats(cache)
+        assert {name: after[name] for name in foreign} == foreign
+        assert sorted(name.split("_")[:2] for name in set(after) - set(
+            foreign)) == [["pair", f"v{geometry._RANK_BITS}"],
+                          ["ranks", f"v{geometry._RANK_BITS}"],
+                          ["ranks", f"v{geometry._RANK_BITS}"]]
+
+    PAIR_FAULTS = {
+        "cut_short": "is not an int64 .npy vector of length 59 and an int32 "
+                     ".npy array of shape (60, 20)",
+        "empty": "is not an int64 .npy vector",
+        "not_npy": "is not an int64 .npy vector",
+        "wrong_n": "is not an int64 .npy vector",
+        "wrong_head_width": "is not an int64 .npy vector",
+        "int32_sums": "is not an int64 .npy vector",
+        "last_sum": ": the last sum is not n(n - 1) = 3540",
+        "head_above_k": ": a per-item count of k lies outside 0 .. k",
+        "head_column": ": a per-item column does not sum to the total of "
+                       "its k",
+    }
+
+    @pytest.mark.parametrize("fault", PAIR_FAULTS)
+    def test_corrupt_pair_entry_is_one_error_line(self, tmp_path, capsys,
+                                                  fault):
+        cfg = full_config("o", cache=True)
+        cfg["stages"] = cfg["stages"][:3]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path)]) == 0
+        entry = sorted((tmp_path / "o" / ".cache").glob("pair_*.npy"))[0]
+        sums, head = read_pair_entry(entry)
+        if fault == "cut_short":
+            entry.write_bytes(entry.read_bytes()[:-4])
+        elif fault == "empty":
+            entry.write_bytes(b"")
+        elif fault == "not_npy":
+            entry.write_bytes(b"id,dim1,dim2\n" * 100)
+        elif fault == "wrong_n":  # the entry of 59 items
+            write_pair_entry(entry, sums[1:], head[1:])
+        elif fault == "wrong_head_width":
+            write_pair_entry(entry, sums, head[:, :-1])
+        elif fault == "int32_sums":
+            write_pair_entry(entry, sums.astype(np.int32), head)
+        elif fault == "last_sum":
+            sums[-1] -= 1
+            write_pair_entry(entry, sums, head)
+        elif fault == "head_above_k":  # k = 1 allows 0 or 1
+            head[7, 0] = 2
+            write_pair_entry(entry, sums, head)
+        else:  # within 0 .. k, but the column no longer sums to its total
+            i = np.flatnonzero(head[:, 10])[0]
+            head[i, 10] -= 1
+            write_pair_entry(entry, sums, head)
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"pair cache entry {entry.name} for 'data' and " in err[0]
+        assert self.PAIR_FAULTS[fault] in err[0], err[0]
+        assert "Traceback" not in captured.err
 
 
 def naive_masked_neighbors(x, mask):
@@ -1228,7 +1482,9 @@ class TestStreamedAgree:
         serial = agree("1", n)
         assert serial[:3] == (ar.tobytes(), rates.tobytes(),
                               (*psis, partial_agreement(*psis)))
-        assert len(serial[3]) == 3
+        # a rank entry per artifact, a pair entry per compared pair
+        assert sorted(name.split("_")[0] for name in serial[3]) == (
+            ["pair"] * 3 + ["ranks"] * 3)
         assert all(name.endswith(".npy") for name in serial[3])
         for threads in ("1", "2", "3"):
             for block_rows in range(1, n + 1):
