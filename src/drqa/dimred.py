@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,12 +214,106 @@ def _offdiag(m: np.ndarray) -> np.ndarray:
 #: :func:`smacof` iterates over those pairs (see its docstring)
 _PAIR_SHARE = 0.5
 
+#: Most values in a leaf of numpy's pairwise float summation
+_PAIRWISE_LEAF = 128
 
-def _stress(d, d_hat, w, work, total):
-    """Normalized Stress of the pair values ``d`` and ``d_hat`` with
+
+class _GridSum:
+    """``np.sum`` of a zero-filled contiguous grid of ``size`` cells that
+    holds values at listed cells only, to the bit, visiting those cells only.
+
+    ``cells[r, k]`` is the flat grid position of the ``r``-th copy of value
+    ``k``; no position is listed twice.  Calling the object with the
+    values returns the sum.  Every value must be +0.0 or more (or NaN),
+    since then adding an unlisted +0.0 cell changes no partial sum.
+
+    numpy halves the grid, the first half a multiple of 8 long, until each
+    leaf holds at most ``_PAIRWISE_LEAF`` cells.  A leaf sums its cells in
+    8 lanes (cell c in lane c % 8, in order), joins the lanes as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then adds its last
+    size % 8 cells one at a time; the halves join up the same tree.  Each
+    leaf but the last is a multiple of 8 long, so those last cells are
+    the grid's own last size % 8.  The plan holds, per listed cell outside
+    them, an int32 index into the values and an int32 lane slot, both in
+    grid order, so that one gather and one ``np.bincount`` sum every lane.
+    """
+
+    def __init__(self, cells, size):
+        # the tree level by level: each node's start and size in order,
+        # and which nodes split; the leaves of each level take a range of
+        # slots, the deepest level's first
+        starts, sizes = np.zeros(1, np.int64), np.array([size], np.int64)
+        self.levels = []
+        leaf_starts, leaf_sizes = [], []
+        while True:
+            split = sizes > _PAIRWISE_LEAF
+            self.levels.append(split)
+            leaf_starts.append(starts[~split])
+            leaf_sizes.append(sizes[~split])
+            if not split.any():
+                break
+            starts, sizes = starts[split], sizes[split]
+            half = sizes // 2
+            half -= half % 8
+            starts = np.stack([starts, starts + half], axis=1).ravel()
+            sizes = np.stack([half, sizes - half], axis=1).ravel()
+        at, self.slots = 0, []
+        for level in leaf_starts[::-1]:
+            self.slots.append(slice(at, at + level.size))
+            at += level.size
+        self.leaves = at
+        leaf_starts = np.concatenate(leaf_starts[::-1])
+        leaf_sizes = np.concatenate(leaf_sizes[::-1])
+        by_start = np.argsort(leaf_starts)
+        self.last = int(by_start[-1])
+        # the lane slot of each block of 8 cells outside the tail
+        block_slot = np.repeat(by_start.astype(np.int32),
+                               leaf_sizes[by_start] // 8)
+        del leaf_starts, leaf_sizes, by_start
+
+        m = cells.shape[-1]
+        flat = np.asarray(cells, np.int32).reshape(-1)
+        order = np.argsort(flat)
+        flat = flat[order]
+        self.src = np.remainder(order, m, out=order).astype(np.int32)
+        del order
+        lanes = int(np.searchsorted(flat, size - size % 8))
+        self.tail = self.src[lanes:].copy()
+        self.src = self.src[:lanes].copy()
+        flat = flat[:lanes]
+        self.bins = np.take(block_slot, flat >> 3)
+        flat &= 7
+        flat *= self.leaves
+        self.bins += flat
+
+    def __call__(self, v):
+        lanes = np.bincount(self.bins, np.take(v, self.src),
+                            8 * self.leaves).reshape(8, self.leaves)
+        pairs = lanes[0::2] + lanes[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        leaf = np.add(quads[0], quads[1], dtype=float)  # bincount([]) is int
+        for value in np.take(v, self.tail):
+            leaf[self.last] += value
+        # up the tree: a level's split nodes are the sums of the next
+        # level's nodes, taken two by two
+        nodes = leaf[self.slots[0]]
+        for split, slots in zip(self.levels[-2::-1], self.slots[1:]):
+            sums = nodes[0::2] + nodes[1::2]
+            if slots.stop == slots.start:
+                nodes = sums
+            else:
+                nodes = np.empty(split.size)
+                nodes[split] = sums
+                nodes[~split] = leaf[slots]
+        return float(nodes[0])
+
+
+def _stress(d, negated, w, work, total):
+    """Normalized Stress of the pair values ``d`` and the negated fit
+    ``negated`` (``d + (-dhat)`` is ``d - dhat``, bit for bit) with
     weights ``w``; ``work`` is scratch of their shape and may hold
-    ``d_hat``, and ``total`` sums it."""
-    np.subtract(d, d_hat, out=work)
+    ``negated``, and ``total`` sums it."""
+    np.add(d, negated, out=work)
     np.square(work, out=work)
     if w is not None:
         np.multiply(w, work, out=work)
@@ -235,9 +330,10 @@ def _stress(d, d_hat, w, work, total):
 class _RatioFit:
     """The least-squares scale factor ``b`` of the dissimilarities.
 
-    ``update`` refits ``b`` to the embedded distances ``d``; ``values``
-    writes the fitted ``b * delta`` into ``work`` and returns it.  The
-    sums run through ``total``, in ``work``.
+    ``update`` refits ``b`` to the embedded distances ``d``; ``negated``
+    writes the negated fit ``(-b) * delta``, which is ``-(b * delta)``
+    bit for bit, into ``work`` and returns it.  The sums run through
+    ``total``, in ``work``.
     """
 
     def __init__(self, delta, w, work, total):
@@ -246,7 +342,7 @@ class _RatioFit:
         if w is not None:
             np.multiply(w, work, out=work)
         self.den = total(work)
-        self.b = 0.0  # 0.0 * delta is +0.0, so a zero denominator fits zeros
+        self.b = 0.0  # -0.0 * delta is -0.0, so a zero denominator fits zeros
 
     def update(self, d, work):
         if self.den <= 0:
@@ -258,8 +354,8 @@ class _RatioFit:
             np.multiply(work, self.delta, out=work)
         self.b = self.total(work) / self.den
 
-    def values(self, work):
-        return np.multiply(self.b, self.delta, out=work)
+    def negated(self, work):
+        return np.multiply(-self.b, self.delta, out=work)
 
 
 def _isotonic(d, w):
@@ -276,8 +372,8 @@ class _OrdinalFit:
     Pairs are ordered once by ascending dissimilarity (ties by index, the
     primary approach: tied inputs may receive different fitted values).  Each
     ``update`` pools the distances in ``mat`` over that order and writes
-    the fit to both entries of each pair of an n x n matrix; zero-weight
-    pairs get zero.  Pairs are flat indices of n x n matrices.
+    the negated fit to both entries of each pair of an n x n matrix;
+    zero-weight pairs get -0.0.  Pairs are flat indices of n x n matrices.
     """
 
     def __init__(self, dissimilarities, w, mat):
@@ -299,16 +395,17 @@ class _OrdinalFit:
         lower *= n
         lower += i  # (j, i)
         self.upper, self.lower, self.mat = upper, lower, mat
-        self.fit = np.zeros((n, n))
+        self.fit = np.full((n, n), -0.0)
         self.off = _offdiag(self.fit)
 
     def update(self, d, work):
         fit = _isotonic(self.mat.reshape(-1)[self.upper], self.w)
+        np.negative(fit, out=fit)
         flat = self.fit.reshape(-1)
         flat[self.upper] = fit
         flat[self.lower] = fit
 
-    def values(self, work):
+    def negated(self, work):
         return self.off
 
 
@@ -321,8 +418,9 @@ class _PairOrdinalFit:
 
     def update(self, d, work):
         self.fit = _isotonic(d, self.w)
+        np.negative(self.fit, out=self.fit)
 
-    def values(self, work):
+    def negated(self, work):
         return self.fit
 
 
@@ -334,9 +432,11 @@ class _Pairs:
     or by ascending dissimilarity (ties by ``(i, j)``) when ``ordinal``
     is set, so that the distances are in the monotone fit's order.
     ``delta`` and ``w`` are the pairs' dissimilarities and weights; ``w``
-    is None when every weight is 1, since ``1.0 * v == v``.  ``cells``
-    and ``squares`` are the flat positions of ``(i, j)`` and ``(j, i)``
-    in the off-diagonal grid and in an n x n matrix.
+    is None when every weight is 1, since ``1.0 * v == v``.  ``squares``
+    are the flat positions of ``(i, j)`` and ``(j, i)`` in an n x n
+    matrix, and ``total`` sums pair values to the bits of ``np.sum`` over
+    the off-diagonal grid (``_offdiag``) with each value at both of its
+    cells and +0.0 elsewhere.
     """
 
     def __init__(self, full, dissimilarities, ordinal):
@@ -349,9 +449,17 @@ class _Pairs:
             del order
         w = full[i, j]
         self.delta, self.w = delta, None if (w == 1.0).all() else w
-        self.cells = np.stack([i * (n - 1) + j - 1, j * (n - 1) + i])
         self.squares = np.stack([i * n + j, j * n + i])
         self.i, self.j = i.astype(np.int32), j.astype(np.int32)
+        del i, j
+        # (i, j) and (j, i) in the grid; n (n - 1) < 2**31 at DENSE_CAP
+        cells = np.empty((2, self.i.size), np.int32)
+        np.multiply(self.i, n - 1, out=cells[0])
+        cells[0] += self.j
+        cells[0] -= 1
+        np.multiply(self.j, n - 1, out=cells[1])
+        cells[1] += self.i
+        self.total = _GridSum(cells, n * (n - 1))
 
     def distances(self, x, out):
         """Write the pairs' Euclidean distances in ``x`` into ``out``,
@@ -367,6 +475,18 @@ class _Pairs:
                 else:
                     out += diff
         np.sqrt(out, out=out)
+
+
+def _given_start(init, n, target_dim):
+    """A copy of the start ``init``, checked to be finite and of shape
+    ``(n, target_dim)``; the caller's array is never written."""
+    x = np.array(init, dtype=float)
+    if x.shape != (n, target_dim):
+        raise ValueError(f"init array must have shape ({n}, {target_dim}), "
+                         f"got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("init array must be finite")
+    return x
 
 
 def _check_weights(weights, n):
@@ -395,7 +515,8 @@ def _check_weights(weights, n):
 def smacof(dist: ProximityMatrix, target_dim: int,
            weights: np.ndarray | None = None,
            transform: str = "ratio", max_iter: int = 500, tol: float = 1e-6,
-           seed: int | None = 0, init: str = "classical") -> ReductionResult:
+           seed: int | None = 0,
+           init: str | np.ndarray = "classical") -> ReductionResult:
     """Stress majorization of a distance matrix.
 
     Minimizes normalized Stress, the root of ``sum w (d - dhat)^2`` over
@@ -410,39 +531,45 @@ def smacof(dist: ProximityMatrix, target_dim: int,
 
     Each update forms the n x n matrix B = diag(rowsum R) - R, with
     R = w * dhat / d (zero where d = 0), and solves for the next
-    coordinates from B times the current ones.  Every sum runs over one
-    contiguous ``(n - 1, n)`` scratch grid of the off-diagonal pairs in
-    row-major order (``m[~np.eye(n, dtype=bool)]``), so that order fixes
-    the summation, and with it every bit of the result.
+    coordinates from B times the current ones.  Every sum has the bits of
+    ``np.sum`` over one contiguous ``(n - 1, n)`` grid of the off-diagonal
+    pairs in row-major order (``m[~np.eye(n, dtype=bool)]``), so that
+    order fixes the summation, and with it every bit of the result.  The
+    fits hand out -dhat: (-dhat) / d is -(dhat / d), and d + (-dhat) is
+    d - dhat, bit for bit, so that -R takes no negation pass.
 
     Two paths compute the same bits.  The grid loop reads every pair: the
     embedded distances go into B's buffer, which each update overwrites
-    with -R, and the weights are one contiguous off-diagonal copy (a bool
-    mask for bool weights).  The pair path runs a weighted call in which
-    at most half of the off-diagonal pairs (``_PAIR_SHARE``) have positive
-    weight, as every :func:`local_smacof` call at its default quantile
-    does.  It lists those pairs once, and each iteration computes the
-    distances (with ``cdist``'s arithmetic), the fit, the Stress terms and
-    R on them only.  A sum puts each pair's value at both of its cells of
-    the grid, whose other cells stay +0.0, and R goes into B, whose other
+    with -R, the weights are one contiguous off-diagonal copy (a bool mask
+    for bool weights), and the sums run over a scratch grid.  The pair
+    path runs a weighted call in which at most half of the off-diagonal
+    pairs (``_PAIR_SHARE``) have positive weight, as every
+    :func:`local_smacof` call at its default quantile does.  It lists
+    those pairs once, and each iteration computes the distances (with
+    ``cdist``'s arithmetic), the fit, the Stress terms and R on them only.
+    Its sums (:class:`_GridSum`) visit only the pairs' cells of the grid,
+    whose other cells would hold +0.0, and -R goes into B, whose other
     off-diagonal cells stay -0.0, as in the grid loop.  Unit weights and
     denser weights run the grid loop.  On a swiss roll at n = 600 (one
-    thread, 2-CPU host) an iteration took 2.1 ms on the pair path and
-    5.9 ms in the grid loop at a share of 0.1; the two broke even between
-    shares 0.7 and 0.8 at n = 600 and between 0.5 and 0.6 at n = 1000.
+    BLAS thread, a shared 2-CPU host) an iteration took 2.1 ms on the
+    pair path and 5.3 ms in the grid loop at a share of 0.1; the two
+    broke even near a share of 0.6 at n = 600 and near 0.5 at n = 1000.
 
     Memory: besides ``dist`` and the caller's ``weights``, a call holds
-    two n x n float arrays while it iterates: B and the scratch grid.
-    Weights other than all ones add the Cholesky factor of the update
-    system, made in place in the buffer of the checked weights.  The grid
-    loop adds the weights' off-diagonal copy, an n x n float array or,
-    for bool weights, a bool one, and the ordinal transform adds its
-    n x n fit and the pair order, two int64 arrays of half that size.
-    The pair path adds about 70 bytes per listed pair: its two int32
-    items, four int64 cell positions, its dissimilarity, its weight
-    unless every weight is 1, and its distance and scratch value.  The
-    classical start and the weight check run, and free their arrays,
-    before any of these exist.
+    B, an n x n float array, while it iterates.  Weights other than all
+    ones add the Cholesky factor of the update system, made in place in
+    the buffer of the checked weights.  The grid loop adds its scratch
+    grid, an n x n float array, and the weights' off-diagonal copy, an
+    n x n float array or, for bool weights, a bool one; the ordinal
+    transform adds its n x n fit and the pair order, two int64 arrays of
+    half that size.  The pair path adds 64 bytes per listed pair: its two
+    int32 items, two int64 positions in B, its dissimilarity, its distance
+    and scratch value, and, in the plan of its sums, two int32 value
+    indices and two int32 lane keys; a weight other than 1 adds 8 bytes.
+    Each of its sums briefly holds one float per 8 to 16 grid cells, the
+    lane totals.  The start (classical scaling, a given start's copy, or
+    the random start, whose scale briefly copies the grid) and the weight
+    check run, and free their arrays, before B exists.
 
     Parameters
     ----------
@@ -459,9 +586,13 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         Seeds the random start, taken when ``init = "random"`` and when
         classical scaling rejects the input.  The fixed default makes
         repeated calls give the same result; ``None`` draws a fresh start.
-    init : {"classical", "random"}
+    init : {"classical", "random"} or array of shape (n, target_dim)
         Classical scaling start by default (falls back to a seeded random
-        start if classical scaling rejects the input).
+        start if classical scaling rejects the input).  An array is the
+        start itself: it must be finite, it is copied, never written, and
+        the diagnostics report it as ``"given"``.  :func:`reduction_jobs`
+        hands the stress majorization jobs of one source their shared
+        classical start this way.
     """
     _require_distance(dist, "smacof", target_dim)
     n = dist.n
@@ -469,12 +600,13 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         raise ValueError(f"transform must be 'ratio' or 'ordinal', got {transform!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if init not in ("classical", "random"):
-        raise ValueError(f"init must be 'classical' or 'random', got {init!r}")
-
-    init_used = init
-    x = None
-    if init == "classical":
+    if isinstance(init, str):
+        if init not in ("classical", "random"):
+            raise ValueError(f"init must be 'classical' or 'random', got {init!r}")
+        init_used, x = init, None
+    else:
+        init_used, x = "given", _given_start(init, n, target_dim)
+    if init_used == "classical":
         try:
             x = _classical_scaling(dist.values**2, target_dim).embedding.items
         except ValueError:
@@ -508,18 +640,19 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         del full, off
 
     delta = _offdiag(dist.values)
-    grid = np.empty((n - 1, n))  # every sum runs over this contiguous grid
     if x is None:
         rng = np.random.default_rng(seed)
-        np.copyto(grid, delta)
+        grid = np.ascontiguousarray(delta)  # summed as the grid loop sums
         scale = grid.mean() if grid.max() > 0 else 1.0
+        del grid
         x = rng.standard_normal((n, target_dim)) * scale
 
     mat = np.empty((n, n))  # the matrix B
     if pairs is None:
-        # the embedded distances go into mat; each update makes R of them
-        # in its off-diagonal grid d, then negates mat
-        work, total, d = grid, np.sum, _offdiag(mat)
+        # the embedded distances go into mat, and each update writes -R
+        # over them in its off-diagonal grid d; every sum runs over the
+        # contiguous scratch grid work
+        work, total, d = np.empty((n - 1, n)), np.sum, _offdiag(mat)
 
         def distances(x_cur):
             cdist(x_cur, x_cur, out=mat)
@@ -527,20 +660,14 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         fit = (_RatioFit(delta, w, work, total) if transform == "ratio"
                else _OrdinalFit(dist.values, w, mat))
     else:
-        # a pair's value goes to both of its cells; no other cell is
-        # written, so the grid sums zeros and B holds -0.0 where the grid
-        # loop has them
-        grid.fill(0.0)
+        # -R goes to both cells of each pair; B's other off-diagonal cells
+        # stay -0.0, as in the grid loop
         mat.fill(-0.0)
         m = pairs.delta.size
-        w, work, d = pairs.w, np.empty(m), np.empty(m)
+        w, work, d, total = pairs.w, np.empty(m), np.empty(m), pairs.total
 
         def distances(x_cur):
             pairs.distances(x_cur, d)
-
-        def total(v):
-            grid.reshape(-1)[pairs.cells] = v
-            return grid.sum()
 
         fit = (_RatioFit(pairs.delta, w, work, total) if transform == "ratio"
                else _PairOrdinalFit(w))
@@ -550,30 +677,28 @@ def smacof(dist: ProximityMatrix, target_dim: int,
         and return the Stress."""
         distances(x_cur)
         fit.update(d, work)
-        return _stress(d, fit.values(work), w, work, total)
+        return _stress(d, fit.negated(work), w, work, total)
 
     def guttman(x_cur):
         # B = diag(rowsum(R)) - R with R = w * d_hat / d where d > 0, else 0,
-        # made over the distances
+        # made over the distances: (-d_hat) / d is -(d_hat / d) bit for bit
         coincident = None
         if not d.min() > 0:  # coincident items; a masked divide is slow
             coincident = np.greater(d, 0.0)
             np.logical_not(coincident, out=coincident)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(fit.values(work), d, out=d)
+            np.divide(fit.negated(work), d, out=d)
         if coincident is not None:
-            d[coincident] = 0.0
+            d[coincident] = -0.0
         if w is not None:
             np.multiply(d, w, out=d)
         diagonal = mat.reshape(-1)[:: n + 1]
-        if pairs is None:
-            np.negative(mat, out=mat)  # contiguous: faster than d alone
-        else:
-            np.negative(d, out=d)
-            mat.reshape(-1)[pairs.squares] = d
-            diagonal[:] = -0.0  # it holds the last update's row sums
-        # a row of -R sums to minus the row sum of R, bit for bit, up to
-        # the sign of a zero sum, which 0.0 - s makes R's +0.0
+        if pairs is not None:
+            for squares in pairs.squares:  # one row at a time: faster
+                mat.reshape(-1)[squares] = d
+            diagonal[:] = 0.0  # it holds the last update's row sums
+        # a row of -R and a zero sums to minus the row sum of R, bit for
+        # bit, up to the sign of a zero sum, which 0.0 - s makes R's +0.0
         np.subtract(0.0, mat.sum(axis=1), out=diagonal)
         rhs = mat @ x_cur
         return rhs / n if solve is None else solve(rhs)
@@ -616,7 +741,8 @@ def smacof(dist: ProximityMatrix, target_dim: int,
 
 def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
                  transform: str = "ratio", max_iter: int = 500, tol: float = 1e-6,
-                 seed: int | None = 0, init: str = "classical") -> ReductionResult:
+                 seed: int | None = 0,
+                 init: str | np.ndarray = "classical") -> ReductionResult:
     """Stress majorization restricted to the shortest distances.
 
     Pairs whose distance lies at or below the given quantile of all
@@ -631,9 +757,9 @@ def local_smacof(dist: ProximityMatrix, target_dim: int, quantile: float = 0.1,
     pairs only; a larger one runs its grid loop.
 
     Memory: while ``smacof`` runs, this call holds the selection as one
-    n x n bool matrix.  On the pair path the iterations hold three n x n
-    float arrays beyond ``dist`` (the Cholesky factor, the matrix B and
-    the scratch grid) and about 70 bytes per selected pair.
+    n x n bool matrix.  On the pair path the iterations hold two n x n
+    float arrays beyond ``dist`` (the Cholesky factor and the matrix B)
+    and 64 bytes per selected pair.
     """
     _require_distance(dist, "local_smacof")
     if not 0.0 < quantile <= 1.0:
@@ -831,6 +957,109 @@ def lle(config: Configuration, target_dim: int, n_neighbors: int,
 # dispatch
 
 
+#: The stress majorization methods, which take ``seed`` and ``init``
+_STRESS_METHODS = ("smacof", "local_smacof")
+
+
+class _Once:
+    """The value of ``make()``, made by its first caller, on that caller's
+    thread, while later callers wait for it; a call that raises leaves it
+    unmade, so the next caller tries again."""
+
+    def __init__(self, make):
+        self._make, self._lock = make, threading.Lock()
+
+    def __call__(self):
+        with self._lock:
+            if self._make is not None:
+                self._value = self._make()
+                self._make = None
+            return self._value
+
+
+def _classical_start(distances, target_dim):
+    """:func:`smacof`'s classical start from ``distances()``, or None where
+    the request or classical scaling fails; the job then raises or falls
+    back by itself, as it would alone."""
+    try:
+        dist = distances()
+        _require_distance(dist, "smacof", target_dim)
+        return _classical_scaling(dist.values**2, target_dim).embedding.items
+    except (TypeError, ValueError):
+        return None
+
+
+def _starts_classical(method, params) -> bool:
+    init = params.get("init", "classical")
+    return (method in _STRESS_METHODS and isinstance(init, str)
+            and init == "classical")
+
+
+def reduction_jobs(source, target_dim: int, jobs,
+                   seed: int | None = None) -> list:
+    """One callable per ``(method, params)`` in ``jobs``: calling it
+    returns ``run_reduction(method, source, target_dim, params, seed)``,
+    bit for bit, while the jobs make only once what they would each make
+    alike.
+
+    - The Euclidean distances of a configuration ``source`` are taken
+      once for every distance method.
+    - When two or more stress majorization jobs start from classical
+      scaling, they share one start, which each receives as its ``init``
+      array; its diagnostics still report ``"classical"``.  Where
+      classical scaling rejects the input, each job falls back by itself.
+
+    The first job that needs a shared value makes it, on its own thread,
+    while the others wait; the callables may run on any threads, in any
+    order.  Each reducer and the distance function are looked up on
+    their modules when needed, so a wrapper installed there (a timing
+    span, a test double) sees every call.
+    """
+    jobs = [(method, dict(params or {})) for method, params in jobs]
+    for method, _ in jobs:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if isinstance(source, Configuration):
+        distances = _Once(lambda: geometry.euclidean_distances(source))
+    else:
+        def distances():
+            return source
+    start = None
+    if sum(_starts_classical(*job) for job in jobs) > 1:
+        start = _Once(lambda: _classical_start(distances, target_dim))
+
+    def job(method, params):
+        shared = start is not None and _starts_classical(method, params)
+
+        def run():
+            own = dict(params)
+            given = start() if shared else None
+            if given is not None:
+                own["init"] = given
+            result = _reduce(method, source, distances, target_dim, own, seed)
+            if given is None:
+                return result
+            return replace(result, diagnostics={**result.diagnostics,
+                                                "init": "classical"})
+        return run
+
+    return [job(method, params) for method, params in jobs]
+
+
+def _reduce(method, source, distances, target_dim, params, seed):
+    labels = None
+    if method not in COORDINATE_METHODS and isinstance(source, Configuration):
+        labels = source.labels
+        source = distances()
+    if method in _STRESS_METHODS and seed is not None:
+        params.setdefault("seed", seed)
+    reducer = getattr(sys.modules[__name__], method)
+    result = reducer(source, target_dim, **params)
+    if labels is None:
+        return result
+    return replace(result, embedding=replace(result.embedding, labels=labels))
+
+
 def run_reduction(method: str, source, target_dim: int, params: dict | None = None,
                   seed: int | None = None) -> ReductionResult:
     """Run the reducer named ``method`` on coordinates or distances.
@@ -843,19 +1072,7 @@ def run_reduction(method: str, source, target_dim: int, params: dict | None = No
 
     The reducer and the distance function are looked up on their modules
     at each call, so a wrapper installed there (a timing span, a test
-    double) sees every reduction.
+    double) sees every reduction.  :func:`reduction_jobs` runs several
+    reductions of one source.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    params = dict(params or {})
-    labels = None
-    if method not in COORDINATE_METHODS and isinstance(source, Configuration):
-        labels = source.labels
-        source = geometry.euclidean_distances(source)
-    if method in ("smacof", "local_smacof") and seed is not None:
-        params.setdefault("seed", seed)
-    reducer = getattr(sys.modules[__name__], method)
-    result = reducer(source, target_dim, **params)
-    if labels is None:
-        return result
-    return replace(result, embedding=replace(result.embedding, labels=labels))
+    return reduction_jobs(source, target_dim, [(method, params)], seed)[0]()

@@ -59,7 +59,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -352,6 +351,11 @@ def _distance_rows(config: Configuration, start: int, stop: int) -> np.ndarray:
     step = max(1, _CHUNK_CELLS // n)
     square = np.empty(min(step, stop - start) * n)
     with np.errstate(over="ignore"):  # cdist overflows to inf silently
+        # with numpy's default 8192-value ufunc buffer, a broadcast
+        # subtract of rows under 2731 columns copies several rows through
+        # the buffer at a time, at twice the cost of one row per inner
+        # loop; the setting ends with the block
+        np.setbufsize(16)
         for lo in range(start, stop, step):
             part = d[lo - start:lo - start + step]
             hi = lo + len(part)
@@ -404,9 +408,11 @@ class _Entry:
     ``layout`` gives each array's dtype and shape.  Every header is built
     once, in memory, as numpy writes it.  :meth:`fits` compares an open
     entry with those bytes and with its exact size.  :meth:`create` opens
-    a temporary file beside ``path``, :meth:`append` adds the arrays in
-    layout order, each header written before its array, and :meth:`close`
-    renames the file into place once it holds every byte, or removes it.
+    a temporary file beside ``path``, with the mode that the process
+    umask leaves of 0666, as for any file the program writes;
+    :meth:`append` adds the arrays in layout order, each header written
+    before its array, and :meth:`close` renames the file into place once
+    it holds every byte, or removes it.
     """
 
     def __init__(self, path: Path, layout):
@@ -442,7 +448,17 @@ class _Entry:
         return np.frombuffer(data, dtype).reshape(shape)
 
     def create(self) -> None:
-        fd, self._tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+        # made as open() makes files, so that the process umask applies
+        # (mkstemp makes every file 0600); O_EXCL keeps the name unique
+        while True:
+            self._tmp = self.path.with_name(
+                f"{self.path.stem}.{os.urandom(8).hex()}.tmp")
+            try:
+                fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                             0o666)
+                break
+            except FileExistsError:
+                continue
         self._file = os.fdopen(fd, "wb")
         self._at = 0
         try:

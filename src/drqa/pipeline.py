@@ -831,9 +831,11 @@ class StageRunner:
 
         source = self.configurations[stage.source]
         jobs = stage.jobs()
-        results = _pool().map(
-            lambda job: dimred.run_reduction(job[1], source, stage.target_dim,
-                                             job[2], seed), jobs)
+        # dimred decides what the jobs share: one distance matrix, one start
+        runs = dimred.reduction_jobs(
+            source, stage.target_dim,
+            [(method, params) for _, method, params in jobs], seed)
+        results = _pool().map(lambda run: run(), runs)
         for (emit_name, method, params), result in zip(jobs, results):
             self.reduce_meta[emit_name] = (method, params)
             self._store(stage, emit_name, result.embedding)

@@ -1,8 +1,10 @@
 """Reduction methods: recovery contracts, Stress behavior, graph handling."""
 
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -568,6 +570,138 @@ class TestSmacofBits:
         want = _bits(reference_smacof, dist, dim, **kwargs)
         assert _bits(smacof, dist, dim, **kwargs) == want
 
+#: Cell counts of the exact-sum tests: each up to 130 (below 8, one
+#: leaf of numpy's pairwise sum, two leaves), then a spread to 1100
+GRID_SIZES = [*range(2, 131), 135, 136, 200, 255, 256, 257, 384, 511, 513,
+              640, 777, 1000, 1024, 1099, 1100]
+
+
+def _grid_values(rng, count, trial):
+    """Values from 1e-300 to 1e300, or of one magnitude, where the order
+    of the additions moves the last bits most; a fifth are exact zeros."""
+    if trial % 2:
+        v = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), count))
+    else:
+        v = rng.uniform(0.0, 1.0, count)
+    v[rng.random(count) < 0.2] = 0.0
+    return v
+
+
+class TestGridSum:
+    """``_GridSum`` gives the bits of ``np.sum`` over the zero-filled grid."""
+
+    @pytest.mark.parametrize("size", GRID_SIZES)
+    def test_equals_the_grid_sum(self, size):
+        rng = np.random.default_rng(size)
+        for copies in (1, 2):
+            most = size // copies
+            for count in sorted({1, min(2, most), max(1, most // 3), most}):
+                cells = rng.choice(size, (copies, count), replace=False)
+                total = dimred._GridSum(cells, size)
+                for trial in range(4):
+                    v = _grid_values(rng, count, trial)
+                    grid = np.zeros(size)
+                    for row in cells:
+                        grid[row] = v
+                    assert np.float64(total(v)).tobytes() == \
+                        grid.sum().tobytes(), (copies, count, trial)
+
+    def test_all_cells_listed_in_order(self):
+        rng = np.random.default_rng(3)
+        for size in (7, 8, 128, 129, 1100):
+            v = _grid_values(rng, size, 1)
+            total = dimred._GridSum(np.arange(size)[None], size)
+            assert np.float64(total(v)).tobytes() == v.sum().tobytes()
+
+    @pytest.mark.parametrize("ordinal", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 37, 150])
+    def test_pair_sums_are_the_off_diagonal_grid_sums(self, n, ordinal):
+        """Each pair's value at both of its cells of the (n - 1, n) grid
+        of :func:`dimred._offdiag`."""
+        rng = np.random.default_rng(n)
+        full = rng.uniform(0.5, 2.0, (n, n)) * (rng.random((n, n)) < 0.3)
+        full[0, 1] = 1.0
+        full = np.maximum(full, full.T)
+        np.fill_diagonal(full, 0.0)
+        pairs = dimred._Pairs(full, full, ordinal)
+        for trial in range(4):
+            v = _grid_values(rng, pairs.i.size, trial)
+            square = np.zeros((n, n))
+            square[pairs.i, pairs.j] = square[pairs.j, pairs.i] = v
+            grid = np.ascontiguousarray(dimred._offdiag(square))
+            assert np.float64(pairs.total(v)).tobytes() == \
+                grid.sum().tobytes()
+
+
+class TestSharedStart:
+    """A start given as ``init`` and the jobs of one source that share one."""
+
+    def test_given_classical_start_keeps_the_bits(self, bit_shapes):
+        d = bit_shapes["torus_small_regular"]
+        start = classical_mds(d, 2).embedding.items
+        for reducer in (smacof, local_smacof):
+            given = list(start.tolist())  # any array-like
+            want = _bits(reducer, d, 2, max_iter=40)
+            got = _bits(reducer, d, 2, max_iter=40, init=given)
+            assert got[:-1] == want[:-1]
+            assert (want[-1], got[-1]) == ("classical", "given")
+            assert given == start.tolist()
+
+    @pytest.mark.parametrize("init, message", [
+        (np.zeros((BIT_N, 3)), r"init array must have shape \(64, 2\)"),
+        (np.zeros(BIT_N), r"init array must have shape \(64, 2\)"),
+        (np.full((BIT_N, 2), np.nan), "init array must be finite"),
+        (np.full((BIT_N, 2), np.inf), "init array must be finite"),
+    ])
+    def test_bad_start_rejected(self, bit_shapes, init, message):
+        with pytest.raises(ValueError, match=message):
+            smacof(bit_shapes["swiss_roll"], 2, init=init)
+
+    def test_jobs_make_distances_and_start_once(self, monkeypatch):
+        config = generate(ManifoldSpec("swiss_roll", 80, seed=2))
+        jobs = [("pca", {}), ("smacof", {}), ("local_smacof", {}),
+                ("classical_mds", {}), ("smacof", {"init": "random"}),
+                ("local_smacof", {"quantile": 0.2, "transform": "ordinal"})]
+        want = [run_reduction(m, config, 2, p, seed=4) for m, p in jobs]
+        made = []
+        for owner, name in ((geometry, "euclidean_distances"),
+                            (dimred, "_classical_scaling")):
+            def counted(*args, _inner=getattr(owner, name), _name=name):
+                made.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(owner, name, counted)
+        runs = dimred.reduction_jobs(config, 2, jobs, seed=4)
+        interval = sys.getswitchinterval()
+        try:  # more workers than CPUs, switching often
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(3) as pool:
+                got = list(pool.map(lambda run: run(), runs[::-1],
+                                    timeout=120))[::-1]
+        finally:
+            sys.setswitchinterval(interval)
+        # one distance matrix; one classical start for the three stress
+        # jobs that start from classical scaling, one for classical_mds
+        assert sorted(made) == ["_classical_scaling"] * 2 + [
+            "euclidean_distances"]
+        for (method, _), a, b in zip(jobs, want, got):
+            assert a.embedding.items.tobytes() == b.embedding.items.tobytes()
+            assert a.embedding.labels == b.embedding.labels
+            assert a.diagnostics.keys() == b.diagnostics.keys()
+            for key, value in a.diagnostics.items():
+                assert np.array_equal(value, b.diagnostics[key]), (method, key)
+
+    def test_rejected_start_falls_back_in_each_job(self):
+        """Collinear items have no 2-d classical start; each stress job
+        then draws its own seeded random start, as it would alone."""
+        line = Configuration(np.arange(6.0)[:, None] * [1.0, 2.0])
+        jobs = [("smacof", {}), ("local_smacof", {"quantile": 0.5})]
+        runs = dimred.reduction_jobs(line, 2, jobs, seed=3)
+        for (method, params), run in zip(jobs, runs):
+            want = _bits(run_reduction, method, line, 2, params, seed=3)
+            assert _bits(run) == want
+            assert want[-1] == "random-fallback"
+
+
 #: Item count of the memory bounds below
 MEMORY_N = 300
 
@@ -614,8 +748,8 @@ class TestMemoryBounds:
         ("smacof", 2.45),
         ("smacof_ordinal", 6.26),
         ("smacof_weighted", 4.88),
-        ("local_smacof", 3.8),
-        ("local_smacof_ordinal", 4.0),
+        ("local_smacof", 3.1),
+        ("local_smacof_ordinal", 3.15),
         ("classical_mds", 2.3),
         ("lle", 2.6),
         ("laplacian_eigenmaps", 2.6),

@@ -133,6 +133,29 @@ class TestEuclideanDistances:
                 with pytest.raises(ValueError, match="must be finite"):
                     euclidean_distances(config)
 
+    @pytest.mark.parametrize("m", [2, 12])
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_wide_rows_are_cdist(self, n, m):
+        """Rows of 600 and 2000 columns, which numpy's default ufunc buffer
+        would carry several at a time, keep cdist's bits, and masked rows
+        the column-order oracle's; the buffer size comes back after."""
+        rng = np.random.default_rng(n + m)
+        x = rng.standard_normal((n, m))
+        x[3] = x[5]
+        x[7] = np.nextafter(x[9], np.inf)
+        buffer = np.getbufsize()
+        block = min(n, geometry._BLOCK_CELLS // n)  # one rank block
+        for start, stop in ((0, block), (n - 37, n)):
+            got = geometry._distance_rows(Configuration(x), start, stop)
+            assert got.tobytes() == cdist(x[start:stop], x).tobytes()
+        mask = rng.random((n, m)) < 0.7
+        mask[:, 0] = True
+        holes = Configuration(np.where(mask, x, np.nan), mask=mask)
+        got = geometry._distance_rows(holes, n - 3, n)
+        want = masked_distance_oracle(x, mask, n - 3, n)
+        assert got.tobytes() == want.tobytes()
+        assert np.getbufsize() == buffer
+
     @pytest.mark.parametrize("m", [8, 12])
     def test_missing_cell_changes_its_own_row_only(self, m):
         """Dropping one cell of an item changes no distance between two
@@ -198,20 +221,22 @@ class TestEuclideanDistances:
         assert (np.diag(d) == 0).all()
 
 
-def masked_distance_oracle(x, mask):
+def masked_distance_oracle(x, mask, start=0, stop=None):
     """Each pair's root of ``(x_ik - x_jk) * (x_ik - x_jk)`` summed over
-    the columns k both rows observe, in column order, in Python floats."""
+    the columns k both rows observe, in column order, in Python floats,
+    for the rows ``start .. stop - 1`` (all by default)."""
     n, m = x.shape
+    stop = n if stop is None else stop
     rows = x.tolist()
-    d = np.empty((n, n))
-    for i in range(n):
+    d = np.empty((stop - start, n))
+    for i in range(start, stop):
         for j in range(n):
             total = 0.0
             for k in range(m):
                 if mask[i, k] and mask[j, k]:
                     diff = rows[i][k] - rows[j][k]
                     total += diff * diff
-            d[i, j] = math.sqrt(total)
+            d[i - start, j] = math.sqrt(total)
     return d
 
 

@@ -226,7 +226,7 @@ class TestParsing:
              "method": "local_smacof", "target_dim": 2}]}
         for key, value in (("transform", "ordinal"), ("max_iter", 5),
                            ("tol", 1e-3), ("tol", 0), ("seed", 3),
-                           ("init", "random")):
+                           ("init", "random"), ("init", [[0, 1.5]] * 30)):
             cfg["stages"][1]["params"] = {key: value}
             stage = parse_config(cfg, tmp_path).stages[1]
             assert stage.param_grid == ({key: value},)
@@ -1101,6 +1101,33 @@ class TestDeterminismAndCache:
         monkeypatch.setattr(geometry, "_rank_rows", no_ranking)
         run(cfg, tmp_path)
         assert tree_hashes(tmp_path / "o") == cold
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_cache_entries_take_the_umask(self, tmp_path, monkeypatch,
+                                          umask):
+        """Rank and pair entries get 0666 less the umask, as the other
+        files of a run do, and a warm rerun reads them."""
+        cfg = full_config("o", cache=True)
+        old = os.umask(umask)
+        try:
+            run(cfg, tmp_path)
+        finally:
+            os.umask(old)
+        cache = tmp_path / "o" / ".cache"
+        modes = {p.name.split("_")[0]: p.stat().st_mode & 0o777
+                 for p in cache.iterdir()}
+        assert modes == {"ranks": 0o666 & ~umask, "pair": 0o666 & ~umask}
+        assert (tmp_path / "o" / "scores.csv").stat().st_mode & 0o777 == (
+            0o666 & ~umask)
+        cold, entries = tree_hashes(tmp_path / "o"), entry_stats(cache)
+
+        def no_ranking(*args):
+            raise AssertionError("ranked although every entry is cached")
+
+        monkeypatch.setattr(geometry, "_rank_rows", no_ranking)
+        run(cfg, tmp_path)
+        assert tree_hashes(tmp_path / "o") == cold
+        assert entry_stats(cache) == entries
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_warm_run_parses_no_header(self, tmp_path, monkeypatch, threads):
